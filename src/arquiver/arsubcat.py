@@ -443,10 +443,15 @@ def classify_gp_census(alg: BoundQuiverAlgebra, bound, entry_cap: int = 200_000)
 # indecomposables under a dimension bound
 
 
-def indec_pool(alg: BoundQuiverAlgebra, bound, seed: int = 0, samples: int = 40):
+# Random modules drawn to top up the pool of indecomposables.
+_POOL_SAMPLES = 40
+
+
+def indec_pool(alg: BoundQuiverAlgebra, bound, seed: int = 0):
     """Indecomposable iso classes with dims under bound: simples, projectives
-    and injectives seed the pool, seeded random modules top it up, and the
-    pool is closed under syzygy, cosyzygy and the translation both ways.
+    and injectives seed the pool, `_POOL_SAMPLES` (40) random modules drawn
+    from `seed` top it up, and the pool is closed under syzygy, cosyzygy and
+    the translation both ways.
     Exhaustiveness at fixture scale is pinned by expected counts recorded in
     fixture manifests."""
     caps = tuple(int(b) for b in bound)
@@ -474,7 +479,7 @@ def indec_pool(alg: BoundQuiverAlgebra, bound, seed: int = 0, samples: int = 40)
         add(indecomposable_projective(alg, v))
         add(indecomposable_injective(alg, v))
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
+    for _ in range(_POOL_SAMPLES):
         add(random_module(alg, rng))
     changed = True
     while changed:

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -440,14 +438,6 @@ def _suite_runner(suite: str):
     raise ParseFailure(f"unknown suite {suite!r}")
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ARSUBCAT_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     man = load_manifest(args.manifest)
     seed = args.seed
@@ -461,13 +451,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         planned = [(args.suite, _suite_runner(args.suite))]
 
-    workers = _worker_count()
-    if workers > 1 and len(planned) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run, man, seed) for _, run in planned]
-            results = [f.result() for f in futures]
-    else:
-        results = [run(man, seed) for _, run in planned]
+    results = [run(man, seed) for _, run in planned]
 
     width = max(len(r.suite) for r in results)
     for r in results:

@@ -10,6 +10,17 @@ class PreconditionError(Exception):
     pass
 
 
+class InternalInvariantError(Exception):
+    """A computed object broke a mathematical invariant: a bug, not bad input."""
+
+
+def invariant(holds: bool, message: str) -> None:
+    """Raise InternalInvariantError(message) unless `holds`; unlike `assert`,
+    the check still runs under `python -O`."""
+    if not holds:
+        raise InternalInvariantError(message)
+
+
 class NotFiniteDimensional(PreconditionError):
     """The bound quiver algebra is not finite-dimensional below the degree cap."""
 

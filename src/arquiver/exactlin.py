@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _gfkernel
+from .errors import InternalInvariantError
 
 
 def backend() -> str:
@@ -279,4 +280,4 @@ def minimal_polynomial(m: Matrix) -> list[int]:
             return [(-int(x[i, 0])) % p for i in range(k)] + [1]
         powers.append(nxt)
         if k > n:  # cannot happen: minimal polynomial degree is at most n
-            raise AssertionError("minimal polynomial search exceeded dimension")
+            raise InternalInvariantError("minimal polynomial search exceeded dimension")

@@ -10,13 +10,12 @@ transpose is the cokernel of the dual map between opposite projectives.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exactlin
-from .errors import BudgetExhausted, NotProjective
+from .errors import BudgetExhausted, NotProjective, invariant
 from .exactlin import Matrix
 from .quivalg import opposite
 from .repmod import (
@@ -28,10 +27,10 @@ from .repmod import (
     decompose,
     direct_sum,
     dual_map,
+    first_combination,
     hom_basis,
     image,
     indecomposable_injective,
-    indecomposable_isomorphism,
     indecomposable_projective,
     injective_envelope,
     injective_module,
@@ -40,12 +39,16 @@ from .repmod import (
     k_dual,
     kernel,
     map_from_coefficients,
+    match_indecomposables,
+    non_nilpotent,
     projective_cover,
     projective_generators,
     projective_map_from_generator_images,
     projective_module,
     scale_map,
     solve_hom_equation,
+    _EXACT_ENUM_LIMIT,
+    _complementary_split,
     _total_matrix,
 )
 
@@ -65,9 +68,9 @@ def minimal_presentation(m: Representation) -> MinimalPresentation:
     cover1 = projective_cover(ker)
     d = compose(incl, cover1)
     # exactness at p0: im d = ker eps
-    assert compose(eps, d).is_zero()
+    invariant(compose(eps, d).is_zero(), "presentation is not a complex at P0")
     for v in range(m.algebra.quiver.vertices):
-        assert exactlin.rank(d.vertex_maps[v]) == ker.dims[v]
+        invariant(exactlin.rank(d.vertex_maps[v]) == ker.dims[v], "presentation is not exact at P0")
     return MinimalPresentation(cover1.source, eps.source, d, eps)
 
 
@@ -344,7 +347,9 @@ def extension_from_cocycle(
 # locating the non-nilpotent element uses search (every candidate is verified
 # exactly before use).
 
-_EXHAUST_LIMIT = 200_000
+# Random combinations of the stable ideal power tried before enumerating it.
+_WITNESS_TRIES = 128
+_WITNESS_SEED = 0
 
 
 def _independent_subset(maps: list[ModuleMap], field) -> list[ModuleMap]:
@@ -365,30 +370,6 @@ def _nilpotent(f: ModuleMap) -> bool:
         acc = exactlin.multiply(acc, acc)
         k *= 2
     return acc.is_zero()
-
-
-def _non_nilpotent_exhaustive(basis, p):
-    """A coefficient vector giving a non-nilpotent combination, or None."""
-    totals = np.stack([_total_matrix(f).a for f in basis])
-    dd = totals.shape[1]
-    if dd == 0:
-        return None
-    combos = itertools.product(range(p), repeat=len(basis))
-    batch = max(1, 65536 // max(1, dd * dd))
-    while True:
-        chunk = list(itertools.islice(combos, batch))
-        if not chunk:
-            return None
-        c = np.array(chunk, dtype=np.int64)
-        phi = np.tensordot(c, totals, axes=(1, 0)) % p
-        acc = phi
-        k = 1
-        while k < dd:
-            acc = np.einsum("nij,njk->nik", acc, acc) % p
-            k *= 2
-        hits = np.flatnonzero(np.any(acc != 0, axis=(1, 2)))
-        if hits.size:
-            return [int(x) for x in chunk[hits[0]]]
 
 
 def _stable_ideal_power(h: ModuleMap):
@@ -420,17 +401,17 @@ def is_right_minimal(h: ModuleMap) -> bool:
     return not w
 
 
-def right_minimalize(
-    h: ModuleMap, budget: int = 128, seed: int = 0
-) -> tuple[Representation, ModuleMap, Representation]:
+def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Representation]:
     """Split h: M -> N as h1 (+) (M2 -> 0) with h1: M1 -> N right minimal.
 
-    Returns (M1, h1, M2).  Minimality verdicts are deterministic (see above);
-    budget and seed only steer the search for a non-nilpotent element of the
-    stable ideal power when a summand has to be split off, and one provably
-    exists whenever the search runs.
+    Returns (M1, h1, M2).  Minimality verdicts are deterministic (see above).
+    When a summand has to be split off, a non-nilpotent element of the stable
+    ideal power W provably exists; the search for it tries the basis of W,
+    then a fixed budget of `_WITNESS_TRIES` (128) random combinations drawn
+    from `_WITNESS_SEED` (0) afresh on every call, then, while p^dim W <=
+    `_EXACT_ENUM_LIMIT` (200,000), every combination.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_WITNESS_SEED)
     m = h.source
     stripped: list[Representation] = []
     while True:
@@ -444,16 +425,16 @@ def right_minimalize(
                 witness = u
                 break
         if witness is None:
-            for _ in range(budget):
+            for _ in range(_WITNESS_TRIES):
                 u = map_from_coefficients(
                     w, [int(x) for x in rng.integers(0, p, size=len(w))]
                 )
                 if not _nilpotent(u):
                     witness = u
                     break
-        if witness is None and p ** len(w) <= _EXHAUST_LIMIT:
-            combo = _non_nilpotent_exhaustive(w, p)
-            assert combo is not None, "stable ideal power was nil after all"
+        if witness is None and p ** len(w) <= _EXACT_ENUM_LIMIT:
+            combo = first_combination(w, non_nilpotent)
+            invariant(combo is not None, "stable ideal power was nil after all")
             witness = map_from_coefficients(w, combo)
         if witness is None:
             raise BudgetExhausted(
@@ -469,11 +450,11 @@ def right_minimalize(
             k *= 2
         ker_part, ker_incl = kernel(t)
         im_part, im_incl, _ = image(t)
-        assert not im_part.is_zero(), "witness was nilpotent after all"
-        assert compose(h, im_incl).is_zero(), "stripped part does not die under h"
-        for v in range(len(m.dims)):
-            s = exactlin.hstack([ker_incl.vertex_maps[v], im_incl.vertex_maps[v]])
-            assert s.rows == s.cols and exactlin.inverse(s) is not None
+        invariant(not im_part.is_zero(), "witness was nilpotent after all")
+        invariant(compose(h, im_incl).is_zero(), "stripped part does not die under h")
+        _complementary_split(
+            m, (ker_part, ker_incl), (im_part, im_incl), "Fitting split is not a direct sum"
+        )
         stripped.append(im_part)
         h = compose(h, ker_incl)
         m = ker_part
@@ -511,25 +492,10 @@ def nakayama(p_mod: Representation) -> Representation:
     return injective_module(p_mod.algebra, verts)
 
 
-def nonprojective_summands(m: Representation, seed: int = 0) -> list[Representation]:
-    cert = decompose(m, seed=seed)
-    return [s for s in cert.summands if not is_projective(s)]
+def nonprojective_summands(m: Representation) -> list[Representation]:
+    return [s for s in decompose(m).summands if not is_projective(s)]
 
 
-def is_stably_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
+def is_stably_isomorphic(m: Representation, n: Representation) -> bool:
     """Isomorphic after deleting projective direct summands from both sides."""
-    a = nonprojective_summands(m, seed=seed)
-    b = nonprojective_summands(n, seed=seed)
-    if len(a) != len(b):
-        return False
-    used = [False] * len(b)
-    for s in a:
-        hit = None
-        for i, t in enumerate(b):
-            if not used[i] and t.dims == s.dims and indecomposable_isomorphism(s, t) is not None:
-                hit = i
-                break
-        if hit is None:
-            return False
-        used[hit] = True
-    return True
+    return match_indecomposables(nonprojective_summands(m), nonprojective_summands(n)) is not None

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotMono, NotSelfInjective
+from .errors import InternalInvariantError, NotMono, NotSelfInjective, invariant
 from .exactlin import Matrix
 from .homalg import ar_translate_of_map, is_selfinjective
 from .quivalg import BoundQuiverAlgebra, t2_of
@@ -198,10 +198,6 @@ def morph_hom_dim(x: MorphObject, y: MorphObject) -> int:
     return len(morph_hom_basis(x, y))
 
 
-def compose_morph_maps(g: MorphMap, f: MorphMap) -> MorphMap:
-    return MorphMap(f.source, g.target, compose(g.sigma1, f.sigma1), compose(g.sigma2, f.sigma2))
-
-
 def factor_morph_map_through(m: MorphMap, c: MorphMap) -> MorphMap | None:
     """Some h: m.source -> c.source with c∘h = m, or None.
 
@@ -241,7 +237,7 @@ def factor_morph_map_through(m: MorphMap, c: MorphMap) -> MorphMap | None:
         blocks.append(row)
         rhs_parts.append(t1)
     elif any(col.shape[0] for col in c1):  # pragma: no cover - shapes always agree
-        raise AssertionError
+        raise InternalInvariantError("composite and target shapes disagree")
     c2 = [flatten_map(compose(c.sigma2, s)) for s in h2]
     t2 = flatten_map(m.sigma2)
     if t2.shape[0]:
@@ -287,10 +283,10 @@ def mimo(obj: MorphObject) -> tuple[MorphObject, MorphMap]:
     env = injective_envelope(k)
     env_target = env.target
     e = solve_hom_equation(obj.a, env_target, env, pre=kappa)
-    assert e is not None, "extension along a monomorphism into an injective must exist"
+    invariant(e is not None, "extension along a monomorphism into an injective must exist")
     amalgam, incls, projs = direct_sum([obj.b, env_target])
     fe = add_maps(compose(incls[0], obj.f), compose(incls[1], e))
-    assert is_mono(fe), "mimo output must be mono"
+    invariant(is_mono(fe), "mimo output must be mono")
     mono = MorphObject(obj.a, amalgam, fe)
     canonical = MorphMap(mono, obj, identity_map(obj.a), projs[0])
     return mono, canonical

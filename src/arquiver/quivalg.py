@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from ._gfkernel import matmul as _matmul, rref as _rref
-from .errors import MalformedRelation, NotFiniteDimensional
+from .errors import MalformedRelation, NotFiniteDimensional, invariant
 from .exactlin import PrimeField
 
 
@@ -101,7 +101,6 @@ class BoundQuiverAlgebra:
         "relations",
         "dimension",
         "basis",
-        "_basis_index",
         "_by_source_target",
         "_deg",
         "_max_degree",
@@ -114,7 +113,6 @@ class BoundQuiverAlgebra:
         object.__setattr__(self, "relations", relations)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "dimension", len(basis))
-        object.__setattr__(self, "_basis_index", {bp: i for i, bp in enumerate(basis)})
         by_st: dict[tuple[int, int], list[BasisPath]] = {}
         for bp in basis:
             by_st.setdefault((bp[0], path_target(quiver, bp)), []).append(bp)
@@ -128,9 +126,6 @@ class BoundQuiverAlgebra:
 
     def path_basis(self, source: int, target: int) -> list[BasisPath]:
         return list(self._by_source_target.get((source, target), []))
-
-    def basis_index(self, bp: BasisPath) -> int:
-        return self._basis_index[bp]
 
     def idempotent(self, vertex: int) -> BasisPath:
         return (vertex, ())
@@ -386,8 +381,9 @@ def t2_of(alg: BoundQuiverAlgebra) -> tuple[BoundQuiverAlgebra, dict[int, tuple[
             ]
         )
     t2 = build_algebra(Quiver(2 * n, arrows), rels, alg.field, degree_cap=2 * alg._max_degree + 2)
-    assert t2.dimension == 3 * alg.dimension, (
-        f"triangular algebra dimension {t2.dimension} != 3 * {alg.dimension}"
+    invariant(
+        t2.dimension == 3 * alg.dimension,
+        f"triangular algebra dimension {t2.dimension} != 3 * {alg.dimension}",
     )
     corr = {i: (i, n + i) for i in range(n)}
     _T2_CACHE[alg] = (t2, corr)

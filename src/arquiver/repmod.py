@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactlin
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, invariant
 from .exactlin import Matrix
 from .quivalg import BoundQuiverAlgebra, opposite
 
@@ -309,7 +309,7 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
         i, j = a.source, a.target
         moved = exactlin.multiply(m.arrow_maps[a.id], incls[i])
         sol = exactlin.solve(incls[j], moved)
-        assert sol is not None, "kernel is not arrow-invariant"
+        invariant(sol is not None, "kernel is not arrow-invariant")
         maps[a.id] = sol
     ker = Representation(alg, dims, maps, validate=False)
     return ker, ModuleMap(ker, m, incls, validate=False)
@@ -329,7 +329,7 @@ def _complement_data(span: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     e = Matrix(field, np.eye(nn, dtype=np.int64)[:, free_idx])
     s = exactlin.hstack([b, e])
     sinv = exactlin.inverse(s)
-    assert sinv is not None
+    invariant(sinv is not None, "span and complement are not a basis")
     proj = Matrix(field, sinv.a[b.cols :, :])
     return b, e, proj
 
@@ -363,13 +363,13 @@ def image(f: ModuleMap) -> tuple[Representation, ModuleMap, ModuleMap]:
         i, j = a.source, a.target
         moved = exactlin.multiply(f.target.arrow_maps[a.id], incls[i])
         sol = exactlin.solve(incls[j], moved)
-        assert sol is not None
+        invariant(sol is not None, "image is not arrow-invariant")
         maps[a.id] = sol
     im = Representation(alg, dims, maps, validate=False)
     epis = []
     for i, vm in enumerate(f.vertex_maps):
         sol = exactlin.solve(incls[i], vm)
-        assert sol is not None
+        invariant(sol is not None, "map does not factor through its image")
         epis.append(sol)
     return im, ModuleMap(im, f.target, incls, validate=False), ModuleMap(f.source, im, epis, validate=False)
 
@@ -532,7 +532,7 @@ def projective_cover(m: Representation) -> ModuleMap:
             verts.append(j)
             lifts.append((j, Matrix(alg.field, e.a[:, c : c + 1])))
     if not verts:
-        assert m.is_zero(), "nonzero module with zero top"
+        invariant(m.is_zero(), "nonzero module with zero top")
         z = projective_module(alg, ())
         return ModuleMap(z, m, [Matrix.zeros(alg.field, d, 0) for d in m.dims], validate=False)
     cover_src = projective_module(alg, verts)
@@ -548,10 +548,10 @@ def projective_cover(m: Representation) -> ModuleMap:
     # onto, with superfluous kernel
     rad_p = radical_spans(cover_src)
     for l in range(alg.quiver.vertices):
-        assert exactlin.rank(vms[l]) == m.dims[l], "projective cover is not onto"
+        invariant(exactlin.rank(vms[l]) == m.dims[l], "projective cover is not onto")
         kb = exactlin.kernel_basis(vms[l])
         if kb.cols:
-            assert exactlin.image_membership(rad_p[l], kb), "cover kernel is not superfluous"
+            invariant(exactlin.image_membership(rad_p[l], kb), "cover kernel is not superfluous")
     return cover
 
 
@@ -559,7 +559,7 @@ def injective_envelope(m: Representation) -> ModuleMap:
     """The injective envelope M -> I(M), built as the dual of a projective cover."""
     cover = projective_cover(k_dual(m))
     env = dual_map(cover)  # D(D(m)) -> D(P); source is data-identical to m
-    assert env.source == m
+    invariant(env.source == m, "envelope source differs from the module")
     return ModuleMap(m, env.target, env.vertex_maps, validate=False)
 
 
@@ -567,7 +567,7 @@ def projective_generators(proj: Representation) -> list[tuple[int, int]]:
     """For a projective built by projective_module: [(vertex, coordinate)] of
     each summand's generator (its trivial path)."""
     kind, verts, coords = proj._layout
-    assert kind == "proj", "module was not built with a projective layout"
+    invariant(kind == "proj", "module was not built with a projective layout")
     out = []
     for k, v in enumerate(verts):
         out.append((v, coords[v].index((k, (v, ())))))
@@ -601,10 +601,6 @@ def is_projective(m: Representation) -> bool:
     return all(exactlin.kernel_basis(vm).cols == 0 for vm in cover.vertex_maps)
 
 
-def is_injective(m: Representation) -> bool:
-    return is_projective(k_dual(m))
-
-
 # ---------------------------------------------------------------------------
 # decomposition
 
@@ -619,7 +615,13 @@ class DecompositionCertificate:
     certified: bool
 
 
+# Combinations of an End basis are enumerated only while p^t stays within
+# this limit, in batches of about _ENUM_BATCH matrix entries (bounds peak RSS).
 _EXACT_ENUM_LIMIT = 200_000
+_ENUM_BATCH = 16_384
+# Randomized minimal-polynomial splits tried on a piece beyond the limit.
+_SPLIT_TRIES = 64
+_SPLIT_SEED = 0
 
 
 def _total_matrix(f: ModuleMap) -> Matrix:
@@ -638,40 +640,40 @@ def _sub_from_column_spans(m: Representation, spans: list[Matrix]) -> tuple[Repr
     for a in alg.quiver.arrows:
         i, j = a.source, a.target
         sol = exactlin.solve(incls[j], exactlin.multiply(m.arrow_maps[a.id], incls[i]))
-        assert sol is not None, "spans are not arrow-invariant"
+        invariant(sol is not None, "spans are not arrow-invariant")
         maps[a.id] = sol
     sub = Representation(alg, dims, maps, validate=False)
     return sub, ModuleMap(sub, m, incls, validate=False)
 
 
+def _complementary_split(m: Representation, part1, part2, failure: str):
+    """Check that the inclusions of part1 = (m1, i1) and part2 = (m2, i2) make
+    M = m1 (+) m2, and return (m1, i1, p1), (m2, i2, p2) with the projections;
+    raise InternalInvariantError(failure) if they do not."""
+    (m1, i1), (m2, i2) = part1, part2
+    field = m.algebra.field
+    p1, p2 = [], []
+    for v in range(len(m.dims)):
+        sinv = exactlin.inverse(exactlin.hstack([i1.vertex_maps[v], i2.vertex_maps[v]]))
+        invariant(sinv is not None, failure)
+        p1.append(Matrix(field, sinv.a[: m1.dims[v], :]))
+        p2.append(Matrix(field, sinv.a[m1.dims[v] :, :]))
+    return (m1, i1, ModuleMap(m, m1, p1, validate=False)), (m2, i2, ModuleMap(m, m2, p2, validate=False))
+
+
 def _split_by_idempotent(m: Representation, e: ModuleMap):
     """M = im(e) + ker(e) for an idempotent endomorphism e."""
-    parts = []
-    for f in (e, add_maps(identity_map(m), scale_map(-1, e))):  # e and 1-e
-        sub, incl = _sub_from_column_spans(m, list(f.vertex_maps))
-        parts.append((sub, incl))
-    (m1, i1), (m2, i2) = parts
-    s = [exactlin.hstack([i1.vertex_maps[v], i2.vertex_maps[v]]) for v in range(len(m.dims))]
-    sinv = [exactlin.inverse(x) for x in s]
-    assert all(x is not None for x in sinv), "idempotent split is not a direct sum"
-    p1 = ModuleMap(m, m1, [Matrix(m.algebra.field, sinv[v].a[: m1.dims[v], :]) for v in range(len(m.dims))], validate=False)
-    p2 = ModuleMap(m, m2, [Matrix(m.algebra.field, sinv[v].a[m1.dims[v] :, :]) for v in range(len(m.dims))], validate=False)
-    return (m1, i1, p1), (m2, i2, p2)
+    one_minus_e = add_maps(identity_map(m), scale_map(-1, e))
+    parts = [_sub_from_column_spans(m, list(f.vertex_maps)) for f in (e, one_minus_e)]
+    return _complementary_split(m, *parts, "idempotent split is not a direct sum")
 
 
 def _fitting_split(m: Representation, phi: ModuleMap, g: list[int], h: list[int]):
     """Split M = ker g(phi) + ker h(phi) for coprime g, h with g h = minimal poly."""
-    ge = _eval_poly_map(g, phi)
-    he = _eval_poly_map(h, phi)
-    k1, i1 = kernel(ge)
-    k2, i2 = kernel(he)
-    assert not k1.is_zero() and not k2.is_zero(), "primary component vanished"
-    s = [exactlin.hstack([i1.vertex_maps[v], i2.vertex_maps[v]]) for v in range(len(m.dims))]
-    sinv = [exactlin.inverse(x) for x in s]
-    assert all(x is not None for x in sinv), "primary decomposition is not a direct sum"
-    p1 = ModuleMap(m, k1, [Matrix(m.algebra.field, sinv[v].a[: k1.dims[v], :]) for v in range(len(m.dims))], validate=False)
-    p2 = ModuleMap(m, k2, [Matrix(m.algebra.field, sinv[v].a[k1.dims[v] :, :]) for v in range(len(m.dims))], validate=False)
-    return (k1, i1, p1), (k2, i2, p2)
+    part1 = kernel(_eval_poly_map(g, phi))
+    part2 = kernel(_eval_poly_map(h, phi))
+    invariant(not part1[0].is_zero() and not part2[0].is_zero(), "primary component vanished")
+    return _complementary_split(m, part1, part2, "primary decomposition is not a direct sum")
 
 
 def _eval_poly_map(coeffs: list[int], phi: ModuleMap) -> ModuleMap:
@@ -700,33 +702,47 @@ def _try_poly_split(m, f, p, rng):
     return _fitting_split(m, f, g, h)
 
 
-def _exhaustive_idempotent(m, endos, p):
-    """Find a nontrivial idempotent endomorphism by enumerating all of End(m).
+def first_combination(basis: list[ModuleMap], hit) -> list[int] | None:
+    """Coefficients of the first GF(p)-combination of the endomorphisms in
+    `basis`, in lexicographic order, whose total matrix passes `hit`; or None.
 
-    Batched over the coefficient space; only called when p^t is affordable.
+    `hit(phi, p)` maps a stack phi of total matrices, shape (N, D, D), to an
+    (N,) boolean mask.  All p^len(basis) combinations may be visited, so
+    callers keep that within `_EXACT_ENUM_LIMIT`.
     """
-    t = len(endos)
-    totals = np.stack([_total_matrix(f).a for f in endos])  # (t, D, D)
+    p = basis[0].source.algebra.field.p
+    totals = np.stack([_total_matrix(f).a for f in basis])  # (t, D, D)
     dd = totals.shape[1]
-    ident = np.eye(dd, dtype=np.int64)
-    combos = itertools.product(range(p), repeat=t)
-    batch = max(1, 16384 // max(1, dd * dd))
+    combos = itertools.product(range(p), repeat=len(basis))
+    batch = max(1, _ENUM_BATCH // max(1, dd * dd))
     while True:
         chunk = list(itertools.islice(combos, batch))
         if not chunk:
             return None
-        c = np.array(chunk, dtype=np.int64)  # (N, t)
-        phi = np.tensordot(c, totals, axes=(1, 0)) % p  # (N, D, D)
-        sq = np.einsum("nij,njk->nik", phi, phi) % p
-        good = np.all(sq == phi, axis=(1, 2))
-        nonzero = np.any(phi != 0, axis=(1, 2))
-        notid = np.any(phi != ident[None, :, :], axis=(1, 2))
-        hits = np.nonzero(good & nonzero & notid)[0]
+        phi = np.tensordot(np.array(chunk, dtype=np.int64), totals, axes=(1, 0)) % p
+        hits = np.flatnonzero(hit(phi, p))
         if hits.size:
-            return map_from_coefficients(endos, [int(x) for x in chunk[int(hits[0])]])
+            return [int(x) for x in chunk[hits[0]]]
 
 
-def _decompose_indec_evidence(m, endos, budget, rng):
+def nontrivial_idempotent(phi: np.ndarray, p: int) -> np.ndarray:
+    """`first_combination` test: idempotent, and neither 0 nor the identity."""
+    sq = np.einsum("nij,njk->nik", phi, phi) % p
+    ident = np.eye(phi.shape[1], dtype=np.int64)
+    return (sq == phi).all(axis=(1, 2)) & phi.any(axis=(1, 2)) & (phi != ident).any(axis=(1, 2))
+
+
+def non_nilpotent(phi: np.ndarray, p: int) -> np.ndarray:
+    """`first_combination` test: some power phi^(2^k) with 2^k >= D is nonzero."""
+    acc = phi
+    k = 1
+    while k < phi.shape[1]:
+        acc = np.einsum("nij,njk->nik", acc, acc) % p
+        k *= 2
+    return acc.any(axis=(1, 2))
+
+
+def _decompose_indec_evidence(m, endos, rng):
     """Decide indecomposability of m (End already computed). Returns (verdict, split)."""
     p = m.algebra.field.p
     t = len(endos)
@@ -735,12 +751,12 @@ def _decompose_indec_evidence(m, endos, budget, rng):
     # enumerate all of End when affordable: this certifies an indecomposable
     # and splits a decomposable about as fast as the randomized route
     if p**t <= _EXACT_ENUM_LIMIT:
-        e = _exhaustive_idempotent(m, endos, p)
-        if e is None:
+        coeffs = first_combination(endos, nontrivial_idempotent)
+        if coeffs is None:
             return ("no nontrivial idempotent endomorphism (exhaustive search)", True), None
-        return None, _split_by_idempotent(m, e)
+        return None, _split_by_idempotent(m, map_from_coefficients(endos, coeffs))
     # beyond that, factor minimal polynomials of random endomorphisms
-    for _ in range(budget):
+    for _ in range(_SPLIT_TRIES):
         coeffs = [int(c) for c in rng.integers(0, p, size=t)]
         f = map_from_coefficients(endos, coeffs)
         split = _try_poly_split(m, f, p, rng)
@@ -749,21 +765,22 @@ def _decompose_indec_evidence(m, endos, budget, rng):
     return ("randomized search found no splitting (budget exhausted)", False), None
 
 
-def decompose(m: Representation, budget: int = 64, seed: int = 0) -> DecompositionCertificate:
+def decompose(m: Representation) -> DecompositionCertificate:
     """Split m into indecomposable summands with inclusion/projection maps.
 
     Each piece is handled by the size of its endomorphism algebra, t = dim End
     over GF(p): t = 1 makes it indecomposable outright; p^t <=
-    `_EXACT_ENUM_LIMIT` sends it to an exhaustive search for a nontrivial
-    idempotent, which either splits it or certifies it; larger pieces try
-    `budget` randomized minimal-polynomial splits (drawn from `seed`).  So
-    `budget` and `seed` only steer pieces with p^t > `_EXACT_ENUM_LIMIT`.
+    `_EXACT_ENUM_LIMIT` (200,000) sends it to an exhaustive search for a
+    nontrivial idempotent, which either splits it or certifies it; larger
+    pieces try a fixed budget of `_SPLIT_TRIES` (64) randomized
+    minimal-polynomial splits, drawn from `_SPLIT_SEED` (0) afresh on every
+    call, so the answer is deterministic.
 
     Every summand carries an evidence string.  `certified` is False only when
     such a piece survived the randomized route (then that piece may secretly
     still decompose).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SPLIT_SEED)
     if m.is_zero():
         return DecompositionCertificate(m, (), (), (), (), True)
     work = [(m, identity_map(m), identity_map(m))]
@@ -772,7 +789,7 @@ def decompose(m: Representation, budget: int = 64, seed: int = 0) -> Decompositi
     while work:
         cur, incl, proj = work.pop()
         endos = hom_basis(cur, cur)
-        verdict, split = _decompose_indec_evidence(cur, endos, budget, rng)
+        verdict, split = _decompose_indec_evidence(cur, endos, rng)
         if split is not None:
             (m1, i1, p1), (m2, i2, p2) = split
             work.append((m1, compose(incl, i1), compose(p1, proj)))
@@ -824,15 +841,42 @@ def indecomposable_isomorphism(m: Representation, n: Representation) -> ModuleMa
     return None
 
 
-def is_isomorphic(m: Representation, n: Representation, seed: int = 0) -> bool:
-    return isomorphism(m, n, seed=seed) is not None
+def match_indecomposables(
+    a: tuple[Representation, ...], b: tuple[Representation, ...]
+) -> list[tuple[int, ModuleMap]] | None:
+    """Pair the indecomposables in a one-to-one with isomorphic ones in b.
+
+    Entry k is (l, an isomorphism a[k] -> b[l]); None when the two lists are
+    not the same multiset of iso classes.  Taking the first free partner is
+    enough, because isomorphism is an equivalence relation.
+    """
+    if len(a) != len(b):
+        return None
+    used = [False] * len(b)
+    pairs = []
+    for s in a:
+        for l, t in enumerate(b):
+            if used[l]:
+                continue
+            iso = indecomposable_isomorphism(s, t)
+            if iso is not None:
+                used[l] = True
+                pairs.append((l, iso))
+                break
+        else:
+            return None
+    return pairs
 
 
-def isomorphism(m: Representation, n: Representation, seed: int = 0) -> ModuleMap | None:
+def is_isomorphic(m: Representation, n: Representation) -> bool:
+    return isomorphism(m, n) is not None
+
+
+def isomorphism(m: Representation, n: Representation) -> ModuleMap | None:
     """An explicit isomorphism m -> n, or None.
 
     Decomposes both sides and matches indecomposable summands with
-    `indecomposable_isomorphism`.
+    `match_indecomposables`.
     """
     if m.algebra != n.algebra:
         raise ValueError("isomorphism test between modules over different algebras")
@@ -840,28 +884,19 @@ def isomorphism(m: Representation, n: Representation, seed: int = 0) -> ModuleMa
         return None
     if m.is_zero():
         return identity_map(m) if n.is_zero() else None
-    dm = decompose(m, seed=seed)
-    dn = decompose(n, seed=seed)
-    used = [False] * len(dn.summands)
-    pieces = []
-    for k, s in enumerate(dm.summands):
-        found = None
-        for l, t in enumerate(dn.summands):
-            if used[l] or t.dims != s.dims:
-                continue
-            iso = indecomposable_isomorphism(s, t)
-            if iso is not None:
-                found = (l, iso)
-                break
-        if found is None:
-            return None
-        used[found[0]] = True
-        pieces.append((k, found[0], found[1]))
+    dm = decompose(m)
+    dn = decompose(n)
+    pairs = match_indecomposables(dm.summands, dn.summands)
+    if pairs is None:
+        return None
     out = zero_map(m, n)
-    for k, l, iso in pieces:
+    for k, (l, iso) in enumerate(pairs):
         out = add_maps(out, compose(dn.inclusions[l], compose(iso, dm.projections[k])))
-    # sanity: out is invertible by construction (matched a complete summand list)
-    assert all(exactlin.inverse(vm) is not None for vm in out.vertex_maps)
+    # out is invertible by construction (it matched a complete summand list)
+    invariant(
+        all(exactlin.inverse(vm) is not None for vm in out.vertex_maps),
+        "matched summands do not assemble to an isomorphism",
+    )
     return out
 
 

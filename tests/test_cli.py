@@ -342,16 +342,6 @@ def test_verify_mismatched_base_algebra_exits_1(capsys, tmp_path):
     assert "triangular" in err
 
 
-def test_verify_worker_pool_matches_sequential_output(capsys, monkeypatch):
-    argv = ["verify", "--manifest", str(FIX / "manifest_a2.json"), "--suite", "all"]
-    code, sequential, _ = run(argv, capsys)
-    assert code == 0
-    monkeypatch.setenv("ARSUBCAT_THREADS", "4")
-    code, threaded, _ = run(argv, capsys)
-    assert code == 0
-    assert threaded == sequential
-
-
 # ---------------------------------------------------------------------------
 # console entry point
 
