@@ -66,15 +66,14 @@ from .repmod import (
     is_mono,
     is_projective,
     k_dual,
-    kernel,
     map_from_coefficients,
-    projective_cover,
     projective_module,
     random_module,
     regular_module,
     require_certified,
     simple_module,
     solve_hom_equation,
+    syzygy_step,
     top_dims,
     zero_map,
     zero_module,
@@ -311,15 +310,20 @@ def verify_ar_duality(
 # ---------------------------------------------------------------------------
 # exhaustive enumeration at fixture scale
 
+# Most candidates an exhaustive enumeration may visit: p^(matrix entries)
+# modules of one dimension vector, or p^(dim Hom) maps between two modules;
+# beyond it the enumeration raises EnumerationCapExceeded.
+_ENTRY_CAP = 200_000
 
-def _all_modules_with_dims(alg: BoundQuiverAlgebra, dims, entry_cap: int):
+
+def _all_modules_with_dims(alg: BoundQuiverAlgebra, dims):
     """One representative per isomorphism class of representations with the
     given dimension vector, by exhaustive matrix enumeration."""
     arrows = alg.quiver.arrows
     shapes = [(dims[a.target], dims[a.source]) for a in arrows]
     entries = sum(r * c for r, c in shapes)
     p = alg.field.p
-    if entries > 64 or p**entries > entry_cap:
+    if entries > 64 or p**entries > _ENTRY_CAP:
         raise EnumerationCapExceeded(
             f"dimension vector {tuple(dims)} needs {p}^{entries} candidates"
         )
@@ -340,16 +344,16 @@ def _all_modules_with_dims(alg: BoundQuiverAlgebra, dims, entry_cap: int):
     return classes
 
 
-def _iso_classes_within(alg: BoundQuiverAlgebra, caps, entry_cap: int):
+def _iso_classes_within(alg: BoundQuiverAlgebra, caps):
     """Representatives of every iso class with dims bounded by caps
     coordinatewise, the zero module included."""
     out = []
     for dims in itertools.product(*(range(c + 1) for c in caps)):
-        out.extend(_all_modules_with_dims(alg, dims, entry_cap))
+        out.extend(_all_modules_with_dims(alg, dims))
     return out
 
 
-def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound, entry_cap: int):
+def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound):
     """Indecomposable Gorenstein-projective modules over the triangular
     matrix algebra of base whose dimension vectors fit under bound, found by
     exhausting (A, B, f) triples and decomposing.  Returns (module, object)
@@ -363,14 +367,14 @@ def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound, entry_cap: int):
     def gp_test(mod):
         return is_gorenstein_projective(mod, profile)
 
-    pool_a = _iso_classes_within(base, bound[:n], entry_cap)
-    pool_b = _iso_classes_within(base, bound[n:], entry_cap)
+    pool_a = _iso_classes_within(base, bound[:n])
+    pool_b = _iso_classes_within(base, bound[n:])
     p = base.field.p
     found: list[tuple[Representation, MorphObject]] = []
     for a_mod in pool_a:
         for b_mod in pool_b:
             basis = hom_basis(a_mod, b_mod)
-            if p ** len(basis) > entry_cap:
+            if p ** len(basis) > _ENTRY_CAP:
                 raise EnumerationCapExceeded(
                     f"hom space between dims {a_mod.dims} and {b_mod.dims} "
                     f"has {p}^{len(basis)} elements"
@@ -413,8 +417,7 @@ def _census_tag(obj: MorphObject) -> str:
     if is_projective(obj.b) and is_mono(f):
         g, _ = cokernel(f)
         if not g.is_zero() and not is_projective(g):
-            cover = projective_cover(g)
-            k, incl = kernel(cover)
+            cover, k, incl = syzygy_step(g)
             template = MorphObject(k, cover.source, incl)
             if is_isomorphic(to_t2_module(obj), to_t2_module(template)):
                 return "C_SYZYGY"
@@ -425,11 +428,11 @@ def _census_tag(obj: MorphObject) -> str:
     return "OTHER"
 
 
-def classify_gp_census(alg: BoundQuiverAlgebra, bound, entry_cap: int = 200_000) -> GpCensus:
+def classify_gp_census(alg: BoundQuiverAlgebra, bound) -> GpCensus:
     """Exhaustive census of the indecomposable Gorenstein-projective objects
     of the morphism category of alg with dimension vectors under bound
     (first half of bound caps sources, second half targets)."""
-    found = _collect_gp_morph_objects(alg, bound, entry_cap)
+    found = _collect_gp_morph_objects(alg, bound)
     objects = []
     counts = {"a": 0, "b": 0, "c": 0, "other": 0}
     for i, (t2m, obj) in enumerate(found):
@@ -496,12 +499,7 @@ def indec_pool(alg: BoundQuiverAlgebra, bound, seed: int = 0):
 # translation-versus-syzygy comparison
 
 
-def check_tau_is_syzygy(
-    alg: BoundQuiverAlgebra,
-    bound,
-    seed: int = 0,
-    entry_cap: int = 200_000,
-):
+def check_tau_is_syzygy(alg: BoundQuiverAlgebra, bound, seed: int = 0):
     """Compare tau_gprj against the minimal syzygy on every indecomposable
     non-projective Gorenstein projective with dims under bound.
 
@@ -515,7 +513,7 @@ def check_tau_is_syzygy(
     base_pair = t2_base_of(alg)
     if base_pair is not None:
         base, _ = base_pair
-        gps = [t2m for t2m, _ in _collect_gp_morph_objects(base, bound, entry_cap)]
+        gps = [t2m for t2m, _ in _collect_gp_morph_objects(base, bound)]
     elif profile.is_selfinjective:
         gps = indec_pool(alg, bound, seed=seed)
     else:

@@ -47,6 +47,7 @@ from .repmod import (
     projective_module,
     scale_map,
     solve_hom_equation,
+    syzygy_step,
     _EXACT_ENUM_LIMIT,
     _complementary_split,
     _total_matrix,
@@ -63,8 +64,7 @@ class MinimalPresentation:
 
 def minimal_presentation(m: Representation) -> MinimalPresentation:
     """Minimal projective presentation P1 --d--> P0 --eps--> M -> 0."""
-    eps = projective_cover(m)
-    ker, incl = kernel(eps)
+    eps, ker, incl = syzygy_step(m)
     cover1 = projective_cover(ker)
     d = compose(incl, cover1)
     # exactness at p0: im d = ker eps
@@ -75,9 +75,11 @@ def minimal_presentation(m: Representation) -> MinimalPresentation:
 
 
 def syzygy(m: Representation) -> Representation:
-    """First syzygy: the kernel of the projective cover (zero for projectives)."""
-    ker, _ = kernel(projective_cover(m))
-    return ker
+    """First syzygy: the kernel of the projective cover (zero for projectives).
+
+    Computed once per module object and shared (see `repmod.syzygy_step`).
+    """
+    return syzygy_step(m)[1]
 
 
 def cosyzygy(m: Representation) -> Representation:
@@ -89,18 +91,18 @@ def cosyzygy(m: Representation) -> Representation:
 def projective_resolution(m: Representation, length: int):
     """(projectives [P_0..P_length], differentials [d_1..d_length], eps).
 
-    Each step is a minimal cover, so the resolution is minimal.
+    Each step is a minimal cover, so the resolution is minimal.  Its modules
+    and covers are memoized along the chain M, Omega M, Omega^2 M, ...
     """
     eps = projective_cover(m)
     ps = [eps.source]
     ds = []
-    last = eps
+    omega = m
     for _ in range(length):
-        ker, incl = kernel(last)
-        cover = projective_cover(ker)
+        _, omega, incl = syzygy_step(omega)
+        cover = projective_cover(omega)
         ds.append(compose(incl, cover))
         ps.append(cover.source)
-        last = cover
     return ps, ds, eps
 
 
@@ -360,18 +362,6 @@ def _independent_subset(maps: list[ModuleMap], field) -> list[ModuleMap]:
     return [maps[i] for i in pivots]
 
 
-def _nilpotent(f: ModuleMap) -> bool:
-    t = _total_matrix(f)
-    if t.rows == 0:
-        return True
-    acc = t
-    k = 1
-    while k < t.rows:
-        acc = exactlin.multiply(acc, acc)
-        k *= 2
-    return acc.is_zero()
-
-
 def _stable_ideal_power(h: ModuleMap):
     """(basis of V^infinity, endomorphism basis of source) for V = {u : h.u = 0}."""
     m = h.source
@@ -421,7 +411,7 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
         p = m.algebra.field.p
         witness = None
         for u in w:
-            if not _nilpotent(u):
+            if non_nilpotent(_total_matrix(u).a[None], p)[0]:
                 witness = u
                 break
         if witness is None:
@@ -429,7 +419,7 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
                 u = map_from_coefficients(
                     w, [int(x) for x in rng.integers(0, p, size=len(w))]
                 )
-                if not _nilpotent(u):
+                if non_nilpotent(_total_matrix(u).a[None], p)[0]:
                     witness = u
                     break
         if witness is None and p ** len(w) <= _EXACT_ENUM_LIMIT:

@@ -22,7 +22,9 @@ from .quivalg import BoundQuiverAlgebra, opposite
 
 
 class Representation:
-    __slots__ = ("algebra", "dims", "arrow_maps", "_layout")
+    # _cover and _syzygy memoize the first resolution step (projective_cover,
+    # syzygy_step); like _layout they are not part of equality or the hash.
+    __slots__ = ("algebra", "dims", "arrow_maps", "_layout", "_cover", "_syzygy")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims, arrow_maps, validate: bool = True):
         dims = tuple(int(d) for d in dims)
@@ -43,6 +45,8 @@ class Representation:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "arrow_maps", maps)
         object.__setattr__(self, "_layout", None)
+        object.__setattr__(self, "_cover", None)
+        object.__setattr__(self, "_syzygy", None)
         if validate:
             self._check_relations()
 
@@ -519,9 +523,26 @@ def socle_dims(m: Representation) -> tuple[int, ...]:
 def projective_cover(m: Representation) -> ModuleMap:
     """The projective cover P(M) -> M; the source carries its summand layout.
 
-    Internal checks: the map is onto and its kernel is superfluous
-    (contained in rad P).
+    Computed once per module object, on its first call, and shared: later
+    calls return the same ModuleMap.  Internal checks: the map is onto and its
+    kernel is superfluous (contained in rad P).
     """
+    if m._cover is None:
+        object.__setattr__(m, "_cover", _build_projective_cover(m))
+    return m._cover
+
+
+def syzygy_step(m: Representation) -> tuple[ModuleMap, Representation, ModuleMap]:
+    """(projective cover, Omega M, inclusion Omega M -> P(M)): the first step of
+    the minimal projective resolution, computed once per module object and
+    shared like the cover."""
+    cover = projective_cover(m)
+    if m._syzygy is None:
+        object.__setattr__(m, "_syzygy", kernel(cover))
+    return (cover, *m._syzygy)
+
+
+def _build_projective_cover(m: Representation) -> ModuleMap:
     alg = m.algebra
     spans = radical_spans(m)
     verts: list[int] = []

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arquiver import exactlin
+from arquiver import exactlin, repmod
 from arquiver.errors import NotProjective
 from arquiver.exactlin import Matrix, PrimeField
 from arquiver.homalg import (
@@ -15,6 +15,7 @@ from arquiver.homalg import (
     minimal_presentation,
     nakayama,
     nonprojective_summands,
+    projective_resolution,
     right_minimalize,
     stable_hom_inj,
     stable_hom_proj,
@@ -494,3 +495,65 @@ def test_functorial_translate_respects_composition_stably():
         # equal in the injectively stable category
         assert _factors_through_injective(diff)
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# the resolution step is memoized on the module
+
+
+def a3_radsq_algebra(p):
+    """0 -a-> 1 -b-> 2 with ab = 0."""
+    return build_algebra(Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [[(1, ("a", "b"))]], PrimeField(p))
+
+
+def _memo_cases(p):
+    """(module, second module) pairs with nonzero syzygies, over GF(p)."""
+    loop = loop_algebra(3, p)
+    a3 = a3_radsq_algebra(p)
+    return [
+        (jordan2(loop), simple(loop, 0)),
+        (random_module(a3, np.random.default_rng(p), max_mult=2, max_gens=2), simple(a3, 0)),
+    ]
+
+
+def _copy(m):
+    return Representation(m.algebra, m.dims, dict(m.arrow_maps))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_each_cover_is_built_once_per_module(p, monkeypatch):
+    built = []
+    build = repmod._build_projective_cover
+    monkeypatch.setattr(repmod, "_build_projective_cover", lambda m: built.append(m) or build(m))
+    for m, n in _memo_cases(p):
+        built.clear()
+        counts = []
+        for _ in range(2):
+            syzygy(m)
+            minimal_presentation(m)
+            projective_resolution(m, 3)
+            stable_hom_proj(n, m)
+            ext(m, n, 2)
+            counts.append(len(built))
+        # the second round builds nothing; the list keeps every built module
+        # alive, so distinct ids mean no module had its cover built twice
+        assert counts[0] == counts[1] > 3
+        assert len({id(b) for b in built}) == len(built)
+        assert projective_cover(m) is projective_cover(m)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_memoized_resolution_matches_a_fresh_copy(p):
+    for m, _ in _memo_cases(p):
+        untouched = _copy(m)
+        ps, ds, eps = projective_resolution(m, 3)
+        again = projective_resolution(m, 3)
+        fresh = projective_resolution(_copy(m), 3)
+        for res in (again, fresh):
+            assert res[0] == ps and res[1] == ds and res[2] == eps
+            assert [q._layout for q in res[0]] == [q._layout for q in ps]
+        assert again[2] is eps
+        # filled memo slots take no part in equality or the hash
+        assert m._cover is not None and m._syzygy is not None
+        assert untouched._cover is None and untouched._syzygy is None
+        assert m == untouched and hash(m) == hash(untouched)

@@ -37,3 +37,19 @@ def test_broken_invariant_raises_and_exits_3(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert "internal error (InternalInvariantError): cover kernel is not superfluous" in err
+
+
+def test_resolution_layers_hold_no_module_level_state():
+    # memos live on the objects they describe (e.g. Representation._cover),
+    # so repmod and homalg may bind only literal constants at module level
+    found, names = [], []
+    for name in ("repmod.py", "homalg.py"):
+        tree = ast.parse((Path(arquiver.__file__).parent / name).read_text(), filename=name)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [ast.unparse(t) for t in targets]
+                if not isinstance(node.value, ast.Constant):
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
+    assert {"_EXACT_ENUM_LIMIT", "_WITNESS_TRIES"} <= set(names)  # both files were read
