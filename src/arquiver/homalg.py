@@ -325,7 +325,8 @@ def extension_from_cocycle(
     f = space.cocycles[k]
     d1, eps = space.differentials[0], space.eps
     p = m.algebra.field.p
-    omega, kappa = kernel(eps)
+    cover, omega, kappa = syzygy_step(eps.target)
+    invariant(cover is eps, "Ext space is not built on the shared projective cover")
     pi = solve_hom_equation(d1.source, omega, d1, post=kappa)
     fbar = solve_hom_equation(omega, n, f, pre=pi)
     total, incls, projs = direct_sum([n, d1.target])

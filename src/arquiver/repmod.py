@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactlin
+from ._gfcore_py import _ACC_LIMIT
 from .errors import BudgetExhausted, invariant
 from .exactlin import Matrix
 from .quivalg import BoundQuiverAlgebra, opposite
@@ -748,7 +749,7 @@ def first_combination(basis: list[ModuleMap], hit) -> list[int] | None:
 
 def nontrivial_idempotent(phi: np.ndarray, p: int) -> np.ndarray:
     """`first_combination` test: idempotent, and neither 0 nor the identity."""
-    sq = np.einsum("nij,njk->nik", phi, phi) % p
+    sq = _square_stack(phi, p)
     ident = np.eye(phi.shape[1], dtype=np.int64)
     return (sq == phi).all(axis=(1, 2)) & phi.any(axis=(1, 2)) & (phi != ident).any(axis=(1, 2))
 
@@ -758,9 +759,24 @@ def non_nilpotent(phi: np.ndarray, p: int) -> np.ndarray:
     acc = phi
     k = 1
     while k < phi.shape[1]:
-        acc = np.einsum("nij,njk->nik", acc, acc) % p
+        acc = _square_stack(acc, p)
         k *= 2
     return acc.any(axis=(1, 2))
+
+
+def _square_stack(phi: np.ndarray, p: int) -> np.ndarray:
+    """phi @ phi mod p for a stack of square matrices, summing the inner
+    index in chunks (as `_gfcore_py.matmul` does) so int64 cannot overflow
+    for any p < 2^31."""
+    dd = phi.shape[1]
+    step = max(1, _ACC_LIMIT // (p - 1) ** 2)
+    if dd <= step:
+        return np.einsum("nij,njk->nik", phi, phi) % p
+    out = np.zeros_like(phi)
+    for s in range(0, dd, step):
+        part = np.einsum("nij,njk->nik", phi[:, :, s : s + step], phi[:, s : s + step, :])
+        out = (out + part) % p
+    return out
 
 
 def _decompose_indec_evidence(m, endos, rng):

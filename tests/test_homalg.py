@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arquiver import exactlin, repmod
+from arquiver import exactlin, homalg, repmod
 from arquiver.errors import NotProjective
 from arquiver.exactlin import Matrix, PrimeField
 from arquiver.homalg import (
@@ -388,6 +388,28 @@ def test_right_minimalize_collapses_redundant_columns():
     assert m1.dims == (1,)
     assert m2.dims == (1,)
     assert exactlin.rank(h1.vertex_maps[0]) == 1
+
+
+def test_right_minimalize_over_a_large_prime():
+    # M = J2 + J2 + S over k[x]/(x^2), p = 2^31 - 1, in a random basis, so the
+    # stable ideal power W of h: M -> J2 has dense entries near p and every
+    # nilpotency test must square without int64 overflow
+    p = 2147483647
+    alg = loop_algebra(2, p)
+    rng = np.random.default_rng(0)
+    nil = np.zeros((5, 5), dtype=np.int64)
+    nil[1, 0] = nil[3, 2] = 1
+    g = Matrix(alg.field, rng.integers(0, p, size=(5, 5)))
+    g_inv = exactlin.inverse(g)
+    m = Representation(alg, [5], {"x": exactlin.multiply(exactlin.multiply(g, Matrix(alg.field, nil)), g_inv)})
+    j2 = jordan2(alg)
+    h = ModuleMap(m, j2, [exactlin.multiply(Matrix(alg.field, np.eye(2, 5, dtype=np.int64)), g_inv)])
+    w, _ = homalg._stable_ideal_power(h)
+    assert len(w) == 8
+    assert all((repmod._total_matrix(u).a > p // 2).sum() >= 3 for u in w)
+    m1, h1, m2 = right_minimalize(h)
+    assert is_isomorphic(m1, j2) and is_right_minimal(h1)
+    assert is_isomorphic(m2, direct_sum([j2, simple(alg, 0)])[0])
 
 
 def test_projective_covers_are_right_minimal():

@@ -39,17 +39,74 @@ def test_broken_invariant_raises_and_exits_3(capsys, monkeypatch):
     assert "internal error (InternalInvariantError): cover kernel is not superfluous" in err
 
 
+_CONSTANT_NODES = (ast.Constant, ast.UnaryOp, ast.BinOp, ast.Tuple, ast.unaryop, ast.operator, ast.expr_context)
+_CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def _is_constant_expr(node) -> bool:
+    """Immutable literal: constants combined by unary/binary operators and
+    tuples, or frozenset() of a set/tuple of such."""
+    if isinstance(node, ast.Call):
+        return (
+            isinstance(node.func, ast.Name)
+            and node.func.id == "frozenset"
+            and not node.keywords
+            and all(
+                isinstance(a, (ast.Set, ast.Tuple)) and all(_is_constant_expr(e) for e in a.elts)
+                for a in node.args
+            )
+        )
+    return all(isinstance(n, _CONSTANT_NODES) for n in ast.walk(node))
+
+
+def _decorator_name(dec) -> str:
+    dec = dec.func if isinstance(dec, ast.Call) else dec
+    return dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", "")
+
+
+def _module_state(source: str) -> tuple[list[int], list[str]]:
+    """(line numbers of module-level state, names bound at module level).
+
+    State is a module-level binding to anything but an immutable literal, or
+    a function anywhere in the module wrapped in a functools cache."""
+    tree = ast.parse(source)
+    found, names = [], []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [ast.unparse(t) for t in targets]
+            if node.value is not None and not _is_constant_expr(node.value):
+                found.append(node.lineno)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+            _decorator_name(d) in _CACHE_DECORATORS for d in node.decorator_list
+        ):
+            found.append(node.lineno)
+    return sorted(found), names
+
+
+def test_module_state_check_tells_constants_from_caches():
+    constants = "A = -1\nB = 2**16\nC = (1, 'x')\nD = frozenset({1, 2})\nE: int = 3\nF = None\n"
+    assert _module_state(constants) == ([], ["A", "B", "C", "D", "E", "F"])
+    stateful = (
+        "A = {}\n"
+        "B = []\n"
+        "C = dict()\n"
+        "D = (1, [])\n"
+        "@functools.lru_cache(maxsize=None)\ndef f(m):\n    return m\n"
+        "@cache\ndef g(m):\n    return m\n"
+        "class K:\n    @functools.cache\n    def h(self):\n        return 0\n"
+    )
+    assert _module_state(stateful)[0] == [1, 2, 3, 4, 6, 9, 13]  # def lines
+
+
 def test_resolution_layers_hold_no_module_level_state():
     # memos live on the objects they describe (e.g. Representation._cover),
-    # so repmod and homalg may bind only literal constants at module level
+    # so repmod and homalg may bind only immutable literals at module level
     found, names = [], []
     for name in ("repmod.py", "homalg.py"):
-        tree = ast.parse((Path(arquiver.__file__).parent / name).read_text(), filename=name)
-        for node in tree.body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names += [ast.unparse(t) for t in targets]
-                if not isinstance(node.value, ast.Constant):
-                    found.append(f"{name}:{node.lineno}")
+        lines, bound = _module_state((Path(arquiver.__file__).parent / name).read_text())
+        found += [f"{name}:{n}" for n in lines]
+        names += bound
     assert found == []
     assert {"_EXACT_ENUM_LIMIT", "_WITNESS_TRIES"} <= set(names)  # both files were read

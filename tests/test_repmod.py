@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arquiver import repmod
-from arquiver.exactlin import Matrix, PrimeField, inverse
+from arquiver.exactlin import Matrix, PrimeField, inverse, multiply
 from arquiver.quivalg import Quiver, build_algebra
 from arquiver.repmod import (
     ModuleMap,
@@ -220,6 +220,28 @@ def test_first_combination_idempotent_and_non_nilpotent(p, monkeypatch):
     coeffs = repmod.first_combination(hom_basis(ss, ss), repmod.nontrivial_idempotent)
     e = repmod.map_from_coefficients(hom_basis(ss, ss), coeffs)
     assert compose(e, e) == e and not e.is_zero() and e != identity_map(ss)
+
+
+def test_nilpotency_tests_do_not_overflow_for_large_primes():
+    # dense 5 x 5 matrices over p = 2^31 - 1: one entry of a square sums five
+    # products of size up to (p-1)^2, far past int64 unless accumulated in chunks
+    p = 2147483647
+    field = PrimeField(p)
+    rng = np.random.default_rng(1)
+    g = Matrix(field, rng.integers(0, p, size=(5, 5)))
+    g_inv = inverse(g)
+    nil = np.tril(rng.integers(0, p, size=(5, 5)), -1)
+    idem = np.diag([1, 1, 0, 0, 0])
+
+    def conj(a):
+        return multiply(multiply(g, Matrix(field, a)), g_inv).a
+
+    phi = np.stack([conj(nil), conj(idem), conj(idem + nil)])
+    assert (phi > p // 2).sum() >= 30
+    assert repmod.non_nilpotent(phi, p).tolist() == [False, True, True]
+    assert repmod.nontrivial_idempotent(phi, p).tolist() == [False, True, False]
+    for a in phi:
+        assert (repmod._square_stack(a[None], p)[0] == multiply(Matrix(field, a), Matrix(field, a)).a).all()
 
 
 def test_decompose_small_end_uses_exhaustive_search_only(monkeypatch):
