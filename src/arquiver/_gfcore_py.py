@@ -31,15 +31,16 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         k = r + int(nz[0])
         if k != r:
             m[[r, k]] = m[[k, r]]
+        # row r is zero left of column c, so only columns c: change
         piv = int(m[r, c])
         if piv != 1:
-            m[r] = (m[r] * pow(piv, p - 2, p)) % p
+            m[r, c:] = (m[r, c:] * pow(piv, p - 2, p)) % p
         col = m[:, c].copy()
         col[r] = 0
         hit = np.nonzero(col)[0]
         if hit.size:
             # entries stay within +-(p-1)^2 before the reduction
-            m[hit] = (m[hit] - col[hit, None] * m[r][None, :]) % p
+            m[hit, c:] = (m[hit, c:] - col[hit, None] * m[r, c:][None, :]) % p
         pivots.append(c)
         r += 1
     return m, pivots

@@ -173,9 +173,6 @@ def add(a: Matrix, b: Matrix) -> Matrix:
 def scale(c: int, m: Matrix) -> Matrix:
     return Matrix(m.field, (m.a * (c % m.field.p)) % m.field.p)
 
-def subtract(a: Matrix, b: Matrix) -> Matrix:
-    return add(a, scale(-1, b))
-
 
 def transpose(m: Matrix) -> Matrix:
     return Matrix(m.field, m.a.T)
@@ -208,13 +205,15 @@ def kernel_basis(m: Matrix) -> Matrix:
     column order.
     """
     red, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
     out = np.zeros((m.cols, len(free)), dtype=np.int64)
-    p = m.field.p
-    for j, fc in enumerate(free):
-        out[fc, j] = 1
-        for i, pc in enumerate(pivots):
-            out[pc, j] = (-red.a[i, fc]) % p
+    # Most systems are tiny and many have no free column or no pivot; the
+    # guards skip numpy's indexing overhead there.
+    if free:
+        out[free, range(len(free))] = 1
+        if pivots:
+            out[pivots] = -red.a[: len(pivots)][:, free]
     return Matrix(m.field, out)
 
 
@@ -231,8 +230,7 @@ def solve(m: Matrix, b: Matrix) -> Matrix | None:
     if pivots and pivots[-1] >= m.cols:
         return None
     x = np.zeros((m.cols, b.cols), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i, m.cols :]
+    x[pivots] = red[: len(pivots), m.cols :]
     return Matrix(m.field, x)
 
 

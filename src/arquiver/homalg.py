@@ -28,6 +28,7 @@ from .repmod import (
     direct_sum,
     dual_map,
     first_combination,
+    flatten_map,
     hom_basis,
     image,
     indecomposable_injective,
@@ -209,11 +210,6 @@ class StableHomSpace:
     stable_representatives: tuple[ModuleMap, ...]
 
 
-def _flat(f: ModuleMap) -> np.ndarray:
-    parts = [vm.a.ravel() for vm in f.vertex_maps]
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
 def _quotient_data(field, sub_flats, total_flats, total_maps):
     """dim and representatives of span(total)/span(sub), with sub inside span(total)."""
     if not len(total_flats):
@@ -231,10 +227,10 @@ def _stable_space(m, n, through) -> StableHomSpace:
     total = hom_basis(m, n)
     field = m.algebra.field
     total_flats = (
-        np.stack([_flat(f) for f in total]) if total else np.zeros((0, 0), dtype=np.int64)
+        np.stack([flatten_map(f) for f in total]) if total else np.zeros((0, 0), dtype=np.int64)
     )
     sub_flats = (
-        np.stack([_flat(f) for f in through])
+        np.stack([flatten_map(f) for f in through])
         if through
         else np.zeros((0, total_flats.shape[1]), dtype=np.int64)
     )
@@ -284,7 +280,7 @@ def ext(m: Representation, n: Representation, i: int) -> ExtSpace:
     if not h_i:
         return ExtSpace(0, (), tuple(ps), tuple(ds), eps)
     # cocycles: h with h . d_{i+1} = 0
-    post = [_flat(compose(h, ds[i])) for h in h_i]
+    post = [flatten_map(compose(h, ds[i])) for h in h_i]
     coeff_kernel = exactlin.kernel_basis(exactlin.transpose(Matrix(field, np.stack(post))))
     cocycle_maps = [
         map_from_coefficients(h_i, [int(x) for x in coeff_kernel.a[:, c]])
@@ -293,12 +289,12 @@ def ext(m: Representation, n: Representation, i: int) -> ExtSpace:
     # coboundaries: g . d_i for g in Hom(P_{i-1}, n); these are cocycles already
     bound = [compose(g, ds[i - 1]) for g in hom_basis(ps[i - 1], n)]
     total_flats = (
-        np.stack([_flat(f) for f in cocycle_maps])
+        np.stack([flatten_map(f) for f in cocycle_maps])
         if cocycle_maps
         else np.zeros((0, 0), dtype=np.int64)
     )
     sub_flats = (
-        np.stack([_flat(f) for f in bound])
+        np.stack([flatten_map(f) for f in bound])
         if bound
         else np.zeros((0, total_flats.shape[1]), dtype=np.int64)
     )
@@ -358,7 +354,7 @@ _WITNESS_SEED = 0
 def _independent_subset(maps: list[ModuleMap], field) -> list[ModuleMap]:
     if not maps:
         return []
-    flats = np.stack([_flat(f) for f in maps])
+    flats = np.stack([flatten_map(f) for f in maps])
     _, pivots = exactlin.rref(exactlin.transpose(Matrix(field, flats)))
     return [maps[i] for i in pivots]
 
@@ -370,7 +366,7 @@ def _stable_ideal_power(h: ModuleMap):
     endos = hom_basis(m, m)
     if not endos:
         return [], endos
-    flats = np.stack([_flat(compose(h, e)) for e in endos])
+    flats = np.stack([flatten_map(compose(h, e)) for e in endos])
     coeffs = exactlin.kernel_basis(exactlin.transpose(Matrix(field, flats)))
     vbasis = [
         map_from_coefficients(endos, [int(x) for x in coeffs.a[:, c]])

@@ -197,38 +197,41 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
 
     One linear system: unknowns are the stacked column-major vec(f_i), one
     block per vertex; each arrow a: i -> j contributes N(a) f_i = f_j M(a).
+    The basis is `exactlin.kernel_basis`'s canonical form of that system in
+    these coordinates.  `decompose` searches End(m) in this basis in
+    lexicographic order, so the idempotents it finds, and with them the
+    summands and their order in every report, depend on it.
     """
     if m.algebra != n.algebra:
         raise ValueError("hom_basis between modules over different algebras")
     alg = m.algebra
-    p = alg.field.p
     nv = alg.quiver.vertices
-    sizes = [n.dims[i] * m.dims[i] for i in range(nv)]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
+    offsets = [0]
+    for i in range(nv):
+        offsets.append(offsets[-1] + n.dims[i] * m.dims[i])
+    # One zero block per arrow, stacked at the end: filling a single array of
+    # the whole system instead raised the peak RSS of a homalg-large pass by
+    # up to 16 MB, from allocator layout alone (numpy's own peak was equal).
     rows = []
     for a in alg.quiver.arrows:
         i, j = a.source, a.target
-        r = n.dims[j] * m.dims[i]
-        if r == 0:
+        mi, nj = m.dims[i], n.dims[j]
+        if not nj * mi:
             continue
-        block = np.zeros((r, total), dtype=np.int64)
-        # vec(N(a) f_i) = (I_{m_i} (x) N(a)) vec(f_i)
-        if sizes[i]:
-            block[:, offsets[i] : offsets[i + 1]] = np.kron(
-                np.eye(m.dims[i], dtype=np.int64), n.arrow_maps[a.id].a
-            )
-        # vec(f_j M(a)) = (M(a)^T (x) I_{n_j}) vec(f_j)
-        if sizes[j]:
-            block[:, offsets[j] : offsets[j + 1]] = (
-                block[:, offsets[j] : offsets[j + 1]]
-                - np.kron(m.arrow_maps[a.id].a.T, np.eye(n.dims[j], dtype=np.int64))
-            ) % p
+        block = np.zeros((nj * mi, offsets[-1]), dtype=np.int64)
+        # Row (k, s) of the block is entry (s, k) of N(a) f_i - f_j M(a).  The
+        # reshapes only split axes of a slice, so they are views into block.
+        # vec(N(a) f_i) = (I_{m_i} (x) N(a)) vec(f_i): N(a) on the block diagonal
+        view = block[:, offsets[i] : offsets[i + 1]].reshape(mi, nj, mi, n.dims[i])
+        view[range(mi), :, range(mi), :] = n.arrow_maps[a.id].a
+        # vec(f_j M(a)) = (M(a)^T (x) I_{n_j}) vec(f_j): M(a)^T on every diagonal
+        view = block[:, offsets[j] : offsets[j + 1]].reshape(mi, nj, m.dims[j], nj)
+        view[:, range(nj), :, range(nj)] -= m.arrow_maps[a.id].a.T
         rows.append(block)
     if rows:
         system = Matrix(alg.field, np.vstack(rows))
     else:
-        system = Matrix.zeros(alg.field, 0, total)
+        system = Matrix.zeros(alg.field, 0, offsets[-1])
     null = exactlin.kernel_basis(system)
     out = []
     for c in range(null.cols):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import exactlin
 from arquiver.exactlin import (
@@ -173,3 +175,97 @@ def test_large_prime_no_overflow():
     b = Matrix(field, np.full((200, 1), p - 1, dtype=np.int64))
     got = multiply(a, b)[0, 0]
     assert got == (200 * (p - 1) * (p - 1)) % p
+
+
+# ---------------------------------------------------------------------------
+# reference Gauss-Jordan on Python integers
+
+
+def _reference_rref(rows, cols, p):
+    """Left-to-right Gauss-Jordan on lists of Python ints: (rows, pivots)."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        k = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def _reference_kernel(rows, cols, p):
+    """Canonical null-space basis: one column per free variable, set to 1."""
+    red, pivots = _reference_rref(rows, cols, p)
+    free = [c for c in range(cols) if c not in pivots]
+    out = [[0] * len(free) for _ in range(cols)]
+    for j, fc in enumerate(free):
+        out[fc][j] = 1
+        for i, pc in enumerate(pivots):
+            out[pc][j] = -red[i][fc] % p
+    return out
+
+
+def _reference_product(a, b, p, width):
+    """a @ b mod p on lists of rows; b has `width` columns, and maybe no rows."""
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) % p for j in range(width)] for row in a]
+
+
+_PRIMES = st.sampled_from([2, 3, 2147483647])
+
+
+@st.composite
+def _matrices(draw):
+    """(p, rows, cols, entries) with up to 6 rows and columns, 0 included."""
+    p = draw(_PRIMES)
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(0, 6))
+    # mostly small entries, so that rank drops and kernels are common at p = 2^31 - 1
+    entry = st.one_of(st.integers(0, 2), st.integers(0, p - 1))
+    return p, rows, cols, [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_rref_and_kernel_match_reference_gauss_jordan(mat):
+    p, rows, cols, entries = mat
+    m = Matrix(PrimeField(p), np.array(entries, dtype=np.int64).reshape(rows, cols))
+    red, pivots = rref(m)
+    ref_red, ref_pivots = _reference_rref(entries, cols, p)
+    assert pivots == ref_pivots
+    assert red.tolist() == ref_red
+    k = kernel_basis(m)
+    assert k.shape == (cols, cols - len(ref_pivots))
+    assert k.tolist() == _reference_kernel(entries, cols, p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_answers_exactly_when_a_solution_exists(mat, data):
+    p, rows, cols, entries = mat
+    field = PrimeField(p)
+    rhs_cols = data.draw(st.integers(0, 3))
+    if data.draw(st.booleans()):
+        # a consistent right-hand side m @ x0
+        x0 = [[data.draw(st.integers(0, p - 1)) for _ in range(rhs_cols)] for _ in range(cols)]
+        rhs = _reference_product(entries, x0, p, rhs_cols)
+    else:
+        rhs = [[data.draw(st.integers(0, p - 1)) for _ in range(rhs_cols)] for _ in range(rows)]
+    m = Matrix(field, np.array(entries, dtype=np.int64).reshape(rows, cols))
+    b = Matrix(field, np.array(rhs, dtype=np.int64).reshape(rows, rhs_cols))
+    solvable = len(_reference_rref(entries, cols, p)[1]) == len(
+        _reference_rref([r + s for r, s in zip(entries, rhs)], cols + rhs_cols, p)[1]
+    )
+    x = solve(m, b)
+    assert (x is not None) == solvable
+    if x is not None:
+        assert x.shape == (cols, rhs_cols)
+        assert _reference_product(entries, x.tolist(), p, rhs_cols) == b.tolist()

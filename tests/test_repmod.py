@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arquiver import repmod
-from arquiver.exactlin import Matrix, PrimeField, inverse, multiply
+from arquiver.exactlin import Matrix, PrimeField, inverse, kernel_basis, multiply
 from arquiver.quivalg import Quiver, build_algebra
 from arquiver.repmod import (
     ModuleMap,
@@ -90,6 +90,61 @@ def test_hom_dims_frozen_over_loop_square():
     assert brute_hom_count(lam, s) == 5 ** hom_dim(lam, s)
     assert brute_hom_count(lam, lam) == 5 ** hom_dim(lam, lam)
     assert brute_hom_count(s, lam) == 5 ** hom_dim(s, lam)
+
+
+def _kron_hom_system(m, n):
+    """The intertwining system of hom_basis, built block by block with np.kron.
+
+    Unknowns are the stacked column-major vec(f_i); arrow a: i -> j gives the
+    rows (I (x) N(a)) vec(f_i) - (M(a)^T (x) I) vec(f_j).
+    """
+    alg = m.algebra
+    sizes = [n.dims[i] * m.dims[i] for i in range(alg.quiver.vertices)]
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
+    blocks = []
+    for a in alg.quiver.arrows:
+        i, j = a.source, a.target
+        block = np.zeros((n.dims[j] * m.dims[i], offsets[-1]), dtype=np.int64)
+        block[:, offsets[i] : offsets[i + 1]] += np.kron(
+            np.eye(m.dims[i], dtype=np.int64), n.arrow_maps[a.id].a
+        )
+        block[:, offsets[j] : offsets[j + 1]] -= np.kron(
+            m.arrow_maps[a.id].a.T, np.eye(n.dims[j], dtype=np.int64)
+        )
+        blocks.append(block)
+    return Matrix(alg.field, np.vstack(blocks)), offsets
+
+
+def _comm_square_algebra(p):
+    return build_algebra(
+        Quiver(4, [("a", 0, 1), ("b", 0, 2), ("c", 1, 3), ("d", 2, 3)]),
+        [[(1, ("a", "c")), (-1, ("b", "d"))]],
+        PrimeField(p),
+    )
+
+
+def _a3_radical_square_zero(p):
+    return build_algebra(Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [[(1, ("a", "b"))]], PrimeField(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_hom_basis_matches_kron_system(p):
+    rng = np.random.default_rng(p)
+    for alg in (loop_algebra(3, p), _a3_radical_square_zero(p), _comm_square_algebra(p)):
+        # the zero module and the simples have zero-dimensional vertices
+        mods = [zero_module(alg)] + [repmod.simple_module(alg, v) for v in range(alg.quiver.vertices)]
+        mods += [random_module(alg, rng) for _ in range(6)]
+        for m, n in itertools.product(mods, repeat=2):
+            system, offsets = _kron_hom_system(m, n)
+            null = kernel_basis(system)
+            basis = hom_basis(m, n)
+            assert len(basis) == null.cols
+            for c, f in enumerate(basis):
+                ModuleMap(m, n, f.vertex_maps)  # checks the intertwining relations
+                for i, vm in enumerate(f.vertex_maps):
+                    chunk = null.a[offsets[i] : offsets[i + 1], c]
+                    want = chunk.reshape((n.dims[i], m.dims[i]), order="F")
+                    assert vm.a.shape == want.shape and np.array_equal(vm.a, want)
 
 
 def test_projectives_frozen_over_a2():
