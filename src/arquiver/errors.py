@@ -30,7 +30,10 @@ class MalformedRelation(PreconditionError):
 
 
 class BudgetExhausted(PreconditionError):
-    """A randomized search ran out of budget before certifying its answer."""
+    """A search stopped before certifying its answer: `repmod.decompose` met a
+    piece that it could neither split nor show local and whose endomorphism
+    algebra is too large to search for idempotents, or
+    `homalg.right_minimalize` located no splitting element within its tries."""
 
 
 class NotProjective(PreconditionError):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import _gfkernel
-from .errors import InternalInvariantError
 
 
 def backend() -> str:
@@ -184,12 +183,6 @@ def hstack(mats: list[Matrix]) -> Matrix:
     return Matrix(mats[0].field, np.hstack([m.a for m in mats]))
 
 
-def vstack(mats: list[Matrix]) -> Matrix:
-    if not mats:
-        raise ValueError("vstack of nothing")
-    return Matrix(mats[0].field, np.vstack([m.a for m in mats]))
-
-
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
     _check_same_field(a, b)
     out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=np.int64)
@@ -253,29 +246,3 @@ def column_space_basis(m: Matrix) -> Matrix:
     """Basis of the column space: the pivot columns of m."""
     _, pivots = rref(m)
     return Matrix(m.field, m.a[:, pivots])
-
-
-def minimal_polynomial(m: Matrix) -> list[int]:
-    """Monic polynomial of least degree annihilating m.
-
-    Coefficients are ascending: [c0, c1, ..., 1] means c0 + c1 x + ... + x^d.
-    The minimal polynomial of the (unique) operator on the zero space is 1.
-    """
-    if m.rows != m.cols:
-        raise ValueError(f"minimal_polynomial needs a square matrix, got {m.shape}")
-    n = m.rows
-    if n == 0:
-        return [1]
-    p = m.field.p
-    powers = [np.eye(n, dtype=np.int64)]
-    while True:
-        k = len(powers)
-        nxt = _gfkernel.matmul(powers[-1], m.a, p)
-        span = Matrix(m.field, np.stack([q.ravel() for q in powers], axis=1))
-        target = Matrix(m.field, nxt.reshape(-1, 1))
-        x = solve(span, target)
-        if x is not None:
-            return [(-int(x[i, 0])) % p for i in range(k)] + [1]
-        powers.append(nxt)
-        if k > n:  # cannot happen: minimal polynomial degree is at most n
-            raise InternalInvariantError("minimal polynomial search exceeded dimension")

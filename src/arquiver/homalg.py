@@ -30,7 +30,6 @@ from .repmod import (
     first_combination,
     flatten_map,
     hom_basis,
-    image,
     indecomposable_injective,
     indecomposable_projective,
     injective_envelope,
@@ -38,7 +37,6 @@ from .repmod import (
     is_isomorphic,
     is_projective,
     k_dual,
-    kernel,
     map_from_coefficients,
     match_indecomposables,
     non_nilpotent,
@@ -50,7 +48,7 @@ from .repmod import (
     solve_hom_equation,
     syzygy_step,
     _EXACT_ENUM_LIMIT,
-    _complementary_split,
+    _fitting_split,
     _total_matrix,
 )
 
@@ -428,20 +426,11 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
                 "a summand of the source dies under the map, but no splitting "
                 "element was located within the search budget"
             )
-        # Fitting: M = ker(t) (+) im(t) for the stable power t of the witness,
-        # and im(t) lies inside ker h because the witness does
-        t = witness
-        k = 1
-        while k < m.total_dim:
-            t = compose(t, t)
-            k *= 2
-        ker_part, ker_incl = kernel(t)
-        im_part, im_incl, _ = image(t)
+        # the image part of the Fitting split lies inside ker h because the
+        # witness does
+        (ker_part, ker_incl, _), (im_part, im_incl, _) = _fitting_split(m, witness)
         invariant(not im_part.is_zero(), "witness was nilpotent after all")
         invariant(compose(h, im_incl).is_zero(), "stripped part does not die under h")
-        _complementary_split(
-            m, (ker_part, ker_incl), (im_part, im_incl), "Fitting split is not a direct sum"
-        )
         stripped.append(im_part)
         h = compose(h, ker_incl)
         m = ker_part

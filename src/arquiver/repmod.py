@@ -198,9 +198,9 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     One linear system: unknowns are the stacked column-major vec(f_i), one
     block per vertex; each arrow a: i -> j contributes N(a) f_i = f_j M(a).
     The basis is `exactlin.kernel_basis`'s canonical form of that system in
-    these coordinates.  `decompose` searches End(m) in this basis in
-    lexicographic order, so the idempotents it finds, and with them the
-    summands and their order in every report, depend on it.
+    these coordinates.  `decompose` splits m along the first element of this
+    basis that is neither nilpotent nor a unit, so the summands and their
+    order in every report depend on it.
     """
     if m.algebra != n.algebra:
         raise ValueError("hom_basis between modules over different algebras")
@@ -512,18 +512,6 @@ def top_dims(m: Representation) -> tuple[int, ...]:
     return tuple(m.dims[j] - exactlin.rank(spans[j]) for j in range(len(m.dims)))
 
 
-def socle_dims(m: Representation) -> tuple[int, ...]:
-    alg = m.algebra
-    out = []
-    for j in range(alg.quiver.vertices):
-        rows = [m.arrow_maps[a.id] for a in alg.quiver.arrows if a.source == j]
-        if rows:
-            out.append(exactlin.kernel_basis(exactlin.vstack(rows)).cols)
-        else:
-            out.append(m.dims[j])
-    return tuple(out)
-
-
 def projective_cover(m: Representation) -> ModuleMap:
     """The projective cover P(M) -> M; the source carries its summand layout.
 
@@ -644,9 +632,6 @@ class DecompositionCertificate:
 # this limit, in batches of about _ENUM_BATCH matrix entries (bounds peak RSS).
 _EXACT_ENUM_LIMIT = 200_000
 _ENUM_BATCH = 16_384
-# Randomized minimal-polynomial splits tried on a piece beyond the limit.
-_SPLIT_TRIES = 64
-_SPLIT_SEED = 0
 
 
 def _total_matrix(f: ModuleMap) -> Matrix:
@@ -693,38 +678,19 @@ def _split_by_idempotent(m: Representation, e: ModuleMap):
     return _complementary_split(m, *parts, "idempotent split is not a direct sum")
 
 
-def _fitting_split(m: Representation, phi: ModuleMap, g: list[int], h: list[int]):
-    """Split M = ker g(phi) + ker h(phi) for coprime g, h with g h = minimal poly."""
-    part1 = kernel(_eval_poly_map(g, phi))
-    part2 = kernel(_eval_poly_map(h, phi))
-    invariant(not part1[0].is_zero() and not part2[0].is_zero(), "primary component vanished")
-    return _complementary_split(m, part1, part2, "primary decomposition is not a direct sum")
-
-
-def _eval_poly_map(coeffs: list[int], phi: ModuleMap) -> ModuleMap:
-    m = phi.source
-    out = zero_map(m, m)
-    power = identity_map(m)
-    for c in coeffs:
-        if c % m.algebra.field.p:
-            out = add_maps(out, scale_map(int(c), power))
-        power = compose(phi, power)
-    return out
-
-
-def _try_poly_split(m, f, p, rng):
-    """Fitting split of m along a random endomorphism f, if its minimal polynomial is not primary."""
-    from . import _polyarith
-
-    mu = exactlin.minimal_polynomial(_total_matrix(f))
-    factors = _polyarith.factor(mu, p, rng)
-    if len(factors) < 2:
-        return None
-    g = _polyarith.poly_pow(factors[0][0], factors[0][1], p)
-    h = [1]
-    for q, e in factors[1:]:
-        h = _polyarith.poly_mul(h, _polyarith.poly_pow(q, e, p), p)
-    return _fitting_split(m, f, g, h)
+def _fitting_split(m: Representation, f: ModuleMap):
+    """Fitting's lemma: M = ker f^e (+) im f^e for an endomorphism f, where e
+    is the least power of two with e >= dim M (kernels and images of the
+    powers of f have stabilized by then).  Returns (ker part, im part) as
+    `_complementary_split` does; either part may be zero."""
+    power = f
+    e = 1
+    while e < m.total_dim:
+        power = compose(power, power)
+        e *= 2
+    ker_part = kernel(power)
+    im_part, im_incl, _ = image(power)
+    return _complementary_split(m, ker_part, (im_part, im_incl), "Fitting split is not a direct sum")
 
 
 def first_combination(basis: list[ModuleMap], hit) -> list[int] | None:
@@ -752,75 +718,119 @@ def first_combination(basis: list[ModuleMap], hit) -> list[int] | None:
 
 def nontrivial_idempotent(phi: np.ndarray, p: int) -> np.ndarray:
     """`first_combination` test: idempotent, and neither 0 nor the identity."""
-    sq = _square_stack(phi, p)
+    sq = _multiply_stacks(phi, phi, p)
     ident = np.eye(phi.shape[1], dtype=np.int64)
     return (sq == phi).all(axis=(1, 2)) & phi.any(axis=(1, 2)) & (phi != ident).any(axis=(1, 2))
 
 
 def non_nilpotent(phi: np.ndarray, p: int) -> np.ndarray:
-    """`first_combination` test: some power phi^(2^k) with 2^k >= D is nonzero."""
-    acc = phi
-    k = 1
-    while k < phi.shape[1]:
-        acc = _square_stack(acc, p)
-        k *= 2
-    return acc.any(axis=(1, 2))
+    """`first_combination` test: phi^e is nonzero for e the least power of two >= D."""
+    return _power_stack(phi, 1 << (phi.shape[1] - 1).bit_length(), p).any(axis=(1, 2))
 
 
-def _square_stack(phi: np.ndarray, p: int) -> np.ndarray:
-    """phi @ phi mod p for a stack of square matrices, summing the inner
+def _power_stack(phi: np.ndarray, e: int, p: int) -> np.ndarray:
+    """phi^e mod p (e >= 1) for a stack of square matrices, by repeated squaring."""
+    out = None
+    while True:
+        if e & 1:
+            out = phi if out is None else _multiply_stacks(out, phi, p)
+        e >>= 1
+        if not e:
+            return out
+        phi = _multiply_stacks(phi, phi, p)
+
+
+def _multiply_stacks(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for two stacks of square matrices, summing the inner
     index in chunks (as `_gfcore_py.matmul` does) so int64 cannot overflow
     for any p < 2^31."""
-    dd = phi.shape[1]
+    dd = a.shape[1]
     step = max(1, _ACC_LIMIT // (p - 1) ** 2)
     if dd <= step:
-        return np.einsum("nij,njk->nik", phi, phi) % p
-    out = np.zeros_like(phi)
+        return np.einsum("nij,njk->nik", a, b) % p
+    out = np.zeros_like(a)
     for s in range(0, dd, step):
-        part = np.einsum("nij,njk->nik", phi[:, :, s : s + step], phi[:, s : s + step, :])
+        part = np.einsum("nij,njk->nik", a[:, :, s : s + step], b[:, s : s + step, :])
         out = (out + part) % p
     return out
 
 
-def _decompose_indec_evidence(m, endos, rng):
+def _span_basis(stack: np.ndarray, field) -> np.ndarray:
+    """The matrices of a stack at the pivots of their span: a basis of it."""
+    flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
+    _, pivots = exactlin.rref(Matrix(field, flat.T))
+    return stack[pivots]
+
+
+def _nilpotent_span(nil: np.ndarray, field) -> bool:
+    """Whether the span N of a stack of D x D matrices has N^D = 0, that is,
+    whether N generates a nilpotent algebra (a nilpotent algebra of D x D
+    matrices is strictly triangular in some basis, so its D-th power is 0)."""
+    basis = prods = _span_basis(nil, field)
+    for _ in range(nil.shape[1] - 1):
+        if not len(prods):
+            return True
+        r, s = len(basis), len(prods)
+        prods = _span_basis(
+            _multiply_stacks(np.repeat(basis, s, axis=0), np.tile(prods, (r, 1, 1)), field.p), field
+        )
+    return not len(prods)
+
+
+def _decompose_indec_evidence(m, endos):
     """Decide indecomposability of m (End already computed). Returns (verdict, split)."""
-    p = m.algebra.field.p
+    field = m.algebra.field
+    p = field.p
     t = len(endos)
     if t == 1:
         return ("endomorphism algebra has dimension 1", True), None
-    # enumerate all of End when affordable: this certifies an indecomposable
-    # and splits a decomposable about as fast as the randomized route
+    totals = np.stack([_total_matrix(f).a for f in endos])  # (t, D, D)
+    dd = totals.shape[1]
+    # q >= D, so f^q has the kernel and image of Fitting's lemma; and q is a
+    # power of p, so (c + n)^q = c + n^q for a scalar c and any n
+    q = 1
+    while q < dd:
+        q *= p
+    powers = _power_stack(totals, q, p)
+    scalars = powers[:, :1, :1] * np.eye(dd, dtype=np.int64)
+    # 1. the first basis element f that is neither nilpotent nor a unit splits M
+    for f, power, scalar in zip(endos, powers, scalars):
+        if (power != scalar).any() and exactlin.rank(Matrix(field, power)) < dd:
+            return None, _fitting_split(m, f)
+    # 2. every f^q = c_f 1 makes each f - c_f nilpotent (c_f^q = c_f); if they
+    # span an N with N^D = 0, End = k 1 + (the ideal generated by N) is local
+    if (powers == scalars).all() and _nilpotent_span((totals - scalars) % p, field):
+        return ("endomorphism algebra is local: scalars plus a nilpotent ideal", True), None
+    # 3. neither settles it (say End/rad End is a larger field): search all of End
     if p**t <= _EXACT_ENUM_LIMIT:
         coeffs = first_combination(endos, nontrivial_idempotent)
         if coeffs is None:
             return ("no nontrivial idempotent endomorphism (exhaustive search)", True), None
         return None, _split_by_idempotent(m, map_from_coefficients(endos, coeffs))
-    # beyond that, factor minimal polynomials of random endomorphisms
-    for _ in range(_SPLIT_TRIES):
-        coeffs = [int(c) for c in rng.integers(0, p, size=t)]
-        f = map_from_coefficients(endos, coeffs)
-        split = _try_poly_split(m, f, p, rng)
-        if split is not None:
-            return None, split
-    return ("randomized search found no splitting (budget exhausted)", False), None
+    return ("not split and not shown local; too large to search for idempotents", False), None
 
 
 def decompose(m: Representation) -> DecompositionCertificate:
     """Split m into indecomposable summands with inclusion/projection maps.
 
-    Each piece is handled by the size of its endomorphism algebra, t = dim End
-    over GF(p): t = 1 makes it indecomposable outright; p^t <=
-    `_EXACT_ENUM_LIMIT` (200,000) sends it to an exhaustive search for a
-    nontrivial idempotent, which either splits it or certifies it; larger
-    pieces try a fixed budget of `_SPLIT_TRIES` (64) randomized
-    minimal-polynomial splits, drawn from `_SPLIT_SEED` (0) afresh on every
-    call, so the answer is deterministic.
+    A piece whose endomorphism algebra has dimension t = 1 over GF(p) is
+    indecomposable outright.  Every other piece, of dimension D, goes through
+    three deterministic steps, in this order:
+
+    1. Fitting split: the first End-basis element f that is neither
+       nilpotent nor invertible splits the piece as ker f^e (+) im f^e, e >= D.
+    2. Locality certificate: with q the least power of p with q >= D, every
+       basis element has f^q = c_f 1, and the span N of the f - c_f 1 has
+       N^D = 0.  Then End = k 1 (+) (nilpotent ideal) is local and the piece
+       is indecomposable.
+    3. Fallback, when neither step settles the piece: an exhaustive search of
+       End for a nontrivial idempotent, which splits the piece or certifies
+       it, while p^t <= `_EXACT_ENUM_LIMIT` (200,000).
 
     Every summand carries an evidence string.  `certified` is False only when
-    such a piece survived the randomized route (then that piece may secretly
-    still decompose).
+    some piece got past all three steps (End too large to search): then that
+    piece may still decompose.
     """
-    rng = np.random.default_rng(_SPLIT_SEED)
     if m.is_zero():
         return DecompositionCertificate(m, (), (), (), (), True)
     work = [(m, identity_map(m), identity_map(m))]
@@ -829,7 +839,7 @@ def decompose(m: Representation) -> DecompositionCertificate:
     while work:
         cur, incl, proj = work.pop()
         endos = hom_basis(cur, cur)
-        verdict, split = _decompose_indec_evidence(cur, endos, rng)
+        verdict, split = _decompose_indec_evidence(cur, endos)
         if split is not None:
             (m1, i1, p1), (m2, i2, p2) = split
             work.append((m1, compose(incl, i1), compose(p1, proj)))
@@ -852,7 +862,10 @@ def decompose(m: Representation) -> DecompositionCertificate:
 
 def require_certified(cert: DecompositionCertificate) -> DecompositionCertificate:
     if not cert.certified:
-        raise BudgetExhausted("decomposition could not be certified within budget")
+        raise BudgetExhausted(
+            "decomposition could not be certified: a piece is neither split nor shown "
+            "local, and its endomorphism algebra is too large to search"
+        )
     return cert
 
 

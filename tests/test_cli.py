@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +13,26 @@ from arquiver.quivalg import algebra_from_json_dict
 
 
 FIX = cli.fixtures_dir()
+# The reports of `verify --suite all --seed 0 --json` on the four manifests,
+# which the benchmark also checks its runs against.
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def verify_all_matches_golden(name, capsys, tmp_path):
+    """Run `verify --suite all --seed 0 --json` on a packaged manifest and
+    check the report byte for byte against its golden; return (code, text)."""
+    report = tmp_path / "report.json"
+    code, text, _ = run(
+        ["verify", "--manifest", str(FIX / f"manifest_{name}.json"),
+         "--suite", "all", "--seed", "0", "--json", str(report)], capsys)
+    assert report.read_bytes() == (GOLDEN / f"manifest_{name}.json").read_bytes()
+    return code, text
 
 
 # ---------------------------------------------------------------------------
@@ -233,38 +248,30 @@ def test_verify_single_suite_ar_full(capsys):
     assert "RESULT: PASS" in text
 
 
-def test_verify_all_on_kx2_manifest_exits_0(capsys):
-    code, text, _ = run(
-        ["verify", "--manifest", str(FIX / "manifest_kx2.json"),
-         "--suite", "all"], capsys)
+def test_verify_all_on_kx2_manifest_exits_0(capsys, tmp_path):
+    code, text = verify_all_matches_golden("kx2", capsys, tmp_path)
     assert code == 0
     assert "census {a: 2, b: 2, c: 1, other: 0}" in text
     assert "RESULT: PASS" in text
     assert "FAIL" not in text
 
 
-def test_verify_all_on_kx3_manifest_matches_expected_failure(capsys):
-    code, text, _ = run(
-        ["verify", "--manifest", str(FIX / "manifest_kx3.json"),
-         "--suite", "all"], capsys)
+def test_verify_all_on_kx3_manifest_matches_expected_failure(capsys, tmp_path):
+    code, text = verify_all_matches_golden("kx3", capsys, tmp_path)
     assert code == 0
     assert "FAIL (expected)" in text
     assert "S dims [1] (translate [1], syzygy [2])" in text
     assert "RESULT: PASS (1 expected failure(s) matched)" in text
 
 
-def test_verify_all_on_a2_manifest_exits_0(capsys):
-    code, text, _ = run(
-        ["verify", "--manifest", str(FIX / "manifest_a2.json"),
-         "--suite", "all"], capsys)
+def test_verify_all_on_a2_manifest_exits_0(capsys, tmp_path):
+    code, text = verify_all_matches_golden("a2", capsys, tmp_path)
     assert code == 0
     assert "RESULT: PASS" in text
 
 
-def test_verify_all_on_t2_manifest_exits_0(capsys):
-    code, text, _ = run(
-        ["verify", "--manifest", str(FIX / "manifest_t2_kx2.json"),
-         "--suite", "all"], capsys)
+def test_verify_all_on_t2_manifest_exits_0(capsys, tmp_path):
+    code, text = verify_all_matches_golden("t2_kx2", capsys, tmp_path)
     assert code == 0
     assert "25 pairs checked, all equal" in text
     assert "16 pairs checked, all equal" in text

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import exactlin
 from arquiver.exactlin import (
     Matrix,
     PrimeField,
@@ -11,7 +10,6 @@ from arquiver.exactlin import (
     image_membership,
     inverse,
     kernel_basis,
-    minimal_polynomial,
     multiply,
     rank,
     rref,
@@ -59,14 +57,6 @@ def test_solve_frozen_examples():
     assert solve(Matrix(F5, [[0]]), Matrix(F5, [[1]])) is None
     with pytest.raises(ValueError):
         solve(Matrix(F5, [[1, 2]]), Matrix(F5, [[1], [2]]))
-
-
-def test_minimal_polynomial_frozen_examples():
-    nil = Matrix(F5, [[0, 1], [0, 0]])
-    assert minimal_polynomial(nil) == [0, 0, 1]  # x^2
-    ident = Matrix(F5, [[1, 0], [0, 1]])
-    assert minimal_polynomial(ident) == [4, 1]  # x - 1
-    assert minimal_polynomial(Matrix.zeros(F5, 0, 0)) == [1]
 
 
 def test_direct_sum_frozen_example():
@@ -127,7 +117,7 @@ def test_solve_exactness_randomized():
         assert image_membership(m, b)
 
 
-def test_inverse_and_minimal_polynomial_randomized():
+def test_inverse_randomized():
     rng = np.random.default_rng(2)
     field = PrimeField(7)
     for _ in range(25):
@@ -139,15 +129,6 @@ def test_inverse_and_minimal_polynomial_randomized():
             assert multiply(inv, m) == Matrix.identity(field, n)
         else:
             assert rank(m) < n
-        # minimal polynomial annihilates m
-        mu = minimal_polynomial(m)
-        acc = Matrix.zeros(field, n, n)
-        power = Matrix.identity(field, n)
-        for c in mu:
-            acc = exactlin.add(acc, exactlin.scale(c, power))
-            power = multiply(power, m)
-        assert acc.is_zero()
-        assert mu[-1] == 1 and len(mu) - 1 <= n
 
 
 def test_backends_agree():

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import repmod
+from arquiver.errors import BudgetExhausted
 from arquiver.exactlin import Matrix, PrimeField, inverse, kernel_basis, multiply
 from arquiver.quivalg import Quiver, build_algebra
 from arquiver.repmod import (
@@ -296,34 +299,110 @@ def test_nilpotency_tests_do_not_overflow_for_large_primes():
     assert repmod.non_nilpotent(phi, p).tolist() == [False, True, True]
     assert repmod.nontrivial_idempotent(phi, p).tolist() == [False, True, False]
     for a in phi:
-        assert (repmod._square_stack(a[None], p)[0] == multiply(Matrix(field, a), Matrix(field, a)).a).all()
+        assert (repmod._multiply_stacks(a[None], a[None], p)[0] == multiply(Matrix(field, a), Matrix(field, a)).a).all()
 
 
-def test_decompose_small_end_uses_exhaustive_search_only(monkeypatch):
-    # p^t <= _EXACT_ENUM_LIMIT never reaches the randomized minimal-polynomial route
-    def no_random_split(*args):
-        raise AssertionError("randomized split tried on a small endomorphism algebra")
+LOCAL = "endomorphism algebra is local: scalars plus a nilpotent ideal"
+EXHAUSTIVE = "no nontrivial idempotent endomorphism (exhaustive search)"
 
-    monkeypatch.setattr(repmod, "_try_poly_split", no_random_split)
+
+def test_decompose_splits_by_fitting_and_certifies_locality(monkeypatch):
+    # the Fitting split and the locality certificate settle these pieces
+    # without the exhaustive idempotent search
+    def no_search(*args):
+        raise AssertionError("exhaustive idempotent search reached")
+
+    monkeypatch.setattr(repmod, "first_combination", no_search)
     alg = loop_algebra(2)
     s = simple(alg, 0)
     ss, _, _ = direct_sum([s, s])
-    assert len(hom_basis(ss, ss)) == 4  # 5^4 = 625
+    assert len(hom_basis(ss, ss)) == 4
     cert = decompose(ss)
     assert cert.certified
     assert len(cert.summands) == 2
     assert all(is_isomorphic(x, s) for x in cert.summands)
-    lam = indecomposable_projective(alg, 0)
-    assert len(hom_basis(lam, lam)) == 2
-    cert = decompose(lam)
+    for power in (2, 6):
+        lam = indecomposable_projective(loop_algebra(power), 0)
+        assert len(hom_basis(lam, lam)) == power
+        cert = decompose(lam)
+        assert cert.certified
+        assert cert.summands == (lam,)
+        assert cert.indecomposability_evidence == (LOCAL,)
+    # Lambda again, with x acting by X = [[1, 1], [4, 4]]: the End basis is
+    # 1 + X and 1, and (1 + X)^q is scalar for q = 5 but not for q = 2
+    alg = loop_algebra(2)
+    lam = Representation(alg, (2,), {"x": Matrix(alg.field, [[1, 1], [4, 4]])})
+    assert [f.vertex_maps[0].tolist() for f in hom_basis(lam, lam)] == [[[2, 1], [4, 0]], [[1, 0], [0, 1]]]
+    assert decompose(lam).indecomposability_evidence == (LOCAL,)
+    # k[x]/(x^16) over GF(2)[x]/(x^20): t = 16, 2^16 combinations to search
+    alg = loop_algebra(20, 2)
+    cyclic = Representation(alg, (16,), {"x": Matrix(alg.field, np.eye(16, k=-1, dtype=np.int64))})
+    assert len(hom_basis(cyclic, cyclic)) == 16
+    cert = decompose(cyclic)
     assert cert.certified
-    assert cert.summands == (lam,)
-    assert cert.indecomposability_evidence == ("no nontrivial idempotent endomorphism (exhaustive search)",)
-    lam6 = indecomposable_projective(loop_algebra(6), 0)
-    assert len(hom_basis(lam6, lam6)) == 6  # 5^6 = 15625
-    cert = decompose(lam6)
+    assert cert.indecomposability_evidence == (LOCAL,)
+    # nilpotent E12 and E21 span an N whose powers never vanish (E12 E21 = E11)
+    e12, e21 = np.eye(2, k=1, dtype=np.int64), np.eye(2, k=-1, dtype=np.int64)
+    assert not repmod._nilpotent_span(np.stack([e12, e21]), F5)
+    assert repmod._nilpotent_span(np.stack([e12, 2 * e12]), F5)
+
+
+def _kronecker_algebra(p):
+    return build_algebra(Quiver(2, [("a", 0, 1), ("b", 0, 1)]), [], PrimeField(p))
+
+
+@pytest.mark.parametrize("p, r", [(3, 2), (5, 2), (2147483647, 2147483646)])
+def test_decompose_falls_back_to_search_when_end_is_a_larger_field(p, r):
+    # (k^2, k^2) with a = I and b the companion matrix C of x^2 - r, r a
+    # non-square: End = k[C] = GF(p^2) is a field, so no basis element splits
+    # M, and C is not a scalar plus a nilpotent; only the search can certify
+    # M, and only while p^2 <= _EXACT_ENUM_LIMIT
+    assert pow(r, (p - 1) // 2, p) == p - 1
+    alg = _kronecker_algebra(p)
+    m = Representation(alg, (2, 2), {"a": Matrix(alg.field, np.eye(2, dtype=np.int64)),
+                                     "b": Matrix(alg.field, [[0, r], [1, 0]])})
+    assert len(hom_basis(m, m)) == 2
+    searched = p**2 <= repmod._EXACT_ENUM_LIMIT
+    cert = decompose(m)
+    assert cert.summands == (m,) and cert.certified == searched
+    mm, _, _ = direct_sum([m, m])
+    cert2 = decompose(mm)
+    assert len(cert2.summands) == 2 and cert2.certified == searched
+    if searched:
+        assert cert.indecomposability_evidence == (EXHAUSTIVE,)
+        assert all(is_isomorphic(x, m) for x in cert2.summands)
+    else:
+        with pytest.raises(BudgetExhausted):
+            repmod.require_certified(cert)
+
+
+_PROPERTY_ALGEBRAS = {
+    "kx2": lambda p: loop_algebra(2, p),
+    "kx3": lambda p: loop_algebra(3, p),
+    "kx4": lambda p: loop_algebra(4, p),
+    "a3_zero_relation": _a3_radical_square_zero,
+    "kronecker": _kronecker_algebra,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_PROPERTY_ALGEBRAS)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_decompose_is_a_direct_sum_and_locality_agrees_with_search(name, p, seed):
+    m = random_module(_PROPERTY_ALGEBRAS[name](p), np.random.default_rng(seed))
+    cert = decompose(m)
     assert cert.certified
-    assert cert.indecomposability_evidence == ("no nontrivial idempotent endomorphism (exhaustive search)",)
+    assert [sum(x.dims[v] for x in cert.summands) for v in range(len(m.dims))] == list(m.dims)
+    acc = repmod.zero_map(m, m)
+    for x, incl, proj, evidence in zip(
+        cert.summands, cert.inclusions, cert.projections, cert.indecomposability_evidence
+    ):
+        assert compose(proj, incl) == identity_map(x)
+        acc = repmod.add_maps(acc, compose(incl, proj))
+        if evidence == LOCAL:
+            endos = hom_basis(x, x)
+            assert p ** len(endos) <= repmod._EXACT_ENUM_LIMIT
+            assert repmod.first_combination(endos, repmod.nontrivial_idempotent) is None
+    assert acc == identity_map(m)
 
 
 def test_indecomposable_isomorphism():
