@@ -181,7 +181,7 @@ def tau_gprj(g: Representation, profile: GorensteinProfile) -> Representation:
     return t
 
 
-def tau_pfin(m: Representation, profile: GorensteinProfile, cap: int = 16) -> Representation:
+def tau_pfin(m: Representation, profile: GorensteinProfile) -> Representation:
     """Translation on modules of finite projective dimension over a
     1-Gorenstein algebra: present the ordinary translate minimally, push the
     presentation map to a monomorphism with the same cokernel behaviour, and
@@ -192,7 +192,7 @@ def tau_pfin(m: Representation, profile: GorensteinProfile, cap: int = 16) -> Re
     if not parts:
         return zero_module(m.algebra)
     core = parts[0] if len(parts) == 1 else direct_sum(parts)[0]
-    if has_finite_projdim(core, cap) is None:
+    if has_finite_projdim(core) is None:
         raise InfiniteProjectiveDimension(
             "tau_pfin input must have finite projective dimension"
         )
@@ -257,7 +257,6 @@ def verify_ar_duality(
     tag: str,
     indecs,
     profile: GorensteinProfile | None = None,
-    cap: int = 16,
 ) -> DualityReport:
     """Check dim Hom-bar(X, Y) = dim Ext^1(Y, tau(X)) for every ordered pair
     from indecs with X non-projective, where tau is the translation matching
@@ -279,14 +278,14 @@ def verify_ar_duality(
     elif tag == "GPRJ":
         translate = lambda x: tau_gprj(x, profile)
     else:
-        translate = lambda x: tau_pfin(x, profile, cap)
+        translate = lambda x: tau_pfin(x, profile)
     items = sorted(indecs, key=lambda pair: pair[0])
     for xid, x in items:
         if tag == "GPRJ" and not is_gorenstein_projective(x, profile):
             raise NotGorensteinProjective(f"{xid} is not Gorenstein projective")
-        if tag == "PFIN" and has_finite_projdim(x, cap) is None:
+        if tag == "PFIN" and has_finite_projdim(x) is None:
             raise InfiniteProjectiveDimension(
-                f"{xid} has no finite projective dimension within cap {cap}"
+                f"{xid} has no finite projective dimension within cap 16"
             )
     translates = {}
     for xid, x in items:

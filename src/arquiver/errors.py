@@ -32,8 +32,7 @@ class MalformedRelation(PreconditionError):
 class BudgetExhausted(PreconditionError):
     """A search stopped before certifying its answer: `repmod.decompose` met a
     piece that it could neither split nor show local and whose endomorphism
-    algebra is too large to search for idempotents, or
-    `homalg.right_minimalize` located no splitting element within its tries."""
+    algebra is too large to search for idempotents."""
 
 
 class NotProjective(PreconditionError):

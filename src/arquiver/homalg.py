@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactlin
-from .errors import BudgetExhausted, NotProjective, invariant
+from .errors import NotProjective, invariant
 from .exactlin import Matrix
 from .quivalg import opposite
 from .repmod import (
@@ -27,14 +27,12 @@ from .repmod import (
     decompose,
     direct_sum,
     dual_map,
-    first_combination,
     flatten_map,
     hom_basis,
     indecomposable_injective,
     indecomposable_projective,
     injective_envelope,
     injective_module,
-    is_isomorphic,
     is_projective,
     k_dual,
     map_from_coefficients,
@@ -47,7 +45,6 @@ from .repmod import (
     scale_map,
     solve_hom_equation,
     syzygy_step,
-    _EXACT_ENUM_LIMIT,
     _fitting_split,
     _total_matrix,
 )
@@ -208,32 +205,29 @@ class StableHomSpace:
     stable_representatives: tuple[ModuleMap, ...]
 
 
-def _quotient_data(field, sub_flats, total_flats, total_maps):
-    """dim and representatives of span(total)/span(sub), with sub inside span(total)."""
-    if not len(total_flats):
-        return 0, ()
-    sub_rank = 0
-    if len(sub_flats):
-        sub_rank = exactlin.rank(Matrix(field, sub_flats))
-    stacked = np.vstack([sub_flats, total_flats]) if len(sub_flats) else total_flats
-    _, pivots = exactlin.rref(exactlin.transpose(Matrix(field, stacked)))
-    reps = [total_maps[i - len(sub_flats)] for i in pivots if i >= len(sub_flats)]
-    return len(pivots) - sub_rank, tuple(reps)
+def _quotient_data(field, sub: list[ModuleMap], total: list[ModuleMap]) -> tuple[ModuleMap, ...]:
+    """Members of `total` whose classes form a basis of span(total)/span(sub),
+    for sub inside span(total): the pivots of total after those of sub."""
+    if not total:
+        return ()
+    flats = np.stack([flatten_map(f) for f in sub + total])
+    _, pivots = exactlin.rref(exactlin.transpose(Matrix(field, flats)))
+    return tuple(total[i - len(sub)] for i in pivots if i >= len(sub))
+
+
+def _annihilated(basis: list[ModuleMap], images: list[ModuleMap]) -> list[ModuleMap]:
+    """Basis of the combinations of `basis` whose matching combination of
+    `images` (one image per basis element, under a linear map) is zero."""
+    field = basis[0].source.algebra.field
+    flats = np.stack([flatten_map(g) for g in images])
+    coeffs = exactlin.kernel_basis(exactlin.transpose(Matrix(field, flats)))
+    return [map_from_coefficients(basis, [int(x) for x in coeffs.a[:, c]]) for c in range(coeffs.cols)]
 
 
 def _stable_space(m, n, through) -> StableHomSpace:
     total = hom_basis(m, n)
-    field = m.algebra.field
-    total_flats = (
-        np.stack([flatten_map(f) for f in total]) if total else np.zeros((0, 0), dtype=np.int64)
-    )
-    sub_flats = (
-        np.stack([flatten_map(f) for f in through])
-        if through
-        else np.zeros((0, total_flats.shape[1]), dtype=np.int64)
-    )
-    stable_dim, reps = _quotient_data(field, sub_flats, total_flats, total)
-    return StableHomSpace(m, n, len(total), len(total) - stable_dim, stable_dim, reps)
+    reps = _quotient_data(m.algebra.field, through, total)
+    return StableHomSpace(m, n, len(total), len(total) - len(reps), len(reps), reps)
 
 
 def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
@@ -273,31 +267,14 @@ def ext(m: Representation, n: Representation, i: int) -> ExtSpace:
     if i < 1:
         raise ValueError("ext is implemented for i >= 1")
     ps, ds, eps = projective_resolution(m, i + 1)
-    field = m.algebra.field
     h_i = hom_basis(ps[i], n)
     if not h_i:
         return ExtSpace(0, (), tuple(ps), tuple(ds), eps)
-    # cocycles: h with h . d_{i+1} = 0
-    post = [flatten_map(compose(h, ds[i])) for h in h_i]
-    coeff_kernel = exactlin.kernel_basis(exactlin.transpose(Matrix(field, np.stack(post))))
-    cocycle_maps = [
-        map_from_coefficients(h_i, [int(x) for x in coeff_kernel.a[:, c]])
-        for c in range(coeff_kernel.cols)
-    ]
+    cocycles = _annihilated(h_i, [compose(h, ds[i]) for h in h_i])
     # coboundaries: g . d_i for g in Hom(P_{i-1}, n); these are cocycles already
     bound = [compose(g, ds[i - 1]) for g in hom_basis(ps[i - 1], n)]
-    total_flats = (
-        np.stack([flatten_map(f) for f in cocycle_maps])
-        if cocycle_maps
-        else np.zeros((0, 0), dtype=np.int64)
-    )
-    sub_flats = (
-        np.stack([flatten_map(f) for f in bound])
-        if bound
-        else np.zeros((0, total_flats.shape[1]), dtype=np.int64)
-    )
-    dim, reps = _quotient_data(field, sub_flats, total_flats, cocycle_maps)
-    return ExtSpace(dim, reps, tuple(ps), tuple(ds), eps)
+    reps = _quotient_data(m.algebra.field, bound, cocycles)
+    return ExtSpace(len(reps), reps, tuple(ps), tuple(ds), eps)
 
 
 def ext_dim(m: Representation, n: Representation, i: int) -> int:
@@ -335,100 +312,57 @@ def extension_from_cocycle(
 # right minimal version
 
 # V = {u in End(M) : h.u = 0} is a right ideal of End(M), so its power chain
-# V >= V^2 >= ... stabilizes.  h is right minimal iff the stable term W is
-# zero: a projection onto a summand of M inside ker h is an idempotent of V
-# surviving in every power, and conversely a nonzero stable W (W.W = W) is not
-# contained in the radical -- it were nil otherwise -- so it contains a
-# non-nilpotent element, whose stable Fitting power splits off a nonzero
-# summand of M inside ker h.  The verdict is therefore deterministic; only
-# locating the non-nilpotent element uses search (every candidate is verified
-# exactly before use).
-
-# Random combinations of the stable ideal power tried before enumerating it.
-_WITNESS_TRIES = 128
-_WITNESS_SEED = 0
+# V >= V^2 >= ... stabilizes at some W with W.W = W.  h is right minimal iff
+# W = 0: the projection onto a summand of M inside ker h lies in every power.
+# Conversely, a nonzero W is not nilpotent, so W/rad W is a nonzero product of
+# matrix algebras M_n(GF(q)) (Wedderburn).  A nilpotent element has trace 0 in
+# every factor, and the trace on one factor is a nonzero GF(p)-linear map, so
+# the nilpotent elements of W span a proper subspace: every basis of W holds a
+# non-nilpotent u.  Its stable Fitting image (Fitting's lemma) is a nonzero
+# summand of M inside ker h, since h.u = 0.  Both the verdict and the split
+# are deterministic.
 
 
-def _independent_subset(maps: list[ModuleMap], field) -> list[ModuleMap]:
-    if not maps:
-        return []
-    flats = np.stack([flatten_map(f) for f in maps])
-    _, pivots = exactlin.rref(exactlin.transpose(Matrix(field, flats)))
-    return [maps[i] for i in pivots]
-
-
-def _stable_ideal_power(h: ModuleMap):
-    """(basis of V^infinity, endomorphism basis of source) for V = {u : h.u = 0}."""
+def _stable_ideal_power(h: ModuleMap) -> list[ModuleMap]:
+    """Basis of the stable term of V >= V^2 >= ... for V = {u : h.u = 0}."""
     m = h.source
-    field = m.algebra.field
     endos = hom_basis(m, m)
     if not endos:
-        return [], endos
-    flats = np.stack([flatten_map(compose(h, e)) for e in endos])
-    coeffs = exactlin.kernel_basis(exactlin.transpose(Matrix(field, flats)))
-    vbasis = [
-        map_from_coefficients(endos, [int(x) for x in coeffs.a[:, c]])
-        for c in range(coeffs.cols)
-    ]
+        return []
+    vbasis = _annihilated(endos, [compose(h, e) for e in endos])
     w = vbasis
     while w:
-        products = [compose(u, x) for u in vbasis for x in w]
-        w2 = _independent_subset(products, field)
+        w2 = list(_quotient_data(m.algebra.field, [], [compose(u, x) for u in vbasis for x in w]))
         if len(w2) == len(w):
             break  # V^{k+1} = V^k as spans: the chain stabilized
         w = w2
-    return w, endos
+    return w
 
 
 def is_right_minimal(h: ModuleMap) -> bool:
     """Deterministic: the stable power of {u : h.u = 0} vanishes."""
-    w, _ = _stable_ideal_power(h)
-    return not w
+    return not _stable_ideal_power(h)
 
 
 def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Representation]:
     """Split h: M -> N as h1 (+) (M2 -> 0) with h1: M1 -> N right minimal.
 
-    Returns (M1, h1, M2).  Minimality verdicts are deterministic (see above).
-    When a summand has to be split off, a non-nilpotent element of the stable
-    ideal power W provably exists; the search for it tries the basis of W,
-    then a fixed budget of `_WITNESS_TRIES` (128) random combinations drawn
-    from `_WITNESS_SEED` (0) afresh on every call, then, while p^dim W <=
-    `_EXACT_ENUM_LIMIT` (200,000), every combination.
+    Returns (M1, h1, M2).  Each step splits off, by Fitting's lemma, the
+    summand that the first non-nilpotent basis element of the stable ideal
+    power carries into ker h (see above); no search is involved.
     """
-    rng = np.random.default_rng(_WITNESS_SEED)
     m = h.source
+    p = m.algebra.field.p
     stripped: list[Representation] = []
     while True:
-        w, _ = _stable_ideal_power(h)
+        w = _stable_ideal_power(h)
         if not w:
             break  # h is right minimal now
-        p = m.algebra.field.p
-        witness = None
-        for u in w:
-            if non_nilpotent(_total_matrix(u).a[None], p)[0]:
-                witness = u
-                break
-        if witness is None:
-            for _ in range(_WITNESS_TRIES):
-                u = map_from_coefficients(
-                    w, [int(x) for x in rng.integers(0, p, size=len(w))]
-                )
-                if non_nilpotent(_total_matrix(u).a[None], p)[0]:
-                    witness = u
-                    break
-        if witness is None and p ** len(w) <= _EXACT_ENUM_LIMIT:
-            combo = first_combination(w, non_nilpotent)
-            invariant(combo is not None, "stable ideal power was nil after all")
-            witness = map_from_coefficients(w, combo)
-        if witness is None:
-            raise BudgetExhausted(
-                "a summand of the source dies under the map, but no splitting "
-                "element was located within the search budget"
-            )
+        hits = np.flatnonzero(non_nilpotent(np.stack([_total_matrix(u).a for u in w]), p))
+        invariant(hits.size > 0, "stable ideal power has a nilpotent basis")
         # the image part of the Fitting split lies inside ker h because the
         # witness does
-        (ker_part, ker_incl, _), (im_part, im_incl, _) = _fitting_split(m, witness)
+        (ker_part, ker_incl, _), (im_part, im_incl, _) = _fitting_split(m, w[hits[0]])
         invariant(not im_part.is_zero(), "witness was nilpotent after all")
         invariant(compose(h, im_incl).is_zero(), "stripped part does not die under h")
         stripped.append(im_part)
@@ -447,15 +381,10 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
 
 def is_selfinjective(alg) -> bool:
     """Whether the indecomposable projectives and injectives agree as multisets."""
-    n = alg.quiver.vertices
-    remaining = [indecomposable_injective(alg, j) for j in range(n)]
-    for i in range(n):
-        pi = indecomposable_projective(alg, i)
-        hit = next((k for k, inj in enumerate(remaining) if is_isomorphic(pi, inj)), None)
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return True
+    verts = range(alg.quiver.vertices)
+    projectives = tuple(indecomposable_projective(alg, v) for v in verts)
+    injectives = tuple(indecomposable_injective(alg, v) for v in verts)
+    return match_indecomposables(projectives, injectives) is not None
 
 
 def nakayama(p_mod: Representation) -> Representation:

@@ -407,7 +407,7 @@ def algebra_to_json_dict(alg: BoundQuiverAlgebra) -> dict:
     }
 
 
-def algebra_from_json_dict(data: dict, degree_cap: int = 32) -> BoundQuiverAlgebra:
+def algebra_from_json_dict(data: dict) -> BoundQuiverAlgebra:
     field = PrimeField(int(data["field_p"]))
     quiver = Quiver(
         int(data["vertices"]),
@@ -417,4 +417,4 @@ def algebra_from_json_dict(data: dict, degree_cap: int = 32) -> BoundQuiverAlgeb
         [RelationTerm(int(t["coeff"]), tuple(t["path"])) for t in rel]
         for rel in data.get("relations", [])
     ]
-    return build_algebra(quiver, rels, field, degree_cap=degree_cap)
+    return build_algebra(quiver, rels, field)

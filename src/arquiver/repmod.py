@@ -306,21 +306,22 @@ def solve_hom_equation(
 # kernels, cokernels, images
 
 
-def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """(ker f, inclusion)."""
-    m = f.source
+def _restrict(m: Representation, incls: list[Matrix]) -> tuple[Representation, ModuleMap]:
+    """(submodule, inclusion) for vertexwise basis columns `incls` of an
+    arrow-invariant subspace of m."""
     alg = m.algebra
-    incls = [exactlin.kernel_basis(vm) for vm in f.vertex_maps]
-    dims = [k.cols for k in incls]
     maps = {}
     for a in alg.quiver.arrows:
-        i, j = a.source, a.target
-        moved = exactlin.multiply(m.arrow_maps[a.id], incls[i])
-        sol = exactlin.solve(incls[j], moved)
-        invariant(sol is not None, "kernel is not arrow-invariant")
+        sol = exactlin.solve(incls[a.target], exactlin.multiply(m.arrow_maps[a.id], incls[a.source]))
+        invariant(sol is not None, "subspace is not arrow-invariant")
         maps[a.id] = sol
-    ker = Representation(alg, dims, maps, validate=False)
-    return ker, ModuleMap(ker, m, incls, validate=False)
+    sub = Representation(alg, [b.cols for b in incls], maps, validate=False)
+    return sub, ModuleMap(sub, m, incls, validate=False)
+
+
+def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
+    """(ker f, inclusion)."""
+    return _restrict(f.source, [exactlin.kernel_basis(vm) for vm in f.vertex_maps])
 
 
 def _complement_data(span: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -363,23 +364,13 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
 
 def image(f: ModuleMap) -> tuple[Representation, ModuleMap, ModuleMap]:
     """(im f, inclusion into target, corestriction of f onto its image)."""
-    alg = f.source.algebra
-    incls = [exactlin.column_space_basis(vm) for vm in f.vertex_maps]
-    dims = [b.cols for b in incls]
-    maps = {}
-    for a in alg.quiver.arrows:
-        i, j = a.source, a.target
-        moved = exactlin.multiply(f.target.arrow_maps[a.id], incls[i])
-        sol = exactlin.solve(incls[j], moved)
-        invariant(sol is not None, "image is not arrow-invariant")
-        maps[a.id] = sol
-    im = Representation(alg, dims, maps, validate=False)
+    im, incl = _restrict(f.target, [exactlin.column_space_basis(vm) for vm in f.vertex_maps])
     epis = []
-    for i, vm in enumerate(f.vertex_maps):
-        sol = exactlin.solve(incls[i], vm)
+    for b, vm in zip(incl.vertex_maps, f.vertex_maps):
+        sol = exactlin.solve(b, vm)
         invariant(sol is not None, "map does not factor through its image")
         epis.append(sol)
-    return im, ModuleMap(im, f.target, incls, validate=False), ModuleMap(f.source, im, epis, validate=False)
+    return im, incl, ModuleMap(f.source, im, epis, validate=False)
 
 
 def direct_sum(summands: list[Representation]) -> tuple[Representation, list[ModuleMap], list[ModuleMap]]:
@@ -641,21 +632,6 @@ def _total_matrix(f: ModuleMap) -> Matrix:
     return acc
 
 
-def _sub_from_column_spans(m: Representation, spans: list[Matrix]) -> tuple[Representation, ModuleMap]:
-    """Subrepresentation spanned vertexwise by given (already invariant) columns."""
-    alg = m.algebra
-    incls = [exactlin.column_space_basis(s) for s in spans]
-    dims = [b.cols for b in incls]
-    maps = {}
-    for a in alg.quiver.arrows:
-        i, j = a.source, a.target
-        sol = exactlin.solve(incls[j], exactlin.multiply(m.arrow_maps[a.id], incls[i]))
-        invariant(sol is not None, "spans are not arrow-invariant")
-        maps[a.id] = sol
-    sub = Representation(alg, dims, maps, validate=False)
-    return sub, ModuleMap(sub, m, incls, validate=False)
-
-
 def _complementary_split(m: Representation, part1, part2, failure: str):
     """Check that the inclusions of part1 = (m1, i1) and part2 = (m2, i2) make
     M = m1 (+) m2, and return (m1, i1, p1), (m2, i2, p2) with the projections;
@@ -674,7 +650,7 @@ def _complementary_split(m: Representation, part1, part2, failure: str):
 def _split_by_idempotent(m: Representation, e: ModuleMap):
     """M = im(e) + ker(e) for an idempotent endomorphism e."""
     one_minus_e = add_maps(identity_map(m), scale_map(-1, e))
-    parts = [_sub_from_column_spans(m, list(f.vertex_maps)) for f in (e, one_minus_e)]
+    parts = [image(f)[:2] for f in (e, one_minus_e)]
     return _complementary_split(m, *parts, "idempotent split is not a direct sum")
 
 
@@ -688,18 +664,15 @@ def _fitting_split(m: Representation, f: ModuleMap):
     while e < m.total_dim:
         power = compose(power, power)
         e *= 2
-    ker_part = kernel(power)
-    im_part, im_incl, _ = image(power)
-    return _complementary_split(m, ker_part, (im_part, im_incl), "Fitting split is not a direct sum")
+    return _complementary_split(m, kernel(power), image(power)[:2], "Fitting split is not a direct sum")
 
 
-def first_combination(basis: list[ModuleMap], hit) -> list[int] | None:
+def first_combination(basis: list[ModuleMap]) -> list[int] | None:
     """Coefficients of the first GF(p)-combination of the endomorphisms in
-    `basis`, in lexicographic order, whose total matrix passes `hit`; or None.
+    `basis`, in lexicographic order, that is a nontrivial idempotent; or None.
 
-    `hit(phi, p)` maps a stack phi of total matrices, shape (N, D, D), to an
-    (N,) boolean mask.  All p^len(basis) combinations may be visited, so
-    callers keep that within `_EXACT_ENUM_LIMIT`.
+    All p^len(basis) combinations may be visited, so callers keep that
+    within `_EXACT_ENUM_LIMIT`.
     """
     p = basis[0].source.algebra.field.p
     totals = np.stack([_total_matrix(f).a for f in basis])  # (t, D, D)
@@ -711,20 +684,21 @@ def first_combination(basis: list[ModuleMap], hit) -> list[int] | None:
         if not chunk:
             return None
         phi = np.tensordot(np.array(chunk, dtype=np.int64), totals, axes=(1, 0)) % p
-        hits = np.flatnonzero(hit(phi, p))
+        hits = np.flatnonzero(nontrivial_idempotent(phi, p))
         if hits.size:
             return [int(x) for x in chunk[hits[0]]]
 
 
 def nontrivial_idempotent(phi: np.ndarray, p: int) -> np.ndarray:
-    """`first_combination` test: idempotent, and neither 0 nor the identity."""
+    """Mask over a stack of square matrices: idempotent, and neither 0 nor the identity."""
     sq = _multiply_stacks(phi, phi, p)
     ident = np.eye(phi.shape[1], dtype=np.int64)
     return (sq == phi).all(axis=(1, 2)) & phi.any(axis=(1, 2)) & (phi != ident).any(axis=(1, 2))
 
 
 def non_nilpotent(phi: np.ndarray, p: int) -> np.ndarray:
-    """`first_combination` test: phi^e is nonzero for e the least power of two >= D."""
+    """Mask over a stack of D x D matrices: phi^e is nonzero for e the least
+    power of two >= D, that is, phi is not nilpotent."""
     return _power_stack(phi, 1 << (phi.shape[1] - 1).bit_length(), p).any(axis=(1, 2))
 
 
@@ -803,7 +777,7 @@ def _decompose_indec_evidence(m, endos):
         return ("endomorphism algebra is local: scalars plus a nilpotent ideal", True), None
     # 3. neither settles it (say End/rad End is a larger field): search all of End
     if p**t <= _EXACT_ENUM_LIMIT:
-        coeffs = first_combination(endos, nontrivial_idempotent)
+        coeffs = first_combination(endos)
         if coeffs is None:
             return ("no nontrivial idempotent endomorphism (exhaustive search)", True), None
         return None, _split_by_idempotent(m, map_from_coefficients(endos, coeffs))
@@ -976,14 +950,14 @@ def random_module(algebra: BoundQuiverAlgebra, rng, max_mult: int = 2, max_gens:
             continue
         coeffs = Matrix(algebra.field, rng.integers(0, algebra.field.p, size=(rad[j].cols, k)))
         gens.append(exactlin.multiply(rad[j], coeffs))
-    spans = _arrow_closure(proj, gens)
-    u, incl = _sub_from_column_spans(proj, spans)
+    _, incl = _restrict(proj, _arrow_closure(proj, gens))
     coker, _ = cokernel(incl)
     return coker
 
 
 def _arrow_closure(m: Representation, gens: list[Matrix]) -> list[Matrix]:
-    """Close vertexwise column spans under all arrow actions."""
+    """Close vertexwise column spans under all arrow actions; returns a
+    basis of each closed span."""
     spans = [exactlin.column_space_basis(g) for g in gens]
     changed = True
     while changed:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver import exactlin, homalg, repmod
 from arquiver.errors import NotProjective
@@ -404,12 +406,51 @@ def test_right_minimalize_over_a_large_prime():
     m = Representation(alg, [5], {"x": exactlin.multiply(exactlin.multiply(g, Matrix(alg.field, nil)), g_inv)})
     j2 = jordan2(alg)
     h = ModuleMap(m, j2, [exactlin.multiply(Matrix(alg.field, np.eye(2, 5, dtype=np.int64)), g_inv)])
-    w, _ = homalg._stable_ideal_power(h)
+    w = homalg._stable_ideal_power(h)
     assert len(w) == 8
     assert all((repmod._total_matrix(u).a > p // 2).sum() >= 3 for u in w)
     m1, h1, m2 = right_minimalize(h)
     assert is_isomorphic(m1, j2) and is_right_minimal(h1)
     assert is_isomorphic(m2, direct_sum([j2, simple(alg, 0)])[0])
+
+
+_MINIMALIZE_ALGEBRAS = {
+    "kx2": lambda p: loop_algebra(2, p),
+    "kx3": lambda p: loop_algebra(3, p),
+    "kx4": lambda p: loop_algebra(4, p),
+    "a3_zero_relation": lambda p: build_algebra(
+        Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [[(1, ("a", "b"))]], PrimeField(p)
+    ),
+    "kronecker": lambda p: build_algebra(Quiver(2, [("a", 0, 1), ("b", 0, 1)]), [], PrimeField(p)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(_MINIMALIZE_ALGEBRAS)),
+    st.sampled_from([2, 3]),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+def test_right_minimalize_splits_off_a_summand_and_keeps_the_image(name, p, seed, doubled, zero):
+    # M = X + X + Y or X + Y makes a summand inside ker h likely; h = 0 strips all of M
+    alg = _MINIMALIZE_ALGEBRAS[name](p)
+    rng = np.random.default_rng(seed)
+    x, y, n = (random_module(alg, rng, max_mult=1) for _ in range(3))
+    m = direct_sum([x, x, y] if doubled else [x, y])[0]
+    basis = hom_basis(m, n)
+    if zero or not basis:
+        h = repmod.zero_map(m, n)
+    else:
+        h = repmod.map_from_coefficients(basis, rng.integers(0, p, size=len(basis)))
+    m1, h1, m2 = right_minimalize(h)
+    assert h1.source == m1 and h1.target == n
+    assert [a + b for a, b in zip(m1.dims, m2.dims)] == list(m.dims)
+    assert is_right_minimal(h1)
+    assert [exactlin.rank(vm) for vm in h1.vertex_maps] == [exactlin.rank(vm) for vm in h.vertex_maps]
+    parts = [part for part in (m1, m2) if not part.is_zero()]
+    assert is_isomorphic(m, direct_sum(parts)[0] if parts else m1)
 
 
 def test_projective_covers_are_right_minimal():

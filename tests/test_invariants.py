@@ -103,10 +103,61 @@ def test_module_state_check_tells_constants_from_caches():
 def test_resolution_layers_hold_no_module_level_state():
     # memos live on the objects they describe (e.g. Representation._cover),
     # so repmod and homalg may bind only immutable literals at module level
-    found, names = [], []
+    found, defined = [], {}
     for name in ("repmod.py", "homalg.py"):
-        lines, bound = _module_state((Path(arquiver.__file__).parent / name).read_text())
+        source = (Path(arquiver.__file__).parent / name).read_text()
+        lines, bound = _module_state(source)
         found += [f"{name}:{n}" for n in lines]
-        names += bound
+        defs = [node.name for node in ast.parse(source).body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        defined[name] = set(bound + defs)
     assert found == []
-    assert {"_EXACT_ENUM_LIMIT", "_WITNESS_TRIES"} <= set(names)  # both files were read
+    # both files were read
+    assert {"_EXACT_ENUM_LIMIT", "decompose"} <= defined["repmod.py"]
+    assert {"right_minimalize", "ext"} <= defined["homalg.py"]
+
+
+def _random_generator_uses(source: str) -> list[str]:
+    """Lines that make a random generator: `default_rng`, any `np.random` /
+    `numpy.random` attribute, or an import of `random` or `numpy.random`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name in ("random", "numpy.random") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module in ("random", "numpy.random") or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names)
+            )
+        elif isinstance(node, ast.Attribute):
+            hit = node.attr == "default_rng" or (
+                node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            )
+        else:
+            hit = isinstance(node, ast.Name) and node.id == "default_rng"
+        if hit:
+            found.append(f"{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_random_generator_check_finds_every_form():
+    for line in (
+        "import random",
+        "import numpy.random",
+        "from random import choice",
+        "from numpy import random",
+        "from numpy.random import default_rng",
+        "rng = np.random.default_rng(0)",
+        "x = numpy.random.rand()",
+        "rng = default_rng(0)",
+    ):
+        assert _random_generator_uses(line), line
+    # taking a generator from the caller is allowed
+    assert _random_generator_uses("def f(rng):\n    return rng.integers(0, 2)") == []
+
+
+def test_resolution_layers_make_no_random_generator():
+    # decompose and right_minimalize are deterministic: repmod and homalg
+    # draw no random numbers of their own (random_module takes its rng)
+    found = []
+    for name in ("repmod.py", "homalg.py"):
+        found += [f"{name}:{x}" for x in _random_generator_uses((Path(arquiver.__file__).parent / name).read_text())]
+    assert found == []

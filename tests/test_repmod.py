@@ -229,53 +229,35 @@ def test_decompose_multiset_over_loop_cube():
         assert ev
 
 
-def _first_by_scan(basis, p, test):
+def _first_by_scan(basis, p):
     """Reference for first_combination: one combination at a time."""
     totals = [repmod._total_matrix(f).a for f in basis]
     for coeffs in itertools.product(range(p), repeat=len(basis)):
         phi = sum(c * t for c, t in zip(coeffs, totals)) % p
-        if test(phi, p):
+        if (phi @ phi % p == phi).all() and phi.any() and (phi != np.eye(len(phi), dtype=np.int64)).any():
             return list(coeffs)
     return None
 
 
-def _is_nontrivial_idempotent(phi, p):
-    return bool((phi @ phi % p == phi).all() and phi.any() and (phi != np.eye(len(phi), dtype=np.int64)).any())
-
-
-def _is_non_nilpotent(phi, p):
-    acc = phi
-    for _ in range(len(phi)):
-        acc = acc @ phi % p
-    return bool(acc.any())
-
-
 @pytest.mark.parametrize("p", [2, 3])
-def test_first_combination_idempotent_and_non_nilpotent(p, monkeypatch):
+def test_first_combination_finds_the_first_nontrivial_idempotent(p, monkeypatch):
     alg = loop_algebra(2, p)
     s = simple(alg, 0)
     ss, _, _ = direct_sum([s, s])
     lam = indecomposable_projective(alg, 0)
-    # End(S+S) = M_2(k) spanned by the nilpotents E12, E21: only combinations
-    # with both coefficients nonzero are non-nilpotent (their square is ab.1)
+    # End(S+S) = M_2(k); E12 and E21 span no idempotent but 0
     e12 = ModuleMap(ss, ss, [Matrix(alg.field, [[0, 1], [0, 0]])])
     e21 = ModuleMap(ss, ss, [Matrix(alg.field, [[0, 0], [1, 0]])])
     nil_basis = [e12, e21]
-    assert repmod.first_combination(nil_basis, repmod.non_nilpotent) == [1, 1]
-    assert repmod.first_combination(nil_basis, repmod.nontrivial_idempotent) is None
-    # End(Lambda) is local: no nontrivial idempotent, but units are non-nilpotent
-    assert repmod.first_combination(hom_basis(lam, lam), repmod.nontrivial_idempotent) is None
+    assert repmod.first_combination(nil_basis) is None
+    # End(Lambda) is local: no nontrivial idempotent
+    assert repmod.first_combination(hom_basis(lam, lam)) is None
     cases = [nil_basis, hom_basis(ss, ss), hom_basis(lam, lam)]
-    hits = [
-        (repmod.nontrivial_idempotent, _is_nontrivial_idempotent),
-        (repmod.non_nilpotent, _is_non_nilpotent),
-    ]
     for batch in (repmod._ENUM_BATCH, 4):  # also across many small batches
         monkeypatch.setattr(repmod, "_ENUM_BATCH", batch)
         for basis in cases:
-            for hit, scalar in hits:
-                assert repmod.first_combination(basis, hit) == _first_by_scan(basis, p, scalar)
-    coeffs = repmod.first_combination(hom_basis(ss, ss), repmod.nontrivial_idempotent)
+            assert repmod.first_combination(basis) == _first_by_scan(basis, p)
+    coeffs = repmod.first_combination(hom_basis(ss, ss))
     e = repmod.map_from_coefficients(hom_basis(ss, ss), coeffs)
     assert compose(e, e) == e and not e.is_zero() and e != identity_map(ss)
 
@@ -401,7 +383,7 @@ def test_decompose_is_a_direct_sum_and_locality_agrees_with_search(name, p, seed
         if evidence == LOCAL:
             endos = hom_basis(x, x)
             assert p ** len(endos) <= repmod._EXACT_ENUM_LIMIT
-            assert repmod.first_combination(endos, repmod.nontrivial_idempotent) is None
+            assert repmod.first_combination(endos) is None
     assert acc == identity_map(m)
 
 
