@@ -503,9 +503,10 @@ def check_tau_is_syzygy(alg: BoundQuiverAlgebra, bound, seed: int = 0):
     non-projective Gorenstein projective with dims under bound.
 
     Over a triangular matrix algebra the Gorenstein projectives are found by
-    the census enumeration over its base (bound caps the triangular dims);
-    over a self-injective algebra every module qualifies and the pool comes
-    from indec_pool.  Returns (verdict, witnesses) with one witness
+    the census enumeration over its base (bound caps the triangular dims).
+    That needs an algebra returned by t2_of, which links it to its base; an
+    equal algebra read from JSON has no such link.  Over a self-injective
+    algebra every module qualifies and the pool comes from indec_pool.  Returns (verdict, witnesses) with one witness
     (module, translate, syzygy) per failing module.
     """
     profile = gorenstein_profile(alg)

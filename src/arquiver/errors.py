@@ -39,10 +39,6 @@ class NotProjective(PreconditionError):
     pass
 
 
-class NotInjective(PreconditionError):
-    pass
-
-
 class NotSelfInjective(PreconditionError):
     pass
 

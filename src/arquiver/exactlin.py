@@ -236,10 +236,7 @@ def inverse(m: Matrix) -> Matrix | None:
     """Two-sided inverse, or None when m is not invertible."""
     if m.rows != m.cols:
         return None
-    x = solve(m, Matrix.identity(m.field, m.rows))
-    if x is None:
-        return None
-    return x
+    return solve(m, Matrix.identity(m.field, m.rows))
 
 
 def column_space_basis(m: Matrix) -> Matrix:

@@ -5,8 +5,9 @@ a morphism is a commuting square (sigma1, sigma2).  The whole category is
 equivalent to right modules over the triangular matrix algebra t2_of(Lambda):
 vertex i carries A_i, its primed copy carries B_i, and the connecting arrow
 eps<i> acts by f_i.  to_t2_module / from_t2_module realize that equivalence
-on the nose, so every module-level operator (hom, ext, decompose, translate)
-applies to morphism objects by transport.
+on the nose, so every module-level operator (hom, ext, decompose, translate,
+and factorization through solve_hom_equation) applies to morphism objects by
+transport.
 
 On top of the identification this module provides:
 
@@ -25,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, NotMono, NotSelfInjective, invariant
+from .errors import NotMono, NotSelfInjective, invariant
 from .exactlin import Matrix
-from .homalg import ar_translate_of_map, is_selfinjective
-from .quivalg import BoundQuiverAlgebra, t2_of
+from .homalg import ar_translate_of_map, is_selfinjective, minimal_presentation
+from .quivalg import BoundQuiverAlgebra, t2_base_of, t2_of
 from .repmod import (
     ModuleMap,
     Representation,
@@ -36,6 +37,7 @@ from .repmod import (
     compose,
     cokernel,
     direct_sum,
+    flatten_map,
     hom_basis,
     identity_map,
     injective_envelope,
@@ -44,7 +46,6 @@ from .repmod import (
     map_from_coefficients,
     module_from_json_dict,
     module_to_json_dict,
-    scale_map,
     solve_hom_equation,
     zero_map,
     zero_module,
@@ -99,10 +100,7 @@ class MorphMap:
     sigma2: ModuleMap
 
     def __post_init__(self):
-        p = self.source.algebra.field.p
-        lhs = compose(self.target.f, self.sigma1)
-        rhs = compose(self.sigma2, self.source.f)
-        if not add_maps(lhs, scale_map(p - 1, rhs)).is_zero():
+        if compose(self.target.f, self.sigma1) != compose(self.sigma2, self.source.f):
             raise ValueError("MorphMap: square does not commute")
 
     def is_zero(self) -> bool:
@@ -138,9 +136,8 @@ def to_t2_module(obj: MorphObject) -> Representation:
 
 
 def from_t2_module(rep: Representation) -> MorphObject:
-    """Inverse of to_t2_module; rep.algebra must have come from t2_of."""
-    from .quivalg import t2_base_of
-
+    """Inverse of to_t2_module; rep.algebra must be an algebra returned by
+    t2_of (an equal algebra built another way has no link to its base)."""
     based = t2_base_of(rep.algebra)
     if based is None:
         raise ValueError("from_t2_module: algebra was not produced by t2_of")
@@ -171,8 +168,6 @@ def from_t2_module(rep: Representation) -> MorphObject:
 
 
 def morph_hom_basis(x: MorphObject, y: MorphObject) -> list[MorphMap]:
-    from .repmod import flatten_map
-
     h1 = hom_basis(x.a, y.a)
     h2 = hom_basis(x.b, y.b)
     if not h1 and not h2:
@@ -183,7 +178,7 @@ def morph_hom_basis(x: MorphObject, y: MorphObject) -> list[MorphMap]:
         cols.append(flatten_map(compose(y.f, s1)))
     for s2 in h2:
         cols.append((-flatten_map(compose(s2, x.f))) % field.p)
-    system = Matrix(field, np.stack(cols, axis=1) if cols else np.zeros((0, 0), dtype=np.int64))
+    system = Matrix(field, np.stack(cols, axis=1))
     null = exactlin.kernel_basis(system)
     out = []
     for c in range(null.cols):
@@ -201,67 +196,24 @@ def morph_hom_dim(x: MorphObject, y: MorphObject) -> int:
 def factor_morph_map_through(m: MorphMap, c: MorphMap) -> MorphMap | None:
     """Some h: m.source -> c.source with c∘h = m, or None.
 
-    Solves for the pair (h1, h2) jointly: the commuting-square condition for
-    h and both composition conditions are one linear system.
+    A lifting problem over t2_of(algebra), solved by transport: m and c become
+    module maps with sigma1 at the plain vertices and sigma2 at the primed
+    ones, and the solution splits back the same way.
     """
-    from .repmod import flatten_map
-
-    x, y = m.source, c.source
-    h1 = hom_basis(x.a, y.a)
-    h2 = hom_basis(x.b, y.b)
-    field = x.algebra.field
-    p = field.p
-    k1, k2 = len(h1), len(h2)
-    if k1 + k2 == 0:
-        return identity_morph_map(x) if m.is_zero() and x.total_dim == 0 else None
-
-    blocks = []  # rows: [square-commute | c.sigma1∘h1 = m.sigma1 | c.sigma2∘h2 = m.sigma2]
-    rhs_parts = []
-    sq1 = [flatten_map(compose(y.f, s)) for s in h1]
-    sq2 = [(-flatten_map(compose(s, x.f))) % p for s in h2]
-    size_sq = sq1[0].shape[0] if sq1 else (sq2[0].shape[0] if sq2 else 0)
-    if size_sq:
-        row = np.zeros((size_sq, k1 + k2), dtype=np.int64)
-        for j, col in enumerate(sq1):
-            row[:, j] = col
-        for j, col in enumerate(sq2):
-            row[:, k1 + j] = col
-        blocks.append(row)
-        rhs_parts.append(np.zeros(size_sq, dtype=np.int64))
-    c1 = [flatten_map(compose(c.sigma1, s)) for s in h1]
-    t1 = flatten_map(m.sigma1)
-    if t1.shape[0]:
-        row = np.zeros((t1.shape[0], k1 + k2), dtype=np.int64)
-        for j, col in enumerate(c1):
-            row[:, j] = col
-        blocks.append(row)
-        rhs_parts.append(t1)
-    elif any(col.shape[0] for col in c1):  # pragma: no cover - shapes always agree
-        raise InternalInvariantError("composite and target shapes disagree")
-    c2 = [flatten_map(compose(c.sigma2, s)) for s in h2]
-    t2 = flatten_map(m.sigma2)
-    if t2.shape[0]:
-        row = np.zeros((t2.shape[0], k1 + k2), dtype=np.int64)
-        for j, col in enumerate(c2):
-            row[:, k1 + j] = col
-        blocks.append(row)
-        rhs_parts.append(t2)
-    if not blocks:
-        return MorphMap(
-            x,
-            y,
-            map_from_coefficients(h1, [0] * k1) if h1 else zero_map(x.a, y.a),
-            map_from_coefficients(h2, [0] * k2) if h2 else zero_map(x.b, y.b),
-        )
-    system = Matrix(field, np.vstack(blocks))
-    rhs = Matrix(field, np.concatenate(rhs_parts).reshape(-1, 1))
-    sol = exactlin.solve(system, rhs)
-    if sol is None:
+    x, y, z = m.source, c.source, c.target
+    tx, ty, tz = to_t2_module(x), to_t2_module(y), to_t2_module(z)
+    target = ModuleMap(tx, tz, m.sigma1.vertex_maps + m.sigma2.vertex_maps, validate=False)
+    post = ModuleMap(ty, tz, c.sigma1.vertex_maps + c.sigma2.vertex_maps, validate=False)
+    h = solve_hom_equation(tx, ty, target, post=post)
+    if h is None:
         return None
-    v = [int(t) for t in sol.a[:, 0]]
-    s1 = map_from_coefficients(h1, v[:k1]) if h1 else zero_map(x.a, y.a)
-    s2 = map_from_coefficients(h2, v[k1:]) if h2 else zero_map(x.b, y.b)
-    return MorphMap(x, y, s1, s2)
+    n = x.algebra.quiver.vertices
+    return MorphMap(
+        x,
+        y,
+        ModuleMap(x.a, y.a, h.vertex_maps[:n], validate=False),
+        ModuleMap(x.b, y.b, h.vertex_maps[n:], validate=False),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +258,6 @@ def imin(n: Representation) -> MorphObject:
 
 def pmin(n: Representation) -> MorphObject:
     """(P1 -> P0): the minimal projective presentation of n."""
-    from .homalg import minimal_presentation
-
     pres = minimal_presentation(n)
     return MorphObject(pres.p1, pres.p0, pres.d)
 

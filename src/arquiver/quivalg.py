@@ -95,6 +95,8 @@ class _DegreeTable:
 class BoundQuiverAlgebra:
     """kQ/I for an admissible length-homogeneous ideal; use build_algebra()."""
 
+    # _cache holds the links that opposite, t2_of and t2_base_of memoize on
+    # this object; it is not part of equality or the hash.
     __slots__ = (
         "field",
         "quiver",
@@ -126,9 +128,6 @@ class BoundQuiverAlgebra:
 
     def path_basis(self, source: int, target: int) -> list[BasisPath]:
         return list(self._by_source_target.get((source, target), []))
-
-    def idempotent(self, vertex: int) -> BasisPath:
-        return (vertex, ())
 
     def reduce_path(self, source: int, arrows: tuple[str, ...]) -> dict[BasisPath, int]:
         """Normal form of a composable path, as {basis path: coefficient}."""
@@ -319,16 +318,14 @@ def build_algebra(quiver: Quiver, relations, field: PrimeField, degree_cap: int 
     return BoundQuiverAlgebra(field, quiver, rels, tuple(basis), deg_tables, max_degree)
 
 
-_OPPOSITE_CACHE: dict[BoundQuiverAlgebra, BoundQuiverAlgebra] = {}
-
-
 def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     """The opposite algebra: arrows and relation paths reversed, ids kept.
 
-    opposite(opposite(a)) is data-identical to a.  Memoized, since duality
-    constructions call this inside loops.
+    Memoized on the algebra object, like `Representation._cover`, since
+    duality constructions call this inside loops; the link is kept both
+    ways, so opposite(opposite(a)) is a.
     """
-    cached = _OPPOSITE_CACHE.get(alg)
+    cached = alg._cache.get("opposite")
     if cached is not None:
         return cached
     q = alg.quiver
@@ -338,13 +335,9 @@ def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
         for rel in alg.relations
     ]
     op = build_algebra(op_q, op_rels, alg.field, degree_cap=alg._max_degree + 1)
-    _OPPOSITE_CACHE[alg] = op
-    _OPPOSITE_CACHE.setdefault(op, alg)
+    alg._cache["opposite"] = op
+    op._cache["opposite"] = alg
     return op
-
-
-_T2_CACHE: dict[BoundQuiverAlgebra, tuple] = {}
-_T2_BASE: dict[BoundQuiverAlgebra, tuple] = {}
 
 
 def t2_of(alg: BoundQuiverAlgebra) -> tuple[BoundQuiverAlgebra, dict[int, tuple[int, int]]]:
@@ -353,9 +346,11 @@ def t2_of(alg: BoundQuiverAlgebra) -> tuple[BoundQuiverAlgebra, dict[int, tuple[
     Returns (algebra, correspondence) where correspondence[i] = (i, i') gives
     the two copies of base vertex i.  Modules over it are morphisms between
     modules of the base algebra, realized by the connecting arrows eps<i>.
-    Memoized, so repeated calls share one algebra object.
+    Memoized on the algebra object, like `Representation._cover`, so
+    repeated calls share one triangular algebra, which links back to alg
+    (see t2_base_of).
     """
-    cached = _T2_CACHE.get(alg)
+    cached = alg._cache.get("t2")
     if cached is not None:
         return cached
     q = alg.quiver
@@ -386,14 +381,16 @@ def t2_of(alg: BoundQuiverAlgebra) -> tuple[BoundQuiverAlgebra, dict[int, tuple[
         f"triangular algebra dimension {t2.dimension} != 3 * {alg.dimension}",
     )
     corr = {i: (i, n + i) for i in range(n)}
-    _T2_CACHE[alg] = (t2, corr)
-    _T2_BASE[t2] = (alg, corr)
+    alg._cache["t2"] = (t2, corr)
+    t2._cache["t2_base"] = (alg, corr)
     return t2, corr
 
 
 def t2_base_of(t2_alg: BoundQuiverAlgebra) -> tuple[BoundQuiverAlgebra, dict] | None:
-    """(base algebra, correspondence) when t2_alg came from t2_of, else None."""
-    return _T2_BASE.get(t2_alg)
+    """(base algebra, correspondence) when t2_alg is an algebra returned by
+    t2_of, else None.  The link lives on that object: an equal algebra built
+    another way, e.g. read back from JSON, has none."""
+    return t2_alg._cache.get("t2_base")
 
 
 def algebra_to_json_dict(alg: BoundQuiverAlgebra) -> dict:

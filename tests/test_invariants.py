@@ -41,11 +41,24 @@ def test_broken_invariant_raises_and_exits_3(capsys, monkeypatch):
 
 _CONSTANT_NODES = (ast.Constant, ast.UnaryOp, ast.BinOp, ast.Tuple, ast.unaryop, ast.operator, ast.expr_context)
 _CACHE_DECORATORS = {"cache", "lru_cache"}
+_BUILTIN_TYPES = {"tuple", "list", "dict", "set", "frozenset", "type"}
+
+
+def _is_type_alias(node) -> bool:
+    """A builtin type subscripted by names, constants and `...`, such as
+    tuple[int, tuple[str, ...]]: an immutable generic alias."""
+    if isinstance(node, ast.Subscript):
+        return isinstance(node.value, ast.Name) and node.value.id in _BUILTIN_TYPES and _is_type_alias(node.slice)
+    if isinstance(node, ast.Tuple):
+        return all(_is_type_alias(e) for e in node.elts)
+    return isinstance(node, (ast.Name, ast.Constant))
 
 
 def _is_constant_expr(node) -> bool:
     """Immutable literal: constants combined by unary/binary operators and
-    tuples, or frozenset() of a set/tuple of such."""
+    tuples, frozenset() of a set/tuple of such, or a type alias."""
+    if isinstance(node, ast.Subscript):
+        return _is_type_alias(node)
     if isinstance(node, ast.Call):
         return (
             isinstance(node.func, ast.Name)
@@ -86,32 +99,40 @@ def _module_state(source: str) -> tuple[list[int], list[str]]:
 
 
 def test_module_state_check_tells_constants_from_caches():
-    constants = "A = -1\nB = 2**16\nC = (1, 'x')\nD = frozenset({1, 2})\nE: int = 3\nF = None\n"
-    assert _module_state(constants) == ([], ["A", "B", "C", "D", "E", "F"])
+    constants = (
+        "A = -1\nB = 2**16\nC = (1, 'x')\nD = frozenset({1, 2})\nE: int = 3\nF = None\n"
+        "G = tuple[int, tuple[str, ...]]\n"
+    )
+    assert _module_state(constants) == ([], ["A", "B", "C", "D", "E", "F", "G"])
     stateful = (
         "A = {}\n"
         "B = []\n"
         "C = dict()\n"
         "D = (1, [])\n"
+        "E = table['x']\n"
+        "F = list[int]()\n"
+        "G = tuple[[]]\n"
         "@functools.lru_cache(maxsize=None)\ndef f(m):\n    return m\n"
         "@cache\ndef g(m):\n    return m\n"
         "class K:\n    @functools.cache\n    def h(self):\n        return 0\n"
     )
-    assert _module_state(stateful)[0] == [1, 2, 3, 4, 6, 9, 13]  # def lines
+    assert _module_state(stateful)[0] == [1, 2, 3, 4, 5, 6, 7, 9, 12, 16]  # def lines
 
 
 def test_resolution_layers_hold_no_module_level_state():
-    # memos live on the objects they describe (e.g. Representation._cover),
-    # so repmod and homalg may bind only immutable literals at module level
+    # memos live on the objects they describe (e.g. Representation._cover,
+    # BoundQuiverAlgebra._cache), so quivalg, repmod and homalg may bind only
+    # immutable literals at module level
     found, defined = [], {}
-    for name in ("repmod.py", "homalg.py"):
+    for name in ("quivalg.py", "repmod.py", "homalg.py"):
         source = (Path(arquiver.__file__).parent / name).read_text()
         lines, bound = _module_state(source)
         found += [f"{name}:{n}" for n in lines]
         defs = [node.name for node in ast.parse(source).body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
         defined[name] = set(bound + defs)
     assert found == []
-    # both files were read
+    # every file was read
+    assert {"opposite", "t2_of"} <= defined["quivalg.py"]
     assert {"_EXACT_ENUM_LIMIT", "decompose"} <= defined["repmod.py"]
     assert {"right_minimalize", "ext"} <= defined["homalg.py"]
 

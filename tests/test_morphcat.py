@@ -212,9 +212,37 @@ def test_mimo_minimal_approximation_property():
         for g in monos:
             for mm in morph_hom_basis(g, target):
                 h = factor_morph_map_through(mm, canon)
-                assert h is not None
+                assert h is not None and h.target == canon.source
+                assert compose(canon.sigma1, h.sigma1) == mm.sigma1
+                assert compose(canon.sigma2, h.sigma2) == mm.sigma2
                 checked += 1
     assert checked == 49  # sum of hom dims from the 5 mono objects into all 9
+
+
+def a2_identity_objects():
+    """x = (S0 = S0) and y = (S1 = S1) over A2 = (0 -> 1)."""
+    alg = a2_algebra()
+    return (
+        MorphObject.of_map(identity_map(simple(alg, 0))),
+        MorphObject.of_map(identity_map(simple(alg, 1))),
+    )
+
+
+def test_factor_zero_map_with_no_maps_to_lift_into():
+    # Hom(x, y) = 0 with x nonzero: the zero map m: x -> y still factors
+    # through c = id_y, as the zero map
+    x, y = a2_identity_objects()
+    m = MorphMap(x, y, zero_map(x.a, y.a), zero_map(x.b, y.b))
+    h = factor_morph_map_through(m, identity_morph_map(y))
+    assert h is not None and h.source == x and h.target == y and h.is_zero()
+
+
+def test_factor_from_the_zero_object_lands_in_the_source_of_c():
+    _, y = a2_identity_objects()
+    x = zero_morph_object(y.algebra)
+    m = MorphMap(x, y, zero_map(x.a, y.a), zero_map(x.b, y.b))
+    h = factor_morph_map_through(m, identity_morph_map(y))
+    assert h is not None and h.source == x and h.target == y
 
 
 def test_mimo_cokernel_projects_onto_cokernel():

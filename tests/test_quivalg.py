@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from arquiver.cli import fixtures_dir
 from arquiver.errors import MalformedRelation, NotFiniteDimensional
 from arquiver.exactlin import PrimeField
 from arquiver.quivalg import (
@@ -9,6 +12,7 @@ from arquiver.quivalg import (
     algebra_to_json_dict,
     build_algebra,
     opposite,
+    t2_base_of,
     t2_of,
 )
 
@@ -79,14 +83,31 @@ def test_opposite_involution_and_path_counts():
     for alg in (loop_algebra(3), a2_algebra(), t2_of(loop_algebra(2))[0]):
         op = opposite(alg)
         assert op.dimension == alg.dimension
-        back = opposite(op)
-        assert back == alg
+        # a copy of op read back from JSON has no memo link to alg, so the
+        # double reversal is really built here
+        back = opposite(algebra_from_json_dict(algebra_to_json_dict(op)))
+        assert back is not alg and back == alg
         assert back.quiver.arrows == alg.quiver.arrows
         assert back.relations == alg.relations
         n = alg.quiver.vertices
         for s in range(n):
             for t in range(n):
                 assert len(op.path_basis(s, t)) == len(alg.path_basis(t, s))
+
+
+def test_opposite_and_t2_links_live_on_the_object():
+    a = loop_algebra(3)
+    assert opposite(opposite(a)) is a
+    assert t2_base_of(t2_of(a)[0])[0] is a
+    assert t2_base_of(a) is None
+
+
+def test_t2_algebra_read_from_json_has_no_base():
+    rebuilt = algebra_from_json_dict(json.loads((fixtures_dir() / "t2_kx2.json").read_text()))
+    assert t2_base_of(rebuilt) is None
+    t2, _ = t2_of(loop_algebra(2))  # an equal base gives an equal algebra
+    assert t2 == rebuilt
+    assert t2_base_of(rebuilt) is None
 
 
 def test_t2_dimensions_frozen():
