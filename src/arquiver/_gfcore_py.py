@@ -47,17 +47,15 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p with chunked accumulation to avoid int64 overflow."""
+    """Exact (a @ b) mod p with chunked accumulation to avoid int64 overflow;
+    a and b may be stacks of matrices too (the compiled kernel takes 2-D only)."""
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    inner = a.shape[1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    inner = a.shape[-1]
     step = max(1, _ACC_LIMIT // ((p - 1) ** 2 or 1))
     if inner <= step:
         return (a @ b) % p
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    out = 0
     for s in range(0, inner, step):
-        e = min(inner, s + step)
-        out = (out + a[:, s:e] @ b[s:e, :]) % p
+        out = (out + a[..., s : s + step] @ b[..., s : s + step, :]) % p
     return out

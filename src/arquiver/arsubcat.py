@@ -59,12 +59,12 @@ from .repmod import (
     direct_sum,
     hom_basis,
     indecomposable_injective,
-    indecomposable_isomorphism,
     indecomposable_projective,
     is_epi,
     is_isomorphic,
     is_mono,
     is_projective,
+    iso_class_index,
     k_dual,
     map_from_coefficients,
     projective_module,
@@ -317,7 +317,8 @@ _ENTRY_CAP = 200_000
 
 def _all_modules_with_dims(alg: BoundQuiverAlgebra, dims):
     """One representative per isomorphism class of representations with the
-    given dimension vector, by exhaustive matrix enumeration."""
+    given dimension vector, by exhaustive matrix enumeration.  A class is
+    keyed by the iso classes of its indecomposable summands (Krull-Schmidt)."""
     arrows = alg.quiver.arrows
     shapes = [(dims[a.target], dims[a.source]) for a in arrows]
     entries = sum(r * c for r, c in shapes)
@@ -326,7 +327,8 @@ def _all_modules_with_dims(alg: BoundQuiverAlgebra, dims):
         raise EnumerationCapExceeded(
             f"dimension vector {tuple(dims)} needs {p}^{entries} candidates"
         )
-    classes: list[Representation] = []
+    classes: dict[tuple[int, ...], Representation] = {}  # first candidate per key
+    indecs: list[Representation] = []
     for flat in itertools.product(range(p), repeat=entries):
         maps = {}
         pos = 0
@@ -338,9 +340,9 @@ def _all_modules_with_dims(alg: BoundQuiverAlgebra, dims):
             m = Representation(alg, dims, maps)
         except ValueError:
             continue
-        if not any(is_isomorphic(m, c) for c in classes):
-            classes.append(m)
-    return classes
+        summands = require_certified(decompose(m)).summands
+        classes.setdefault(tuple(sorted(iso_class_index(indecs, s) for s in summands)), m)
+    return list(classes.values())
 
 
 def _iso_classes_within(alg: BoundQuiverAlgebra, caps):
@@ -369,7 +371,7 @@ def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound):
     pool_a = _iso_classes_within(base, bound[:n])
     pool_b = _iso_classes_within(base, bound[n:])
     p = base.field.p
-    found: list[tuple[Representation, MorphObject]] = []
+    classes: list[Representation] = []
     for a_mod in pool_a:
         for b_mod in pool_b:
             basis = hom_basis(a_mod, b_mod)
@@ -383,12 +385,10 @@ def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound):
                 obj = MorphObject(a_mod, b_mod, f)
                 if obj.is_zero() or not is_gp_in_h(obj, gp_test):
                     continue
-                # both sides are certified summands, so no second decomposition
                 for s in require_certified(decompose(to_t2_module(obj))).summands:
-                    if not any(indecomposable_isomorphism(s, c) is not None for c, _ in found):
-                        found.append((s, from_t2_module(s)))
-    found.sort(key=lambda pair: (pair[0].total_dim, pair[0].dims))
-    return found
+                    iso_class_index(classes, s)
+    classes.sort(key=lambda s: (s.total_dim, s.dims))
+    return [(s, from_t2_module(s)) for s in classes]
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +462,12 @@ def indec_pool(alg: BoundQuiverAlgebra, bound, seed: int = 0):
         raise ValueError("bound must give a cap per vertex")
     pool: list[Representation] = []
 
-    def fits(m):
-        return not m.is_zero() and all(d <= c for d, c in zip(m.dims, caps))
-
     def add(m):
-        grew = False
-        if m.is_zero():
-            return False
-        # pool members are certified summands too
+        size = len(pool)
         for s in require_certified(decompose(m)).summands:
-            if fits(s) and not any(indecomposable_isomorphism(s, c) is not None for c in pool):
-                pool.append(s)
-                grew = True
-        return grew
+            if all(d <= c for d, c in zip(s.dims, caps)):
+                iso_class_index(pool, s)
+        return len(pool) > size
 
     for v in range(nv):
         add(simple_module(alg, v))

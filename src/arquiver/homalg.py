@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactlin
+from ._gfcore_py import matmul as _matmul_stacks
 from .errors import NotProjective, invariant
 from .exactlin import Matrix
 from .quivalg import opposite
@@ -46,7 +47,8 @@ from .repmod import (
     solve_hom_equation,
     syzygy_step,
     _fitting_split,
-    _total_matrix,
+    _product_span,
+    _total_stack,
 )
 
 
@@ -323,25 +325,28 @@ def extension_from_cocycle(
 # are deterministic.
 
 
-def _stable_ideal_power(h: ModuleMap) -> list[ModuleMap]:
-    """Basis of the stable term of V >= V^2 >= ... for V = {u : h.u = 0}."""
+def _stable_ideal_power(h: ModuleMap) -> np.ndarray:
+    """Basis of the stable term of V >= V^2 >= ... for V = {u : h.u = 0}, as
+    a stack of total matrices of endomorphisms of h.source."""
     m = h.source
+    field = m.algebra.field
     endos = hom_basis(m, m)
     if not endos:
-        return []
-    vbasis = _annihilated(endos, [compose(h, e) for e in endos])
-    w = vbasis
-    while w:
-        w2 = list(_quotient_data(m.algebra.field, [], [compose(u, x) for u in vbasis for x in w]))
-        if len(w2) == len(w):
-            break  # V^{k+1} = V^k as spans: the chain stabilized
+        return np.zeros((0, 0, 0), dtype=np.int64)
+    totals = _total_stack(endos)
+    t = len(totals)
+    hu = _matmul_stacks(_total_stack([h])[0], totals, field.p)
+    coeffs = exactlin.kernel_basis(Matrix(field, hu.reshape(t, -1).T))
+    v = w = _matmul_stacks(coeffs.a.T, totals.reshape(t, -1), field.p).reshape(-1, *totals.shape[1:])
+    # V^{k+1} lies in V^k; stop when it is as large, that is, equal
+    while len(w) and len(w2 := _product_span(v, w, field)) < len(w):
         w = w2
     return w
 
 
 def is_right_minimal(h: ModuleMap) -> bool:
     """Deterministic: the stable power of {u : h.u = 0} vanishes."""
-    return not _stable_ideal_power(h)
+    return not len(_stable_ideal_power(h))
 
 
 def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Representation]:
@@ -356,9 +361,9 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
     stripped: list[Representation] = []
     while True:
         w = _stable_ideal_power(h)
-        if not w:
+        if not len(w):
             break  # h is right minimal now
-        hits = np.flatnonzero(non_nilpotent(np.stack([_total_matrix(u).a for u in w]), p))
+        hits = np.flatnonzero(non_nilpotent(w, p))
         invariant(hits.size > 0, "stable ideal power has a nilpotent basis")
         # the image part of the Fitting split lies inside ker h because the
         # witness does

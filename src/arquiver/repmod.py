@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exactlin
-from ._gfcore_py import _ACC_LIMIT
+from ._gfcore_py import matmul as _matmul_stacks
 from .errors import BudgetExhausted, invariant
 from .exactlin import Matrix
 from .quivalg import BoundQuiverAlgebra, opposite
@@ -625,11 +625,20 @@ _EXACT_ENUM_LIMIT = 200_000
 _ENUM_BATCH = 16_384
 
 
-def _total_matrix(f: ModuleMap) -> Matrix:
-    acc = f.vertex_maps[0]
-    for vm in f.vertex_maps[1:]:
-        acc = exactlin.direct_sum(acc, vm)
-    return acc
+def _total_stack(maps: list[ModuleMap]) -> np.ndarray:
+    """The block-diagonal total matrices of maps that share their source and
+    target, stacked: shape (len(maps), dim target, dim source)."""
+    src, tgt = maps[0].source.dims, maps[0].target.dims
+    out = np.zeros((len(maps), sum(tgt), sum(src)), dtype=np.int64)
+    for v, (r, c) in enumerate(zip(np.cumsum(tgt), np.cumsum(src))):
+        out[:, r - tgt[v] : r, c - src[v] : c] = [f.vertex_maps[v].a for f in maps]
+    return out
+
+
+def _block_map(m: Representation, total: np.ndarray) -> ModuleMap:
+    """The endomorphism of m with the block-diagonal total matrix `total`."""
+    blocks = [total[e - d : e, e - d : e] for d, e in zip(m.dims, np.cumsum(m.dims))]
+    return ModuleMap(m, m, blocks, validate=False)
 
 
 def _complementary_split(m: Representation, part1, part2, failure: str):
@@ -647,37 +656,32 @@ def _complementary_split(m: Representation, part1, part2, failure: str):
     return (m1, i1, ModuleMap(m, m1, p1, validate=False)), (m2, i2, ModuleMap(m, m2, p2, validate=False))
 
 
-def _split_by_idempotent(m: Representation, e: ModuleMap):
-    """M = im(e) + ker(e) for an idempotent endomorphism e."""
-    one_minus_e = add_maps(identity_map(m), scale_map(-1, e))
-    parts = [image(f)[:2] for f in (e, one_minus_e)]
+def _split_by_idempotent(m: Representation, e: np.ndarray):
+    """M = im(e) + ker(e) for the total matrix e of an idempotent endomorphism
+    (ker e = im(1 - e); `_block_map` reduces 1 - e mod p)."""
+    parts = [image(_block_map(m, f))[:2] for f in (e, np.eye(m.total_dim, dtype=np.int64) - e)]
     return _complementary_split(m, *parts, "idempotent split is not a direct sum")
 
 
-def _fitting_split(m: Representation, f: ModuleMap):
-    """Fitting's lemma: M = ker f^e (+) im f^e for an endomorphism f, where e
-    is the least power of two with e >= dim M (kernels and images of the
-    powers of f have stabilized by then).  Returns (ker part, im part) as
-    `_complementary_split` does; either part may be zero."""
-    power = f
-    e = 1
-    while e < m.total_dim:
-        power = compose(power, power)
-        e *= 2
+def _fitting_split(m: Representation, f: np.ndarray):
+    """Fitting's lemma: M = ker f^e (+) im f^e for the total matrix f of an
+    endomorphism, where e is the least power of two with e >= dim M (kernels
+    and images of the powers of f have stabilized by then).  Returns (ker
+    part, im part) as `_complementary_split` does; either part may be zero."""
+    e = 1 << (m.total_dim - 1).bit_length()
+    power = _block_map(m, _power_stack(f[None], e, m.algebra.field.p)[0])
     return _complementary_split(m, kernel(power), image(power)[:2], "Fitting split is not a direct sum")
 
 
-def first_combination(basis: list[ModuleMap]) -> list[int] | None:
-    """Coefficients of the first GF(p)-combination of the endomorphisms in
-    `basis`, in lexicographic order, that is a nontrivial idempotent; or None.
+def first_combination(totals: np.ndarray, p: int) -> list[int] | None:
+    """Coefficients of the first GF(p)-combination of the stacked matrices
+    `totals`, in lexicographic order, that is a nontrivial idempotent; or None.
 
-    All p^len(basis) combinations may be visited, so callers keep that
+    All p^len(totals) combinations may be visited, so callers keep that
     within `_EXACT_ENUM_LIMIT`.
     """
-    p = basis[0].source.algebra.field.p
-    totals = np.stack([_total_matrix(f).a for f in basis])  # (t, D, D)
     dd = totals.shape[1]
-    combos = itertools.product(range(p), repeat=len(basis))
+    combos = itertools.product(range(p), repeat=len(totals))
     batch = max(1, _ENUM_BATCH // max(1, dd * dd))
     while True:
         chunk = list(itertools.islice(combos, batch))
@@ -691,7 +695,7 @@ def first_combination(basis: list[ModuleMap]) -> list[int] | None:
 
 def nontrivial_idempotent(phi: np.ndarray, p: int) -> np.ndarray:
     """Mask over a stack of square matrices: idempotent, and neither 0 nor the identity."""
-    sq = _multiply_stacks(phi, phi, p)
+    sq = _matmul_stacks(phi, phi, p)
     ident = np.eye(phi.shape[1], dtype=np.int64)
     return (sq == phi).all(axis=(1, 2)) & phi.any(axis=(1, 2)) & (phi != ident).any(axis=(1, 2))
 
@@ -707,26 +711,11 @@ def _power_stack(phi: np.ndarray, e: int, p: int) -> np.ndarray:
     out = None
     while True:
         if e & 1:
-            out = phi if out is None else _multiply_stacks(out, phi, p)
+            out = phi if out is None else _matmul_stacks(out, phi, p)
         e >>= 1
         if not e:
             return out
-        phi = _multiply_stacks(phi, phi, p)
-
-
-def _multiply_stacks(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """a @ b mod p for two stacks of square matrices, summing the inner
-    index in chunks (as `_gfcore_py.matmul` does) so int64 cannot overflow
-    for any p < 2^31."""
-    dd = a.shape[1]
-    step = max(1, _ACC_LIMIT // (p - 1) ** 2)
-    if dd <= step:
-        return np.einsum("nij,njk->nik", a, b) % p
-    out = np.zeros_like(a)
-    for s in range(0, dd, step):
-        part = np.einsum("nij,njk->nik", a[:, :, s : s + step], b[:, s : s + step, :])
-        out = (out + part) % p
-    return out
+        phi = _matmul_stacks(phi, phi, p)
 
 
 def _span_basis(stack: np.ndarray, field) -> np.ndarray:
@@ -734,6 +723,12 @@ def _span_basis(stack: np.ndarray, field) -> np.ndarray:
     flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
     _, pivots = exactlin.rref(Matrix(field, flat.T))
     return stack[pivots]
+
+
+def _product_span(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
+    """`_span_basis` of all products x @ y, x from the stack a (outer loop), y from b."""
+    pairs = _matmul_stacks(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1, 1)), field.p)
+    return _span_basis(pairs, field)
 
 
 def _nilpotent_span(nil: np.ndarray, field) -> bool:
@@ -744,10 +739,7 @@ def _nilpotent_span(nil: np.ndarray, field) -> bool:
     for _ in range(nil.shape[1] - 1):
         if not len(prods):
             return True
-        r, s = len(basis), len(prods)
-        prods = _span_basis(
-            _multiply_stacks(np.repeat(basis, s, axis=0), np.tile(prods, (r, 1, 1)), field.p), field
-        )
+        prods = _product_span(basis, prods, field)
     return not len(prods)
 
 
@@ -758,7 +750,7 @@ def _decompose_indec_evidence(m, endos):
     t = len(endos)
     if t == 1:
         return ("endomorphism algebra has dimension 1", True), None
-    totals = np.stack([_total_matrix(f).a for f in endos])  # (t, D, D)
+    totals = _total_stack(endos)  # (t, D, D)
     dd = totals.shape[1]
     # q >= D, so f^q has the kernel and image of Fitting's lemma; and q is a
     # power of p, so (c + n)^q = c + n^q for a scalar c and any n
@@ -768,7 +760,7 @@ def _decompose_indec_evidence(m, endos):
     powers = _power_stack(totals, q, p)
     scalars = powers[:, :1, :1] * np.eye(dd, dtype=np.int64)
     # 1. the first basis element f that is neither nilpotent nor a unit splits M
-    for f, power, scalar in zip(endos, powers, scalars):
+    for f, power, scalar in zip(totals, powers, scalars):
         if (power != scalar).any() and exactlin.rank(Matrix(field, power)) < dd:
             return None, _fitting_split(m, f)
     # 2. every f^q = c_f 1 makes each f - c_f nilpotent (c_f^q = c_f); if they
@@ -777,10 +769,10 @@ def _decompose_indec_evidence(m, endos):
         return ("endomorphism algebra is local: scalars plus a nilpotent ideal", True), None
     # 3. neither settles it (say End/rad End is a larger field): search all of End
     if p**t <= _EXACT_ENUM_LIMIT:
-        coeffs = first_combination(endos)
+        coeffs = first_combination(totals, p)
         if coeffs is None:
             return ("no nontrivial idempotent endomorphism (exhaustive search)", True), None
-        return None, _split_by_idempotent(m, map_from_coefficients(endos, coeffs))
+        return None, _split_by_idempotent(m, np.tensordot(coeffs, totals, axes=1) % p)
     return ("not split and not shown local; too large to search for idempotents", False), None
 
 
@@ -866,6 +858,16 @@ def indecomposable_isomorphism(m: Representation, n: Representation) -> ModuleMa
             if all(exactlin.inverse(vm) is not None for vm in gf.vertex_maps):
                 return f
     return None
+
+
+def iso_class_index(reps: list[Representation], m: Representation) -> int:
+    """Position of the class of the indecomposable m in reps, a list of pairwise
+    non-isomorphic indecomposables; m is appended when its class is new."""
+    for k, r in enumerate(reps):
+        if indecomposable_isomorphism(m, r) is not None:
+            return k
+    reps.append(m)
+    return len(reps) - 1
 
 
 def match_indecomposables(

@@ -12,6 +12,8 @@ split into Gorenstein projectives {G1, G2, G3, P0, P1}, finite projective
 dimension {P0, P1, LxL, I0}, and neither {S0, LtoS}.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -47,11 +49,14 @@ from arquiver.arsubcat import (
     tau_pfin,
     tr_p_lambda,
     verify_ar_duality,
+    _all_modules_with_dims,
+    _iso_classes_within,
 )
 from arquiver.morphcat import MorphObject, to_t2_module
 from arquiver.quivalg import Quiver, build_algebra, opposite, t2_of
 from arquiver.repmod import (
     ModuleMap,
+    Representation,
     direct_sum,
     identity_map,
     indecomposable_projective,
@@ -422,6 +427,56 @@ def test_census_empty_bound(kx2):
 def test_census_cap(kx2):
     with pytest.raises(EnumerationCapExceeded):
         classify_gp_census(kx2, (40, 40))
+
+
+def _reference_iso_classes(alg, caps):
+    """Every representation with dims under caps, in the enumeration order of
+    the arrow matrices' entries, deduplicated with is_isomorphic."""
+    arrows = alg.quiver.arrows
+    out = []
+    for dims in itertools.product(*(range(c + 1) for c in caps)):
+        shapes = [(dims[a.target], dims[a.source]) for a in arrows]
+        classes = []
+        for flat in itertools.product(range(alg.field.p), repeat=sum(r * c for r, c in shapes)):
+            entries = iter(flat)
+            maps = {
+                a.id: Matrix(alg.field, np.array([next(entries) for _ in range(r * c)], dtype=np.int64).reshape(r, c))
+                for a, (r, c) in zip(arrows, shapes)
+            }
+            try:
+                m = Representation(alg, dims, maps)
+            except ValueError:
+                continue
+            if not any(is_isomorphic(m, c) for c in classes):
+                classes.append(m)
+        out.extend(classes)
+    return out
+
+
+@pytest.mark.parametrize(
+    "alg, caps",
+    [
+        (loop_algebra(2, 5), (2,)),
+        (a2_algebra(), (2, 1)),
+        (loop_algebra(3, 2), (3,)),
+        (a3_zero_relation(3), (1, 2, 1)),
+    ],
+    ids=["kx2-p5", "a2-p5", "kx3-p2", "a3-zero-relation-p3"],
+)
+def test_iso_classes_match_a_dedupe_by_is_isomorphic(alg, caps):
+    assert _iso_classes_within(alg, caps) == _reference_iso_classes(alg, caps)
+
+
+def test_iso_classes_of_kronecker_modules_with_two_summands_of_one_dims():
+    # Over GF(2) the Kronecker modules of dims (2, 2) fall into 16 classes:
+    # 6 sums of two of the three (1, 1) classes, (1,0)+(1,2), (0,1)+(2,1),
+    # 3 sums (1,0)+(0,1)+(1,1), (1,0)+(1,0)+(0,1)+(0,1), and 4 indecomposables
+    # (regular of length 2 at the three rational points, regular simple at the
+    # one point of degree 2).  Two summands of equal dims may come in either
+    # order, so a key that is not sorted finds too many; the reference dedupe
+    # takes too long here.
+    alg = build_algebra(Quiver(2, [("a", 0, 1), ("b", 0, 1)]), [], PrimeField(2))
+    assert len(_all_modules_with_dims(alg, (2, 2))) == 16
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,26 @@ def test_large_prime_no_overflow():
     assert got == (200 * (p - 1) * (p - 1)) % p
 
 
+@pytest.mark.parametrize("p", [2, 3, 2147483647])
+def test_stacked_matmul_equals_the_per_matrix_product(p):
+    from arquiver import _gfcore_py
+
+    # at p = 2^31 - 1 a chunk sums a single product, so the inner dimension 7
+    # runs the chunked accumulation
+    assert (_gfcore_py._ACC_LIMIT // (p - 1) ** 2 < 7) == (p == 2147483647)
+    rng = np.random.default_rng(p)
+    a = rng.integers(max(0, p - 3), p, size=(4, 5, 7))  # entries near p - 1
+    b = rng.integers(0, p, size=(4, 7, 3))
+    stacked = _gfcore_py.matmul(a, b, p)
+    assert stacked.shape == (4, 5, 3)
+    for x, y, xy in zip(a, b, stacked):
+        assert np.array_equal(xy, _gfcore_py.matmul(x, y, p))
+        assert xy.tolist() == _reference_product(x.tolist(), y.tolist(), p, 3)
+    # one matrix against a stack broadcasts
+    one = a[0, :3, :5]
+    assert np.array_equal(_gfcore_py.matmul(one, a[:, :5, :], p)[2], _gfcore_py.matmul(one, a[2, :5, :], p))
+
+
 # ---------------------------------------------------------------------------
 # reference Gauss-Jordan on Python integers
 

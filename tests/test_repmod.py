@@ -229,10 +229,9 @@ def test_decompose_multiset_over_loop_cube():
         assert ev
 
 
-def _first_by_scan(basis, p):
+def _first_by_scan(totals, p):
     """Reference for first_combination: one combination at a time."""
-    totals = [repmod._total_matrix(f).a for f in basis]
-    for coeffs in itertools.product(range(p), repeat=len(basis)):
+    for coeffs in itertools.product(range(p), repeat=len(totals)):
         phi = sum(c * t for c, t in zip(coeffs, totals)) % p
         if (phi @ phi % p == phi).all() and phi.any() and (phi != np.eye(len(phi), dtype=np.int64)).any():
             return list(coeffs)
@@ -248,16 +247,16 @@ def test_first_combination_finds_the_first_nontrivial_idempotent(p, monkeypatch)
     # End(S+S) = M_2(k); E12 and E21 span no idempotent but 0
     e12 = ModuleMap(ss, ss, [Matrix(alg.field, [[0, 1], [0, 0]])])
     e21 = ModuleMap(ss, ss, [Matrix(alg.field, [[0, 0], [1, 0]])])
-    nil_basis = [e12, e21]
-    assert repmod.first_combination(nil_basis) is None
+    nil_basis = repmod._total_stack([e12, e21])
+    assert repmod.first_combination(nil_basis, p) is None
     # End(Lambda) is local: no nontrivial idempotent
-    assert repmod.first_combination(hom_basis(lam, lam)) is None
-    cases = [nil_basis, hom_basis(ss, ss), hom_basis(lam, lam)]
+    assert repmod.first_combination(repmod._total_stack(hom_basis(lam, lam)), p) is None
+    cases = [nil_basis, repmod._total_stack(hom_basis(ss, ss)), repmod._total_stack(hom_basis(lam, lam))]
     for batch in (repmod._ENUM_BATCH, 4):  # also across many small batches
         monkeypatch.setattr(repmod, "_ENUM_BATCH", batch)
-        for basis in cases:
-            assert repmod.first_combination(basis) == _first_by_scan(basis, p)
-    coeffs = repmod.first_combination(hom_basis(ss, ss))
+        for totals in cases:
+            assert repmod.first_combination(totals, p) == _first_by_scan(totals, p)
+    coeffs = repmod.first_combination(repmod._total_stack(hom_basis(ss, ss)), p)
     e = repmod.map_from_coefficients(hom_basis(ss, ss), coeffs)
     assert compose(e, e) == e and not e.is_zero() and e != identity_map(ss)
 
@@ -280,8 +279,9 @@ def test_nilpotency_tests_do_not_overflow_for_large_primes():
     assert (phi > p // 2).sum() >= 30
     assert repmod.non_nilpotent(phi, p).tolist() == [False, True, True]
     assert repmod.nontrivial_idempotent(phi, p).tolist() == [False, True, False]
-    for a in phi:
-        assert (repmod._multiply_stacks(a[None], a[None], p)[0] == multiply(Matrix(field, a), Matrix(field, a)).a).all()
+    squares = repmod._power_stack(phi, 2, p)
+    for a, sq in zip(phi, squares):
+        assert (sq == multiply(Matrix(field, a), Matrix(field, a)).a).all()
 
 
 LOCAL = "endomorphism algebra is local: scalars plus a nilpotent ideal"
@@ -383,7 +383,7 @@ def test_decompose_is_a_direct_sum_and_locality_agrees_with_search(name, p, seed
         if evidence == LOCAL:
             endos = hom_basis(x, x)
             assert p ** len(endos) <= repmod._EXACT_ENUM_LIMIT
-            assert repmod.first_combination(endos) is None
+            assert repmod.first_combination(repmod._total_stack(endos), p) is None
     assert acc == identity_map(m)
 
 
