@@ -354,15 +354,40 @@ def _iso_classes_within(alg: BoundQuiverAlgebra, caps):
     return out
 
 
+def _line_representatives(p: int, d: int):
+    """The zero vector, then every vector of GF(p)^d whose first nonzero
+    entry is 1, in the order of itertools.product(range(p), repeat=d): one
+    leading position at a time, from the last down to the first.  These are
+    the first members of the lines {c*v : c != 0} in that order."""
+    yield (0,) * d
+    for lead in range(d - 1, -1, -1):
+        for tail in itertools.product(range(p), repeat=d - 1 - lead):
+            yield (0,) * lead + (1,) + tail
+
+
 def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound):
     """Indecomposable Gorenstein-projective modules over the triangular
     matrix algebra of base whose dimension vectors fit under bound, found by
-    exhausting (A, B, f) triples and decomposing.  Returns (module, object)
-    pairs sorted by dimension."""
+    exhausting (A, B, f) triples and decomposing.  Returns a tuple of
+    (module, object) pairs sorted by dimension, memoized per bound in
+    base._cache next to the opposite/T2 links.
+
+    Two reductions leave the result unchanged, representatives and order
+    included.  (A, B, f) is isomorphic to (A, B, c*f) for every c != 0 via
+    (id_A, c*id_B), so f runs over one coefficient vector per line, the
+    first one in lexicographic order (`_line_representatives`); the cap
+    still counts all p^(dim Hom) maps.  And only indecomposable triples
+    are kept: a proper summand of a triple has componentwise smaller dims,
+    so its pool entries come first and it is met as a triple of its own
+    before any triple that contains it."""
     n = base.quiver.vertices
     bound = tuple(int(b) for b in bound)
     if len(bound) != 2 * n:
         raise ValueError("bound must cap each vertex of the triangular algebra")
+    key = ("gp_census", bound)
+    cached = base._cache.get(key)
+    if cached is not None:
+        return cached
     profile = gorenstein_profile(base)
 
     def gp_test(mod):
@@ -380,15 +405,18 @@ def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound):
                     f"hom space between dims {a_mod.dims} and {b_mod.dims} "
                     f"has {p}^{len(basis)} elements"
                 )
-            for coeffs in itertools.product(range(p), repeat=len(basis)):
+            for coeffs in _line_representatives(p, len(basis)):
                 f = map_from_coefficients(basis, list(coeffs)) if basis else zero_map(a_mod, b_mod)
                 obj = MorphObject(a_mod, b_mod, f)
                 if obj.is_zero() or not is_gp_in_h(obj, gp_test):
                     continue
-                for s in require_certified(decompose(to_t2_module(obj))).summands:
-                    iso_class_index(classes, s)
+                summands = require_certified(decompose(to_t2_module(obj))).summands
+                if len(summands) == 1:
+                    iso_class_index(classes, summands[0])
     classes.sort(key=lambda s: (s.total_dim, s.dims))
-    return [(s, from_t2_module(s)) for s in classes]
+    found = tuple((s, from_t2_module(s)) for s in classes)
+    base._cache[key] = found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +432,11 @@ class GpCensus:
     counts: dict[str, int]
 
 
-_TAG_TO_COUNT = {"A_IDENTITY": "a", "B_COSOCLE": "b", "C_SYZYGY": "c", "OTHER": "other"}
-
-
-def _census_tag(obj: MorphObject) -> str:
+def _census_tag(obj: MorphObject) -> tuple[str, str]:
     """Classification shape of an indecomposable Gorenstein-projective
-    object.  Tested in order: (c) the kernel inclusion of a projective cover
-    of an indecomposable non-projective module, (a) an isomorphism, (b) a
-    zero source; anything else is OTHER."""
+    object and its key in GpCensus.counts.  Tested in order: (c) the kernel
+    inclusion of a projective cover of an indecomposable non-projective
+    module, (a) an isomorphism, (b) a zero source; anything else is OTHER."""
     f = obj.f
     if is_projective(obj.b) and is_mono(f):
         g, _ = cokernel(f)
@@ -419,12 +444,12 @@ def _census_tag(obj: MorphObject) -> str:
             cover, k, incl = syzygy_step(g)
             template = MorphObject(k, cover.source, incl)
             if is_isomorphic(to_t2_module(obj), to_t2_module(template)):
-                return "C_SYZYGY"
+                return "C_SYZYGY", "c"
     if is_mono(f) and is_epi(f):
-        return "A_IDENTITY"
+        return "A_IDENTITY", "a"
     if obj.a.is_zero():
-        return "B_COSOCLE"
-    return "OTHER"
+        return "B_COSOCLE", "b"
+    return "OTHER", "other"
 
 
 def classify_gp_census(alg: BoundQuiverAlgebra, bound) -> GpCensus:
@@ -435,8 +460,8 @@ def classify_gp_census(alg: BoundQuiverAlgebra, bound) -> GpCensus:
     objects = []
     counts = {"a": 0, "b": 0, "c": 0, "other": 0}
     for i, (t2m, obj) in enumerate(found):
-        tag = _census_tag(obj)
-        counts[_TAG_TO_COUNT[tag]] += 1
+        tag, count_key = _census_tag(obj)
+        counts[count_key] += 1
         objects.append((f"g{i}:" + "x".join(str(d) for d in t2m.dims), tag))
     return GpCensus(tuple(objects), counts)
 

@@ -49,21 +49,37 @@ from arquiver.arsubcat import (
     tau_pfin,
     tr_p_lambda,
     verify_ar_duality,
+    _ENTRY_CAP,
     _all_modules_with_dims,
+    _collect_gp_morph_objects,
     _iso_classes_within,
+    _line_representatives,
 )
-from arquiver.morphcat import MorphObject, to_t2_module
-from arquiver.quivalg import Quiver, build_algebra, opposite, t2_of
+from arquiver import arsubcat
+from arquiver.morphcat import MorphObject, is_gp_in_h, to_t2_module
+from arquiver.quivalg import (
+    Quiver,
+    algebra_from_json_dict,
+    algebra_to_json_dict,
+    build_algebra,
+    opposite,
+    t2_of,
+)
 from arquiver.repmod import (
     ModuleMap,
     Representation,
+    decompose,
     direct_sum,
+    hom_basis,
     identity_map,
     indecomposable_projective,
     is_epi,
     is_isomorphic,
     is_mono,
+    iso_class_index,
+    map_from_coefficients,
     regular_module,
+    require_certified,
     simple_module,
     zero_map,
     zero_module,
@@ -427,6 +443,84 @@ def test_census_empty_bound(kx2):
 def test_census_cap(kx2):
     with pytest.raises(EnumerationCapExceeded):
         classify_gp_census(kx2, (40, 40))
+
+
+def test_census_cap_counts_every_map_not_every_line():
+    # Hom(k^4, k^2) over GF(5) has 5^8 = 390,625 maps but only 97,657 lines
+    # through zero, so a cap on the lines visited would let it through
+    semisimple = build_algebra(Quiver(1, []), [], PrimeField(5))
+    assert (5**8 - 1) // 4 + 1 <= _ENTRY_CAP < 5**8
+    with pytest.raises(EnumerationCapExceeded, match=r"dims \(4,\) and \(2,\) has 5\^8 elements"):
+        classify_gp_census(semisimple, (4, 2))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_line_representatives_are_the_first_vector_of_each_line(p):
+    for d in range(5):
+        first = [v for v in itertools.product(range(p), repeat=d) if next((x for x in v if x), 1) == 1]
+        assert list(_line_representatives(p, d)) == first
+
+
+def _reference_gp_morph_modules(base, bound):
+    """The census loop over all p^(dim Hom) maps of every pool pair, adding
+    every summand of every Gorenstein-projective triple."""
+    n = base.quiver.vertices
+    profile = gorenstein_profile(base)
+    p = base.field.p
+    classes = []
+    for a_mod in _iso_classes_within(base, bound[:n]):
+        for b_mod in _iso_classes_within(base, bound[n:]):
+            basis = hom_basis(a_mod, b_mod)
+            for coeffs in itertools.product(range(p), repeat=len(basis)):
+                f = map_from_coefficients(basis, list(coeffs)) if basis else zero_map(a_mod, b_mod)
+                obj = MorphObject(a_mod, b_mod, f)
+                if obj.is_zero() or not is_gp_in_h(obj, lambda m: is_gorenstein_projective(m, profile)):
+                    continue
+                for s in require_certified(decompose(to_t2_module(obj))).summands:
+                    iso_class_index(classes, s)
+    classes.sort(key=lambda s: (s.total_dim, s.dims))
+    return classes
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        (lambda: loop_algebra(2, 3), (2, 2)),
+        (lambda: loop_algebra(3, 3), (2, 2)),
+        (lambda: loop_algebra(3, 2), (2, 3)),
+        (lambda: a2_algebra(2), (1, 1, 1, 1)),
+        (lambda: a3_zero_relation(2), (1,) * 6),
+    ],
+    ids=["kx2-p3", "kx3-p3", "kx3-p2", "a2-p2", "a3-zero-relation-p2"],
+)
+def test_census_matches_the_full_enumeration_reference(make, bound):
+    base = make()
+    found = _collect_gp_morph_objects(base, bound)
+    reference = _reference_gp_morph_modules(base, bound)
+    assert [(s.dims, s.arrow_maps) for s, _ in found] == [(s.dims, s.arrow_maps) for s in reference]
+
+
+def test_census_is_computed_once_per_base_algebra_and_bound(monkeypatch):
+    base = loop_algebra(2)
+    t2, _ = t2_of(base)
+    census = classify_gp_census(base, (1, 1))
+
+    def no_pool(alg, caps):
+        raise RuntimeError("census pool built again")
+
+    monkeypatch.setattr(arsubcat, "_iso_classes_within", no_pool)
+    # tau-syzygy over the triangular algebra reuses the census of its base
+    ok, witnesses = check_tau_is_syzygy(t2, (1, 1))
+    assert not ok and [g.dims for g, _, _ in witnesses] == [(0, 1), (1, 1)]
+    assert classify_gp_census(base, (1, 1)) == census
+    assert isinstance(base._cache[("gp_census", (1, 1))], tuple)
+    with pytest.raises(RuntimeError, match="built again"):
+        classify_gp_census(base, (1, 2))
+    # an equal algebra read from JSON has a memo of its own
+    twin = algebra_from_json_dict(algebra_to_json_dict(base))
+    assert twin == base and twin is not base
+    with pytest.raises(RuntimeError, match="built again"):
+        classify_gp_census(twin, (1, 1))
 
 
 def _reference_iso_classes(alg, caps):

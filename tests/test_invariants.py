@@ -121,10 +121,11 @@ def test_module_state_check_tells_constants_from_caches():
 
 def test_resolution_layers_hold_no_module_level_state():
     # memos live on the objects they describe (e.g. Representation._cover,
-    # BoundQuiverAlgebra._cache), so quivalg, repmod and homalg may bind only
-    # immutable literals at module level
+    # BoundQuiverAlgebra._cache, which also holds the GP census), so quivalg,
+    # repmod, homalg, morphcat and arsubcat may bind only immutable literals
+    # at module level
     found, defined = [], {}
-    for name in ("quivalg.py", "repmod.py", "homalg.py"):
+    for name in ("quivalg.py", "repmod.py", "homalg.py", "morphcat.py", "arsubcat.py"):
         source = (Path(arquiver.__file__).parent / name).read_text()
         lines, bound = _module_state(source)
         found += [f"{name}:{n}" for n in lines]
@@ -135,6 +136,8 @@ def test_resolution_layers_hold_no_module_level_state():
     assert {"opposite", "t2_of"} <= defined["quivalg.py"]
     assert {"_EXACT_ENUM_LIMIT", "decompose"} <= defined["repmod.py"]
     assert {"right_minimalize", "ext"} <= defined["homalg.py"]
+    assert {"is_gp_in_h", "to_t2_module"} <= defined["morphcat.py"]
+    assert {"_ENTRY_CAP", "_collect_gp_morph_objects"} <= defined["arsubcat.py"]
 
 
 def _random_generator_uses(source: str) -> list[str]:
