@@ -372,14 +372,16 @@ def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound):
     (module, object) pairs sorted by dimension, memoized per bound in
     base._cache next to the opposite/T2 links.
 
-    Two reductions leave the result unchanged, representatives and order
+    Three reductions leave the result unchanged, representatives and order
     included.  (A, B, f) is isomorphic to (A, B, c*f) for every c != 0 via
     (id_A, c*id_B), so f runs over one coefficient vector per line, the
     first one in lexicographic order (`_line_representatives`); the cap
-    still counts all p^(dim Hom) maps.  And only indecomposable triples
-    are kept: a proper summand of a triple has componentwise smaller dims,
-    so its pool entries come first and it is met as a triple of its own
-    before any triple that contains it."""
+    still counts all p^(dim Hom) maps.  Pairs with dim A_v > dim B_v at some
+    vertex v are skipped after the cap check, since no map between them is
+    mono.  And only indecomposable triples are kept: a proper summand of a
+    triple has componentwise smaller dims, so its pool entries come first
+    and it is met as a triple of its own before any triple that contains
+    it."""
     n = base.quiver.vertices
     bound = tuple(int(b) for b in bound)
     if len(bound) != 2 * n:
@@ -405,6 +407,8 @@ def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound):
                     f"hom space between dims {a_mod.dims} and {b_mod.dims} "
                     f"has {p}^{len(basis)} elements"
                 )
+            if any(da > db for da, db in zip(a_mod.dims, b_mod.dims)):
+                continue  # no map is mono, so is_gp_in_h rejects every triple
             for coeffs in _line_representatives(p, len(basis)):
                 f = map_from_coefficients(basis, list(coeffs)) if basis else zero_map(a_mod, b_mod)
                 obj = MorphObject(a_mod, b_mod, f)

@@ -47,6 +47,7 @@ from .repmod import (
     solve_hom_equation,
     syzygy_step,
     _fitting_split,
+    _maps_from_vecs,
     _product_span,
     _total_stack,
 )
@@ -143,11 +144,13 @@ def transpose(m: Representation) -> Representation:
     """Tr(M) over the opposite algebra, from a minimal presentation.
 
     Tr of a projective is zero; projective summands of M never leak into the
-    output because the presentation is minimal.
+    output because the presentation is minimal.  Computed once per module
+    object and shared, like the projective cover.
     """
-    pres = minimal_presentation(m)
-    cok, _ = cokernel(dual_of_projective_map(pres.d))
-    return cok
+    if m._transpose is None:
+        cok, _ = cokernel(dual_of_projective_map(minimal_presentation(m).d))
+        object.__setattr__(m, "_transpose", cok)
+    return m._transpose
 
 
 def transpose_of_map(q: ModuleMap) -> ModuleMap:
@@ -226,29 +229,151 @@ def _annihilated(basis: list[ModuleMap], images: list[ModuleMap]) -> list[Module
     return [map_from_coefficients(basis, [int(x) for x in coeffs.a[:, c]]) for c in range(coeffs.cols)]
 
 
-def _stable_space(m, n, through) -> StableHomSpace:
-    total = hom_basis(m, n)
-    reps = _quotient_data(m.algebra.field, through, total)
-    return StableHomSpace(m, n, len(total), len(total) - len(reps), len(reps), reps)
+def _presentation_relations(m: Representation) -> tuple[ModuleMap, list]:
+    """The minimal presentation P1 --d--> P0 --eps--> M, read from the
+    memoized resolution steps of M and of Omega M: (eps, relations), with one
+    relation (u, column) per generator of P1, at its vertex u, holding its
+    image under d over P0's basis at u.  d is read at those columns only."""
+    eps, omega, incl = syzygy_step(m)
+    cover1 = projective_cover(omega)
+    p = m.algebra.field.p
+    return eps, [
+        (u, _matmul_stacks(incl.vertex_maps[u].a, cover1.vertex_maps[u].a[:, pos : pos + 1], p)[:, 0])
+        for u, pos in projective_generators(cover1.source)
+    ]
+
+
+def _path_actions(x: Representation) -> dict:
+    """X(path) for every basis path of the algebra, keyed by the path; each
+    path costs one product, onto the action of its prefix."""
+    p = x.algebra.field.p
+    acts: dict = {}
+
+    def act(src, arrows):
+        if (src, arrows) not in acts:
+            acts[src, arrows] = (
+                _matmul_stacks(x.arrow_maps[arrows[-1]].a, act(src, arrows[:-1]), p)
+                if arrows
+                else np.eye(x.dims[src], dtype=np.int64)
+            )
+        return acts[src, arrows]
+
+    return {bp: act(*bp) for bp in x.algebra.basis}
+
+
+def _image_offsets(x: Representation, gen_verts) -> np.ndarray:
+    """Where the image of each generator of P0 starts in (+)_k X_{v_k}."""
+    return np.cumsum([0] + [x.dims[v] for v in gen_verts])
+
+
+def _hom_in_images(eps: ModuleMap, relations, x: Representation, acts: dict) -> np.ndarray:
+    """Hom(M, X) in generator-image coordinates: a basis, as columns, of the
+    y in (+)_k X_{v_k} that kill every relation, that is, with
+    sum_r c_r X(path_r) y_{k_r} = 0 where d(g) = sum_r c_r g_{k_r}.path_r."""
+    _, gen_verts, coords = eps.source._layout
+    p = x.algebra.field.p
+    offsets = _image_offsets(x, gen_verts)
+    system = np.zeros((sum(x.dims[u] for u, _ in relations), offsets[-1]), dtype=np.int64)
+    row = 0
+    for u, col in relations:
+        for i in np.flatnonzero(col):
+            k, bp = coords[u][i]
+            part = system[row : row + x.dims[u], offsets[k] : offsets[k + 1]]
+            part[...] = (part + int(col[i]) * acts[bp]) % p
+        row += x.dims[u]
+    return exactlin.kernel_basis(Matrix(x.algebra.field, system)).a
+
+
+def _vec_of_images(eps: ModuleMap, n: Representation, acts: dict, y: np.ndarray) -> np.ndarray:
+    """The maps M -> N with generator images the columns of y, as columns of
+    stacked column-major vec(f_v) (`hom_basis`'s coordinates).  f_v = Phi_v s_v,
+    where s_v is a section of eps_v and Phi_v's column for P0's basis path
+    (k, path) is N(path) y_k; Phi_v takes one stacked product per vertex of
+    generators."""
+    m = eps.target
+    field = m.algebra.field
+    p = field.p
+    _, gen_verts, coords = eps.source._layout
+    offsets = _image_offsets(n, gen_verts)
+    parts = []
+    for v in range(len(m.dims)):
+        if not m.dims[v] * n.dims[v]:
+            continue
+        section = exactlin.solve(eps.vertex_maps[v], Matrix.identity(field, m.dims[v]))
+        invariant(section is not None, "projective cover is not onto")
+        phi = np.zeros((len(coords[v]), n.dims[v], y.shape[1]), dtype=np.int64)
+        for u in sorted(set(gen_verts)):
+            at = [i for i, (k, _) in enumerate(coords[v]) if gen_verts[k] == u]
+            if not at:
+                continue
+            paths = np.stack([acts[coords[v][i][1]] for i in at])
+            starts = offsets[[coords[v][i][0] for i in at]]
+            phi[at] = _matmul_stacks(paths, y[starts[:, None] + np.arange(n.dims[u])], p)
+        f = _matmul_stacks(section.a.T, phi.reshape(len(phi), -1), p)
+        # f[c, r, j] = entry (r, c) of map j; vec order runs over c, then r
+        parts.append(f.reshape(-1, y.shape[1]))
+    return np.concatenate(parts)
 
 
 def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
     """Hom(m, n) modulo maps factoring through a projective.
 
-    A map factors through some projective iff it factors through the
-    projective cover of n, so the factoring subspace is the image of
-    Hom(m, P(n)) under post-composition with the cover.
+    Works in the generator-image coordinates of the minimal presentation
+    P1 --d--> P0 --eps--> M: a map f is recorded as y(f) = (f(eps g_k))_k in
+    (+)_k N_{v_k}, one image per generator g_k of P0 at its vertex v_k, which
+    determines f.  Hom(M, X) is then the kernel of one small system with a
+    block row per generator of P1 (the relations f(eps d g) = 0), solved for
+    X = N and for X = P(N).  A map factors through some projective iff it
+    factors through the projective cover pi: P(N) -> N, so the factoring
+    subspace is pi applied blockwise to Hom(M, P(N)); no map is composed.
+
+    The total basis keeps `hom_basis(m, n)`'s canonical form, basis and
+    order, since `kernel_form` of its vec coordinates depends only on the
+    subspace.  The representatives are the pivots of [factoring; total] in
+    y-coordinates; y is injective, so they are the members of that basis
+    whose classes are independent modulo the factoring maps, chosen greedily
+    in order as `_quotient_data` chooses them in vec coordinates.
     """
+    if m.algebra != n.algebra:
+        raise ValueError("stable_hom_proj between modules over different algebras")
+    field = m.algebra.field
+    p = field.p
+    eps, relations = _presentation_relations(m)
+    acts = _path_actions(n)
+    homs = _hom_in_images(eps, relations, n, acts)
+    if not homs.shape[1]:
+        return StableHomSpace(m, n, 0, 0, 0, ())
+    canon = exactlin.kernel_form(Matrix(field, _vec_of_images(eps, n, acts, homs)))
+    invariant(canon.cols == homs.shape[1], "generator images do not determine the map")
+    total = _maps_from_vecs(m, n, canon.a)
     cover = projective_cover(n)
-    through = [compose(cover, g) for g in hom_basis(m, cover.source)]
-    return _stable_space(m, n, through)
+    gens = projective_generators(eps.source)
+    to_p = _hom_in_images(eps, relations, cover.source, _path_actions(cover.source))
+    starts = _image_offsets(cover.source, [v for v, _ in gens])
+    through = [
+        _matmul_stacks(cover.vertex_maps[v].a, to_p[starts[k] : starts[k + 1]], p) for k, (v, _) in enumerate(gens)
+    ]
+    # y of the total basis: f_v(eps g_k) for each generator g_k at vertex v
+    vec_starts = np.cumsum([0] + [a * b for a, b in zip(m.dims, n.dims)])
+    images = [
+        _matmul_stacks(
+            eps.vertex_maps[v].a[:, pos][None],
+            canon.a[vec_starts[v] : vec_starts[v + 1]].reshape(m.dims[v], n.dims[v] * len(total)),
+            p,
+        ).reshape(n.dims[v], len(total))
+        for v, pos in gens
+    ]
+    _, pivots = exactlin.rref(Matrix(field, np.hstack([np.vstack(through), np.vstack(images)])))
+    reps = tuple(total[i - to_p.shape[1]] for i in pivots if i >= to_p.shape[1])
+    return StableHomSpace(m, n, len(total), len(total) - len(reps), len(reps), reps)
 
 
 def stable_hom_inj(m: Representation, n: Representation) -> StableHomSpace:
     """Hom(m, n) modulo maps factoring through an injective (via the envelope of m)."""
     env = injective_envelope(m)
-    through = [compose(g, env) for g in hom_basis(env.target, n)]
-    return _stable_space(m, n, through)
+    total = hom_basis(m, n)
+    reps = _quotient_data(m.algebra.field, [compose(g, env) for g in hom_basis(env.target, n)], total)
+    return StableHomSpace(m, n, len(total), len(total) - len(reps), len(reps), reps)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,9 @@ from .quivalg import BoundQuiverAlgebra, opposite
 
 class Representation:
     # _cover and _syzygy memoize the first resolution step (projective_cover,
-    # syzygy_step); like _layout they are not part of equality or the hash.
-    __slots__ = ("algebra", "dims", "arrow_maps", "_layout", "_cover", "_syzygy")
+    # syzygy_step) and _transpose memoizes homalg.transpose; like _layout they
+    # are not part of equality or the hash.
+    __slots__ = ("algebra", "dims", "arrow_maps", "_layout", "_cover", "_syzygy", "_transpose")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims, arrow_maps, validate: bool = True):
         dims = tuple(int(d) for d in dims)
@@ -48,6 +49,7 @@ class Representation:
         object.__setattr__(self, "_layout", None)
         object.__setattr__(self, "_cover", None)
         object.__setattr__(self, "_syzygy", None)
+        object.__setattr__(self, "_transpose", None)
         if validate:
             self._check_relations()
 
@@ -232,14 +234,18 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
         system = Matrix(alg.field, np.vstack(rows))
     else:
         system = Matrix.zeros(alg.field, 0, offsets[-1])
-    null = exactlin.kernel_basis(system)
+    return _maps_from_vecs(m, n, exactlin.kernel_basis(system).a)
+
+
+def _maps_from_vecs(m: Representation, n: Representation, vecs: np.ndarray) -> list[ModuleMap]:
+    """The maps m -> n whose stacked column-major vec(f_v), one block per
+    vertex, are the columns of vecs (`hom_basis`'s coordinates)."""
     out = []
-    for c in range(null.cols):
-        v = null.a[:, c]
-        vms = []
-        for i in range(nv):
-            chunk = v[offsets[i] : offsets[i + 1]]
-            vms.append(Matrix(alg.field, chunk.reshape((n.dims[i], m.dims[i]), order="F")))
+    for v in vecs.T:
+        vms, start = [], 0
+        for ni, mi in zip(n.dims, m.dims):
+            vms.append(Matrix(m.algebra.field, v[start : start + ni * mi].reshape((ni, mi), order="F")))
+            start += ni * mi
         out.append(ModuleMap(m, n, vms, validate=False))
     return out
 

@@ -454,6 +454,18 @@ def test_census_cap_counts_every_map_not_every_line():
         classify_gp_census(semisimple, (4, 2))
 
 
+def test_census_skips_pairs_without_a_mono(monkeypatch):
+    # Hom(k^3, k^2) has 3,907 lines, and no map in any of them is mono
+    semisimple = build_algebra(Quiver(1, []), [], PrimeField(5))
+    visited = []
+    check = arsubcat.is_gp_in_h
+    monkeypatch.setattr(arsubcat, "is_gp_in_h", lambda obj, test: visited.append(obj) or check(obj, test))
+    found = _collect_gp_morph_objects(semisimple, (3, 2))
+    assert visited and all(a <= b for obj in visited for a, b in zip(obj.a.dims, obj.b.dims))
+    # the indecomposable projectives 0 -> k and k = k of the triangular algebra
+    assert [s.dims for s, _ in found] == [(0, 1), (1, 1)]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_line_representatives_are_the_first_vector_of_each_line(p):
     for d in range(5):

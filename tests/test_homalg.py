@@ -674,7 +674,50 @@ def test_memoized_resolution_matches_a_fresh_copy(p):
             assert res[0] == ps and res[1] == ds and res[2] == eps
             assert [q._layout for q in res[0]] == [q._layout for q in ps]
         assert again[2] is eps
+        tr = transpose(m)
+        assert transpose(m) is tr and ar_translate(m) == repmod.k_dual(tr)
+        assert tr == transpose(_copy(m))
         # filled memo slots take no part in equality or the hash
-        assert m._cover is not None and m._syzygy is not None
-        assert untouched._cover is None and untouched._syzygy is None
+        assert m._cover is not None and m._syzygy is not None and m._transpose is not None
+        assert untouched._cover is None and untouched._syzygy is None and untouched._transpose is None
         assert m == untouched and hash(m) == hash(untouched)
+
+
+# ---------------------------------------------------------------------------
+# stable hom through the minimal presentation of the source
+
+
+def _reference_stable_hom_proj(m, n):
+    """The vec-system route: Hom(m, n) and Hom(m, P(n)) from hom_basis, the
+    factoring maps composed with the cover of n, the representatives from
+    `_quotient_data`."""
+    cover = projective_cover(n)
+    through = [compose(cover, g) for g in hom_basis(m, cover.source)]
+    total = hom_basis(m, n)
+    reps = homalg._quotient_data(m.algebra.field, through, total)
+    return homalg.StableHomSpace(m, n, len(total), len(total) - len(reps), len(reps), reps)
+
+
+def comm_square_algebra(p):
+    """0 -a-> 1 -c-> 3, 0 -b-> 2 -d-> 3 with ac = bd."""
+    quiver = Quiver(4, [("a", 0, 1), ("b", 0, 2), ("c", 1, 3), ("d", 2, 3)])
+    return build_algebra(quiver, [[(1, ("a", "c")), (p - 1, ("b", "d"))]], PrimeField(p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stable_hom_proj_matches_the_hom_basis_route(p):
+    from arquiver.quivalg import t2_of
+
+    algebras = [loop_algebra(3, p), a3_radsq_algebra(p), comm_square_algebra(p), t2_of(loop_algebra(2, p))[0]]
+    seen = set()
+    for k, alg in enumerate(algebras):
+        rng = np.random.default_rng([p, k])
+        mods = [random_module(alg, rng, max_mult=2, max_gens=2) for _ in range(4)]
+        mods += [indecomposable_projective(alg, alg.quiver.vertices - 1), repmod.zero_module(alg)]
+        for m in mods:
+            for n in mods:
+                got = stable_hom_proj(m, n)
+                assert got == _reference_stable_hom_proj(m, n)
+                seen.add((got.total_dim > 0, got.factoring_dim > 0, got.stable_dim > 0))
+    # all of Hom factoring, and nonzero factoring and stable parts at once, were met
+    assert {(True, True, False), (True, True, True)} <= seen
