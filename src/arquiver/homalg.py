@@ -6,11 +6,27 @@ The transpose of M is computed symbolically from a minimal projective
 presentation P1 -> P0 -> M: the presentation matrix is read off as elements
 x_{lk} in e_{j_l} A e_{i_k}, reversed into the opposite algebra, and the
 transpose is the cokernel of the dual map between opposite projectives.
+
+Stable Hom (`stable_hom_proj`) and Ext (`ext`) work in generator-image
+coordinates along the minimal resolution ... -> P1 -> P0 -> M, read from
+the memoized steps of M, Omega M, ... (`_presentation_relations`): a map f
+out of a projective with generators g_k at vertices v_k is recorded by
+y(f) = (f(g_k))_k in (+)_k X_{v_k}, which determines it (Yoneda:
+Hom(P(v), X) = X e_v), so a Hom out of a projective needs no equations, and
+f -> f.d is the matrix `_relation_system` of d.  Hom(M, X) is the kernel of
+one such system, and Ext^i(M, N) is the cohomology of
+Hom(P_{i-1}, N) -> Hom(P_i, N) -> Hom(P_{i+1}, N), whose two maps are such
+systems.  The dimensions are ranks and kernels in these coordinates; stable
+Hom builds its representative maps only when they are read, and Ext builds
+only the cocycles of its basis.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +52,6 @@ from .repmod import (
     injective_module,
     is_projective,
     k_dual,
-    map_from_coefficients,
     match_indecomposables,
     non_nilpotent,
     projective_cover,
@@ -85,24 +100,6 @@ def cosyzygy(m: Representation) -> Representation:
     """First cosyzygy: the cokernel of the injective envelope."""
     cok, _ = cokernel(injective_envelope(m))
     return cok
-
-
-def projective_resolution(m: Representation, length: int):
-    """(projectives [P_0..P_length], differentials [d_1..d_length], eps).
-
-    Each step is a minimal cover, so the resolution is minimal.  Its modules
-    and covers are memoized along the chain M, Omega M, Omega^2 M, ...
-    """
-    eps = projective_cover(m)
-    ps = [eps.source]
-    ds = []
-    omega = m
-    for _ in range(length):
-        _, omega, incl = syzygy_step(omega)
-        cover = projective_cover(omega)
-        ds.append(compose(incl, cover))
-        ps.append(cover.source)
-    return ps, ds, eps
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +194,7 @@ def ar_translate_inverse(m: Representation) -> Representation:
 
 
 # ---------------------------------------------------------------------------
-# stable hom
+# stable hom and Ext in generator-image coordinates
 
 
 @dataclass(frozen=True)
@@ -207,7 +204,14 @@ class StableHomSpace:
     total_dim: int
     factoring_dim: int
     stable_dim: int
-    stable_representatives: tuple[ModuleMap, ...]
+    # builds stable_representatives on their first read
+    _representatives: Callable[[], tuple[ModuleMap, ...]] = dataclasses.field(repr=False, compare=False)
+
+    @cached_property
+    def stable_representatives(self) -> tuple[ModuleMap, ...]:
+        """Members of `hom_basis(source, target)` whose classes form a basis
+        of the stable space."""
+        return self._representatives()
 
 
 def _quotient_data(field, sub: list[ModuleMap], total: list[ModuleMap]) -> tuple[ModuleMap, ...]:
@@ -218,15 +222,6 @@ def _quotient_data(field, sub: list[ModuleMap], total: list[ModuleMap]) -> tuple
     flats = np.stack([flatten_map(f) for f in sub + total])
     _, pivots = exactlin.rref(exactlin.transpose(Matrix(field, flats)))
     return tuple(total[i - len(sub)] for i in pivots if i >= len(sub))
-
-
-def _annihilated(basis: list[ModuleMap], images: list[ModuleMap]) -> list[ModuleMap]:
-    """Basis of the combinations of `basis` whose matching combination of
-    `images` (one image per basis element, under a linear map) is zero."""
-    field = basis[0].source.algebra.field
-    flats = np.stack([flatten_map(g) for g in images])
-    coeffs = exactlin.kernel_basis(exactlin.transpose(Matrix(field, flats)))
-    return [map_from_coefficients(basis, [int(x) for x in coeffs.a[:, c]]) for c in range(coeffs.cols)]
 
 
 def _presentation_relations(m: Representation) -> tuple[ModuleMap, list]:
@@ -262,14 +257,15 @@ def _path_actions(x: Representation) -> dict:
 
 
 def _image_offsets(x: Representation, gen_verts) -> np.ndarray:
-    """Where the image of each generator of P0 starts in (+)_k X_{v_k}."""
+    """Where the image of each generator starts in (+)_k X_{v_k}."""
     return np.cumsum([0] + [x.dims[v] for v in gen_verts])
 
 
-def _hom_in_images(eps: ModuleMap, relations, x: Representation, acts: dict) -> np.ndarray:
-    """Hom(M, X) in generator-image coordinates: a basis, as columns, of the
-    y in (+)_k X_{v_k} that kill every relation, that is, with
-    sum_r c_r X(path_r) y_{k_r} = 0 where d(g) = sum_r c_r g_{k_r}.path_r."""
+def _relation_system(eps: ModuleMap, relations, x: Representation, acts: dict) -> np.ndarray:
+    """f -> f.d from Hom(P0, X) to Hom(P1, X) in generator-image coordinates,
+    for P0 = eps.source and d given by `relations`: one block row per
+    generator h of P1, sum_r c_r X(path_r) y_{k_r} where d(h) = sum_r c_r
+    g_{k_r}.path_r.  Its kernel is Hom(coker d, X)."""
     _, gen_verts, coords = eps.source._layout
     p = x.algebra.field.p
     offsets = _image_offsets(x, gen_verts)
@@ -281,78 +277,60 @@ def _hom_in_images(eps: ModuleMap, relations, x: Representation, acts: dict) -> 
             part = system[row : row + x.dims[u], offsets[k] : offsets[k + 1]]
             part[...] = (part + int(col[i]) * acts[bp]) % p
         row += x.dims[u]
-    return exactlin.kernel_basis(Matrix(x.algebra.field, system)).a
+    return system
 
 
-def _vec_of_images(eps: ModuleMap, n: Representation, acts: dict, y: np.ndarray) -> np.ndarray:
-    """The maps M -> N with generator images the columns of y, as columns of
-    stacked column-major vec(f_v) (`hom_basis`'s coordinates).  f_v = Phi_v s_v,
-    where s_v is a section of eps_v and Phi_v's column for P0's basis path
-    (k, path) is N(path) y_k; Phi_v takes one stacked product per vertex of
-    generators."""
-    m = eps.target
-    field = m.algebra.field
-    p = field.p
-    _, gen_verts, coords = eps.source._layout
-    offsets = _image_offsets(n, gen_verts)
-    parts = []
-    for v in range(len(m.dims)):
-        if not m.dims[v] * n.dims[v]:
-            continue
-        section = exactlin.solve(eps.vertex_maps[v], Matrix.identity(field, m.dims[v]))
-        invariant(section is not None, "projective cover is not onto")
-        phi = np.zeros((len(coords[v]), n.dims[v], y.shape[1]), dtype=np.int64)
-        for u in sorted(set(gen_verts)):
+def _maps_on_paths(src: Representation, x: Representation, acts: dict, y: np.ndarray) -> list[np.ndarray]:
+    """The maps src -> X, for a layout-carrying projective src, with generator
+    images the columns of y: per vertex v a stack phi with phi[c, :, j] =
+    X(path) y_k, the image under map j of src's basis path c = (k, path) at v.
+    One stacked product per pair of vertices."""
+    _, gen_verts, coords = src._layout
+    p = x.algebra.field.p
+    offsets = _image_offsets(x, gen_verts)
+    out = []
+    for v in range(len(x.dims)):
+        phi = np.zeros((len(coords[v]), x.dims[v], y.shape[1]), dtype=np.int64)
+        for u in sorted(set(gen_verts)) if x.dims[v] else ():
             at = [i for i, (k, _) in enumerate(coords[v]) if gen_verts[k] == u]
             if not at:
                 continue
             paths = np.stack([acts[coords[v][i][1]] for i in at])
             starts = offsets[[coords[v][i][0] for i in at]]
-            phi[at] = _matmul_stacks(paths, y[starts[:, None] + np.arange(n.dims[u])], p)
-        f = _matmul_stacks(section.a.T, phi.reshape(len(phi), -1), p)
+            phi[at] = _matmul_stacks(paths, y[starts[:, None] + np.arange(x.dims[u])], p)
+        out.append(phi)
+    return out
+
+
+def _vec_of_images(eps: ModuleMap, n: Representation, acts: dict, y: np.ndarray) -> np.ndarray:
+    """The maps M -> N with generator images the columns of y, as columns of
+    stacked column-major vec(f_v) (`hom_basis`'s coordinates): f_v = Phi_v s_v,
+    where s_v is a section of eps_v and Phi_v is the map P0 -> N with those
+    generator images, at v."""
+    m = eps.target
+    field = m.algebra.field
+    parts = []
+    for v, phi in enumerate(_maps_on_paths(eps.source, n, acts, y)):
+        if not m.dims[v] * n.dims[v]:
+            continue
+        section = exactlin.solve(eps.vertex_maps[v], Matrix.identity(field, m.dims[v]))
+        invariant(section is not None, "projective cover is not onto")
+        f = _matmul_stacks(section.a.T, phi.reshape(len(phi), -1), field.p)
         # f[c, r, j] = entry (r, c) of map j; vec order runs over c, then r
         parts.append(f.reshape(-1, y.shape[1]))
     return np.concatenate(parts)
 
 
-def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
-    """Hom(m, n) modulo maps factoring through a projective.
-
-    Works in the generator-image coordinates of the minimal presentation
-    P1 --d--> P0 --eps--> M: a map f is recorded as y(f) = (f(eps g_k))_k in
-    (+)_k N_{v_k}, one image per generator g_k of P0 at its vertex v_k, which
-    determines f.  Hom(M, X) is then the kernel of one small system with a
-    block row per generator of P1 (the relations f(eps d g) = 0), solved for
-    X = N and for X = P(N).  A map factors through some projective iff it
-    factors through the projective cover pi: P(N) -> N, so the factoring
-    subspace is pi applied blockwise to Hom(M, P(N)); no map is composed.
-
-    The total basis keeps `hom_basis(m, n)`'s canonical form, basis and
-    order, since `kernel_form` of its vec coordinates depends only on the
-    subspace.  The representatives are the pivots of [factoring; total] in
-    y-coordinates; y is injective, so they are the members of that basis
-    whose classes are independent modulo the factoring maps, chosen greedily
-    in order as `_quotient_data` chooses them in vec coordinates.
-    """
-    if m.algebra != n.algebra:
-        raise ValueError("stable_hom_proj between modules over different algebras")
+def _proj_representatives(eps: ModuleMap, n: Representation, acts: dict, homs, factoring) -> tuple[ModuleMap, ...]:
+    """`stable_hom_proj`'s representatives, from its kernel `homs` and a
+    basis `factoring` of the factoring maps, both in generator-image
+    coordinates."""
+    m = eps.target
     field = m.algebra.field
     p = field.p
-    eps, relations = _presentation_relations(m)
-    acts = _path_actions(n)
-    homs = _hom_in_images(eps, relations, n, acts)
-    if not homs.shape[1]:
-        return StableHomSpace(m, n, 0, 0, 0, ())
     canon = exactlin.kernel_form(Matrix(field, _vec_of_images(eps, n, acts, homs)))
     invariant(canon.cols == homs.shape[1], "generator images do not determine the map")
     total = _maps_from_vecs(m, n, canon.a)
-    cover = projective_cover(n)
-    gens = projective_generators(eps.source)
-    to_p = _hom_in_images(eps, relations, cover.source, _path_actions(cover.source))
-    starts = _image_offsets(cover.source, [v for v, _ in gens])
-    through = [
-        _matmul_stacks(cover.vertex_maps[v].a, to_p[starts[k] : starts[k + 1]], p) for k, (v, _) in enumerate(gens)
-    ]
     # y of the total basis: f_v(eps g_k) for each generator g_k at vertex v
     vec_starts = np.cumsum([0] + [a * b for a, b in zip(m.dims, n.dims)])
     images = [
@@ -361,11 +339,55 @@ def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
             canon.a[vec_starts[v] : vec_starts[v + 1]].reshape(m.dims[v], n.dims[v] * len(total)),
             p,
         ).reshape(n.dims[v], len(total))
-        for v, pos in gens
+        for v, pos in projective_generators(eps.source)
     ]
-    _, pivots = exactlin.rref(Matrix(field, np.hstack([np.vstack(through), np.vstack(images)])))
-    reps = tuple(total[i - to_p.shape[1]] for i in pivots if i >= to_p.shape[1])
-    return StableHomSpace(m, n, len(total), len(total) - len(reps), len(reps), reps)
+    _, pivots = exactlin.rref(Matrix(field, np.hstack([factoring, np.vstack(images)])))
+    return tuple(total[i - factoring.shape[1]] for i in pivots if i >= factoring.shape[1])
+
+
+def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
+    """Hom(m, n) modulo maps factoring through a projective.
+
+    In the generator-image coordinates (module docstring) of the minimal
+    presentation P1 --d--> P0 --eps--> M, Hom(M, X) is the kernel of the
+    relation system of d for X.  A map factors through some projective iff
+    it factors through the projective cover pi: P(N) -> N, so the factoring
+    subspace is pi applied blockwise to the kernel for X = P(N).  total_dim
+    and factoring_dim are the kernel dimension for N and that subspace's
+    rank; no map is built for them.
+
+    The representatives are built on their first read.  The total basis is
+    mapped to vec coordinates and brought into `exactlin.kernel_form`, which
+    depends only on the subspace, so it is `hom_basis(m, n)` entry for entry.
+    The representatives are the members of that basis that are pivots of
+    [factoring | y(total)]: y is injective, so this is the greedy choice
+    `_quotient_data` makes in vec coordinates.
+    """
+    if m.algebra != n.algebra:
+        raise ValueError("stable_hom_proj between modules over different algebras")
+    field = m.algebra.field
+    p = field.p
+    eps, relations = _presentation_relations(m)
+    acts = _path_actions(n)
+    system = _relation_system(eps, relations, n, acts)
+    homs = exactlin.kernel_basis(Matrix(field, system)).a
+    if not homs.shape[1]:
+        return StableHomSpace(m, n, 0, 0, 0, tuple)
+    cover = projective_cover(n)
+    gens = projective_generators(eps.source)
+    to_p = exactlin.kernel_basis(
+        Matrix(field, _relation_system(eps, relations, cover.source, _path_actions(cover.source)))
+    ).a
+    starts = _image_offsets(cover.source, [v for v, _ in gens])
+    through = np.vstack(
+        [_matmul_stacks(cover.vertex_maps[v].a, to_p[starts[k] : starts[k + 1]], p) for k, (v, _) in enumerate(gens)]
+    )
+    # the reduced rows of through^T: a basis of the factoring maps, as columns
+    red, pivots = exactlin.rref(Matrix(field, through.T))
+    factoring = red.a[: len(pivots)].T
+    invariant(not _matmul_stacks(system, factoring, p).any(), "a map through the projective cover is not in Hom(M, N)")
+    reps = partial(_proj_representatives, eps, n, acts, homs, factoring)
+    return StableHomSpace(m, n, homs.shape[1], len(pivots), homs.shape[1] - len(pivots), reps)
 
 
 def stable_hom_inj(m: Representation, n: Representation) -> StableHomSpace:
@@ -373,35 +395,51 @@ def stable_hom_inj(m: Representation, n: Representation) -> StableHomSpace:
     env = injective_envelope(m)
     total = hom_basis(m, n)
     reps = _quotient_data(m.algebra.field, [compose(g, env) for g in hom_basis(env.target, n)], total)
-    return StableHomSpace(m, n, len(total), len(total) - len(reps), len(reps), reps)
-
-
-# ---------------------------------------------------------------------------
-# Ext
+    return StableHomSpace(m, n, len(total), len(total) - len(reps), len(reps), lambda: reps)
 
 
 @dataclass(frozen=True)
 class ExtSpace:
     dim: int
     cocycles: tuple[ModuleMap, ...]  # maps P_i -> n representing a basis of Ext^i
-    projectives: tuple[Representation, ...]  # P_0 .. P_{i+1} of the minimal resolution
-    differentials: tuple[ModuleMap, ...]  # d_1 .. d_{i+1}
-    eps: ModuleMap
 
 
 def ext(m: Representation, n: Representation, i: int) -> ExtSpace:
-    """Ext^i(m, n) for i >= 1, from a minimal projective resolution of m."""
+    """Ext^i(m, n) for i >= 1: the cohomology of
+    Hom(P_{i-1}, N) -> Hom(P_i, N) -> Hom(P_{i+1}, N) along the minimal
+    projective resolution of m, in generator-image coordinates.
+
+    The two maps are the relation systems of d_i and d_{i+1} for N, read from
+    the presentations of Omega^{i-1} m and Omega^i m.  The cocycles Z are the
+    kernel of the second and the coboundaries B the column span of the
+    first; the members of Z's basis that are pivots of [B | Z] form a basis
+    of Ext^i, and each is built as the map P_i -> n with those generator
+    images.
+    """
     if i < 1:
         raise ValueError("ext is implemented for i >= 1")
-    ps, ds, eps = projective_resolution(m, i + 1)
-    h_i = hom_basis(ps[i], n)
-    if not h_i:
-        return ExtSpace(0, (), tuple(ps), tuple(ds), eps)
-    cocycles = _annihilated(h_i, [compose(h, ds[i]) for h in h_i])
-    # coboundaries: g . d_i for g in Hom(P_{i-1}, n); these are cocycles already
-    bound = [compose(g, ds[i - 1]) for g in hom_basis(ps[i - 1], n)]
-    reps = _quotient_data(m.algebra.field, bound, cocycles)
-    return ExtSpace(len(reps), reps, tuple(ps), tuple(ds), eps)
+    if m.algebra != n.algebra:
+        raise ValueError("ext between modules over different algebras")
+    field = n.algebra.field
+    omega = m
+    for _ in range(i - 1):
+        omega = syzygy(omega)
+    acts = _path_actions(n)
+    bound = _relation_system(*_presentation_relations(omega), n, acts)
+    eps_i, relations = _presentation_relations(syzygy(omega))
+    closed = _relation_system(eps_i, relations, n, acts)
+    invariant(not _matmul_stacks(closed, bound, field.p).any(), "resolution is not a complex: d d != 0")
+    z = exactlin.kernel_basis(Matrix(field, closed)).a
+    _, pivots = exactlin.rref(Matrix(field, np.hstack([bound, z])))
+    y = z[:, [c - bound.shape[1] for c in pivots if c >= bound.shape[1]]]
+    if not y.shape[1]:
+        return ExtSpace(0, ())
+    phis = _maps_on_paths(eps_i.source, n, acts, y)
+    cocycles = tuple(
+        ModuleMap(eps_i.source, n, [Matrix(field, phi[:, :, j].T) for phi in phis], validate=False)
+        for j in range(y.shape[1])
+    )
+    return ExtSpace(len(cocycles), cocycles)
 
 
 def ext_dim(m: Representation, n: Representation, i: int) -> int:
@@ -414,20 +452,19 @@ def extension_from_cocycle(
     """Middle term of the short exact sequence 0 -> n -> E -> m -> 0 whose
     class is space.cocycles[k], where space = ext(m, n, 1).
 
-    The cocycle f: P1 -> n kills the image of d2, so it descends to the
-    syzygy Omega(m) = im(d1); E is the pushout of Omega(m) -> P0 along that
-    map.  Returns (E, inclusion of n, projection onto m).
+    The cocycle f: P1 -> n kills the image of d2, so it descends along the
+    cover pi: P1 -> Omega(m) (d1 = kappa . pi, with kappa: Omega(m) -> P0);
+    E is the pushout of kappa along that map.  Returns (E, inclusion of n,
+    projection onto m).
     """
-    if len(space.differentials) < 2:
-        raise ValueError("extension_from_cocycle needs an ExtSpace computed for i = 1")
     f = space.cocycles[k]
-    d1, eps = space.differentials[0], space.eps
+    eps, omega, kappa = syzygy_step(m)
+    pi = projective_cover(omega)
+    fbar = solve_hom_equation(omega, n, f, pre=pi) if (f.source, f.target) == (pi.source, n) else None
+    if fbar is None:
+        raise ValueError("extension_from_cocycle needs a cocycle of ext(m, n, 1)")
     p = m.algebra.field.p
-    cover, omega, kappa = syzygy_step(eps.target)
-    invariant(cover is eps, "Ext space is not built on the shared projective cover")
-    pi = solve_hom_equation(d1.source, omega, d1, post=kappa)
-    fbar = solve_hom_equation(omega, n, f, pre=pi)
-    total, incls, projs = direct_sum([n, d1.target])
+    total, incls, projs = direct_sum([n, eps.source])
     g = add_maps(compose(incls[0], fbar), scale_map(p - 1, compose(incls[1], kappa)))
     e, proj_e = cokernel(g)
     incl_n = compose(proj_e, incls[0])

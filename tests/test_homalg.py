@@ -7,6 +7,7 @@ from arquiver import exactlin, homalg, repmod
 from arquiver.errors import NotProjective
 from arquiver.exactlin import Matrix, PrimeField
 from arquiver.homalg import (
+    ExtSpace,
     ar_translate,
     ar_translate_inverse,
     cosyzygy,
@@ -17,7 +18,6 @@ from arquiver.homalg import (
     minimal_presentation,
     nakayama,
     nonprojective_summands,
-    projective_resolution,
     right_minimalize,
     stable_hom_inj,
     stable_hom_proj,
@@ -31,13 +31,16 @@ from arquiver.repmod import (
     cokernel,
     compose,
     direct_sum,
+    flatten_map,
     hom_basis,
     indecomposable_projective,
     injective_envelope,
     is_isomorphic,
+    map_from_coefficients,
     projective_cover,
     random_module,
     regular_module,
+    syzygy_step,
 )
 
 
@@ -68,6 +71,31 @@ def jordan2(alg):
 def flat(f):
     parts = [vm.a.ravel() for vm in f.vertex_maps]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def projective_resolution(m, length):
+    """(projectives [P_0..P_length], differentials [d_1..d_length], eps) of
+    the minimal resolution, from the memoized steps along M, Omega M, ...;
+    the vec-route reference that `ext` no longer needs."""
+    eps = projective_cover(m)
+    ps = [eps.source]
+    ds = []
+    omega = m
+    for _ in range(length):
+        _, omega, incl = syzygy_step(omega)
+        cover = projective_cover(omega)
+        ds.append(compose(incl, cover))
+        ps.append(cover.source)
+    return ps, ds, eps
+
+
+def _annihilated(basis, images):
+    """Basis of the combinations of `basis` whose matching combination of
+    `images` (one image per basis element, under a linear map) is zero."""
+    field = basis[0].source.algebra.field
+    flats = np.stack([flatten_map(g) for g in images])
+    coeffs = exactlin.kernel_basis(exactlin.transpose(Matrix(field, flats)))
+    return [map_from_coefficients(basis, [int(x) for x in coeffs.a[:, c]]) for c in range(coeffs.cols)]
 
 
 def ext1_via_injective_coresolution(m, n):
@@ -279,10 +307,12 @@ def test_ext1_matches_injective_coresolution_oracle():
 
 def test_ext_cocycles_are_cocycles_not_coboundaries():
     alg = loop_algebra(3)
-    e = ext(simple(alg, 0), jordan2(alg), 1)
+    s = simple(alg, 0)
+    e = ext(s, jordan2(alg), 1)
+    _, ds, _ = projective_resolution(s, 2)
     assert len(e.cocycles) == e.dim
     for z in e.cocycles:
-        assert compose(z, e.differentials[1]).is_zero()
+        assert compose(z, ds[1]).is_zero()
         assert not z.is_zero()
 
 
@@ -459,7 +489,7 @@ def _reference_stable_ideal_power(h):
     endos = hom_basis(m, m)
     if not endos:
         return []
-    vbasis = homalg._annihilated(endos, [compose(h, e) for e in endos])
+    vbasis = _annihilated(endos, [compose(h, e) for e in endos])
     w = vbasis
     while w:
         w2 = list(homalg._quotient_data(m.algebra.field, [], [compose(u, x) for u in vbasis for x in w]))
@@ -695,7 +725,7 @@ def _reference_stable_hom_proj(m, n):
     through = [compose(cover, g) for g in hom_basis(m, cover.source)]
     total = hom_basis(m, n)
     reps = homalg._quotient_data(m.algebra.field, through, total)
-    return homalg.StableHomSpace(m, n, len(total), len(total) - len(reps), len(reps), reps)
+    return homalg.StableHomSpace(m, n, len(total), len(total) - len(reps), len(reps), lambda: reps)
 
 
 def comm_square_algebra(p):
@@ -704,20 +734,115 @@ def comm_square_algebra(p):
     return build_algebra(quiver, [[(1, ("a", "c")), (p - 1, ("b", "d"))]], PrimeField(p))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_stable_hom_proj_matches_the_hom_basis_route(p):
+def _reference_cases(p):
+    """(algebra, modules) over GF(p): four random modules, a projective and
+    the zero module over each of four algebras."""
     from arquiver.quivalg import t2_of
 
     algebras = [loop_algebra(3, p), a3_radsq_algebra(p), comm_square_algebra(p), t2_of(loop_algebra(2, p))[0]]
-    seen = set()
     for k, alg in enumerate(algebras):
         rng = np.random.default_rng([p, k])
         mods = [random_module(alg, rng, max_mult=2, max_gens=2) for _ in range(4)]
-        mods += [indecomposable_projective(alg, alg.quiver.vertices - 1), repmod.zero_module(alg)]
+        yield alg, mods + [indecomposable_projective(alg, alg.quiver.vertices - 1), repmod.zero_module(alg)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stable_hom_proj_matches_the_hom_basis_route(p):
+    seen = set()
+    for _, mods in _reference_cases(p):
         for m in mods:
             for n in mods:
-                got = stable_hom_proj(m, n)
-                assert got == _reference_stable_hom_proj(m, n)
+                got, want = stable_hom_proj(m, n), _reference_stable_hom_proj(m, n)
+                # the dimensions, then the representatives map for map
+                assert got == want
+                assert len(got.stable_representatives) == got.stable_dim
+                assert got.stable_representatives == want.stable_representatives
                 seen.add((got.total_dim > 0, got.factoring_dim > 0, got.stable_dim > 0))
     # all of Hom factoring, and nonzero factoring and stable parts at once, were met
     assert {(True, True, False), (True, True, True)} <= seen
+
+
+def test_stable_representatives_are_built_on_first_read_only(monkeypatch):
+    calls = []
+    for mod, name in ((homalg, "_vec_of_images"), (exactlin, "kernel_form")):
+        monkeypatch.setattr(mod, name, lambda *a, f=getattr(mod, name), name=name: calls.append(name) or f(*a))
+    alg = loop_algebra(3)
+    s, j2 = simple(alg, 0), jordan2(alg)
+    space = stable_hom_proj(direct_sum([s, regular_module(alg)])[0], j2)
+    assert (space.total_dim, space.factoring_dim, space.stable_dim) == (3, 2, 1)
+    assert calls == []
+    reps = space.stable_representatives
+    assert sorted(calls) == ["_vec_of_images", "kernel_form"]
+    assert space.stable_representatives is reps and len(calls) == 2
+    assert reps == _reference_stable_hom_proj(space.source, j2).stable_representatives
+
+
+def _reference_ext(m, n, i):
+    """The vec route: cocycles in hom_basis(P_i, n) killed by d_{i+1}, the
+    coboundaries g.d_i for g in hom_basis(P_{i-1}, n), the representatives
+    from `_quotient_data`.  Returns (representatives, coboundaries, d_{i+1})."""
+    ps, ds, _ = projective_resolution(m, i + 1)
+    h_i = hom_basis(ps[i], n)
+    bound = [compose(g, ds[i - 1]) for g in hom_basis(ps[i - 1], n)]
+    if not h_i:
+        return (), bound, ds[i]
+    cocycles = _annihilated(h_i, [compose(h, ds[i]) for h in h_i])
+    return homalg._quotient_data(m.algebra.field, bound, cocycles), bound, ds[i]
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ext_matches_the_hom_basis_route(p, i):
+    field = PrimeField(p)
+    nonzero = 0
+    for _, mods in _reference_cases(p):
+        for m in mods:
+            for n in mods:
+                got = ext(m, n, i)
+                reps, bound, d_next = _reference_ext(m, n, i)
+                assert got.dim == len(got.cocycles) == len(reps)
+                for z in got.cocycles:
+                    # a module map P_i -> n that kills d_{i+1}
+                    assert ModuleMap(z.source, z.target, z.vertex_maps, validate=True) == z
+                    assert compose(z, d_next).is_zero()
+                # the cocycles are independent modulo the reference coboundaries
+                if got.cocycles:
+                    ranks = [
+                        exactlin.rank(Matrix(field, np.stack([flatten_map(f) for f in maps])))
+                        if maps
+                        else 0
+                        for maps in (bound, bound + list(got.cocycles))
+                    ]
+                    assert ranks[1] == ranks[0] + got.dim
+                nonzero += got.dim > 0
+    assert nonzero
+
+
+def test_ext_and_stable_hom_reject_bad_arguments():
+    s = simple(loop_algebra(2), 0)
+    other = simple(a2_algebra(), 0)
+    with pytest.raises(ValueError):
+        ext(s, simple(loop_algebra(2, 3), 0), 1)
+    with pytest.raises(ValueError):
+        ext(other, s, 1)
+    for i in (0, -1):
+        with pytest.raises(ValueError):
+            ext(s, s, i)
+    with pytest.raises(ValueError):
+        stable_hom_proj(s, other)
+    with pytest.raises(ValueError):
+        stable_hom_proj(s, simple(loop_algebra(2, 3), 0))
+
+
+def test_extension_from_cocycle_wants_an_ext1_cocycle():
+    from arquiver.homalg import extension_from_cocycle
+
+    alg = a3_radsq_algebra(5)
+    s0, s2 = simple(alg, 0), simple(alg, 2)
+    # Ext^2(S0, S2) = k, its cocycle lives on P2 = P(2), not on P1 = P(1)
+    space = ext(s0, s2, 2)
+    assert space.dim == 1
+    with pytest.raises(ValueError):
+        extension_from_cocycle(s0, s2, space)
+    with pytest.raises(ValueError):
+        extension_from_cocycle(s0, s2, ExtSpace(1, (repmod.zero_map(s0, s2),)))
