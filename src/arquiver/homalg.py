@@ -18,7 +18,9 @@ one such system, and Ext^i(M, N) is the cohomology of
 Hom(P_{i-1}, N) -> Hom(P_i, N) -> Hom(P_{i+1}, N), whose two maps are such
 systems.  The dimensions are ranks and kernels in these coordinates; stable
 Hom builds its representative maps only when they are read, and Ext builds
-only the cocycles of its basis.
+only the cocycles of its basis.  Every map out of a projective is built from
+its generator images by `repmod._maps_on_paths`: the projective cover, the
+dual D(d) in `transpose`, the Ext cocycles and the stable Hom representatives.
 """
 
 from __future__ import annotations
@@ -56,13 +58,15 @@ from .repmod import (
     non_nilpotent,
     projective_cover,
     projective_generators,
-    projective_map_from_generator_images,
     projective_module,
     scale_map,
     solve_hom_equation,
     syzygy_step,
     _fitting_split,
+    _image_offsets,
     _maps_from_vecs,
+    _maps_on_paths,
+    _path_actions,
     _product_span,
     _total_stack,
 )
@@ -111,30 +115,30 @@ def dual_of_projective_map(g: ModuleMap) -> ModuleMap:
 
     For g: P -> Q over Λ, returns g*: Q* -> P* over opposite(Λ), where R* is
     the projective over the opposite algebra on the same summand vertex list.
+    Generator l of Q* goes to the element of P* read off the row of g at
+    Q's summand l; raises NotProjective unless both ends were built by
+    `repmod.projective_module`.
     """
-    alg = g.source.algebra
-    op = opposite(alg)
-    src_verts = g.source._layout[1]
-    tgt_verts = g.target._layout[1]
-    gens_src = projective_generators(g.source)
-    _, _, coords_tgt = g.target._layout
-    pstar = projective_module(op, src_verts)
+    if any(x._layout is None or x._layout[0] != "proj" for x in (g.source, g.target)):
+        raise NotProjective("dual_of_projective_map needs projective modules with their layout")
+    op = opposite(g.source.algebra)
+    _, tgt_verts, coords_tgt = g.target._layout
+    pstar = projective_module(op, g.source._layout[1])
     qstar = projective_module(op, tgt_verts)
-    gen_images: list[dict] = [dict() for _ in tgt_verts]
-    p = alg.field.p
-    for k, (vk, pos) in enumerate(gens_src):
+    coords_p = pstar._layout[2]
+    offsets = _image_offsets(pstar, tgt_verts)
+    y = np.zeros((offsets[-1], 1), dtype=np.int64)
+    for k, (vk, pos) in enumerate(projective_generators(g.source)):
         # image of generator k of P: a column over Q's basis at vertex vk
         col = g.vertex_maps[vk].a[:, pos]
-        for row, (l, bp) in enumerate(coords_tgt[vk]):
-            c = int(col[row])
-            if not c:
-                continue
+        for row in np.flatnonzero(col):
+            l, bp = coords_tgt[vk][row]
             # bp runs tgt_verts[l] -> vk in the algebra; its reversal starts
             # at vk in the opposite algebra and need not be a normal form there
-            for nf, c2 in op.reduce_path(vk, tuple(reversed(bp[1]))).items():
-                key = (k, nf)
-                gen_images[l][key] = (gen_images[l].get(key, 0) + c * c2) % p
-    return projective_map_from_generator_images(qstar, pstar, gen_images)
+            for nf, c in op.reduce_path(vk, tuple(reversed(bp[1]))).items():
+                y[offsets[l] + coords_p[tgt_verts[l]].index((k, nf))] += int(col[row]) * c
+    phis = _maps_on_paths(qstar, pstar, _path_actions(pstar), y % op.field.p)
+    return ModuleMap(qstar, pstar, [Matrix(op.field, phi[:, :, 0].T) for phi in phis], validate=True)
 
 
 def transpose(m: Representation) -> Representation:
@@ -238,29 +242,6 @@ def _presentation_relations(m: Representation) -> tuple[ModuleMap, list]:
     ]
 
 
-def _path_actions(x: Representation) -> dict:
-    """X(path) for every basis path of the algebra, keyed by the path; each
-    path costs one product, onto the action of its prefix."""
-    p = x.algebra.field.p
-    acts: dict = {}
-
-    def act(src, arrows):
-        if (src, arrows) not in acts:
-            acts[src, arrows] = (
-                _matmul_stacks(x.arrow_maps[arrows[-1]].a, act(src, arrows[:-1]), p)
-                if arrows
-                else np.eye(x.dims[src], dtype=np.int64)
-            )
-        return acts[src, arrows]
-
-    return {bp: act(*bp) for bp in x.algebra.basis}
-
-
-def _image_offsets(x: Representation, gen_verts) -> np.ndarray:
-    """Where the image of each generator starts in (+)_k X_{v_k}."""
-    return np.cumsum([0] + [x.dims[v] for v in gen_verts])
-
-
 def _relation_system(eps: ModuleMap, relations, x: Representation, acts: dict) -> np.ndarray:
     """f -> f.d from Hom(P0, X) to Hom(P1, X) in generator-image coordinates,
     for P0 = eps.source and d given by `relations`: one block row per
@@ -278,28 +259,6 @@ def _relation_system(eps: ModuleMap, relations, x: Representation, acts: dict) -
             part[...] = (part + int(col[i]) * acts[bp]) % p
         row += x.dims[u]
     return system
-
-
-def _maps_on_paths(src: Representation, x: Representation, acts: dict, y: np.ndarray) -> list[np.ndarray]:
-    """The maps src -> X, for a layout-carrying projective src, with generator
-    images the columns of y: per vertex v a stack phi with phi[c, :, j] =
-    X(path) y_k, the image under map j of src's basis path c = (k, path) at v.
-    One stacked product per pair of vertices."""
-    _, gen_verts, coords = src._layout
-    p = x.algebra.field.p
-    offsets = _image_offsets(x, gen_verts)
-    out = []
-    for v in range(len(x.dims)):
-        phi = np.zeros((len(coords[v]), x.dims[v], y.shape[1]), dtype=np.int64)
-        for u in sorted(set(gen_verts)) if x.dims[v] else ():
-            at = [i for i, (k, _) in enumerate(coords[v]) if gen_verts[k] == u]
-            if not at:
-                continue
-            paths = np.stack([acts[coords[v][i][1]] for i in at])
-            starts = offsets[[coords[v][i][0] for i in at]]
-            phi[at] = _matmul_stacks(paths, y[starts[:, None] + np.arange(x.dims[u])], p)
-        out.append(phi)
-    return out
 
 
 def _vec_of_images(eps: ModuleMap, n: Representation, acts: dict, y: np.ndarray) -> np.ndarray:
@@ -557,11 +516,9 @@ def is_selfinjective(alg) -> bool:
 def nakayama(p_mod: Representation) -> Representation:
     """nu(P) = D Hom(P, A): sends the projective on a vertex list to the
     injective on the same list.  Errors on non-projectives."""
-    cover = projective_cover(p_mod)
-    if not all(exactlin.kernel_basis(vm).cols == 0 for vm in cover.vertex_maps):
+    if not is_projective(p_mod):
         raise NotProjective("nakayama functor applied to a non-projective module")
-    verts = cover.source._layout[1]
-    return injective_module(p_mod.algebra, verts)
+    return injective_module(p_mod.algebra, projective_cover(p_mod).source._layout[1])
 
 
 def nonprojective_summands(m: Representation) -> list[Representation]:

@@ -13,8 +13,8 @@ On top of the identification this module provides:
 
 - mimo: the minimal enlargement of f: A -> B to a monomorphism
   A -> B (+) I(ker f), a minimal right approximation of f by mono objects;
-- imin / pmin: the two-step minimal injective / projective resolution of a
-  module, viewed as an object here;
+- imin: the two-step minimal injective resolution of a module, viewed as
+  an object here;
 - is_gp_in_h: the Gorenstein-projectivity test for objects (source, target
   and cokernel Gorenstein projective over the base, and f mono);
 - tau_s_lambda: the translation of the submodule category over a
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .errors import NotMono, NotSelfInjective, invariant
 from .exactlin import Matrix
-from .homalg import ar_translate_of_map, is_selfinjective, minimal_presentation
+from .homalg import ar_translate_of_map, is_selfinjective
 from .quivalg import BoundQuiverAlgebra, t2_base_of, t2_of
 from .repmod import (
     ModuleMap,
@@ -189,10 +189,6 @@ def morph_hom_basis(x: MorphObject, y: MorphObject) -> list[MorphMap]:
     return out
 
 
-def morph_hom_dim(x: MorphObject, y: MorphObject) -> int:
-    return len(morph_hom_basis(x, y))
-
-
 def factor_morph_map_through(m: MorphMap, c: MorphMap) -> MorphMap | None:
     """Some h: m.source -> c.source with c∘h = m, or None.
 
@@ -245,7 +241,7 @@ def mimo(obj: MorphObject) -> tuple[MorphObject, MorphMap]:
 
 
 # ---------------------------------------------------------------------------
-# IMin / PMin
+# IMin
 
 
 def imin(n: Representation) -> MorphObject:
@@ -254,12 +250,6 @@ def imin(n: Representation) -> MorphObject:
     cok, proj = cokernel(env0)
     env1 = injective_envelope(cok)
     return MorphObject(env0.target, env1.target, compose(env1, proj))
-
-
-def pmin(n: Representation) -> MorphObject:
-    """(P1 -> P0): the minimal projective presentation of n."""
-    pres = minimal_presentation(n)
-    return MorphObject(pres.p1, pres.p0, pres.d)
 
 
 # ---------------------------------------------------------------------------

@@ -250,10 +250,6 @@ def _maps_from_vecs(m: Representation, n: Representation, vecs: np.ndarray) -> l
     return out
 
 
-def hom_dim(m: Representation, n: Representation) -> int:
-    return len(hom_basis(m, n))
-
-
 def map_from_coefficients(basis: list[ModuleMap], coeffs) -> ModuleMap:
     f = basis[0]
     out = zero_map(f.source, f.target)
@@ -535,25 +531,18 @@ def _build_projective_cover(m: Representation) -> ModuleMap:
     alg = m.algebra
     spans = radical_spans(m)
     verts: list[int] = []
-    lifts: list[tuple[int, Matrix]] = []  # (vertex, chosen preimage of a top basis vector)
+    lifts: list[np.ndarray] = []  # chosen preimages of the top basis vectors
     for j in range(alg.quiver.vertices):
         _, e, _ = _complement_data(spans[j])
-        for c in range(e.cols):
-            verts.append(j)
-            lifts.append((j, Matrix(alg.field, e.a[:, c : c + 1])))
+        verts += [j] * e.cols
+        lifts += list(e.a.T)
     if not verts:
         invariant(m.is_zero(), "nonzero module with zero top")
         z = projective_module(alg, ())
         return ModuleMap(z, m, [Matrix.zeros(alg.field, d, 0) for d in m.dims], validate=False)
     cover_src = projective_module(alg, verts)
-    _, _, coords = cover_src._layout
-    vms = []
-    for l in range(alg.quiver.vertices):
-        mat = np.zeros((m.dims[l], cover_src.dims[l]), dtype=np.int64)
-        for pos, (k, bp) in enumerate(coords[l]):
-            vec = exactlin.multiply(m.apply_path(bp[0], bp[1]), lifts[k][1])
-            mat[:, pos] = vec.a[:, 0]
-        vms.append(Matrix(alg.field, mat))
+    phis = _maps_on_paths(cover_src, m, _path_actions(m), np.concatenate(lifts)[:, None])
+    vms = [Matrix(alg.field, phi[:, :, 0].T) for phi in phis]
     cover = ModuleMap(cover_src, m, vms, validate=True)
     # onto, with superfluous kernel
     rad_p = radical_spans(cover_src)
@@ -584,31 +573,57 @@ def projective_generators(proj: Representation) -> list[tuple[int, int]]:
     return out
 
 
-def projective_map_from_generator_images(
-    src: Representation, tgt: Representation, gen_images: list[dict]
-) -> ModuleMap:
-    """The module map src -> tgt between layout-carrying projectives sending
-    generator l to the element gen_images[l] of tgt (keyed (summand, basis path))."""
-    alg = src.algebra
-    _, verts_s, coords_s = src._layout
-    _, verts_t, coords_t = tgt._layout
-    nv = alg.quiver.vertices
-    index_t = {v: {pair: pos for pos, pair in enumerate(coords_t[v])} for v in range(nv)}
-    p = alg.field.p
-    vms = [np.zeros((tgt.dims[v], src.dims[v]), dtype=np.int64) for v in range(nv)]
-    for v in range(nv):
-        for pos, (l, bp) in enumerate(coords_s[v]):
-            for (k, q), c in gen_images[l].items():
-                for nf, c2 in alg.reduce_path(q[0], q[1] + bp[1]).items():
-                    vms[v][index_t[v][(k, nf)], pos] = (
-                        vms[v][index_t[v][(k, nf)], pos] + c * c2
-                    ) % p
-    return ModuleMap(src, tgt, [Matrix(alg.field, m) for m in vms], validate=True)
+def _path_actions(x: Representation) -> dict:
+    """X(path) for every basis path of the algebra, keyed by the path; each
+    path costs one product, onto the action of its prefix."""
+    p = x.algebra.field.p
+    acts: dict = {}
+
+    def act(src, arrows):
+        if (src, arrows) not in acts:
+            acts[src, arrows] = (
+                _matmul_stacks(x.arrow_maps[arrows[-1]].a, act(src, arrows[:-1]), p)
+                if arrows
+                else np.eye(x.dims[src], dtype=np.int64)
+            )
+        return acts[src, arrows]
+
+    return {bp: act(*bp) for bp in x.algebra.basis}
+
+
+def _image_offsets(x: Representation, gen_verts) -> np.ndarray:
+    """Where the image of each generator starts in (+)_k X_{v_k}."""
+    return np.cumsum([0] + [x.dims[v] for v in gen_verts])
+
+
+def _maps_on_paths(src: Representation, x: Representation, acts: dict, y: np.ndarray) -> list[np.ndarray]:
+    """The maps src -> X, for a layout-carrying projective src, with generator
+    images the columns of y: per vertex v a stack phi with phi[c, :, j] =
+    X(path) y_k, the image under map j of src's basis path c = (k, path) at v.
+    One stacked product per pair of vertices.  This is the one builder of
+    maps out of a projective (Yoneda: Hom(P(v), X) = X e_v): projective
+    covers, homalg's D(d) in the transpose, Ext cocycles and stable Hom
+    representatives all come from it."""
+    _, gen_verts, coords = src._layout
+    p = x.algebra.field.p
+    offsets = _image_offsets(x, gen_verts)
+    out = []
+    for v in range(len(x.dims)):
+        phi = np.zeros((len(coords[v]), x.dims[v], y.shape[1]), dtype=np.int64)
+        for u in sorted(set(gen_verts)) if x.dims[v] else ():
+            at = [i for i, (k, _) in enumerate(coords[v]) if gen_verts[k] == u]
+            if not at:
+                continue
+            paths = np.stack([acts[coords[v][i][1]] for i in at])
+            starts = offsets[[coords[v][i][0] for i in at]]
+            phi[at] = _matmul_stacks(paths, y[starts[:, None] + np.arange(x.dims[u])], p)
+        out.append(phi)
+    return out
 
 
 def is_projective(m: Representation) -> bool:
-    cover = projective_cover(m)
-    return all(exactlin.kernel_basis(vm).cols == 0 for vm in cover.vertex_maps)
+    """The cover P(M) -> M is onto, so M is projective iff P(M) is no larger."""
+    return projective_cover(m).source.dims == m.dims
 
 
 # ---------------------------------------------------------------------------

@@ -846,3 +846,75 @@ def test_extension_from_cocycle_wants_an_ext1_cocycle():
         extension_from_cocycle(s0, s2, space)
     with pytest.raises(ValueError):
         extension_from_cocycle(s0, s2, ExtSpace(1, (repmod.zero_map(s0, s2),)))
+
+
+# ---------------------------------------------------------------------------
+# maps out of a projective: one builder for covers, D(d) and cocycles
+
+
+def small_algebras():
+    """The five algebras of the `homalg-small` benchmark workload."""
+    from arquiver.quivalg import t2_of
+
+    return [
+        loop_algebra(4, 2),
+        a3_radsq_algebra(3),
+        t2_of(loop_algebra(2, 5))[0],
+        comm_square_algebra(3),
+        t2_of(loop_algebra(3, 2))[0],
+    ]
+
+
+def test_dual_of_projective_map_is_an_involution():
+    from arquiver.homalg import dual_of_projective_map
+    from arquiver.repmod import projective_module
+
+    checked = 0
+    for k, alg in enumerate(small_algebras()):
+        rng = np.random.default_rng(k)
+        nv = alg.quiver.vertices
+        for _ in range(6):
+            p, q = (projective_module(alg, rng.integers(0, nv, size=int(rng.integers(1, 4)))) for _ in range(2))
+            basis = hom_basis(p, q)
+            if not basis:
+                continue
+            g = map_from_coefficients(basis, rng.integers(0, alg.field.p, size=len(basis)))
+            assert dual_of_projective_map(dual_of_projective_map(g)) == g
+            checked += 1
+    assert checked >= 20
+
+
+def test_dual_of_projective_map_rejects_ends_that_are_not_projective():
+    from arquiver.homalg import dual_of_projective_map
+    from arquiver.repmod import indecomposable_injective
+
+    alg = a3_radsq_algebra(3)
+    p1 = indecomposable_projective(alg, 1)
+    no_layout = _copy(p1)  # the same module, not built by projective_module
+    maps = [
+        hom_basis(p1, indecomposable_injective(alg, 1))[0],  # an injective layout
+        hom_basis(p1, no_layout)[0],
+        hom_basis(no_layout, p1)[0],
+    ]
+    for g in maps:
+        with pytest.raises(NotProjective):
+            dual_of_projective_map(g)
+
+
+def test_cover_columns_are_paths_applied_to_generator_images():
+    from arquiver.repmod import projective_generators
+
+    for k, alg in enumerate(small_algebras()):
+        rng = np.random.default_rng([k, 1])
+        for _ in range(3):
+            m = random_module(alg, rng, max_mult=2, max_gens=2)
+            cover = projective_cover(m)
+            gens = [
+                Matrix(alg.field, cover.vertex_maps[v].a[:, pos : pos + 1])
+                for v, pos in projective_generators(cover.source)
+            ]
+            _, _, coords = cover.source._layout
+            for v, vm in enumerate(cover.vertex_maps):
+                for c, (g, path) in enumerate(coords[v]):
+                    want = exactlin.multiply(m.apply_path(*path), gens[g])
+                    assert (vm.a[:, c : c + 1] == want.a).all(), (k, v, c)

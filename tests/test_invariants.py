@@ -185,3 +185,34 @@ def test_resolution_layers_make_no_random_generator():
     for name in ("repmod.py", "homalg.py"):
         found += [f"{name}:{x}" for x in _random_generator_uses((Path(arquiver.__file__).parent / name).read_text())]
     assert found == []
+
+
+def _unreferenced_private_defs(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes named `_...` that no code in
+    `sources` (file name -> text) reads by name or attribute, outside their
+    own definition: dead helpers.  An import alone is not a use."""
+    private, used = [], set()
+    for name, source in sources.items():
+        for top in ast.parse(source).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            if own and own.startswith("_"):
+                private.append((name, own))
+            for node in ast.walk(top):
+                ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if ref and ref != own:
+                    used.add(ref)
+    return [f"{name}:{own}" for name, own in private if own not in used]
+
+
+def test_dead_helper_check_finds_unused_private_defs():
+    sources = {
+        "a.py": "def _used():\n    return 1\n\ndef _recursive(n):\n    return _recursive(n - 1)\n\n"
+        "class _Dead:\n    pass\n\ndef public():\n    return _used()\n",
+        "b.py": "from .a import _Dead, _recursive\nimport a\n\nx = a._lonely\n\ndef _lonely():\n    pass\n",
+    }
+    assert _unreferenced_private_defs(sources) == ["a.py:_recursive", "a.py:_Dead"]
+
+
+def test_package_has_no_dead_private_helpers():
+    sources = {path.name: path.read_text() for path in sorted(Path(arquiver.__file__).parent.glob("*.py"))}
+    assert _unreferenced_private_defs(sources) == []
