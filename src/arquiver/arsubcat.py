@@ -345,12 +345,18 @@ def _all_modules_with_dims(alg: BoundQuiverAlgebra, dims):
     return list(classes.values())
 
 
-def _iso_classes_within(alg: BoundQuiverAlgebra, caps):
-    """Representatives of every iso class with dims bounded by caps
-    coordinatewise, the zero module included."""
+def _fits(dims, caps) -> bool:
+    return all(d <= c for d, c in zip(dims, caps))
+
+
+def _iso_classes_within(alg: BoundQuiverAlgebra, *caps):
+    """Representatives of every iso class with dims under one of caps
+    coordinatewise, the zero module included.  Each dims vector is enumerated
+    once, in lexicographic order, so `_fits` filters out the list of one cap."""
     out = []
-    for dims in itertools.product(*(range(c + 1) for c in caps)):
-        out.extend(_all_modules_with_dims(alg, dims))
+    for dims in itertools.product(*(range(max(at_v) + 1) for at_v in zip(*caps))):
+        if any(_fits(dims, c) for c in caps):
+            out.extend(_all_modules_with_dims(alg, dims))
     return out
 
 
@@ -395,8 +401,9 @@ def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound):
     def gp_test(mod):
         return is_gorenstein_projective(mod, profile)
 
-    pool_a = _iso_classes_within(base, bound[:n])
-    pool_b = _iso_classes_within(base, bound[n:])
+    pool = _iso_classes_within(base, bound[:n], bound[n:])
+    pool_a = [m for m in pool if _fits(m.dims, bound[:n])]
+    pool_b = [m for m in pool if _fits(m.dims, bound[n:])]
     p = base.field.p
     classes: list[Representation] = []
     for a_mod in pool_a:
@@ -494,7 +501,7 @@ def indec_pool(alg: BoundQuiverAlgebra, bound, seed: int = 0):
     def add(m):
         size = len(pool)
         for s in require_certified(decompose(m)).summands:
-            if all(d <= c for d, c in zip(s.dims, caps)):
+            if _fits(s.dims, caps):
                 iso_class_index(pool, s)
         return len(pool) > size
 
@@ -548,6 +555,6 @@ def check_tau_is_syzygy(alg: BoundQuiverAlgebra, bound, seed: int = 0):
             continue
         t = tau_gprj(g, profile)
         om = syzygy(g)
-        if not is_isomorphic(t, om):
+        if not is_isomorphic(om, t):
             witnesses.append((g, t, om))
     return (not witnesses), witnesses

@@ -225,11 +225,41 @@ class FixtureManifest:
     suites: dict[str, dict]
 
 
+def _int_tuple(value, where: str) -> tuple[int, ...]:
+    """value, a JSON list of integers, as a tuple; ParseFailure otherwise."""
+    try:
+        if isinstance(value, list):
+            return tuple(int(b) for b in value)
+    except (TypeError, ValueError):
+        pass
+    raise ParseFailure(f"{where} must be a list of integers")
+
+
+def _require_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseFailure(f"{where} must be a JSON object")
+    return value
+
+
 def load_manifest(path: str | Path) -> FixtureManifest:
     data = _load_json(path)
     root = Path(path).resolve().parent
     if "algebra" not in data:
         raise ParseFailure(f"{path}: manifest lacks an 'algebra' entry")
+    bound = _int_tuple(data.get("bound", []), f"{path}: 'bound'")
+    entries = _require_object(data.get("modules", {}), f"{path}: 'modules'")
+    expected = _require_object(data.get("expected", {}), f"{path}: 'expected'")
+    suites = _require_object(data.get("suites", {}), f"{path}: 'suites'")
+    unknown = sorted(set(suites) - set(_SUITE_ORDER))
+    if unknown:
+        raise ParseFailure(f"{path}: unknown suites {unknown}")
+    for suite, cfg in suites.items():
+        _require_object(cfg, f"{path}: suite {suite}")
+        if "bound" in cfg:
+            _int_tuple(cfg["bound"], f"{path}: {suite}.bound")
+        if "counts" in cfg:
+            counts = _require_object(cfg["counts"], f"{path}: {suite}.counts")
+            _int_tuple(list(counts.values()), f"{path}: the values of {suite}.counts")
     alg = _load_algebra(root / data["algebra"])
     base = None
     if data.get("base_algebra"):
@@ -243,8 +273,10 @@ def load_manifest(path: str | Path) -> FixtureManifest:
         alg = canonical
 
     modules: dict[str, Representation] = {}
-    for name in sorted(data.get("modules", {})):
-        rel = data["modules"][name]
+    for name in sorted(entries):
+        rel = entries[name]
+        if not isinstance(rel, str):
+            raise ParseFailure(f"{path}: module {name!r} must name a module file")
         mdata = _load_json(root / rel)
         try:
             modules[name] = module_from_json_dict(alg, mdata)
@@ -253,27 +285,20 @@ def load_manifest(path: str | Path) -> FixtureManifest:
                 f"{rel}: not a valid module over {data['algebra']}: {exc}"
             ) from exc
 
-    suites = data.get("suites", {})
-    if not isinstance(suites, dict):
-        raise ParseFailure(f"{path}: 'suites' must map suite names to configs")
-    unknown = sorted(set(suites) - set(_SUITE_ORDER))
-    if unknown:
-        raise ParseFailure(f"{path}: unknown suites {unknown}")
     for suite, cfg in suites.items():
-        for member in cfg.get("members", ()):  # type: ignore[union-attr]
+        for member in cfg.get("members", ()):
             if member not in modules:
                 raise ParseFailure(
                     f"{path}: suite {suite} references unknown module {member!r}"
                 )
 
-    expected = data.get("expected", {})
     count = expected.get("indec_count")
     return FixtureManifest(
         root=root,
         algebra=alg,
         base_algebra=base,
         modules=modules,
-        bound=tuple(int(b) for b in data.get("bound", ())),
+        bound=bound,
         expected_indec_count=None if count is None else int(count),
         expected_gorenstein=expected.get("gorenstein"),
         suites=suites,
@@ -304,7 +329,7 @@ class SuiteResult:
 
 def _witness_name(man: FixtureManifest, m: Representation) -> str:
     for name in sorted(man.modules):
-        if is_isomorphic(man.modules[name], m):
+        if is_isomorphic(m, man.modules[name]):
             return name
     return "unnamed:" + "x".join(str(d) for d in m.dims)
 
@@ -339,7 +364,7 @@ def _run_indec_pool(man: FixtureManifest, seed: int) -> SuiteResult:
     missing = [
         name
         for name, m in sorted(man.modules.items())
-        if not any(is_isomorphic(m, q) for q in pool)
+        if not any(is_isomorphic(q, m) for q in pool)
     ]
     if missing:
         ok = False

@@ -861,29 +861,23 @@ def require_certified(cert: DecompositionCertificate) -> DecompositionCertificat
 
 
 def indecomposable_isomorphism(m: Representation, n: Representation) -> ModuleMap | None:
-    """An isomorphism m -> n between indecomposables, or None.
+    """The first element of `hom_basis(m, n)` that is an isomorphism, or None.
 
-    Both m and n must be indecomposable (summands of a certified
-    decomposition, say); the answer is then exact without decomposing again.
-    End(m) is local, so its non-units form an ideal: if m = n, some g.f with
-    f, g taken from the hom bases m -> n and n -> m is invertible.  On a
-    decomposable side a None can be wrong.
+    Exact when either side is indecomposable (a certified summand, say): if
+    phi: m -> n is an isomorphism, End(m) is local by Fitting's lemma, so the
+    non-isomorphisms in Hom(m, n) form the proper subspace phi.rad End(m),
+    which no basis lies in.  A returned map is always an isomorphism; when
+    both sides are decomposable, a None can be wrong.
     """
     if m.dims != n.dims:
         return None
-    h1 = hom_basis(m, n)
-    h2 = hom_basis(n, m)
-    for f in h1:
-        for g in h2:
-            gf = compose(g, f)
-            if all(exactlin.inverse(vm) is not None for vm in gf.vertex_maps):
-                return f
-    return None
+    return next((f for f in hom_basis(m, n) if is_mono(f)), None)
 
 
 def iso_class_index(reps: list[Representation], m: Representation) -> int:
-    """Position of the class of the indecomposable m in reps, a list of pairwise
-    non-isomorphic indecomposables; m is appended when its class is new."""
+    """Position of the class of m in reps, a list of pairwise non-isomorphic
+    indecomposables; m is appended when its class is new.  Each comparison is
+    exact, as one side of it is indecomposable (`indecomposable_isomorphism`)."""
     for k, r in enumerate(reps):
         if indecomposable_isomorphism(m, r) is not None:
             return k
@@ -925,16 +919,17 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
 def isomorphism(m: Representation, n: Representation) -> ModuleMap | None:
     """An explicit isomorphism m -> n, or None.
 
-    Decomposes both sides and matches indecomposable summands with
+    A certified indecomposable m goes to `indecomposable_isomorphism`, and n
+    is not decomposed; otherwise the summands of both sides are matched with
     `match_indecomposables`.
     """
     if m.algebra != n.algebra:
         raise ValueError("isomorphism test between modules over different algebras")
     if m.dims != n.dims:
         return None
-    if m.is_zero():
-        return identity_map(m) if n.is_zero() else None
     dm = decompose(m)
+    if dm.certified and len(dm.summands) == 1:
+        return indecomposable_isomorphism(m, n)
     dn = decompose(n)
     pairs = match_indecomposables(dm.summands, dn.summands)
     if pairs is None:
@@ -943,10 +938,7 @@ def isomorphism(m: Representation, n: Representation) -> ModuleMap | None:
     for k, (l, iso) in enumerate(pairs):
         out = add_maps(out, compose(dn.inclusions[l], compose(iso, dm.projections[k])))
     # out is invertible by construction (it matched a complete summand list)
-    invariant(
-        all(exactlin.inverse(vm) is not None for vm in out.vertex_maps),
-        "matched summands do not assemble to an isomorphism",
-    )
+    invariant(is_mono(out), "matched summands do not assemble to an isomorphism")
     return out
 
 

@@ -78,6 +78,7 @@ from arquiver.repmod import (
     is_mono,
     iso_class_index,
     map_from_coefficients,
+    random_module,
     regular_module,
     require_certified,
     simple_module,
@@ -517,7 +518,7 @@ def test_census_is_computed_once_per_base_algebra_and_bound(monkeypatch):
     t2, _ = t2_of(base)
     census = classify_gp_census(base, (1, 1))
 
-    def no_pool(alg, caps):
+    def no_pool(alg, *caps):
         raise RuntimeError("census pool built again")
 
     monkeypatch.setattr(arsubcat, "_iso_classes_within", no_pool)
@@ -533,6 +534,64 @@ def test_census_is_computed_once_per_base_algebra_and_bound(monkeypatch):
     assert twin == base and twin is not base
     with pytest.raises(RuntimeError, match="built again"):
         classify_gp_census(twin, (1, 1))
+
+
+def _count_enumerated_dims(monkeypatch):
+    """Patch _all_modules_with_dims to count its calls by dims."""
+    visits = {}
+    enumerate_dims = arsubcat._all_modules_with_dims
+
+    def counted(alg, dims):
+        visits[tuple(dims)] = visits.get(tuple(dims), 0) + 1
+        return enumerate_dims(alg, dims)
+
+    monkeypatch.setattr(arsubcat, "_all_modules_with_dims", counted)
+    return visits
+
+
+def test_census_enumerates_each_dims_vector_once(monkeypatch):
+    visits = _count_enumerated_dims(monkeypatch)
+    classify_gp_census(loop_algebra(2), (2, 2))
+    assert visits == {(0,): 1, (1,): 1, (2,): 1}
+
+
+def test_census_enumerates_no_dims_vector_outside_both_halves(monkeypatch):
+    # over A2 the halves (1, 2) and (2, 1) leave out dims (2, 2) only
+    base, bound = a2_algebra(2), (1, 2, 2, 1)
+    visits = _count_enumerated_dims(monkeypatch)
+    found = _collect_gp_morph_objects(base, bound)
+    within = [d for d in itertools.product(range(3), repeat=2) if d != (2, 2)]
+    assert visits == {d: 1 for d in within}
+    monkeypatch.undo()
+    reference = _reference_gp_morph_modules(base, bound)
+    assert [(s.dims, s.arrow_maps) for s, _ in found] == [(s.dims, s.arrow_maps) for s in reference]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_to_t2_module_satisfies_the_t2_relations(monkeypatch, p):
+    # every T2 module the census builds, and those of random objects (A, B, f)
+    built = []
+    build = arsubcat.to_t2_module
+
+    def recorded(obj):
+        built.append(build(obj))
+        return built[-1]
+
+    monkeypatch.setattr(arsubcat, "to_t2_module", recorded)
+    if p == 5:
+        for base in (loop_algebra(2), loop_algebra(3)):
+            classify_gp_census(base, (2, 2))
+        assert built
+    rng = np.random.default_rng(p)
+    for base in (loop_algebra(2, p), loop_algebra(3, p), a3_zero_relation(p)):
+        for _ in range(10):
+            a, b = random_module(base, rng), random_module(base, rng)
+            basis = hom_basis(a, b)
+            coeffs = rng.integers(0, p, size=len(basis))
+            f = map_from_coefficients(basis, coeffs) if basis else zero_map(a, b)
+            built.append(to_t2_module(MorphObject(a, b, f)))
+    for out in built:
+        Representation(out.algebra, out.dims, out.arrow_maps, validate=True)
 
 
 def _reference_iso_classes(alg, caps):

@@ -349,6 +349,31 @@ def test_verify_mismatched_base_algebra_exits_1(capsys, tmp_path):
     assert "triangular" in err
 
 
+@pytest.mark.parametrize(
+    "edit, phrase",
+    [
+        (lambda m: m["suites"].update({"ar-full": ["L", "S"]}), "suite ar-full must be a JSON object"),
+        (lambda m: m.update({"bound": ["x"]}), "'bound' must be a list of integers"),
+        (lambda m: m.update({"expected": [2]}), "'expected' must be a JSON object"),
+        (lambda m: m.update({"modules": ["kx2_L.json"]}), "'modules' must be a JSON object"),
+        (lambda m: m["modules"].update({"L": 3}), "module 'L' must name a module file"),
+        (lambda m: m["suites"]["gp-census"].update({"bound": ["x", 2]}), "gp-census.bound must be a list"),
+        (lambda m: m["suites"]["gp-census"].update({"counts": [1]}), "gp-census.counts must be a JSON object"),
+    ],
+    ids=["suite-list", "bound-string", "expected-list", "modules-list", "module-path", "census-bound", "census-counts"],
+)
+def test_verify_malformed_manifest_shapes_exit_1(capsys, tmp_path, edit, phrase):
+    fx = tmp_path / "fx"
+    shutil.copytree(FIX, fx)
+    manifest = json.loads((fx / "manifest_kx2.json").read_text())
+    edit(manifest)
+    (fx / "manifest_kx2.json").write_text(json.dumps(manifest))
+    code, _, err = run(
+        ["verify", "--manifest", str(fx / "manifest_kx2.json"), "--suite", "all"], capsys)
+    assert code == 1
+    assert phrase in err
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 

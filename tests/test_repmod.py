@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from arquiver import repmod
 from arquiver.errors import BudgetExhausted
 from arquiver.exactlin import Matrix, PrimeField, inverse, kernel_basis, multiply
-from arquiver.quivalg import Quiver, build_algebra
+from arquiver.quivalg import Quiver, build_algebra, t2_of
 from arquiver.repmod import (
     ModuleMap,
     Representation,
@@ -24,6 +24,8 @@ from arquiver.repmod import (
     indecomposable_projective,
     injective_envelope,
     is_isomorphic,
+    is_mono,
+    isomorphism,
     k_dual,
     kernel,
     module_from_json_dict,
@@ -396,6 +398,98 @@ def test_indecomposable_isomorphism():
     assert indecomposable_isomorphism(s, s) is not None
     assert indecomposable_isomorphism(s, lam) is None
     assert indecomposable_isomorphism(lam, k_dual(k_dual(lam))) is not None
+
+
+def _reference_indecomposable_isomorphism(m, n):
+    """The isomorphism test of two Hom bases: the first f in hom_basis(m, n)
+    for which some g.f, g in hom_basis(n, m), is invertible."""
+    if m.dims != n.dims:
+        return None
+    for f in hom_basis(m, n):
+        for g in hom_basis(n, m):
+            if all(inverse(vm) is not None for vm in compose(g, f).vertex_maps):
+                return f
+    return None
+
+
+def _conjugate(m, rng):
+    """m with its vector spaces moved by random invertible matrices: a module
+    isomorphic to m with another presentation."""
+    field = m.algebra.field
+    gs = []
+    for d in m.dims:
+        g = Matrix(field, rng.integers(0, field.p, size=(d, d)))
+        while inverse(g) is None:
+            g = Matrix(field, rng.integers(0, field.p, size=(d, d)))
+        gs.append(g)
+    maps = {
+        a.id: multiply(multiply(gs[a.target], m.arrow_maps[a.id]), inverse(gs[a.source]))
+        for a in m.algebra.quiver.arrows
+    }
+    return Representation(m.algebra, m.dims, maps)
+
+
+_ISO_ALGEBRAS = {
+    "kronecker": _kronecker_algebra,
+    "a3_radical_square_zero": _a3_radical_square_zero,
+    "commutative_square": _comm_square_algebra,
+    "kx3": lambda p: loop_algebra(3, p),
+    "t2_kx2": lambda p: t2_of(loop_algebra(2, p))[0],
+}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", sorted(_ISO_ALGEBRAS))
+def test_indecomposable_isomorphism_matches_the_two_basis_test(name, p):
+    # x runs over certified summands of random modules; y over random modules,
+    # summands, a conjugate of x and the semisimple module, all of the dims of x
+    alg = _ISO_ALGEBRAS[name](p)
+    rng = np.random.default_rng(p)
+    randoms = [random_module(alg, rng) for _ in range(6)]
+    summands = []
+    for m in randoms:
+        cert = decompose(m)
+        assert cert.certified
+        summands.extend(cert.summands)
+    answers = set()
+    for x in summands:
+        top = [simple(alg, v) for v, d in enumerate(x.dims) for _ in range(d)]
+        ys = [y for y in randoms + summands if y.dims == x.dims] + [_conjugate(x, rng), direct_sum(top)[0]]
+        for y in ys:
+            for a, b in ((x, y), (y, x)):
+                iso = indecomposable_isomorphism(a, b)
+                assert iso == _reference_indecomposable_isomorphism(a, b)
+                assert (iso is not None) == is_isomorphic(a, b)
+                assert iso is None or is_mono(iso)
+                answers.add(iso is None)
+    assert answers == {True, False}
+
+
+def test_indecomposable_isomorphism_solves_one_hom_system_and_composes_nothing(monkeypatch):
+    alg = _comm_square_algebra(3)
+    p0 = indecomposable_projective(alg, 0)
+    other = _conjugate(p0, np.random.default_rng(1))
+    calls = []
+    real = repmod.hom_basis
+    monkeypatch.setattr(repmod, "hom_basis", lambda m, n: calls.append((m, n)) or real(m, n))
+    monkeypatch.setattr(repmod, "compose", lambda g, f: pytest.fail("compose called"))
+    assert indecomposable_isomorphism(p0, other) is not None
+    assert calls == [(p0, other)]
+
+
+def test_isomorphism_decomposes_a_certified_indecomposable_first_argument_only(monkeypatch):
+    alg = _comm_square_algebra(3)
+    p0 = indecomposable_projective(alg, 0)
+    calls = []
+    real = repmod.decompose
+    monkeypatch.setattr(repmod, "decompose", lambda m: calls.append(m) or real(m))
+    iso = isomorphism(p0, _conjugate(p0, np.random.default_rng(0)))
+    assert iso is not None and is_mono(iso)
+    assert calls == [p0]
+    # a decomposable first argument still decomposes both sides
+    calls.clear()
+    s, _, _ = direct_sum([simple(alg, 0), simple(alg, 3)])
+    assert isomorphism(s, s) is not None and len(calls) == 2
 
 
 def test_is_isomorphic_scaled_presentation():
