@@ -27,7 +27,6 @@ from .errors import (
     NotSelfInjective,
     PreconditionError,
 )
-from .exactlin import Matrix
 from .homalg import (
     ar_translate,
     ar_translate_inverse,
@@ -52,13 +51,16 @@ from .morphcat import (
 )
 from .quivalg import BoundQuiverAlgebra, opposite, t2_base_of
 from .repmod import (
+    _ENUM_BATCH,
     Representation,
+    broken_relations,
     cokernel,
     compose,
     decompose,
     direct_sum,
     hom_basis,
     indecomposable_injective,
+    indecomposable_evidence,
     indecomposable_projective,
     is_epi,
     is_isomorphic,
@@ -318,7 +320,12 @@ _ENTRY_CAP = 200_000
 def _all_modules_with_dims(alg: BoundQuiverAlgebra, dims):
     """One representative per isomorphism class of representations with the
     given dimension vector, by exhaustive matrix enumeration.  A class is
-    keyed by the iso classes of its indecomposable summands (Krull-Schmidt)."""
+    keyed by the iso classes of its indecomposable summands (Krull-Schmidt).
+
+    The candidates run in `itertools.product` order, in batches of at most
+    `_ENUM_BATCH` matrix entries, and `broken_relations` screens each batch
+    at once; only a candidate that satisfies every relation is built as a
+    module and decomposed, so a class keeps its first such candidate."""
     arrows = alg.quiver.arrows
     shapes = [(dims[a.target], dims[a.source]) for a in arrows]
     entries = sum(r * c for r, c in shapes)
@@ -329,19 +336,21 @@ def _all_modules_with_dims(alg: BoundQuiverAlgebra, dims):
         )
     classes: dict[tuple[int, ...], Representation] = {}  # first candidate per key
     indecs: list[Representation] = []
-    for flat in itertools.product(range(p), repeat=entries):
-        maps = {}
-        pos = 0
+    combos = itertools.product(range(p), repeat=entries)
+    batch = max(1, _ENUM_BATCH // max(1, entries))
+    while chunk := list(itertools.islice(combos, batch)):
+        flat = np.array(chunk, dtype=np.int64).reshape(len(chunk), entries)
+        stacks, pos = {}, 0
         for a, (r, c) in zip(arrows, shapes):
-            block = np.array(flat[pos : pos + r * c], dtype=np.int64).reshape(r, c)
-            maps[a.id] = Matrix(alg.field, block)
+            stacks[a.id] = flat[:, pos : pos + r * c].reshape(len(chunk), r, c)
             pos += r * c
-        try:
-            m = Representation(alg, dims, maps)
-        except ValueError:
-            continue
-        summands = require_certified(decompose(m)).summands
-        classes.setdefault(tuple(sorted(iso_class_index(indecs, s) for s in summands)), m)
+        passed = np.ones(len(chunk), dtype=bool)
+        for broken in broken_relations(alg, stacks):
+            passed &= ~broken
+        for k in np.flatnonzero(passed):
+            m = Representation(alg, dims, {aid: s[k] for aid, s in stacks.items()}, validate=False)
+            summands = require_certified(decompose(m)).summands
+            classes.setdefault(tuple(sorted(iso_class_index(indecs, s) for s in summands)), m)
     return list(classes.values())
 
 
@@ -387,7 +396,9 @@ def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound):
     mono.  And only indecomposable triples are kept: a proper summand of a
     triple has componentwise smaller dims, so its pool entries come first
     and it is met as a triple of its own before any triple that contains
-    it."""
+    it.  So each triple needs only a verdict, `indecomposable_evidence`,
+    and is never split: when it is indecomposable, `decompose` would return
+    the T2 module itself as its one summand."""
     n = base.quiver.vertices
     bound = tuple(int(b) for b in bound)
     if len(bound) != 2 * n:
@@ -421,9 +432,9 @@ def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound):
                 obj = MorphObject(a_mod, b_mod, f)
                 if obj.is_zero() or not is_gp_in_h(obj, gp_test):
                     continue
-                summands = require_certified(decompose(to_t2_module(obj))).summands
-                if len(summands) == 1:
-                    iso_class_index(classes, summands[0])
+                t2m = to_t2_module(obj)
+                if indecomposable_evidence(t2m) is not None:
+                    iso_class_index(classes, t2m)
     classes.sort(key=lambda s: (s.total_dim, s.dims))
     found = tuple((s, from_t2_module(s)) for s in classes)
     base._cache[key] = found
@@ -485,25 +496,30 @@ def classify_gp_census(alg: BoundQuiverAlgebra, bound) -> GpCensus:
 _POOL_SAMPLES = 40
 
 
-def indec_pool(alg: BoundQuiverAlgebra, bound, seed: int = 0):
+def indec_pool(alg: BoundQuiverAlgebra, bound, seed: int = 0) -> tuple[Representation, ...]:
     """Indecomposable iso classes with dims under bound: simples, projectives
     and injectives seed the pool, `_POOL_SAMPLES` (40) random modules drawn
     from `seed` top it up, and the pool is closed under syzygy, cosyzygy and
-    the translation both ways.
+    the translation both ways.  The closure is a worklist: each member is
+    visited once, in the order it joined, and its summands under bound join
+    the end.  Returns a tuple sorted by dimension, memoized per bound and
+    seed in alg._cache, as the census is.
     Exhaustiveness at fixture scale is pinned by expected counts recorded in
     fixture manifests."""
     caps = tuple(int(b) for b in bound)
     nv = alg.quiver.vertices
     if len(caps) != nv:
         raise ValueError("bound must give a cap per vertex")
+    key = ("indec_pool", caps, seed)
+    cached = alg._cache.get(key)
+    if cached is not None:
+        return cached
     pool: list[Representation] = []
 
     def add(m):
-        size = len(pool)
         for s in require_certified(decompose(m)).summands:
             if _fits(s.dims, caps):
                 iso_class_index(pool, s)
-        return len(pool) > size
 
     for v in range(nv):
         add(simple_module(alg, v))
@@ -512,15 +528,12 @@ def indec_pool(alg: BoundQuiverAlgebra, bound, seed: int = 0):
     rng = np.random.default_rng(seed)
     for _ in range(_POOL_SAMPLES):
         add(random_module(alg, rng))
-    changed = True
-    while changed:
-        changed = False
-        for m in list(pool):
-            for step in (syzygy, cosyzygy, ar_translate, ar_translate_inverse):
-                if add(step(m)):
-                    changed = True
+    for m in pool:  # the loop reaches the members that join while it runs
+        for step in (syzygy, cosyzygy, ar_translate, ar_translate_inverse):
+            add(step(m))
     pool.sort(key=lambda m: (m.total_dim, m.dims))
-    return pool
+    alg._cache[key] = found = tuple(pool)
+    return found
 
 
 # ---------------------------------------------------------------------------

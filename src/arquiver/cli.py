@@ -235,6 +235,18 @@ def _int_tuple(value, where: str) -> tuple[int, ...]:
     raise ParseFailure(f"{where} must be a list of integers")
 
 
+def _integer(value, where: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ParseFailure(f"{where} must be an integer") from None
+
+
+def _require_names(value, where: str) -> None:
+    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+        raise ParseFailure(f"{where} must be a list of names")
+
+
 def _require_object(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ParseFailure(f"{where} must be a JSON object")
@@ -260,6 +272,16 @@ def load_manifest(path: str | Path) -> FixtureManifest:
         if "counts" in cfg:
             counts = _require_object(cfg["counts"], f"{path}: {suite}.counts")
             _int_tuple(list(counts.values()), f"{path}: the values of {suite}.counts")
+        if "pairs" in cfg:
+            _integer(cfg["pairs"], f"{path}: {suite}.pairs")
+        for key in ("members", "witnesses"):
+            if key in cfg:
+                _require_names(cfg[key], f"{path}: {suite}.{key}")
+    count = expected.get("indec_count")
+    if count is not None:
+        count = _integer(count, f"{path}: expected.indec_count")
+    if "gorenstein" in expected:
+        _require_object(expected["gorenstein"], f"{path}: expected.gorenstein")
     alg = _load_algebra(root / data["algebra"])
     base = None
     if data.get("base_algebra"):
@@ -292,14 +314,13 @@ def load_manifest(path: str | Path) -> FixtureManifest:
                     f"{path}: suite {suite} references unknown module {member!r}"
                 )
 
-    count = expected.get("indec_count")
     return FixtureManifest(
         root=root,
         algebra=alg,
         base_algebra=base,
         modules=modules,
         bound=bound,
-        expected_indec_count=None if count is None else int(count),
+        expected_indec_count=count,
         expected_gorenstein=expected.get("gorenstein"),
         suites=suites,
     )

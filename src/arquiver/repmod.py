@@ -54,13 +54,9 @@ class Representation:
             self._check_relations()
 
     def _check_relations(self):
-        for rel in self.algebra.relations:
-            src = self.algebra.quiver.arrow(rel[0].path[0]).source
-            tgt = self.algebra.quiver.arrow(rel[0].path[-1]).target
-            acc = Matrix.zeros(self.algebra.field, self.dims[tgt], self.dims[src])
-            for term in rel:
-                acc = exactlin.add(acc, exactlin.scale(term.coefficient, self.apply_path(src, term.path)))
-            if not acc.is_zero():
+        stacks = {aid: m.a[None] for aid, m in self.arrow_maps.items()}
+        for rel, broken in zip(self.algebra.relations, broken_relations(self.algebra, stacks)):
+            if broken[0]:
                 raise ValueError(f"relation {rel!r} does not vanish on this representation")
 
     def __setattr__(self, name, value):
@@ -140,6 +136,30 @@ class ModuleMap:
 
     def __repr__(self):
         return f"ModuleMap({list(self.source.dims)} -> {list(self.target.dims)})"
+
+
+def broken_relations(algebra: BoundQuiverAlgebra, stacks: dict) -> list[np.ndarray]:
+    """Which of N candidate representations of one dimension vector break
+    each relation of the algebra.  stacks[a.id] holds the N matrices of arrow
+    a, shape (N, rows, cols), with entries in [0, p); the result is one
+    boolean mask over the N candidates per relation, in the algebra's order.
+
+    This is the one relation check: a `Representation` validates itself as a
+    stack of one, and the exhaustive enumeration in `arsubcat` screens its
+    candidates in batches.  Every path has two or more arrows, and each
+    product and each term is reduced mod p, so nothing overflows int64.
+    """
+    p = algebra.field.p
+    out = []
+    for rel in algebra.relations:
+        acc = 0
+        for term in rel:
+            path = stacks[term.path[0]]
+            for aid in term.path[1:]:
+                path = _matmul_stacks(stacks[aid], path, p)
+            acc = (acc + term.coefficient % p * path) % p
+        out.append(acc.any(axis=(1, 2)))
+    return out
 
 
 def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
@@ -329,20 +349,20 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
 def _complement_data(span: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """For a span inside k^n: (basis B of the span, complement basis E, projection onto E).
 
-    The projection is along span(B): proj @ B == 0 and proj @ E == I.
+    The projection is along span(B): proj @ B == 0 and proj @ E == I.  One
+    row reduction T [span | I] = R gives all three.  Its pivots left of the
+    I block are span's pivot columns, so B is what `column_space_basis`
+    picks; the other pivots give the unit vectors E.  The pivot columns of R
+    are the unit vectors in order, so T [B | E] = I, and T is the I block of
+    R: its rows past B project onto E.
     """
     field = span.field
-    nn = span.rows
-    b = exactlin.column_space_basis(span)
-    aug = exactlin.hstack([b, Matrix.identity(field, nn)])
-    _, pivots = exactlin.rref(aug)
-    free_idx = [c - b.cols for c in pivots if c >= b.cols]
-    e = Matrix(field, np.eye(nn, dtype=np.int64)[:, free_idx])
-    s = exactlin.hstack([b, e])
-    sinv = exactlin.inverse(s)
-    invariant(sinv is not None, "span and complement are not a basis")
-    proj = Matrix(field, sinv.a[b.cols :, :])
-    return b, e, proj
+    red, pivots = exactlin.rref(exactlin.hstack([span, Matrix.identity(field, span.rows)]))
+    invariant(len(pivots) == span.rows, "span and complement are not a basis")
+    nb = sum(c < span.cols for c in pivots)
+    b = Matrix(field, span.a[:, pivots[:nb]])
+    e = Matrix(field, np.eye(span.rows, dtype=np.int64)[:, [c - span.cols for c in pivots[nb:]]])
+    return b, e, Matrix(field, red.a[nb:, span.cols :])
 
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
@@ -765,7 +785,10 @@ def _nilpotent_span(nil: np.ndarray, field) -> bool:
 
 
 def _decompose_indec_evidence(m, endos):
-    """Decide indecomposability of m (End already computed). Returns (verdict, split)."""
+    """`decompose`'s three steps on m, with End(m) already computed.  Returns
+    ((evidence, certified), None) when they do not split m, and otherwise
+    (None, (split, x)): the split is split(m, x), for the Fitting element x
+    (split = `_fitting_split`) or the idempotent x (`_split_by_idempotent`)."""
     field = m.algebra.field
     p = field.p
     t = len(endos)
@@ -783,7 +806,7 @@ def _decompose_indec_evidence(m, endos):
     # 1. the first basis element f that is neither nilpotent nor a unit splits M
     for f, power, scalar in zip(totals, powers, scalars):
         if (power != scalar).any() and exactlin.rank(Matrix(field, power)) < dd:
-            return None, _fitting_split(m, f)
+            return None, (_fitting_split, f)
     # 2. every f^q = c_f 1 makes each f - c_f nilpotent (c_f^q = c_f); if they
     # span an N with N^D = 0, End = k 1 + (the ideal generated by N) is local
     if (powers == scalars).all() and _nilpotent_span((totals - scalars) % p, field):
@@ -793,7 +816,7 @@ def _decompose_indec_evidence(m, endos):
         coeffs = first_combination(totals, p)
         if coeffs is None:
             return ("no nontrivial idempotent endomorphism (exhaustive search)", True), None
-        return None, _split_by_idempotent(m, np.tensordot(coeffs, totals, axes=1) % p)
+        return None, (_split_by_idempotent, np.tensordot(coeffs, totals, axes=1) % p)
     return ("not split and not shown local; too large to search for idempotents", False), None
 
 
@@ -816,7 +839,8 @@ def decompose(m: Representation) -> DecompositionCertificate:
 
     Every summand carries an evidence string.  `certified` is False only when
     some piece got past all three steps (End too large to search): then that
-    piece may still decompose.
+    piece may still decompose.  A caller that needs only the verdict on m
+    itself calls `indecomposable_evidence`, which builds no split.
     """
     if m.is_zero():
         return DecompositionCertificate(m, (), (), (), (), True)
@@ -828,7 +852,8 @@ def decompose(m: Representation) -> DecompositionCertificate:
         endos = hom_basis(cur, cur)
         verdict, split = _decompose_indec_evidence(cur, endos)
         if split is not None:
-            (m1, i1, p1), (m2, i2, p2) = split
+            build, x = split
+            (m1, i1, p1), (m2, i2, p2) = build(cur, x)
             work.append((m1, compose(incl, i1), compose(p1, proj)))
             work.append((m2, compose(incl, i2), compose(p2, proj)))
             continue
@@ -847,13 +872,39 @@ def decompose(m: Representation) -> DecompositionCertificate:
     )
 
 
-def require_certified(cert: DecompositionCertificate) -> DecompositionCertificate:
-    if not cert.certified:
+def _check_certified(certified: bool) -> None:
+    if not certified:
         raise BudgetExhausted(
             "decomposition could not be certified: a piece is neither split nor shown "
             "local, and its endomorphism algebra is too large to search"
         )
+
+
+def require_certified(cert: DecompositionCertificate) -> DecompositionCertificate:
+    _check_certified(cert.certified)
     return cert
+
+
+def indecomposable_evidence(m: Representation) -> str | None:
+    """The evidence string of m when it is certified indecomposable; None
+    when m splits or is zero.  Raises BudgetExhausted, with
+    `require_certified`'s message, when m is neither split nor certified.
+
+    One `hom_basis(m, m)` and the first step of `decompose`, with no split
+    built.  decompose(m) has one summand exactly when that step does not
+    split m, and the summand is then m itself, with this evidence: a split
+    always has two nonzero parts, since the Fitting element f is neither
+    nilpotent (im f^e != 0) nor a unit (ker f^e != 0) and the idempotent is
+    neither 0 nor 1, and each part gives at least one summand.
+    """
+    if m.is_zero():
+        return None
+    verdict, _ = _decompose_indec_evidence(m, hom_basis(m, m))
+    if verdict is None:
+        return None
+    evidence, certified = verdict
+    _check_certified(certified)
+    return evidence
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arquiver.errors import (
     EnumerationCapExceeded,
@@ -28,8 +30,11 @@ from arquiver.errors import (
     PreconditionError,
 )
 from arquiver.exactlin import Matrix, PrimeField
+from arquiver.cli import fixtures_dir, load_manifest
 from arquiver.homalg import (
     ar_translate,
+    ar_translate_inverse,
+    cosyzygy,
     ext,
     extension_from_cocycle,
     is_stably_isomorphic,
@@ -63,6 +68,7 @@ from arquiver.quivalg import (
     algebra_to_json_dict,
     build_algebra,
     opposite,
+    t2_base_of,
     t2_of,
 )
 from arquiver.repmod import (
@@ -72,6 +78,7 @@ from arquiver.repmod import (
     direct_sum,
     hom_basis,
     identity_map,
+    indecomposable_injective,
     indecomposable_projective,
     is_epi,
     is_isomorphic,
@@ -513,6 +520,91 @@ def test_census_matches_the_full_enumeration_reference(make, bound):
     assert [(s.dims, s.arrow_maps) for s, _ in found] == [(s.dims, s.arrow_maps) for s in reference]
 
 
+@pytest.mark.parametrize(
+    "make, bound",
+    [(lambda: loop_algebra(2), (2, 2)), (lambda: loop_algebra(3, 3), (2, 2)), (lambda: a3_zero_relation(2), (1,) * 6)],
+    ids=["kx2-p5", "kx3-p3", "a3-zero-relation-p2"],
+)
+def test_census_decomposes_no_triple(monkeypatch, make, bound):
+    # each triple gets a verdict only; decompose still runs on base modules
+    # while their iso classes are enumerated
+    base = make()
+    decompose_base = arsubcat.decompose
+
+    def base_only(m):
+        if t2_base_of(m.algebra) is not None:
+            raise AssertionError("census decomposed a triple")
+        return decompose_base(m)
+
+    monkeypatch.setattr(arsubcat, "decompose", base_only)
+    census = classify_gp_census(base, bound)
+    assert census.objects
+
+
+def _reference_modules_with_dims(alg, dims):
+    """The enumeration loop that builds every candidate as a validated
+    Representation, skips it on ValueError and decomposes the rest."""
+    arrows = alg.quiver.arrows
+    shapes = [(dims[a.target], dims[a.source]) for a in arrows]
+    classes, indecs = {}, []
+    for flat in itertools.product(range(alg.field.p), repeat=sum(r * c for r, c in shapes)):
+        maps, pos = {}, 0
+        for a, (r, c) in zip(arrows, shapes):
+            maps[a.id] = Matrix(alg.field, np.array(flat[pos : pos + r * c], dtype=np.int64).reshape(r, c))
+            pos += r * c
+        try:
+            m = Representation(alg, dims, maps)
+        except ValueError:
+            continue
+        summands = require_certified(decompose(m)).summands
+        classes.setdefault(tuple(sorted(iso_class_index(indecs, s) for s in summands)), m)
+    return list(classes.values())
+
+
+def comm_square(p: int = 2):
+    return build_algebra(
+        Quiver(4, [("a", 0, 1), ("b", 0, 2), ("c", 1, 3), ("d", 2, 3)]),
+        [[(1, ("a", "c")), (-1, ("b", "d"))]],
+        PrimeField(p),
+    )
+
+
+@pytest.mark.parametrize("batch", [None, 5], ids=["batch-default", "batch-5"])
+@pytest.mark.parametrize(
+    "make, dims_list",
+    [
+        (lambda: loop_algebra(2, 3), [(0,), (1,), (2,)]),
+        (lambda: loop_algebra(3, 3), [(2,)]),
+        (lambda: loop_algebra(3, 2), [(3,)]),
+        (lambda: a2_algebra(2), [(1, 1), (2, 1), (0, 2)]),
+        (lambda: a3_zero_relation(2), [(1, 1, 1), (1, 0, 1), (2, 1, 1)]),
+        (comm_square, [(1, 1, 1, 1), (1, 2, 1, 1), (0, 1, 1, 0), (1, 1, 0, 1)]),
+    ],
+    ids=["kx2-p3", "kx3-p3", "kx3-p2", "a2-p2", "a3-zero-relation-p2", "commutative-square-p2"],
+)
+def test_enumeration_matches_the_per_candidate_loop(monkeypatch, make, dims_list, batch):
+    if batch:  # batches of one or two candidates, cut anywhere in the product order
+        monkeypatch.setattr(arsubcat, "_ENUM_BATCH", batch)
+    alg = make()
+    for dims in dims_list:
+        got = _all_modules_with_dims(alg, dims)
+        want = _reference_modules_with_dims(alg, dims)
+        assert [(m.dims, m.arrow_maps) for m in got] == [(m.dims, m.arrow_maps) for m in want]
+
+
+def test_enumeration_validates_no_candidate(monkeypatch):
+    # the relations are checked on stacks, so no candidate is built as a
+    # validated Representation and rejected
+    def no_check(self):
+        raise AssertionError("candidate validated one by one")
+
+    alg = comm_square(3)
+    monkeypatch.setattr(Representation, "_check_relations", no_check)
+    got = _all_modules_with_dims(alg, (1, 1, 1, 1))
+    monkeypatch.undo()
+    assert _same_modules(got, _reference_modules_with_dims(alg, (1, 1, 1, 1)))
+
+
 def test_census_is_computed_once_per_base_algebra_and_bound(monkeypatch):
     base = loop_algebra(2)
     t2, _ = t2_of(base)
@@ -656,6 +748,91 @@ def test_indec_pool_counts(kx2, t2_modules):
     assert len(pool) == 9
     for name, mod in t2m.items():
         assert any(is_isomorphic(mod, m) for m in pool), name
+
+
+def _reference_indec_pool(alg, bound, seed=0):
+    """The round-based closure: rerun every member until a round adds nothing."""
+    caps = tuple(bound)
+    pool = []
+
+    def add(m):
+        size = len(pool)
+        for s in require_certified(decompose(m)).summands:
+            if all(d <= c for d, c in zip(s.dims, caps)):
+                iso_class_index(pool, s)
+        return len(pool) > size
+
+    for v in range(alg.quiver.vertices):
+        add(simple_module(alg, v))
+        add(indecomposable_projective(alg, v))
+        add(indecomposable_injective(alg, v))
+    rng = np.random.default_rng(seed)
+    for _ in range(arsubcat._POOL_SAMPLES):
+        add(random_module(alg, rng))
+    changed = True
+    while changed:
+        changed = False
+        for m in list(pool):
+            for step in (syzygy, cosyzygy, ar_translate, ar_translate_inverse):
+                if add(step(m)):
+                    changed = True
+    pool.sort(key=lambda m: (m.total_dim, m.dims))
+    return pool
+
+
+def _same_modules(xs, ys):
+    return [(m.dims, m.arrow_maps) for m in xs] == [(m.dims, m.arrow_maps) for m in ys]
+
+
+@pytest.mark.parametrize("name", ["a2", "kx2", "kx3", "t2_kx2"])
+def test_indec_pool_matches_the_round_based_closure_on_the_manifests(name):
+    man = load_manifest(fixtures_dir() / f"manifest_{name}.json")
+    assert _same_modules(indec_pool(man.algebra, man.bound), _reference_indec_pool(man.algebra, man.bound))
+
+
+_POOL_ALGEBRAS = {
+    "kx3": lambda p: loop_algebra(3, p),
+    "a3_zero_relation": a3_zero_relation,
+    "kronecker": lambda p: build_algebra(Quiver(2, [("a", 0, 1), ("b", 0, 1)]), [], PrimeField(p)),
+    "commutative_square": comm_square,
+}
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.sampled_from(sorted(_POOL_ALGEBRAS)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.data())
+def test_indec_pool_matches_the_round_based_closure(name, p, seed, data):
+    alg = _POOL_ALGEBRAS[name](p)
+    bound = tuple(data.draw(st.integers(1, 2)) for _ in range(alg.quiver.vertices))
+    assert _same_modules(indec_pool(alg, bound, seed), _reference_indec_pool(alg, bound, seed))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_indec_pool_closure_alone_matches_the_round_based_closure(monkeypatch, p):
+    # with no random draws the closure must find every member itself; over
+    # T2(k[x]/(x^3)) at p = 2 one pass over the seed modules misses (2, 2)
+    monkeypatch.setattr(arsubcat, "_POOL_SAMPLES", 0)
+    for base in (loop_algebra(2, p), loop_algebra(3, p)):
+        t2, _ = t2_of(base)
+        assert _same_modules(indec_pool(t2, (2, 2)), _reference_indec_pool(t2, (2, 2)))
+
+
+def test_indec_pool_is_memoized_per_algebra_bound_and_seed(monkeypatch):
+    alg = loop_algebra(3, 2)
+    pool = indec_pool(alg, (3,), seed=1)
+    assert isinstance(pool, tuple) and alg._cache[("indec_pool", (3,), 1)] is pool
+    drawn = []
+    draw = arsubcat.random_module
+    monkeypatch.setattr(arsubcat, "random_module", lambda *args: drawn.append(args) or draw(*args))
+    assert indec_pool(alg, [3], seed=1) is pool and not drawn
+    # a new bound, a new seed, or an equal algebra read from JSON draws again
+    assert [m.dims for m in indec_pool(alg, (2,), seed=1)] == [(1,), (2,)]
+    assert len(drawn) == arsubcat._POOL_SAMPLES
+    indec_pool(alg, (3,), seed=2)
+    assert len(drawn) == 2 * arsubcat._POOL_SAMPLES
+    twin = algebra_from_json_dict(algebra_to_json_dict(alg))
+    assert twin == alg and twin is not alg
+    assert _same_modules(indec_pool(twin, (3,), seed=1), pool)
+    assert len(drawn) == 3 * arsubcat._POOL_SAMPLES
 
 
 # ---------------------------------------------------------------------------

@@ -359,8 +359,14 @@ def test_verify_mismatched_base_algebra_exits_1(capsys, tmp_path):
         (lambda m: m["modules"].update({"L": 3}), "module 'L' must name a module file"),
         (lambda m: m["suites"]["gp-census"].update({"bound": ["x", 2]}), "gp-census.bound must be a list"),
         (lambda m: m["suites"]["gp-census"].update({"counts": [1]}), "gp-census.counts must be a JSON object"),
+        (lambda m: m["expected"].update({"indec_count": "x"}), "expected.indec_count must be an integer"),
+        (lambda m: m["expected"].update({"gorenstein": [0]}), "expected.gorenstein must be a JSON object"),
+        (lambda m: m["suites"]["ar-full"].update({"pairs": "x"}), "ar-full.pairs must be an integer"),
+        (lambda m: m["suites"]["ar-full"].update({"members": 5}), "ar-full.members must be a list of names"),
+        (lambda m: m["suites"]["tau-syzygy"].update({"witnesses": 5}), "tau-syzygy.witnesses must be a list of names"),
     ],
-    ids=["suite-list", "bound-string", "expected-list", "modules-list", "module-path", "census-bound", "census-counts"],
+    ids=["suite-list", "bound-string", "expected-list", "modules-list", "module-path", "census-bound", "census-counts",
+         "indec-count-string", "gorenstein-list", "pairs-string", "members-number", "witnesses-number"],
 )
 def test_verify_malformed_manifest_shapes_exit_1(capsys, tmp_path, edit, phrase):
     fx = tmp_path / "fx"

@@ -7,7 +7,18 @@ from hypothesis import strategies as st
 
 from arquiver import repmod
 from arquiver.errors import BudgetExhausted
-from arquiver.exactlin import Matrix, PrimeField, inverse, kernel_basis, multiply
+from arquiver.exactlin import (
+    Matrix,
+    PrimeField,
+    add,
+    column_space_basis,
+    hstack,
+    inverse,
+    kernel_basis,
+    multiply,
+    rref,
+    scale,
+)
 from arquiver.quivalg import Quiver, build_algebra, t2_of
 from arquiver.repmod import (
     ModuleMap,
@@ -386,6 +397,135 @@ def test_decompose_is_a_direct_sum_and_locality_agrees_with_search(name, p, seed
             assert p ** len(endos) <= repmod._EXACT_ENUM_LIMIT
             assert repmod.first_combination(repmod._total_stack(endos), p) is None
     assert acc == identity_map(m)
+
+
+_VERDICT_ALGEBRAS = {
+    "kx2": lambda p: loop_algebra(2, p),
+    "kx3": lambda p: loop_algebra(3, p),
+    "a3_zero_relation": _a3_radical_square_zero,
+    "kronecker": _kronecker_algebra,
+    "t2_kx2": lambda p: t2_of(loop_algebra(2, p))[0],
+}
+_VERDICT_BUILT = {}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_VERDICT_ALGEBRAS)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_indecomposable_evidence_is_the_verdict_of_decompose(name, p, seed):
+    if (name, p) not in _VERDICT_BUILT:
+        _VERDICT_BUILT[name, p] = _VERDICT_ALGEBRAS[name](p)
+    alg = _VERDICT_BUILT[name, p]
+    m = random_module(alg, np.random.default_rng(seed))
+    cert = decompose(m)
+    assert cert.certified
+    # m itself, then each of its summands: every summand is one of the
+    # one-summand cases, with the evidence decompose gave it
+    for x in (m, *cert.summands):
+        got = repmod.indecomposable_evidence(x)
+        of_x = decompose(x)
+        if len(of_x.summands) == 1:
+            assert of_x.summands[0] is x
+            assert got == of_x.indecomposability_evidence[0]
+        else:
+            assert got is None
+    assert repmod.indecomposable_evidence(zero_module(alg)) is None
+
+
+def test_indecomposable_evidence_raises_only_when_the_module_itself_is_uncertified():
+    # the Kronecker module with End = GF(p^2) at p = 2^31 - 1 is neither split
+    # nor shown local, and End is too large to search
+    p = 2147483647
+    alg = _kronecker_algebra(p)
+    m = Representation(alg, (2, 2), {"a": Matrix(alg.field, np.eye(2, dtype=np.int64)),
+                                     "b": Matrix(alg.field, [[0, p - 1], [1, 0]])})
+    with pytest.raises(BudgetExhausted, match="could not be certified"):
+        repmod.indecomposable_evidence(m)
+    # m + m splits at its first step, so its verdict is None, though its
+    # pieces, and so decompose, stay uncertified
+    mm, _, _ = direct_sum([m, m])
+    assert not decompose(mm).certified
+    assert repmod.indecomposable_evidence(mm) is None
+
+
+def test_indecomposable_evidence_builds_no_split(monkeypatch):
+    def no_split(*args):
+        raise AssertionError("split built")
+
+    monkeypatch.setattr(repmod, "_fitting_split", no_split)
+    monkeypatch.setattr(repmod, "_split_by_idempotent", no_split)
+    alg = loop_algebra(2, 3)
+    s = simple(alg, 0)
+    assert repmod.indecomposable_evidence(direct_sum([s, s])[0]) is None
+    assert repmod.indecomposable_evidence(s) == "endomorphism algebra has dimension 1"
+
+
+def _reference_complement_data(span):
+    """The three-step version: B from `column_space_basis`, E from the pivots
+    of [B | I], and the projection from the inverse of [B | E]."""
+    field = span.field
+    b = column_space_basis(span)
+    _, pivots = rref(hstack([b, Matrix.identity(field, span.rows)]))
+    e = Matrix(field, np.eye(span.rows, dtype=np.int64)[:, [c - b.cols for c in pivots if c >= b.cols]])
+    sinv = inverse(hstack([b, e]))
+    return b, e, Matrix(field, sinv.a[b.cols :, :])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2147483647])
+def test_complement_data_matches_the_three_step_reference(p):
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1000)
+    for _ in range(150):
+        n, c = (int(x) for x in rng.integers(0, 6, size=2))
+        r = int(rng.integers(0, min(n, c) + 1))
+        span = multiply(Matrix(field, rng.integers(0, p, size=(n, r))), Matrix(field, rng.integers(0, p, size=(r, c))))
+        b, e, proj = repmod._complement_data(span)
+        assert (b, e, proj) == _reference_complement_data(span)
+        assert multiply(proj, b).is_zero()
+        assert multiply(proj, e) == Matrix.identity(field, e.cols)
+
+
+def _reference_relation_values(m, rel):
+    """The value of one relation on m, term by term through `apply_path`."""
+    src = m.algebra.quiver.arrow(rel[0].path[0]).source
+    tgt = m.algebra.quiver.arrow(rel[0].path[-1]).target
+    acc = Matrix.zeros(m.algebra.field, m.dims[tgt], m.dims[src])
+    for term in rel:
+        acc = add(acc, scale(term.coefficient, m.apply_path(src, term.path)))
+    return acc
+
+
+@pytest.mark.parametrize("p", [2, 3, 2147483647])
+def test_broken_relations_matches_an_apply_path_reference(p):
+    rng = np.random.default_rng(p % 1000)
+    algebras = [loop_algebra(3, p), _comm_square_algebra(p), _a3_radical_square_zero(p), t2_of(loop_algebra(2, p))[0]]
+    seen = set()
+    for alg in algebras:
+        for _ in range(8):
+            # candidate 0 is a module; the rest are random matrices of its dims
+            m = random_module(alg, rng)
+            stacks = {
+                a.id: np.concatenate([m.arrow_maps[a.id].a[None],
+                                      rng.integers(0, p, size=(5, m.dims[a.target], m.dims[a.source]))])
+                for a in alg.quiver.arrows
+            }
+            got = repmod.broken_relations(alg, stacks)
+            assert len(got) == len(alg.relations)
+            for rel, broken in zip(alg.relations, got):
+                assert broken.shape == (6,) and not broken[0]
+                for k in range(6):
+                    cand = Representation(alg, m.dims, {aid: st[k] for aid, st in stacks.items()}, validate=False)
+                    assert bool(broken[k]) == (not _reference_relation_values(cand, rel).is_zero())
+                    seen.add(bool(broken[k]))
+    assert seen == {True, False}
+
+
+def test_a_broken_relation_is_named_in_the_error():
+    # k<x, y>/(x^2, y^2, xy): x = 0 and y = 1 break y^2 only
+    alg = build_algebra(Quiver(1, [("x", 0, 0), ("y", 0, 0)]),
+                        [[(1, ("x", "x"))], [(1, ("y", "y"))], [(1, ("x", "y"))]], PrimeField(3))
+    with pytest.raises(ValueError) as info:
+        Representation(alg, (1,), {"x": Matrix(alg.field, [[0]]), "y": Matrix(alg.field, [[1]])})
+    assert str(info.value) == f"relation {alg.relations[1]!r} does not vanish on this representation"
 
 
 def test_indecomposable_isomorphism():
