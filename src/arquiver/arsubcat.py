@@ -98,17 +98,16 @@ class GorensteinProfile:
     cap_exceeded: bool = False
 
 
-def _injective_dimension(alg: BoundQuiverAlgebra, cap: int, dim_cap: int) -> int | None:
-    """Length of the minimal injective coresolution of the right regular
-    module, or None when it does not terminate within cap steps or the
-    cosyzygies outgrow dim_cap (divergent coresolutions double at every
+def _resolution_length(m: Representation, step, cap: int, dim_cap: float) -> int | None:
+    """Length of the minimal resolution of m whose terms `step` (syzygy or
+    cosyzygy) computes, or None when it does not reach zero within cap steps
+    or a term outgrows dim_cap (divergent coresolutions double at every
     step, so the depth cap alone would stall on huge exact kernels)."""
-    m = regular_module(alg)
     steps = 0
     while not m.is_zero():
         if steps > cap or m.total_dim > dim_cap:
             return None
-        m = cosyzygy(m)
+        m = step(m)
         steps += 1
     return max(steps - 1, 0)
 
@@ -123,8 +122,7 @@ def gorenstein_profile(
         raise ValueError("cap must be >= 1")
     if is_selfinjective(alg):
         return GorensteinProfile(alg, 0, True, True)
-    right = _injective_dimension(alg, cap, dim_cap)
-    left = _injective_dimension(opposite(alg), cap, dim_cap)
+    right, left = (_resolution_length(regular_module(a), cosyzygy, cap, dim_cap) for a in (alg, opposite(alg)))
     if right is None or left is None:
         return GorensteinProfile(alg, None, False, False, cap_exceeded=True)
     return GorensteinProfile(alg, max(right, left), False, True)
@@ -150,18 +148,19 @@ def is_gorenstein_projective(m: Representation, profile: GorensteinProfile) -> b
 def has_finite_projdim(m: Representation, cap: int = 16) -> int | None:
     """Projective dimension by iterating minimal syzygies until zero, or
     None when no zero syzygy appears within cap steps."""
-    cur = m
-    steps = 0
-    while not cur.is_zero():
-        if steps > cap:
-            return None
-        cur = syzygy(cur)
-        steps += 1
-    return max(steps - 1, 0)
+    return _resolution_length(m, syzygy, cap, float("inf"))
 
 
 # ---------------------------------------------------------------------------
 # relative translations
+
+
+def _nonprojective_part(m: Representation) -> Representation:
+    """The direct sum of the non-projective summands of m, or the zero module."""
+    parts = nonprojective_summands(m)
+    if not parts:
+        return zero_module(m.algebra)
+    return parts[0] if len(parts) == 1 else direct_sum(parts)[0]
 
 
 def tau_gprj(g: Representation, profile: GorensteinProfile) -> Representation:
@@ -170,10 +169,9 @@ def tau_gprj(g: Representation, profile: GorensteinProfile) -> Representation:
     syzygies again.  Projective summands go to zero."""
     if not is_gorenstein_projective(g, profile):
         raise NotGorensteinProjective("input is not Gorenstein projective")
-    parts = nonprojective_summands(g)
-    if not parts:
-        return zero_module(g.algebra)
-    core = parts[0] if len(parts) == 1 else direct_sum(parts)[0]
+    core = _nonprojective_part(g)
+    if core.is_zero():
+        return core
     t = transpose(core)
     for _ in range(profile.d):
         t = syzygy(t)
@@ -190,10 +188,9 @@ def tau_pfin(m: Representation, profile: GorensteinProfile) -> Representation:
     return the right-minimized induced map's source between the cokernels."""
     if not (profile.is_d_gorenstein and profile.d is not None and profile.d <= 1):
         raise NotOneGorenstein("tau_pfin needs a 1-Gorenstein algebra")
-    parts = nonprojective_summands(m)
-    if not parts:
-        return zero_module(m.algebra)
-    core = parts[0] if len(parts) == 1 else direct_sum(parts)[0]
+    core = _nonprojective_part(m)
+    if core.is_zero():
+        return core
     if has_finite_projdim(core) is None:
         raise InfiniteProjectiveDimension(
             "tau_pfin input must have finite projective dimension"

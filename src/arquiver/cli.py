@@ -219,27 +219,33 @@ class FixtureManifest:
     algebra: BoundQuiverAlgebra
     base_algebra: BoundQuiverAlgebra | None
     modules: dict[str, Representation]
-    bound: tuple[int, ...]
+    bound: tuple[int, ...] | None
     expected_indec_count: int | None
     expected_gorenstein: dict | None
     suites: dict[str, dict]
 
 
 def _int_tuple(value, where: str) -> tuple[int, ...]:
-    """value, a JSON list of integers, as a tuple; ParseFailure otherwise."""
-    try:
-        if isinstance(value, list):
-            return tuple(int(b) for b in value)
-    except (TypeError, ValueError):
-        pass
+    """value, a JSON list of integers, as a tuple; ParseFailure otherwise,
+    also for 1.5, "2" or true, which int() would take."""
+    if isinstance(value, list) and all(type(b) is int for b in value):
+        return tuple(value)
     raise ParseFailure(f"{where} must be a list of integers")
 
 
+def _bound(value, count: int, where: str, over: str) -> tuple[int, ...]:
+    """value, a JSON list of count non-negative integers, one cap per vertex
+    of `over`, as a tuple; ParseFailure otherwise."""
+    bound = _int_tuple(value, where)
+    if len(bound) != count or min(bound, default=0) < 0:
+        raise ParseFailure(f"{where} must hold a non-negative integer per vertex of {over} ({count}), got {list(bound)}")
+    return bound
+
+
 def _integer(value, where: str) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ParseFailure(f"{where} must be an integer") from None
+    if type(value) is int:
+        return value
+    raise ParseFailure(f"{where} must be an integer")
 
 
 def _require_names(value, where: str) -> None:
@@ -258,7 +264,6 @@ def load_manifest(path: str | Path) -> FixtureManifest:
     root = Path(path).resolve().parent
     if "algebra" not in data:
         raise ParseFailure(f"{path}: manifest lacks an 'algebra' entry")
-    bound = _int_tuple(data.get("bound", []), f"{path}: 'bound'")
     entries = _require_object(data.get("modules", {}), f"{path}: 'modules'")
     expected = _require_object(data.get("expected", {}), f"{path}: 'expected'")
     suites = _require_object(data.get("suites", {}), f"{path}: 'suites'")
@@ -267,8 +272,6 @@ def load_manifest(path: str | Path) -> FixtureManifest:
         raise ParseFailure(f"{path}: unknown suites {unknown}")
     for suite, cfg in suites.items():
         _require_object(cfg, f"{path}: suite {suite}")
-        if "bound" in cfg:
-            _int_tuple(cfg["bound"], f"{path}: {suite}.bound")
         if "counts" in cfg:
             counts = _require_object(cfg["counts"], f"{path}: {suite}.counts")
             _int_tuple(list(counts.values()), f"{path}: the values of {suite}.counts")
@@ -293,6 +296,18 @@ def load_manifest(path: str | Path) -> FixtureManifest:
                 f"algebra of {data['base_algebra']}"
             )
         alg = canonical
+    nv = alg.quiver.vertices
+    bound = _bound(data["bound"], nv, f"{path}: 'bound'", "the algebra") if "bound" in data else None
+    # the census caps the triangular algebra of its base: two caps per vertex
+    # of the base, which the doubled top-level bound fits only without a base
+    census_nv = 2 * (alg if base is None else base).quiver.vertices
+    for suite, cfg in suites.items():
+        census = suite == "gp-census"
+        if "bound" in cfg:
+            over = "the triangular algebra of the base" if census else "the algebra"
+            _bound(cfg["bound"], census_nv if census else nv, f"{path}: {suite}.bound", over)
+        elif census and base is not None:
+            raise ParseFailure(f"{path}: gp-census.bound is required when the manifest has a base_algebra")
 
     modules: dict[str, Representation] = {}
     for name in sorted(entries):
@@ -374,11 +389,20 @@ def _run_profile(man: FixtureManifest, seed: int) -> SuiteResult:
     return SuiteResult("profile", ok, ok, detail, payload)
 
 
+def _top_bound(man: FixtureManifest, suite: str) -> tuple[int, ...]:
+    """The manifest's top-level bound, which suite reads; ParseFailure when
+    there is none."""
+    if man.bound is None:
+        raise ParseFailure(f"manifest lacks a 'bound' entry, which suite {suite} reads")
+    return man.bound
+
+
 def _run_indec_pool(man: FixtureManifest, seed: int) -> SuiteResult:
-    pool = indec_pool(man.algebra, man.bound, seed=seed)
+    bound = _top_bound(man, "indec-pool")
+    pool = indec_pool(man.algebra, bound, seed=seed)
     payload = {"count": len(pool), "dims": [list(m.dims) for m in pool]}
     ok = True
-    notes = [f"{len(pool)} indecomposables under bound {list(man.bound)}"]
+    notes = [f"{len(pool)} indecomposables under bound {list(bound)}"]
     if man.expected_indec_count is not None and len(pool) != man.expected_indec_count:
         ok = False
         notes.append(f"expected {man.expected_indec_count}")
@@ -422,7 +446,7 @@ def _run_duality(suite: str, man: FixtureManifest, seed: int) -> SuiteResult:
 
 def _run_gp_census(man: FixtureManifest, seed: int) -> SuiteResult:
     cfg = man.suites.get("gp-census", {})
-    bound = tuple(int(b) for b in cfg.get("bound", list(man.bound) * 2))
+    bound = tuple(cfg["bound"]) if "bound" in cfg else _top_bound(man, "gp-census") * 2
     target = man.base_algebra if man.base_algebra is not None else man.algebra
     census = classify_gp_census(target, bound)
     payload = {"counts": census.counts, "objects": [list(o) for o in census.objects]}
@@ -442,7 +466,7 @@ def _run_gp_census(man: FixtureManifest, seed: int) -> SuiteResult:
 
 def _run_tau_syzygy(man: FixtureManifest, seed: int) -> SuiteResult:
     cfg = man.suites.get("tau-syzygy", {})
-    bound = tuple(int(b) for b in cfg.get("bound", man.bound))
+    bound = tuple(cfg["bound"]) if "bound" in cfg else _top_bound(man, "tau-syzygy")
     holds, witnesses = check_tau_is_syzygy(man.algebra, bound, seed=seed)
     named = [
         {
@@ -485,8 +509,10 @@ def _suite_runner(suite: str):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    man = load_manifest(args.manifest)
     seed = args.seed
+    if seed < 0:
+        raise ParseFailure(f"--seed must be a non-negative integer, got {seed}")
+    man = load_manifest(args.manifest)
     if args.suite == "all":
         planned = [("profile", _run_profile), ("indec-pool", _run_indec_pool)]
         planned += [

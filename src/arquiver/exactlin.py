@@ -210,19 +210,6 @@ def kernel_basis(m: Matrix) -> Matrix:
     return Matrix(m.field, out)
 
 
-def kernel_form(span: Matrix) -> Matrix:
-    """`kernel_basis`'s canonical form of the column span of `span`: for any
-    A whose right kernel is that span, kernel_form(span) == kernel_basis(A).
-
-    Column c of A is free exactly when some kernel vector ends at c (is
-    nonzero there and zero after it), so the free columns are the pivots of
-    span's rows read right to left, and the reduced rows, each 1 at its own
-    free column and 0 at the others, are the canonical kernel vectors.
-    """
-    red, pivots = rref(Matrix(span.field, span.a.T[:, ::-1]))
-    return Matrix(span.field, red.a[: len(pivots)][::-1, ::-1].T)
-
-
 def solve(m: Matrix, b: Matrix) -> Matrix | None:
     """Any x with m @ x == b, or None when the system is inconsistent.
 

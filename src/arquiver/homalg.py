@@ -1,6 +1,6 @@
 """Homological constructions: minimal presentations, syzygies, transpose,
-Auslander-Reiten translation, stable hom spaces, Ext, right minimal versions,
-and the Nakayama functor.
+Auslander-Reiten translation, stable hom spaces, Ext and right minimal
+versions.
 
 The transpose of M is computed symbolically from a minimal projective
 presentation P1 -> P0 -> M: the presentation matrix is read off as elements
@@ -17,18 +17,15 @@ f -> f.d is the matrix `_relation_system` of d.  Hom(M, X) is the kernel of
 one such system, and Ext^i(M, N) is the cohomology of
 Hom(P_{i-1}, N) -> Hom(P_i, N) -> Hom(P_{i+1}, N), whose two maps are such
 systems.  The dimensions are ranks and kernels in these coordinates; stable
-Hom builds its representative maps only when they are read, and Ext builds
-only the cocycles of its basis.  Every map out of a projective is built from
-its generator images by `repmod._maps_on_paths`: the projective cover, the
-dual D(d) in `transpose`, the Ext cocycles and the stable Hom representatives.
+Hom builds no map, and Ext builds only the cocycles of its basis.  Every map
+out of a projective is built from its generator images by
+`repmod._maps_on_paths`: the projective cover, the dual D(d) in `transpose`
+and the Ext cocycles.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable
 
 import numpy as np
 
@@ -46,12 +43,10 @@ from .repmod import (
     decompose,
     direct_sum,
     dual_map,
-    flatten_map,
     hom_basis,
     indecomposable_injective,
     indecomposable_projective,
     injective_envelope,
-    injective_module,
     is_projective,
     k_dual,
     match_indecomposables,
@@ -64,7 +59,6 @@ from .repmod import (
     syzygy_step,
     _fitting_split,
     _image_offsets,
-    _maps_from_vecs,
     _maps_on_paths,
     _path_actions,
     _product_span,
@@ -119,13 +113,13 @@ def dual_of_projective_map(g: ModuleMap) -> ModuleMap:
     Q's summand l; raises NotProjective unless both ends were built by
     `repmod.projective_module`.
     """
-    if any(x._layout is None or x._layout[0] != "proj" for x in (g.source, g.target)):
+    if g.source._layout is None or g.target._layout is None:
         raise NotProjective("dual_of_projective_map needs projective modules with their layout")
     op = opposite(g.source.algebra)
-    _, tgt_verts, coords_tgt = g.target._layout
-    pstar = projective_module(op, g.source._layout[1])
+    tgt_verts, coords_tgt = g.target._layout
+    pstar = projective_module(op, g.source._layout[0])
     qstar = projective_module(op, tgt_verts)
-    coords_p = pstar._layout[2]
+    coords_p = pstar._layout[1]
     offsets = _image_offsets(pstar, tgt_verts)
     y = np.zeros((offsets[-1], 1), dtype=np.int64)
     for k, (vk, pos) in enumerate(projective_generators(g.source)):
@@ -208,24 +202,6 @@ class StableHomSpace:
     total_dim: int
     factoring_dim: int
     stable_dim: int
-    # builds stable_representatives on their first read
-    _representatives: Callable[[], tuple[ModuleMap, ...]] = dataclasses.field(repr=False, compare=False)
-
-    @cached_property
-    def stable_representatives(self) -> tuple[ModuleMap, ...]:
-        """Members of `hom_basis(source, target)` whose classes form a basis
-        of the stable space."""
-        return self._representatives()
-
-
-def _quotient_data(field, sub: list[ModuleMap], total: list[ModuleMap]) -> tuple[ModuleMap, ...]:
-    """Members of `total` whose classes form a basis of span(total)/span(sub),
-    for sub inside span(total): the pivots of total after those of sub."""
-    if not total:
-        return ()
-    flats = np.stack([flatten_map(f) for f in sub + total])
-    _, pivots = exactlin.rref(exactlin.transpose(Matrix(field, flats)))
-    return tuple(total[i - len(sub)] for i in pivots if i >= len(sub))
 
 
 def _presentation_relations(m: Representation) -> tuple[ModuleMap, list]:
@@ -247,7 +223,7 @@ def _relation_system(eps: ModuleMap, relations, x: Representation, acts: dict) -
     for P0 = eps.source and d given by `relations`: one block row per
     generator h of P1, sum_r c_r X(path_r) y_{k_r} where d(h) = sum_r c_r
     g_{k_r}.path_r.  Its kernel is Hom(coker d, X)."""
-    _, gen_verts, coords = eps.source._layout
+    gen_verts, coords = eps.source._layout
     p = x.algebra.field.p
     offsets = _image_offsets(x, gen_verts)
     system = np.zeros((sum(x.dims[u] for u, _ in relations), offsets[-1]), dtype=np.int64)
@@ -261,49 +237,6 @@ def _relation_system(eps: ModuleMap, relations, x: Representation, acts: dict) -
     return system
 
 
-def _vec_of_images(eps: ModuleMap, n: Representation, acts: dict, y: np.ndarray) -> np.ndarray:
-    """The maps M -> N with generator images the columns of y, as columns of
-    stacked column-major vec(f_v) (`hom_basis`'s coordinates): f_v = Phi_v s_v,
-    where s_v is a section of eps_v and Phi_v is the map P0 -> N with those
-    generator images, at v."""
-    m = eps.target
-    field = m.algebra.field
-    parts = []
-    for v, phi in enumerate(_maps_on_paths(eps.source, n, acts, y)):
-        if not m.dims[v] * n.dims[v]:
-            continue
-        section = exactlin.solve(eps.vertex_maps[v], Matrix.identity(field, m.dims[v]))
-        invariant(section is not None, "projective cover is not onto")
-        f = _matmul_stacks(section.a.T, phi.reshape(len(phi), -1), field.p)
-        # f[c, r, j] = entry (r, c) of map j; vec order runs over c, then r
-        parts.append(f.reshape(-1, y.shape[1]))
-    return np.concatenate(parts)
-
-
-def _proj_representatives(eps: ModuleMap, n: Representation, acts: dict, homs, factoring) -> tuple[ModuleMap, ...]:
-    """`stable_hom_proj`'s representatives, from its kernel `homs` and a
-    basis `factoring` of the factoring maps, both in generator-image
-    coordinates."""
-    m = eps.target
-    field = m.algebra.field
-    p = field.p
-    canon = exactlin.kernel_form(Matrix(field, _vec_of_images(eps, n, acts, homs)))
-    invariant(canon.cols == homs.shape[1], "generator images do not determine the map")
-    total = _maps_from_vecs(m, n, canon.a)
-    # y of the total basis: f_v(eps g_k) for each generator g_k at vertex v
-    vec_starts = np.cumsum([0] + [a * b for a, b in zip(m.dims, n.dims)])
-    images = [
-        _matmul_stacks(
-            eps.vertex_maps[v].a[:, pos][None],
-            canon.a[vec_starts[v] : vec_starts[v + 1]].reshape(m.dims[v], n.dims[v] * len(total)),
-            p,
-        ).reshape(n.dims[v], len(total))
-        for v, pos in projective_generators(eps.source)
-    ]
-    _, pivots = exactlin.rref(Matrix(field, np.hstack([factoring, np.vstack(images)])))
-    return tuple(total[i - factoring.shape[1]] for i in pivots if i >= factoring.shape[1])
-
-
 def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
     """Hom(m, n) modulo maps factoring through a projective.
 
@@ -313,14 +246,7 @@ def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
     it factors through the projective cover pi: P(N) -> N, so the factoring
     subspace is pi applied blockwise to the kernel for X = P(N).  total_dim
     and factoring_dim are the kernel dimension for N and that subspace's
-    rank; no map is built for them.
-
-    The representatives are built on their first read.  The total basis is
-    mapped to vec coordinates and brought into `exactlin.kernel_form`, which
-    depends only on the subspace, so it is `hom_basis(m, n)` entry for entry.
-    The representatives are the members of that basis that are pivots of
-    [factoring | y(total)]: y is injective, so this is the greedy choice
-    `_quotient_data` makes in vec coordinates.
+    rank; no map is built.
     """
     if m.algebra != n.algebra:
         raise ValueError("stable_hom_proj between modules over different algebras")
@@ -331,7 +257,7 @@ def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
     system = _relation_system(eps, relations, n, acts)
     homs = exactlin.kernel_basis(Matrix(field, system)).a
     if not homs.shape[1]:
-        return StableHomSpace(m, n, 0, 0, 0, tuple)
+        return StableHomSpace(m, n, 0, 0, 0)
     cover = projective_cover(n)
     gens = projective_generators(eps.source)
     to_p = exactlin.kernel_basis(
@@ -345,16 +271,7 @@ def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
     red, pivots = exactlin.rref(Matrix(field, through.T))
     factoring = red.a[: len(pivots)].T
     invariant(not _matmul_stacks(system, factoring, p).any(), "a map through the projective cover is not in Hom(M, N)")
-    reps = partial(_proj_representatives, eps, n, acts, homs, factoring)
-    return StableHomSpace(m, n, homs.shape[1], len(pivots), homs.shape[1] - len(pivots), reps)
-
-
-def stable_hom_inj(m: Representation, n: Representation) -> StableHomSpace:
-    """Hom(m, n) modulo maps factoring through an injective (via the envelope of m)."""
-    env = injective_envelope(m)
-    total = hom_basis(m, n)
-    reps = _quotient_data(m.algebra.field, [compose(g, env) for g in hom_basis(env.target, n)], total)
-    return StableHomSpace(m, n, len(total), len(total) - len(reps), len(reps), lambda: reps)
+    return StableHomSpace(m, n, homs.shape[1], len(pivots), homs.shape[1] - len(pivots))
 
 
 @dataclass(frozen=True)
@@ -465,11 +382,6 @@ def _stable_ideal_power(h: ModuleMap) -> np.ndarray:
     return w
 
 
-def is_right_minimal(h: ModuleMap) -> bool:
-    """Deterministic: the stable power of {u : h.u = 0} vanishes."""
-    return not len(_stable_ideal_power(h))
-
-
 def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Representation]:
     """Split h: M -> N as h1 (+) (M2 -> 0) with h1: M1 -> N right minimal.
 
@@ -502,7 +414,7 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
 
 
 # ---------------------------------------------------------------------------
-# Nakayama functor and stable isomorphism
+# self-injectivity and stable isomorphism
 
 
 def is_selfinjective(alg) -> bool:
@@ -511,14 +423,6 @@ def is_selfinjective(alg) -> bool:
     projectives = tuple(indecomposable_projective(alg, v) for v in verts)
     injectives = tuple(indecomposable_injective(alg, v) for v in verts)
     return match_indecomposables(projectives, injectives) is not None
-
-
-def nakayama(p_mod: Representation) -> Representation:
-    """nu(P) = D Hom(P, A): sends the projective on a vertex list to the
-    injective on the same list.  Errors on non-projectives."""
-    if not is_projective(p_mod):
-        raise NotProjective("nakayama functor applied to a non-projective module")
-    return injective_module(p_mod.algebra, projective_cover(p_mod).source._layout[1])
 
 
 def nonprojective_summands(m: Representation) -> list[Representation]:

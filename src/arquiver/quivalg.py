@@ -159,23 +159,6 @@ class BoundQuiverAlgebra:
             vec = (vec - drop) % p
         return {table.paths[i]: int(vec[i]) for i in table.nf_positions if vec[i]}
 
-    def multiply_elements(self, x: dict[BasisPath, int], y: dict[BasisPath, int]) -> dict[BasisPath, int]:
-        """Product of two elements given in normal-form coordinates."""
-        p = self.field.p
-        out: dict[BasisPath, int] = {}
-        for (sx, ax), cx in x.items():
-            tx = path_target(self.quiver, (sx, ax))
-            for (sy, ay), cy in y.items():
-                if sy != tx:
-                    continue
-                for bp, c in self.reduce_path(sx, ax + ay).items():
-                    v = (out.get(bp, 0) + cx * cy * c) % p
-                    if v:
-                        out[bp] = v
-                    else:
-                        out.pop(bp, None)
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, BoundQuiverAlgebra)

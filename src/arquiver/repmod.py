@@ -23,9 +23,10 @@ from .quivalg import BoundQuiverAlgebra, opposite
 
 
 class Representation:
-    # _cover and _syzygy memoize the first resolution step (projective_cover,
-    # syzygy_step) and _transpose memoizes homalg.transpose; like _layout they
-    # are not part of equality or the hash.
+    # _layout is (summand vertices, path-basis coordinates) on a module built
+    # by projective_module and None on any other; _cover and _syzygy memoize
+    # the first resolution step (projective_cover, syzygy_step) and _transpose
+    # memoizes homalg.transpose.  None of them is part of equality or the hash.
     __slots__ = ("algebra", "dims", "arrow_maps", "_layout", "_cover", "_syzygy", "_transpose")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims, arrow_maps, validate: bool = True):
@@ -61,12 +62,6 @@ class Representation:
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
-
-    def apply_path(self, source: int, arrows) -> Matrix:
-        acc = Matrix.identity(self.algebra.field, self.dims[source])
-        for aid in arrows:
-            acc = exactlin.multiply(self.arrow_maps[aid], acc)
-        return acc
 
     @property
     def total_dim(self) -> int:
@@ -254,17 +249,11 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
         system = Matrix(alg.field, np.vstack(rows))
     else:
         system = Matrix.zeros(alg.field, 0, offsets[-1])
-    return _maps_from_vecs(m, n, exactlin.kernel_basis(system).a)
-
-
-def _maps_from_vecs(m: Representation, n: Representation, vecs: np.ndarray) -> list[ModuleMap]:
-    """The maps m -> n whose stacked column-major vec(f_v), one block per
-    vertex, are the columns of vecs (`hom_basis`'s coordinates)."""
     out = []
-    for v in vecs.T:
+    for v in exactlin.kernel_basis(system).a.T:
         vms, start = [], 0
         for ni, mi in zip(n.dims, m.dims):
-            vms.append(Matrix(m.algebra.field, v[start : start + ni * mi].reshape((ni, mi), order="F")))
+            vms.append(Matrix(alg.field, v[start : start + ni * mi].reshape((ni, mi), order="F")))
             start += ni * mi
         out.append(ModuleMap(m, n, vms, validate=False))
     return out
@@ -467,7 +456,7 @@ def projective_module(algebra: BoundQuiverAlgebra, verts) -> Representation:
                 mat[index[j][(k, nf)], pos] = c
         maps[a.id] = Matrix(algebra.field, mat)
     rep = Representation(algebra, dims, maps, validate=False)
-    object.__setattr__(rep, "_layout", ("proj", verts, coords))
+    object.__setattr__(rep, "_layout", (verts, coords))
     return rep
 
 
@@ -481,12 +470,7 @@ def k_dual(m: Representation) -> Representation:
     maps = {}
     for a in op.quiver.arrows:
         maps[a.id] = exactlin.transpose(m.arrow_maps[a.id])
-    dual = Representation(op, m.dims, maps, validate=False)
-    layout = m._layout
-    if layout is not None:
-        kind, verts, coords = layout
-        object.__setattr__(dual, "_layout", ("inj" if kind == "proj" else "proj", verts, coords))
-    return dual
+    return Representation(op, m.dims, maps, validate=False)
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -585,8 +569,8 @@ def injective_envelope(m: Representation) -> ModuleMap:
 def projective_generators(proj: Representation) -> list[tuple[int, int]]:
     """For a projective built by projective_module: [(vertex, coordinate)] of
     each summand's generator (its trivial path)."""
-    kind, verts, coords = proj._layout
-    invariant(kind == "proj", "module was not built with a projective layout")
+    invariant(proj._layout is not None, "module was not built with a projective layout")
+    verts, coords = proj._layout
     out = []
     for k, v in enumerate(verts):
         out.append((v, coords[v].index((k, (v, ())))))
@@ -622,9 +606,9 @@ def _maps_on_paths(src: Representation, x: Representation, acts: dict, y: np.nda
     X(path) y_k, the image under map j of src's basis path c = (k, path) at v.
     One stacked product per pair of vertices.  This is the one builder of
     maps out of a projective (Yoneda: Hom(P(v), X) = X e_v): projective
-    covers, homalg's D(d) in the transpose, Ext cocycles and stable Hom
-    representatives all come from it."""
-    _, gen_verts, coords = src._layout
+    covers, homalg's D(d) in the transpose and Ext cocycles all come from
+    it."""
+    gen_verts, coords = src._layout
     p = x.algebra.field.p
     offsets = _image_offsets(x, gen_verts)
     out = []

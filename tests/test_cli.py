@@ -362,11 +362,25 @@ def test_verify_mismatched_base_algebra_exits_1(capsys, tmp_path):
         (lambda m: m["expected"].update({"indec_count": "x"}), "expected.indec_count must be an integer"),
         (lambda m: m["expected"].update({"gorenstein": [0]}), "expected.gorenstein must be a JSON object"),
         (lambda m: m["suites"]["ar-full"].update({"pairs": "x"}), "ar-full.pairs must be an integer"),
+        (lambda m: m["suites"]["ar-full"].update({"pairs": "4"}), "ar-full.pairs must be an integer"),
+        (lambda m: m["expected"].update({"indec_count": 2.7}), "expected.indec_count must be an integer"),
         (lambda m: m["suites"]["ar-full"].update({"members": 5}), "ar-full.members must be a list of names"),
         (lambda m: m["suites"]["tau-syzygy"].update({"witnesses": 5}), "tau-syzygy.witnesses must be a list of names"),
+        (lambda m: m.pop("bound"), "lacks a 'bound' entry, which suite indec-pool reads"),
+        (lambda m: m.update({"bound": [2, 2]}), "'bound' must hold a non-negative integer per vertex of the algebra (1)"),
+        (lambda m: m.update({"bound": [-1]}), "'bound' must hold a non-negative integer per vertex"),
+        (lambda m: m.update({"bound": [1.5]}), "'bound' must be a list of integers"),
+        (lambda m: m["suites"]["tau-syzygy"].update({"bound": [True]}), "tau-syzygy.bound must be a list of integers"),
+        (lambda m: m["suites"]["gp-census"].update({"bound": [2]}),
+         "gp-census.bound must hold a non-negative integer per vertex of the triangular algebra of the base (2)"),
+        (lambda m: m["suites"]["tau-syzygy"].update({"bound": [2, 2, 2]}),
+         "tau-syzygy.bound must hold a non-negative integer per vertex of the algebra (1)"),
     ],
     ids=["suite-list", "bound-string", "expected-list", "modules-list", "module-path", "census-bound", "census-counts",
-         "indec-count-string", "gorenstein-list", "pairs-string", "members-number", "witnesses-number"],
+         "indec-count-string", "gorenstein-list", "pairs-string", "pairs-numeral", "indec-count-float",
+         "members-number", "witnesses-number",
+         "bound-missing", "bound-too-long", "bound-negative", "bound-float", "tau-syzygy-bound-bool",
+         "census-bound-too-short", "tau-syzygy-bound-too-long"],
 )
 def test_verify_malformed_manifest_shapes_exit_1(capsys, tmp_path, edit, phrase):
     fx = tmp_path / "fx"
@@ -378,6 +392,33 @@ def test_verify_malformed_manifest_shapes_exit_1(capsys, tmp_path, edit, phrase)
         ["verify", "--manifest", str(fx / "manifest_kx2.json"), "--suite", "all"], capsys)
     assert code == 1
     assert phrase in err
+
+
+def test_verify_without_a_bound_runs_the_suites_that_do_not_read_it(capsys, tmp_path):
+    fx = tmp_path / "fx"
+    shutil.copytree(FIX, fx)
+    for name in ("manifest_kx2.json", "manifest_t2_kx2.json"):
+        manifest = json.loads((fx / name).read_text())
+        del manifest["bound"]
+        (fx / name).write_text(json.dumps(manifest))
+    for suite in ("ar-full", "gp-census", "tau-syzygy"):
+        code, out, _ = run(["verify", "--manifest", str(fx / "manifest_kx2.json"), "--suite", suite], capsys)
+        assert code == 0 and "RESULT: PASS" in out, suite
+    # over a base algebra the doubled top-level bound cannot cap the census
+    manifest = json.loads((fx / "manifest_t2_kx2.json").read_text())
+    del manifest["suites"]["gp-census"]["bound"]
+    (fx / "manifest_t2_kx2.json").write_text(json.dumps(manifest))
+    code, _, err = run(["verify", "--manifest", str(fx / "manifest_t2_kx2.json"), "--suite", "ar-gprj"], capsys)
+    assert code == 1 and "gp-census.bound is required" in err
+
+
+def test_verify_negative_seed_exits_1(capsys, monkeypatch):
+    # rejected before the manifest is read or any suite runs
+    monkeypatch.setattr(cli, "load_manifest", lambda path: pytest.fail("the manifest was read"))
+    code, out, err = run(
+        ["verify", "--manifest", str(FIX / "manifest_kx2.json"), "--suite", "all", "--seed", "-1"], capsys)
+    assert code == 1 and out == ""
+    assert "--seed must be a non-negative integer, got -1" in err
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from arquiver.exactlin import (
     image_membership,
     inverse,
     kernel_basis,
-    kernel_form,
     multiply,
     rank,
     rref,
@@ -103,36 +102,6 @@ def test_kernel_and_rank_nullity_randomized():
             # rref is idempotent
             red2, pivots2 = rref(red)
             assert red2 == red and pivots2 == pivots
-
-
-def _random_invertible(rng, field, n):
-    while True:
-        g = _random_matrix(rng, field, n, n)
-        if inverse(g) is not None:
-            return g
-
-
-def test_kernel_form_is_the_canonical_kernel_basis_of_any_spanning_basis():
-    rng = np.random.default_rng(4)
-    for p in (2, 3, 5, 13):
-        field = PrimeField(p)
-        for _ in range(40):
-            rows, cols = int(rng.integers(0, 7)), int(rng.integers(0, 7))
-            # a repeated row makes rank drops common at every p
-            a = _random_matrix(rng, field, rows, cols)
-            if rows > 1:
-                a = Matrix(field, np.vstack([a.a, a.a[:1]]))
-            k = kernel_basis(a)
-            g = _random_invertible(rng, field, k.cols)
-            assert kernel_form(multiply(k, g)) == k
-    # the empty cases: no columns, no rows (kernel is everything), full rank
-    assert kernel_form(kernel_basis(Matrix.zeros(F5, 2, 0))) == Matrix.zeros(F5, 0, 0)
-    assert kernel_form(kernel_basis(Matrix.zeros(F5, 0, 3))) == Matrix.identity(F5, 3)
-    # span{(0, 1, 2), (1, 1, 0)} is the kernel of (2 3 1); its vectors end at 2 and 1
-    span = Matrix(F5, [[0, 1], [1, 1], [2, 0]])
-    assert kernel_form(span) == kernel_basis(Matrix(F5, [[2, 3, 1]])) == Matrix(F5, [[1, 2], [1, 0], [0, 1]])
-    full = Matrix(F5, [[1, 2], [3, 4]])
-    assert kernel_form(kernel_basis(full)) == kernel_basis(full) == Matrix.zeros(F5, 2, 0)
 
 
 def test_solve_exactness_randomized():

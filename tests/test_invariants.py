@@ -2,6 +2,7 @@
 so that they still hold under `python -O`, and mapped to exit code 3."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -216,3 +217,96 @@ def test_dead_helper_check_finds_unused_private_defs():
 def test_package_has_no_dead_private_helpers():
     sources = {path.name: path.read_text() for path in sorted(Path(arquiver.__file__).parent.glob("*.py"))}
     assert _unreferenced_private_defs(sources) == []
+
+
+# Public names that no job reaches, kept on purpose; the walk starts at them
+# too, so the helpers they call need no entry of their own.
+_KEPT_WITHOUT_A_JOB = {
+    "morph_hom_basis": "acceptance criterion 6: the direct Hom of the morphism category that the Mimo factorizations "
+    "are checked over",
+    "factor_morph_map_through": "acceptance criterion 6: the factorization through the Mimo approximation",
+    "is_stably_isomorphic": "acceptance criterion 7: Tr Tr M is M up to projective summands",
+    "tau_s_lambda": "ROADMAP item 3: Ringel and Schmidmeier's tau_S, the second route to the tau-syzygy verdict; it "
+    "keeps ar_translate_of_map, transpose_of_map and NotMono",
+    "extension_from_cocycle": "ROADMAP item 1: the middle term of an almost split sequence, from an Ext cocycle",
+}
+
+
+def _read_names(tree, strings: bool = False) -> set[str]:
+    """The names and attributes that `tree` reads and, with strings, every
+    identifier inside its string constants and imports (such as the
+    "repmod.hom_basis" of a span name)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return found
+
+
+def _job_roots(cli_source: str, bench_sources: list[str]) -> set[str]:
+    """Where the jobs start: every function of cli.py with the names it
+    reads, and every identifier and string of the benchmark scripts."""
+    roots = set()
+    for top in ast.parse(cli_source).body:
+        if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            roots |= {top.name} | _read_names(top)
+    for source in bench_sources:
+        roots |= _read_names(ast.parse(source), strings=True)
+    return roots
+
+
+def _unreached_public_defs(sources: dict[str, str], roots: set[str]) -> set[str]:
+    """Top-level public functions and classes in `sources` (file name ->
+    text) that a walk from `roots` does not reach.  The walk goes from each
+    name it reaches to the names read in the body of every top-level def or
+    class of that name, in any file; an import alone is not a read."""
+    defs, public = {}, set()
+    for source in sources.values():
+        for top in ast.parse(source).body:
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(top.name, []).append(top)
+                if not top.name.startswith("_"):
+                    public.add(top.name)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [n for top in defs.get(name, []) for n in _read_names(top)]
+    return public - reached
+
+
+def test_reachability_check_flags_what_no_job_reaches():
+    cli_source = "from .a import job\n\ndef main():\n    return job()\n"
+    bench = ["SPANS = ('a.timed',)\n"]
+    sources = {
+        "cli.py": cli_source,
+        "a.py": "def job():\n    return _helper()\n\ndef _helper():\n    return Shared()\n\nclass Shared:\n    pass\n\n"
+        "def timed():\n    pass\n\ndef kept():\n    return kept_helper()\n\ndef kept_helper():\n    pass\n\n"
+        "def dead():\n    return job()\n\nclass Dead:\n    pass\n",
+        "b.py": "from .a import dead\n",
+    }
+    roots = _job_roots(cli_source, bench)
+    # a call through a private helper and a name in a benchmark string both count
+    assert _unreached_public_defs(sources, roots) == {"kept", "kept_helper", "dead", "Dead"}
+    # an allowlisted name is accepted, and so are the helpers it calls
+    assert _unreached_public_defs(sources, roots | {"kept"}) == {"dead", "Dead"}
+
+
+def test_package_keeps_only_what_a_job_reaches():
+    package = Path(arquiver.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py"))]
+    assert bench
+    roots = _job_roots(sources["cli.py"], bench)
+    unreached = _unreached_public_defs(sources, roots)
+    # every kept name still lacks a job (one that gained a job leaves the list) ...
+    assert set(_KEPT_WITHOUT_A_JOB) <= unreached
+    # ... and every other public def is reached by a job or through a kept name
+    assert _unreached_public_defs(sources, roots | set(_KEPT_WITHOUT_A_JOB)) == set()

@@ -39,10 +39,8 @@ def test_loop_cube_basis_and_products():
     alg = loop_algebra(3)
     assert alg.dimension == 3
     assert alg.path_basis(0, 0) == [(0, ()), (0, ("x",)), (0, ("x", "x"))]
-    x = {(0, ("x",)): 1}
-    xx = alg.multiply_elements(x, x)
-    assert xx == {(0, ("x", "x")): 1}
-    assert alg.multiply_elements(xx, x) == {}
+    assert alg.reduce_path(0, ("x", "x")) == {(0, ("x", "x")): 1}
+    assert alg.reduce_path(0, ("x", "x", "x")) == {}
     assert alg.reduce_path(0, ("x", "x", "x", "x")) == {}
 
 
