@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BudgetExhausted,
     EnumerationCapExceeded,
     InfiniteProjectiveDimension,
     NotGorensteinProjective,
@@ -28,8 +29,8 @@ from .errors import (
     PreconditionError,
 )
 from .homalg import (
+    almost_split_sequence,
     ar_translate,
-    ar_translate_inverse,
     cosyzygy,
     ext_dim,
     is_selfinjective,
@@ -61,7 +62,6 @@ from .repmod import (
     hom_basis,
     indecomposable_injective,
     indecomposable_evidence,
-    indecomposable_projective,
     is_epi,
     is_isomorphic,
     is_mono,
@@ -70,10 +70,9 @@ from .repmod import (
     k_dual,
     map_from_coefficients,
     projective_module,
-    random_module,
+    radical,
     regular_module,
     require_certified,
-    simple_module,
     solve_hom_equation,
     syzygy_step,
     top_dims,
@@ -489,55 +488,52 @@ def classify_gp_census(alg: BoundQuiverAlgebra, bound) -> GpCensus:
 # indecomposables under a dimension bound
 
 
-# Random modules drawn to top up the pool of indecomposables.
-_POOL_SAMPLES = 40
+# indec_pool raises BudgetExhausted at a member of larger total dimension
+_KNIT_DIM_CAP = 20
 
 
-def indec_pool(alg: BoundQuiverAlgebra, bound, seed: int = 0) -> tuple[Representation, ...]:
-    """Indecomposable iso classes with dims under bound: simples, projectives
-    and injectives seed the pool, `_POOL_SAMPLES` (40) random modules drawn
-    from `seed` top it up, and the pool is closed under syzygy, cosyzygy and
-    the translation both ways.  The closure is a worklist: each member is
-    visited once, in the order it joined, and its summands under bound join
-    the end.  Returns a tuple sorted by dimension, memoized per bound and
-    seed in alg._cache, as the census is.
-    Exhaustiveness at fixture scale is pinned by expected counts recorded in
-    fixture manifests."""
+def indec_pool(alg: BoundQuiverAlgebra, bound) -> tuple[Representation, ...]:
+    """Indecomposable iso classes with dims under bound, sorted by dimension,
+    from the list of all of them, knitted once per algebra (alg._cache).
+
+    Knitting starts from the indecomposable injectives and visits each member
+    X once, in the order it joined; X adds, through `iso_class_index`, the
+    summands of rad X if X is projective and otherwise of E in the almost
+    split sequence 0 -> tau X -> E -> X -> 0.  A list C closed this way is
+    all of ind alg.  An indecomposable Y not in C has a nonzero map, not an
+    isomorphism, into an injective in C (through its injective envelope).
+    A non-isomorphism into a member of C factors through that member's sink
+    map (rad X -> X or E -> X), whose source has its summands in C, none
+    isomorphic to Y.  Repeating gives nonzero composites of arbitrarily many
+    non-isomorphisms between indecomposables of bounded length, against the
+    Harada-Sai lemma (Auslander, Reiten and Smalo, ch. VI).  Over GF(p) there
+    are finitely many modules of each dimension, so a representation-infinite
+    algebra never closes: a member above `_KNIT_DIM_CAP` raises
+    BudgetExhausted, as the list is not certified complete.
+    """
     caps = tuple(int(b) for b in bound)
-    nv = alg.quiver.vertices
-    if len(caps) != nv:
+    if len(caps) != alg.quiver.vertices:
         raise ValueError("bound must give a cap per vertex")
-    key = ("indec_pool", caps, seed)
-    cached = alg._cache.get(key)
-    if cached is not None:
-        return cached
-    pool: list[Representation] = []
-
-    def add(m):
-        for s in require_certified(decompose(m)).summands:
-            if _fits(s.dims, caps):
-                iso_class_index(pool, s)
-
-    for v in range(nv):
-        add(simple_module(alg, v))
-        add(indecomposable_projective(alg, v))
-        add(indecomposable_injective(alg, v))
-    rng = np.random.default_rng(seed)
-    for _ in range(_POOL_SAMPLES):
-        add(random_module(alg, rng))
-    for m in pool:  # the loop reaches the members that join while it runs
-        for step in (syzygy, cosyzygy, ar_translate, ar_translate_inverse):
-            add(step(m))
-    pool.sort(key=lambda m: (m.total_dim, m.dims))
-    alg._cache[key] = found = tuple(pool)
-    return found
+    found = alg._cache.get("indec_pool")
+    if found is None:
+        # distinct vertices give distinct socles, so these are not isomorphic
+        found = [indecomposable_injective(alg, v) for v in range(alg.quiver.vertices)]
+        for x in found:  # the loop reaches the members that join while it runs
+            if x.total_dim > _KNIT_DIM_CAP:
+                raise BudgetExhausted(f"knitting reached an indecomposable of total dimension {x.total_dim} > "
+                                      f"{_KNIT_DIM_CAP}, so the list of indecomposables is not certified complete")
+            before = radical(x)[0] if is_projective(x) else almost_split_sequence(x)[0]
+            for s in require_certified(decompose(before)).summands:
+                iso_class_index(found, s)
+        alg._cache["indec_pool"] = found = tuple(found)
+    return tuple(sorted((m for m in found if _fits(m.dims, caps)), key=lambda m: (m.total_dim, m.dims)))
 
 
 # ---------------------------------------------------------------------------
 # translation-versus-syzygy comparison
 
 
-def check_tau_is_syzygy(alg: BoundQuiverAlgebra, bound, seed: int = 0):
+def check_tau_is_syzygy(alg: BoundQuiverAlgebra, bound):
     """Compare tau_gprj against the minimal syzygy on every indecomposable
     non-projective Gorenstein projective with dims under bound.
 
@@ -554,7 +550,7 @@ def check_tau_is_syzygy(alg: BoundQuiverAlgebra, bound, seed: int = 0):
         base, _ = base_pair
         gps = [t2m for t2m, _ in _collect_gp_morph_objects(base, bound)]
     elif profile.is_selfinjective:
-        gps = indec_pool(alg, bound, seed=seed)
+        gps = indec_pool(alg, bound)
     else:
         raise NotSelfInjective(
             "comparison needs a self-injective algebra or a triangular algebra over one"

@@ -90,7 +90,10 @@ def _load_algebra(path: str | Path) -> BoundQuiverAlgebra:
 def _dump_json(data: dict, out: str | None) -> None:
     text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ParseFailure(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -99,10 +102,19 @@ def _dump_json(data: dict, out: str | None) -> None:
 # compute
 
 
-_MODULE_OPS = ("syzygy", "tau", "tr", "dual", "tau-gprj", "tau-pfin", "imin")
-_MORPH_OPS = ("mimo", "tr-p")
-_TAU_OPS = ("tau", "tau-gprj", "tau-pfin")
-_OPPOSITE_OPS = ("tr", "dual", "tr-p")
+# op -> (input kind, operation, whether the result is over the opposite
+# algebra); each operation looks up its function when it runs
+_OPS = {
+    "syzygy": ("module", lambda m, alg: syzygy(m), False),
+    "tau": ("module", lambda m, alg: ar_translate(m), False),
+    "tr": ("module", lambda m, alg: transpose(m), True),
+    "dual": ("module", lambda m, alg: k_dual(m), True),
+    "tau-gprj": ("module", lambda m, alg: tau_gprj(m, gorenstein_profile(alg)), False),
+    "tau-pfin": ("module", lambda m, alg: tau_pfin(m, gorenstein_profile(alg)), False),
+    "imin": ("module", lambda m, alg: imin(m), False),
+    "mimo": ("morph", lambda obj, alg: mimo(obj)[0], False),
+    "tr-p": ("morph", lambda obj, alg: tr_p_lambda(obj), True),
+}
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -115,68 +127,28 @@ def cmd_compute(args: argparse.Namespace) -> int:
         base_id = str(data.get("algebra") or Path(args.algebra).stem)
 
     op = args.op
-    if op in _MORPH_OPS and not is_morph:
-        print(
-            f"precondition violated: op '{op}' needs a morphism-object file "
-            "(keys A/B/f), got a module file",
-            file=sys.stderr,
-        )
-        return EXIT_PRECONDITION
-    if op in _MODULE_OPS and is_morph:
-        print(
-            f"precondition violated: op '{op}' needs a module file, "
-            "got a morphism-object file",
-            file=sys.stderr,
-        )
+    kind, run, over_opposite = _OPS[op]
+    if (kind == "morph") != is_morph:
+        wanted = "a module file" if is_morph else "a morphism-object file (keys A/B/f)"
+        got = "a morphism-object" if is_morph else "a module"
+        print(f"precondition violated: op '{op}' needs {wanted}, got {got} file", file=sys.stderr)
         return EXIT_PRECONDITION
 
     try:
-        if is_morph:
-            obj = morph_from_json_dict(alg, data)
-            mod = None
-        else:
-            mod = module_from_json_dict(alg, data)
-            obj = None
+        arg = (morph_from_json_dict if is_morph else module_from_json_dict)(alg, data)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseFailure(
-            f"{args.module} is not a valid input over {args.algebra}: {exc}"
-        ) from exc
+        raise ParseFailure(f"{args.module} is not a valid input over {args.algebra}: {exc}") from exc
 
-    out_id = base_id + ".op" if op in _OPPOSITE_OPS else base_id
-    res_mod: Representation | None = None
-    res_obj = None
-    if op == "syzygy":
-        res_mod = syzygy(mod)
-    elif op == "tau":
-        res_mod = ar_translate(mod)
-    elif op == "tr":
-        res_mod = transpose(mod)
-    elif op == "dual":
-        res_mod = k_dual(mod)
-    elif op == "tau-gprj":
-        res_mod = tau_gprj(mod, gorenstein_profile(alg))
-    elif op == "tau-pfin":
-        res_mod = tau_pfin(mod, gorenstein_profile(alg))
-    elif op == "imin":
-        res_obj = imin(mod)
-    elif op == "mimo":
-        res_obj = mimo(obj)[0]
-    elif op == "tr-p":
-        res_obj = tr_p_lambda(obj)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseFailure(f"unknown op {op!r}")
-
-    if res_mod is not None:
-        note = ""
-        if op in _TAU_OPS and res_mod.is_zero() and is_projective(mod):
-            note = " (projective input)"
-        print(f"{op}: dims {list(res_mod.dims)}{note}")
-        _dump_json(module_to_json_dict(res_mod, out_id), args.out)
+    res = run(arg, alg)
+    out_id = base_id + ".op" if over_opposite else base_id
+    if isinstance(res, Representation):
+        # the three translates note a projective input, which they send to zero
+        note = " (projective input)" if op.startswith("tau") and res.is_zero() and is_projective(arg) else ""
+        print(f"{op}: dims {list(res.dims)}{note}")
+        _dump_json(module_to_json_dict(res, out_id), args.out)
     else:
-        print(
-            f"{op}: A dims {list(res_obj.a.dims)}, B dims {list(res_obj.b.dims)}"
-        )
-        _dump_json(morph_to_json_dict(res_obj, out_id), args.out)
+        print(f"{op}: A dims {list(res.a.dims)}, B dims {list(res.b.dims)}")
+        _dump_json(morph_to_json_dict(res, out_id), args.out)
     return EXIT_OK
 
 
@@ -206,6 +178,8 @@ def cmd_t2(args: argparse.Namespace) -> int:
 _SUITE_ORDER = ("ar-full", "ar-gprj", "ar-pfin", "gp-census", "tau-syzygy")
 _SUITE_CHOICES = _SUITE_ORDER + ("all",)
 _DUALITY_TAGS = {"ar-full": "FULL", "ar-gprj": "GPRJ", "ar-pfin": "PFIN"}
+# the doubled top-level bound cannot cap the triangular algebra of a base
+_CENSUS_BOUND_REQUIRED = "gp-census.bound is required when the manifest has a base_algebra"
 
 
 @dataclass(frozen=True)
@@ -215,7 +189,6 @@ class FixtureManifest:
     oracle runs.  Expectations are optional; when present they are enforced.
     """
 
-    root: Path
     algebra: BoundQuiverAlgebra
     base_algebra: BoundQuiverAlgebra | None
     modules: dict[str, Representation]
@@ -307,7 +280,7 @@ def load_manifest(path: str | Path) -> FixtureManifest:
             over = "the triangular algebra of the base" if census else "the algebra"
             _bound(cfg["bound"], census_nv if census else nv, f"{path}: {suite}.bound", over)
         elif census and base is not None:
-            raise ParseFailure(f"{path}: gp-census.bound is required when the manifest has a base_algebra")
+            raise ParseFailure(f"{path}: {_CENSUS_BOUND_REQUIRED}")
 
     modules: dict[str, Representation] = {}
     for name in sorted(entries):
@@ -330,7 +303,6 @@ def load_manifest(path: str | Path) -> FixtureManifest:
                 )
 
     return FixtureManifest(
-        root=root,
         algebra=alg,
         base_algebra=base,
         modules=modules,
@@ -370,7 +342,7 @@ def _witness_name(man: FixtureManifest, m: Representation) -> str:
     return "unnamed:" + "x".join(str(d) for d in m.dims)
 
 
-def _run_profile(man: FixtureManifest, seed: int) -> SuiteResult:
+def _run_profile(man: FixtureManifest) -> SuiteResult:
     prof = gorenstein_profile(man.algebra)
     payload = {
         "selfinjective": prof.is_selfinjective,
@@ -397,9 +369,9 @@ def _top_bound(man: FixtureManifest, suite: str) -> tuple[int, ...]:
     return man.bound
 
 
-def _run_indec_pool(man: FixtureManifest, seed: int) -> SuiteResult:
+def _run_indec_pool(man: FixtureManifest) -> SuiteResult:
     bound = _top_bound(man, "indec-pool")
-    pool = indec_pool(man.algebra, bound, seed=seed)
+    pool = indec_pool(man.algebra, bound)
     payload = {"count": len(pool), "dims": [list(m.dims) for m in pool]}
     ok = True
     notes = [f"{len(pool)} indecomposables under bound {list(bound)}"]
@@ -417,7 +389,7 @@ def _run_indec_pool(man: FixtureManifest, seed: int) -> SuiteResult:
     return SuiteResult("indec-pool", ok, ok, "; ".join(notes), payload)
 
 
-def _run_duality(suite: str, man: FixtureManifest, seed: int) -> SuiteResult:
+def _run_duality(suite: str, man: FixtureManifest) -> SuiteResult:
     cfg = man.suites.get(suite, {})
     names = list(cfg.get("members", sorted(man.modules)))
     items = [(name, man.modules[name]) for name in names]
@@ -444,9 +416,14 @@ def _run_duality(suite: str, man: FixtureManifest, seed: int) -> SuiteResult:
     return SuiteResult(suite, report.all_equal, expectation_met, detail, payload)
 
 
-def _run_gp_census(man: FixtureManifest, seed: int) -> SuiteResult:
+def _run_gp_census(man: FixtureManifest) -> SuiteResult:
     cfg = man.suites.get("gp-census", {})
-    bound = tuple(cfg["bound"]) if "bound" in cfg else _top_bound(man, "gp-census") * 2
+    if "bound" in cfg:
+        bound = tuple(cfg["bound"])
+    elif man.base_algebra is not None:
+        raise ParseFailure(_CENSUS_BOUND_REQUIRED)
+    else:
+        bound = _top_bound(man, "gp-census") * 2
     target = man.base_algebra if man.base_algebra is not None else man.algebra
     census = classify_gp_census(target, bound)
     payload = {"counts": census.counts, "objects": [list(o) for o in census.objects]}
@@ -464,10 +441,10 @@ def _run_gp_census(man: FixtureManifest, seed: int) -> SuiteResult:
     return SuiteResult("gp-census", ok, ok, detail, payload)
 
 
-def _run_tau_syzygy(man: FixtureManifest, seed: int) -> SuiteResult:
+def _run_tau_syzygy(man: FixtureManifest) -> SuiteResult:
     cfg = man.suites.get("tau-syzygy", {})
     bound = tuple(cfg["bound"]) if "bound" in cfg else _top_bound(man, "tau-syzygy")
-    holds, witnesses = check_tau_is_syzygy(man.algebra, bound, seed=seed)
+    holds, witnesses = check_tau_is_syzygy(man.algebra, bound)
     named = [
         {
             "witness": _witness_name(man, g),
@@ -498,14 +475,10 @@ def _run_tau_syzygy(man: FixtureManifest, seed: int) -> SuiteResult:
     return SuiteResult("tau-syzygy", holds, expectation_met, detail, payload)
 
 
-def _suite_runner(suite: str):
+def _run_suite(suite: str, man: FixtureManifest) -> SuiteResult:
     if suite in _DUALITY_TAGS:
-        return lambda man, seed: _run_duality(suite, man, seed)
-    if suite == "gp-census":
-        return _run_gp_census
-    if suite == "tau-syzygy":
-        return _run_tau_syzygy
-    raise ParseFailure(f"unknown suite {suite!r}")
+        return _run_duality(suite, man)
+    return _run_gp_census(man) if suite == "gp-census" else _run_tau_syzygy(man)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -514,16 +487,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ParseFailure(f"--seed must be a non-negative integer, got {seed}")
     man = load_manifest(args.manifest)
     if args.suite == "all":
-        planned = [("profile", _run_profile), ("indec-pool", _run_indec_pool)]
-        planned += [
-            (suite, _suite_runner(suite))
-            for suite in _SUITE_ORDER
-            if suite in man.suites
-        ]
+        results = [_run_profile(man), _run_indec_pool(man)]
+        results += [_run_suite(suite, man) for suite in _SUITE_ORDER if suite in man.suites]
     else:
-        planned = [(args.suite, _suite_runner(args.suite))]
-
-    results = [run(man, seed) for _, run in planned]
+        results = [_run_suite(args.suite, man)]
 
     width = max(len(r.suite) for r in results)
     for r in results:
@@ -580,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument(
         "--module", required=True, help="module or morphism-object JSON file"
     )
-    compute.add_argument("--op", required=True, choices=_MODULE_OPS + _MORPH_OPS)
+    compute.add_argument("--op", required=True, choices=tuple(_OPS))
     compute.add_argument("--out", help="write the result JSON here")
     compute.set_defaults(func=cmd_compute)
 

@@ -30,9 +30,10 @@ class MalformedRelation(PreconditionError):
 
 
 class BudgetExhausted(PreconditionError):
-    """A search stopped before certifying its answer: `repmod.decompose` met a
-    piece that it could neither split nor show local and whose endomorphism
-    algebra is too large to search for idempotents."""
+    """A computation stopped before certifying its answer: `repmod.decompose`
+    met a piece it could neither split nor show local, with End too large to
+    search; `homalg.almost_split_sequence` met End(tau M)/rad larger than
+    GF(p); or the knitting of `arsubcat.indec_pool` passed its cap."""
 
 
 class NotProjective(PreconditionError):

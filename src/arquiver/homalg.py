@@ -31,7 +31,7 @@ import numpy as np
 
 from . import exactlin
 from ._gfcore_py import matmul as _matmul_stacks
-from .errors import NotProjective, invariant
+from .errors import BudgetExhausted, NotProjective, invariant
 from .exactlin import Matrix
 from .quivalg import opposite
 from .repmod import (
@@ -57,8 +57,10 @@ from .repmod import (
     scale_map,
     solve_hom_equation,
     syzygy_step,
+    _fitting_powers,
     _fitting_split,
     _image_offsets,
+    _local_radical,
     _maps_on_paths,
     _path_actions,
     _product_span,
@@ -280,6 +282,23 @@ class ExtSpace:
     cocycles: tuple[ModuleMap, ...]  # maps P_i -> n representing a basis of Ext^i
 
 
+def _ext_coordinates(m: Representation, n: Representation, i: int):
+    """`ext`'s coordinates: (eps_i, the path actions on n, the coboundary
+    system, whose columns span B, and y, the cocycles of Ext^i's basis)."""
+    field = n.algebra.field
+    omega = m
+    for _ in range(i - 1):
+        omega = syzygy(omega)
+    acts = _path_actions(n)
+    bound = _relation_system(*_presentation_relations(omega), n, acts)
+    eps_i, relations = _presentation_relations(syzygy(omega))
+    closed = _relation_system(eps_i, relations, n, acts)
+    invariant(not _matmul_stacks(closed, bound, field.p).any(), "resolution is not a complex: d d != 0")
+    z = exactlin.kernel_basis(Matrix(field, closed)).a
+    _, pivots = exactlin.rref(Matrix(field, np.hstack([bound, z])))
+    return eps_i, acts, bound, z[:, [c - bound.shape[1] for c in pivots if c >= bound.shape[1]]]
+
+
 def ext(m: Representation, n: Representation, i: int) -> ExtSpace:
     """Ext^i(m, n) for i >= 1: the cohomology of
     Hom(P_{i-1}, N) -> Hom(P_i, N) -> Hom(P_{i+1}, N) along the minimal
@@ -296,23 +315,12 @@ def ext(m: Representation, n: Representation, i: int) -> ExtSpace:
         raise ValueError("ext is implemented for i >= 1")
     if m.algebra != n.algebra:
         raise ValueError("ext between modules over different algebras")
-    field = n.algebra.field
-    omega = m
-    for _ in range(i - 1):
-        omega = syzygy(omega)
-    acts = _path_actions(n)
-    bound = _relation_system(*_presentation_relations(omega), n, acts)
-    eps_i, relations = _presentation_relations(syzygy(omega))
-    closed = _relation_system(eps_i, relations, n, acts)
-    invariant(not _matmul_stacks(closed, bound, field.p).any(), "resolution is not a complex: d d != 0")
-    z = exactlin.kernel_basis(Matrix(field, closed)).a
-    _, pivots = exactlin.rref(Matrix(field, np.hstack([bound, z])))
-    y = z[:, [c - bound.shape[1] for c in pivots if c >= bound.shape[1]]]
+    eps_i, acts, _, y = _ext_coordinates(m, n, i)
     if not y.shape[1]:
         return ExtSpace(0, ())
     phis = _maps_on_paths(eps_i.source, n, acts, y)
     cocycles = tuple(
-        ModuleMap(eps_i.source, n, [Matrix(field, phi[:, :, j].T) for phi in phis], validate=False)
+        ModuleMap(eps_i.source, n, [Matrix(n.algebra.field, phi[:, :, j].T) for phi in phis], validate=False)
         for j in range(y.shape[1])
     )
     return ExtSpace(len(cocycles), cocycles)
@@ -323,17 +331,15 @@ def ext_dim(m: Representation, n: Representation, i: int) -> int:
 
 
 def extension_from_cocycle(
-    m: Representation, n: Representation, space: ExtSpace, k: int = 0
+    m: Representation, n: Representation, f: ModuleMap
 ) -> tuple[Representation, ModuleMap, ModuleMap]:
     """Middle term of the short exact sequence 0 -> n -> E -> m -> 0 whose
-    class is space.cocycles[k], where space = ext(m, n, 1).
+    class is the cocycle f: P1 -> n of ext(m, n, 1).
 
-    The cocycle f: P1 -> n kills the image of d2, so it descends along the
-    cover pi: P1 -> Omega(m) (d1 = kappa . pi, with kappa: Omega(m) -> P0);
-    E is the pushout of kappa along that map.  Returns (E, inclusion of n,
-    projection onto m).
+    f kills the image of d2, so it descends along the cover pi: P1 ->
+    Omega(m) (d1 = kappa . pi, with kappa: Omega(m) -> P0); E is the pushout
+    of kappa along that map.  Returns (E, inclusion of n, projection onto m).
     """
-    f = space.cocycles[k]
     eps, omega, kappa = syzygy_step(m)
     pi = projective_cover(omega)
     fbar = solve_hom_equation(omega, n, f, pre=pi) if (f.source, f.target) == (pi.source, n) else None
@@ -346,6 +352,38 @@ def extension_from_cocycle(
     incl_n = compose(proj_e, incls[0])
     onto_m = solve_hom_equation(e, m, compose(eps, projs[1]), pre=proj_e)
     return e, incl_n, onto_m
+
+
+def almost_split_sequence(m: Representation) -> tuple[Representation, ModuleMap, ModuleMap]:
+    """0 -> tau M -> E -> M -> 0, almost split, for an indecomposable
+    non-projective M, as `extension_from_cocycle` returns it.  Its class
+    spans the simple socle of Ext^1(M, N), N = tau M, as an End(N)-module
+    (Auslander, Reiten and Smalo, ch. V).  In `ext`'s coordinates, r acts on
+    the image of generator k by r at its vertex, so the socle is the kernel
+    of one stack of Q (r y) over r spanning rad End(N), the rows of Q
+    cutting out the coboundaries B."""
+    n = ar_translate(m)
+    field = m.algebra.field
+    p = field.p
+    eps1, acts, bound, y = _ext_coordinates(m, n, 1)
+    invariant(y.shape[1] > 0, "Ext^1(M, tau M) is zero")
+    totals = _total_stack(hom_basis(n, n))
+    rad = _local_radical(totals, _fitting_powers(totals, p), field)
+    if rad is None:
+        raise BudgetExhausted(f"End(tau M) for M of dims {list(m.dims)} has a residue field larger than GF({p})")
+    q = exactlin.kernel_basis(Matrix(field, bound.T)).a.T  # q w = 0 iff w is in B
+    verts, starts = eps1.source._layout[0], np.cumsum((0,) + n.dims)
+    offsets = _image_offsets(n, verts)
+    blocks = [(slice(starts[v], starts[v + 1]), slice(o, o + n.dims[v])) for v, o in zip(verts, offsets)]
+    rad_y = np.concatenate([_matmul_stacks(rad[:, at, at], y[rows], p) for at, rows in blocks], axis=1)
+    socle = exactlin.kernel_basis(Matrix(field, _matmul_stacks(q, rad_y, p).reshape(-1, y.shape[1]))).a
+    xi = _matmul_stacks(y, socle[:, :1], p)
+    invariant(_matmul_stacks(q, xi, p).any(), "the almost split class is a coboundary")
+    phis = _maps_on_paths(eps1.source, n, acts, xi)
+    cocycle = ModuleMap(eps1.source, n, [Matrix(field, phi[:, :, 0].T) for phi in phis], validate=False)
+    e, incl, onto = extension_from_cocycle(m, n, cocycle)
+    invariant(e.total_dim == m.total_dim + n.total_dim, "the almost split sequence has the wrong dimension")
+    return e, incl, onto
 
 
 # ---------------------------------------------------------------------------

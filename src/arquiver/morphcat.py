@@ -82,10 +82,6 @@ class MorphObject:
     def is_zero(self) -> bool:
         return self.a.is_zero() and self.b.is_zero()
 
-    @property
-    def total_dim(self) -> int:
-        return self.a.total_dim + self.b.total_dim
-
     def __repr__(self):
         return f"MorphObject({list(self.a.dims)} -> {list(self.b.dims)})"
 

@@ -96,9 +96,9 @@ class BoundQuiverAlgebra:
     """kQ/I for an admissible length-homogeneous ideal; use build_algebra()."""
 
     # _cache holds the links that opposite, t2_of and t2_base_of memoize on
-    # this object, and the GP census of its morphism category per bound
-    # (arsubcat._collect_gp_morph_objects, key ("gp_census", bound)); it is
-    # not part of equality or the hash.
+    # this object, the GP census per bound (arsubcat._collect_gp_morph_objects,
+    # key ("gp_census", bound)) and the knitted list of all indecomposables
+    # (arsubcat.indec_pool, key "indec_pool"); not part of equality or hash.
     __slots__ = (
         "field",
         "quiver",

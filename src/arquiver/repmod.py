@@ -484,11 +484,7 @@ def dual_map(f: ModuleMap) -> ModuleMap:
 
 
 def indecomposable_injective(algebra: BoundQuiverAlgebra, vertex: int) -> Representation:
-    return injective_module(algebra, (vertex,))
-
-
-def injective_module(algebra: BoundQuiverAlgebra, verts) -> Representation:
-    return k_dual(projective_module(opposite(algebra), verts))
+    return k_dual(projective_module(opposite(algebra), (vertex,)))
 
 
 def radical_spans(m: Representation) -> list[Matrix]:
@@ -502,6 +498,11 @@ def radical_spans(m: Representation) -> list[Matrix]:
         else:
             spans.append(Matrix.zeros(alg.field, m.dims[j], 0))
     return spans
+
+
+def radical(m: Representation) -> tuple[Representation, ModuleMap]:
+    """(rad M, inclusion): the submodule that `radical_spans` spans."""
+    return _restrict(m, [exactlin.column_space_basis(s) for s in radical_spans(m)])
 
 
 def top_dims(m: Representation) -> tuple[int, ...]:
@@ -768,6 +769,23 @@ def _nilpotent_span(nil: np.ndarray, field) -> bool:
     return not len(prods)
 
 
+def _fitting_powers(totals: np.ndarray, p: int) -> np.ndarray:
+    """f^q for a stack of D x D matrices f, q the least power of p >= D: f^q
+    has Fitting's kernel and image, and (c + n)^q = c + n^q for a scalar c."""
+    q = 1
+    while q < totals.shape[1]:
+        q *= p
+    return _power_stack(totals, q, p)
+
+
+def _local_radical(totals: np.ndarray, powers: np.ndarray, field) -> np.ndarray | None:
+    """`decompose`'s step 2: the stack of the f - c_f 1 when every f^q is c_f 1
+    and they span an N with N^D = 0, so End = k 1 + N is local with N = rad End."""
+    scalars = powers[:, :1, :1] * np.eye(totals.shape[1], dtype=np.int64)
+    nil = (totals - scalars) % field.p
+    return nil if (powers == scalars).all() and _nilpotent_span(nil, field) else None
+
+
 def _decompose_indec_evidence(m, endos):
     """`decompose`'s three steps on m, with End(m) already computed.  Returns
     ((evidence, certified), None) when they do not split m, and otherwise
@@ -780,20 +798,14 @@ def _decompose_indec_evidence(m, endos):
         return ("endomorphism algebra has dimension 1", True), None
     totals = _total_stack(endos)  # (t, D, D)
     dd = totals.shape[1]
-    # q >= D, so f^q has the kernel and image of Fitting's lemma; and q is a
-    # power of p, so (c + n)^q = c + n^q for a scalar c and any n
-    q = 1
-    while q < dd:
-        q *= p
-    powers = _power_stack(totals, q, p)
+    powers = _fitting_powers(totals, p)
     scalars = powers[:, :1, :1] * np.eye(dd, dtype=np.int64)
     # 1. the first basis element f that is neither nilpotent nor a unit splits M
     for f, power, scalar in zip(totals, powers, scalars):
         if (power != scalar).any() and exactlin.rank(Matrix(field, power)) < dd:
             return None, (_fitting_split, f)
-    # 2. every f^q = c_f 1 makes each f - c_f nilpotent (c_f^q = c_f); if they
-    # span an N with N^D = 0, End = k 1 + (the ideal generated by N) is local
-    if (powers == scalars).all() and _nilpotent_span((totals - scalars) % p, field):
+    # 2. End is local with residue field GF(p)
+    if _local_radical(totals, powers, field) is not None:
         return ("endomorphism algebra is local: scalars plus a nilpotent ideal", True), None
     # 3. neither settles it (say End/rad End is a larger field): search all of End
     if p**t <= _EXACT_ENUM_LIMIT:

@@ -16,10 +16,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arquiver.errors import (
+    BudgetExhausted,
     EnumerationCapExceeded,
     InfiniteProjectiveDimension,
     NotGorensteinProjective,
@@ -32,13 +31,11 @@ from arquiver.errors import (
 from arquiver.exactlin import Matrix, PrimeField
 from arquiver.cli import fixtures_dir, load_manifest
 from arquiver.homalg import (
+    almost_split_sequence,
     ar_translate,
-    ar_translate_inverse,
-    cosyzygy,
     ext,
     extension_from_cocycle,
     is_stably_isomorphic,
-    syzygy,
 )
 from arquiver.arsubcat import (
     DualityReport,
@@ -74,18 +71,22 @@ from arquiver.quivalg import (
 from arquiver.repmod import (
     ModuleMap,
     Representation,
+    compose,
     decompose,
     direct_sum,
     hom_basis,
     identity_map,
-    indecomposable_injective,
+    indecomposable_evidence,
     indecomposable_projective,
     is_epi,
     is_isomorphic,
     is_mono,
+    is_projective,
     iso_class_index,
     map_from_coefficients,
+    match_indecomposables,
     random_module,
+    radical,
     regular_module,
     require_certified,
     simple_module,
@@ -750,89 +751,87 @@ def test_indec_pool_counts(kx2, t2_modules):
         assert any(is_isomorphic(mod, m) for m in pool), name
 
 
-def _reference_indec_pool(alg, bound, seed=0):
-    """The round-based closure: rerun every member until a round adds nothing."""
-    caps = tuple(bound)
-    pool = []
-
-    def add(m):
-        size = len(pool)
-        for s in require_certified(decompose(m)).summands:
-            if all(d <= c for d, c in zip(s.dims, caps)):
-                iso_class_index(pool, s)
-        return len(pool) > size
-
-    for v in range(alg.quiver.vertices):
-        add(simple_module(alg, v))
-        add(indecomposable_projective(alg, v))
-        add(indecomposable_injective(alg, v))
-    rng = np.random.default_rng(seed)
-    for _ in range(arsubcat._POOL_SAMPLES):
-        add(random_module(alg, rng))
-    changed = True
-    while changed:
-        changed = False
-        for m in list(pool):
-            for step in (syzygy, cosyzygy, ar_translate, ar_translate_inverse):
-                if add(step(m)):
-                    changed = True
-    pool.sort(key=lambda m: (m.total_dim, m.dims))
-    return pool
-
-
 def _same_modules(xs, ys):
     return [(m.dims, m.arrow_maps) for m in xs] == [(m.dims, m.arrow_maps) for m in ys]
 
 
-@pytest.mark.parametrize("name", ["a2", "kx2", "kx3", "t2_kx2"])
-def test_indec_pool_matches_the_round_based_closure_on_the_manifests(name):
-    man = load_manifest(fixtures_dir() / f"manifest_{name}.json")
-    assert _same_modules(indec_pool(man.algebra, man.bound), _reference_indec_pool(man.algebra, man.bound))
+def _kronecker(p: int = 2):
+    return build_algebra(Quiver(2, [("a", 0, 1), ("b", 0, 1)]), [], PrimeField(p))
 
 
-_POOL_ALGEBRAS = {
-    "kx3": lambda p: loop_algebra(3, p),
-    "a3_zero_relation": a3_zero_relation,
-    "kronecker": lambda p: build_algebra(Quiver(2, [("a", 0, 1), ("b", 0, 1)]), [], PrimeField(p)),
-    "commutative_square": comm_square,
+# algebra, and its number of indecomposables
+_KNIT_CASES = {
+    "kx3-p2": (lambda: loop_algebra(3, 2), 3),
+    "kx3-p3": (lambda: loop_algebra(3, 3), 3),
+    "a3_zero_relation-p3": (lambda: a3_zero_relation(3), 5),
+    "commutative_square-p2": (lambda: comm_square(2), 11),
+    "t2_kx2-p2": (lambda: t2_of(loop_algebra(2, 2))[0], 9),
 }
 
 
-@settings(max_examples=6, deadline=None)
-@given(st.sampled_from(sorted(_POOL_ALGEBRAS)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1), st.data())
-def test_indec_pool_matches_the_round_based_closure(name, p, seed, data):
-    alg = _POOL_ALGEBRAS[name](p)
-    bound = tuple(data.draw(st.integers(1, 2)) for _ in range(alg.quiver.vertices))
-    assert _same_modules(indec_pool(alg, bound, seed), _reference_indec_pool(alg, bound, seed))
+@pytest.mark.parametrize("name", list(_KNIT_CASES))
+def test_indec_pool_matches_the_exhaustive_reference(name):
+    # the knitted list, cut at its own largest dims, against every
+    # indecomposable that the exhaustive enumeration finds under those dims
+    make, count = _KNIT_CASES[name]
+    alg = make()
+    everything = indec_pool(alg, (arsubcat._KNIT_DIM_CAP,) * alg.quiver.vertices)
+    caps = tuple(max(at_v) for at_v in zip(*(m.dims for m in everything)))
+    assert len(everything) == count and indec_pool(alg, caps) == everything
+    reference = [m for m in _iso_classes_within(alg, caps) if indecomposable_evidence(m) is not None]
+    assert match_indecomposables(everything, tuple(reference)) is not None
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_indec_pool_closure_alone_matches_the_round_based_closure(monkeypatch, p):
-    # with no random draws the closure must find every member itself; over
-    # T2(k[x]/(x^3)) at p = 2 one pass over the seed modules misses (2, 2)
-    monkeypatch.setattr(arsubcat, "_POOL_SAMPLES", 0)
-    for base in (loop_algebra(2, p), loop_algebra(3, p)):
-        t2, _ = t2_of(base)
-        assert _same_modules(indec_pool(t2, (2, 2)), _reference_indec_pool(t2, (2, 2)))
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_indec_pool_of_t2_kx3_has_27_classes(p):
+    t2, _ = t2_of(loop_algebra(3, p))
+    pool = indec_pool(t2, (5, 5))
+    assert len(pool) == 27 and max(m.dims for m in pool) == (5, 4)
+    assert all(indecomposable_evidence(m) is not None for m in pool)
 
 
-def test_indec_pool_is_memoized_per_algebra_bound_and_seed(monkeypatch):
+@pytest.mark.parametrize("make", [_kronecker, lambda: t2_of(loop_algebra(4, 2))[0]], ids=["kronecker", "t2_kx4"])
+def test_knitting_a_representation_infinite_algebra_is_not_certified(make):
+    alg = make()
+    with pytest.raises(BudgetExhausted, match="not certified complete"):
+        indec_pool(alg, (1,) * alg.quiver.vertices)
+    assert "indec_pool" not in alg._cache
+
+
+def test_indec_pool_is_memoized_once_per_algebra(monkeypatch):
     alg = loop_algebra(3, 2)
-    pool = indec_pool(alg, (3,), seed=1)
-    assert isinstance(pool, tuple) and alg._cache[("indec_pool", (3,), 1)] is pool
-    drawn = []
-    draw = arsubcat.random_module
-    monkeypatch.setattr(arsubcat, "random_module", lambda *args: drawn.append(args) or draw(*args))
-    assert indec_pool(alg, [3], seed=1) is pool and not drawn
-    # a new bound, a new seed, or an equal algebra read from JSON draws again
-    assert [m.dims for m in indec_pool(alg, (2,), seed=1)] == [(1,), (2,)]
-    assert len(drawn) == arsubcat._POOL_SAMPLES
-    indec_pool(alg, (3,), seed=2)
-    assert len(drawn) == 2 * arsubcat._POOL_SAMPLES
+    pool = indec_pool(alg, (3,))
+    assert [m.dims for m in pool] == [(1,), (2,), (3,)]
+    assert [k for k in alg._cache if "indec" in str(k)] == ["indec_pool"]
+    knitted = alg._cache["indec_pool"]
+    built = []
+    sequence = arsubcat.almost_split_sequence
+    monkeypatch.setattr(arsubcat, "almost_split_sequence", lambda m: built.append(m) or sequence(m))
+    # another bound filters the same list; an equal algebra read from JSON knits its own
+    assert indec_pool(alg, [3]) == pool and not built
+    assert [m.dims for m in indec_pool(alg, (2,))] == [(1,), (2,)] and not built
+    assert alg._cache["indec_pool"] is knitted
     twin = algebra_from_json_dict(algebra_to_json_dict(alg))
     assert twin == alg and twin is not alg
-    assert _same_modules(indec_pool(twin, (3,), seed=1), pool)
-    assert len(drawn) == 3 * arsubcat._POOL_SAMPLES
+    assert _same_modules(indec_pool(twin, (3,)), pool)
+    assert len(built) == 2  # one sequence per non-projective member, (1,) and (2,)
+
+
+@pytest.mark.parametrize("name", ["a2", "kx2", "kx3", "t2_kx2"])
+def test_knitted_list_is_closed_and_its_sequences_do_not_split_on_the_manifests(name):
+    alg = load_manifest(fixtures_dir() / f"manifest_{name}.json").algebra
+    knitted = indec_pool(alg, (arsubcat._KNIT_DIM_CAP,) * alg.quiver.vertices)
+    for x in knitted:
+        if is_projective(x):
+            before = radical(x)[0]
+        else:
+            before, incl, onto = almost_split_sequence(x)
+            tau_x = ar_translate(x)
+            assert before.total_dim == x.total_dim + tau_x.total_dim
+            assert is_mono(incl) and is_epi(onto) and compose(onto, incl).is_zero()
+            assert not is_isomorphic(before, direct_sum([tau_x, x])[0])
+        for s in require_certified(decompose(before)).summands:
+            assert sum(is_isomorphic(s, y) for y in knitted) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -883,7 +882,7 @@ def test_almost_split_middles_do_not_split(t2_modules, t2_profile):
         tg = tau_gprj(g, t2_profile)
         space = ext(g, tg, 1)
         assert space.dim == 1
-        middle, incl, onto = extension_from_cocycle(g, tg, space)
+        middle, incl, onto = extension_from_cocycle(g, tg, space.cocycles[0])
         assert middle.total_dim == g.total_dim + tg.total_dim
         assert is_mono(incl) and is_epi(onto)
         assert not is_isomorphic(middle, direct_sum([tg, g])[0])
@@ -894,5 +893,5 @@ def test_almost_split_middle_hereditary():
     s_source = simple_module(a2, 0)
     tg = ar_translate(s_source)
     space = ext(s_source, tg, 1)
-    middle, _, _ = extension_from_cocycle(s_source, tg, space)
+    middle, _, _ = extension_from_cocycle(s_source, tg, space.cocycles[0])
     assert is_isomorphic(middle, indecomposable_projective(a2, 0))

@@ -412,6 +412,35 @@ def test_verify_without_a_bound_runs_the_suites_that_do_not_read_it(capsys, tmp_
     assert code == 1 and "gp-census.bound is required" in err
 
 
+def test_verify_gp_census_without_its_bound_over_a_base_exits_1(capsys, tmp_path):
+    # the doubled top-level bound cannot cap the triangular algebra of a base
+    fx = tmp_path / "fx"
+    shutil.copytree(FIX, fx)
+    manifest = json.loads((fx / "manifest_t2_kx2.json").read_text())
+    del manifest["suites"]["gp-census"]
+    (fx / "manifest_t2_kx2.json").write_text(json.dumps(manifest))
+    code, _, err = run(
+        ["verify", "--manifest", str(fx / "manifest_t2_kx2.json"), "--suite", "gp-census"], capsys)
+    assert code == 1
+    assert "gp-census.bound is required when the manifest has a base_algebra" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--manifest", str(FIX / "manifest_kx2.json"), "--suite", "ar-full", "--json"],
+        ["compute", "--algebra", str(FIX / "kx2.json"), "--module", str(FIX / "kx2_S.json"), "--op", "syzygy", "--out"],
+        ["t2", "--algebra", str(FIX / "kx2.json"), "--out"],
+    ],
+    ids=["verify", "compute", "t2"],
+)
+def test_unwritable_output_exits_1(argv, capsys, tmp_path):
+    out = tmp_path / "missing" / "out.json"
+    code, _, err = run(argv + [str(out)], capsys)
+    assert code == 1 and not out.exists()
+    assert f"input error: cannot write {out}" in err
+
+
 def test_verify_negative_seed_exits_1(capsys, monkeypatch):
     # rejected before the manifest is read or any suite runs
     monkeypatch.setattr(cli, "load_manifest", lambda path: pytest.fail("the manifest was read"))

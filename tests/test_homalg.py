@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arquiver import exactlin, homalg, repmod
-from arquiver.errors import NotProjective
+from arquiver.errors import BudgetExhausted, NotProjective
 from arquiver.exactlin import Matrix, PrimeField
 from arquiver.homalg import (
-    ExtSpace,
+    almost_split_sequence,
     ar_translate,
     ar_translate_inverse,
     cosyzygy,
@@ -834,9 +834,38 @@ def test_extension_from_cocycle_wants_an_ext1_cocycle():
     space = ext(s0, s2, 2)
     assert space.dim == 1
     with pytest.raises(ValueError):
-        extension_from_cocycle(s0, s2, space)
+        extension_from_cocycle(s0, s2, space.cocycles[0])
     with pytest.raises(ValueError):
-        extension_from_cocycle(s0, s2, ExtSpace(1, (repmod.zero_map(s0, s2),)))
+        extension_from_cocycle(s0, s2, repmod.zero_map(s0, s2))
+
+
+@pytest.mark.parametrize("n, i", [(4, 2), (5, 2), (5, 3)])
+def test_almost_split_sequence_takes_the_socle_of_ext(n, i):
+    # 0 -> J_i -> J_{i-1} (+) J_{i+1} -> J_i -> 0 over k[x]/(x^n), where
+    # tau J_i = J_i; Ext^1(J_i, J_i) has dimension 2, and some of its classes
+    # have another middle term (J_{i-2} (+) J_{i+2}, with J_0 = 0)
+    alg = loop_algebra(n, 3)
+
+    def jordan(d):
+        return Representation(alg, [d], {"x": Matrix(alg.field, np.eye(d, k=-1, dtype=np.int64))})
+
+    x = jordan(i)
+    assert is_isomorphic(ar_translate(x), x) and ext_dim(x, x, 1) == 2
+    middle, incl, onto = almost_split_sequence(x)
+    assert is_isomorphic(middle, direct_sum([jordan(i - 1), jordan(i + 1)])[0])
+    assert compose(onto, incl).is_zero() and cokernel(incl)[0].dims == x.dims
+
+
+def test_almost_split_sequence_needs_residue_field_gf_p():
+    # a regular Kronecker module at a point of degree 2: tau M = M and
+    # End(M) = GF(4), so rad End(M) is not found by the locality test
+    alg = build_algebra(Quiver(2, [("a", 0, 1), ("b", 0, 1)]), [], PrimeField(2))
+    companion = np.array([[0, 1], [1, 1]], dtype=np.int64)  # x^2 + x + 1
+    m = Representation(
+        alg, [2, 2], {"a": Matrix(alg.field, np.eye(2, dtype=np.int64)), "b": Matrix(alg.field, companion)}
+    )
+    with pytest.raises(BudgetExhausted, match="larger than GF"):
+        almost_split_sequence(m)
 
 
 # ---------------------------------------------------------------------------

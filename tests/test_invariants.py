@@ -180,11 +180,11 @@ def test_random_generator_check_finds_every_form():
 
 
 def test_resolution_layers_make_no_random_generator():
-    # decompose and right_minimalize are deterministic: repmod and homalg
-    # draw no random numbers of their own (random_module takes its rng)
-    found = []
-    for name in ("repmod.py", "homalg.py"):
-        found += [f"{name}:{x}" for x in _random_generator_uses((Path(arquiver.__file__).parent / name).read_text())]
+    # every job is deterministic: no module of the package draws random
+    # numbers of its own (random_module takes its rng from the caller)
+    paths = sorted(Path(arquiver.__file__).parent.glob("*.py"))
+    assert {"repmod.py", "homalg.py", "arsubcat.py", "cli.py"} <= {path.name for path in paths}
+    found = [f"{path.name}:{x}" for path in paths for x in _random_generator_uses(path.read_text())]
     assert found == []
 
 
@@ -228,7 +228,6 @@ _KEPT_WITHOUT_A_JOB = {
     "is_stably_isomorphic": "acceptance criterion 7: Tr Tr M is M up to projective summands",
     "tau_s_lambda": "ROADMAP item 3: Ringel and Schmidmeier's tau_S, the second route to the tau-syzygy verdict; it "
     "keeps ar_translate_of_map, transpose_of_map and NotMono",
-    "extension_from_cocycle": "ROADMAP item 1: the middle term of an almost split sequence, from an Ext cocycle",
 }
 
 
@@ -265,7 +264,9 @@ def _unreached_public_defs(sources: dict[str, str], roots: set[str]) -> set[str]
     """Top-level public functions and classes in `sources` (file name ->
     text) that a walk from `roots` does not reach.  The walk goes from each
     name it reaches to the names read in the body of every top-level def or
-    class of that name, in any file; an import alone is not a read."""
+    class of that name, and in the value of every top-level assignment to it
+    (a table of operations, say), in any file; an import alone is not a
+    read."""
     defs, public = {}, set()
     for source in sources.values():
         for top in ast.parse(source).body:
@@ -273,6 +274,10 @@ def _unreached_public_defs(sources: dict[str, str], roots: set[str]) -> set[str]
                 defs.setdefault(top.name, []).append(top)
                 if not top.name.startswith("_"):
                     public.add(top.name)
+            elif isinstance(top, ast.Assign):
+                for target in top.targets:
+                    if isinstance(target, ast.Name):
+                        defs.setdefault(target.id, []).append(top.value)
     reached, todo = set(), list(roots)
     while todo:
         name = todo.pop()
@@ -283,17 +288,19 @@ def _unreached_public_defs(sources: dict[str, str], roots: set[str]) -> set[str]
 
 
 def test_reachability_check_flags_what_no_job_reaches():
-    cli_source = "from .a import job\n\ndef main():\n    return job()\n"
+    cli_source = "from .a import job\n\nOPS = {'t': lambda: tabled()}\n\ndef main():\n    return job(), OPS\n"
     bench = ["SPANS = ('a.timed',)\n"]
     sources = {
         "cli.py": cli_source,
         "a.py": "def job():\n    return _helper()\n\ndef _helper():\n    return Shared()\n\nclass Shared:\n    pass\n\n"
+        "def tabled():\n    pass\n\n"
         "def timed():\n    pass\n\ndef kept():\n    return kept_helper()\n\ndef kept_helper():\n    pass\n\n"
         "def dead():\n    return job()\n\nclass Dead:\n    pass\n",
         "b.py": "from .a import dead\n",
     }
     roots = _job_roots(cli_source, bench)
-    # a call through a private helper and a name in a benchmark string both count
+    # a call through a private helper, a module-level table and a name in a
+    # benchmark string all count
     assert _unreached_public_defs(sources, roots) == {"kept", "kept_helper", "dead", "Dead"}
     # an allowlisted name is accepted, and so are the helpers it calls
     assert _unreached_public_defs(sources, roots | {"kept"}) == {"dead", "Dead"}
