@@ -5,21 +5,19 @@ two-sided injective dimension of the regular module), membership tests for
 Gorenstein projectives and for modules of finite projective dimension, the
 relative translations on those two subcategories, a transpose for morphisms
 between projectives over a self-injective algebra, duality verification by
-exact dimension counting over explicit lists of indecomposables, and an
-exhaustive census of indecomposable Gorenstein-projective objects of the
-morphism category, tagged by their classification shape.
+exact dimension counting over explicit lists of indecomposables, and
+complete lists of indecomposables, certified by knitting with almost split
+sequences: all of ind alg (`indec_pool`), and the Gorenstein projectives of
+the morphism category (`classify_gp_census`, tagged by classification
+shape), knitted inside Gprj with its relative translate tau_G.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     BudgetExhausted,
-    EnumerationCapExceeded,
     InfiniteProjectiveDimension,
     NotGorensteinProjective,
     NotGorensteinWithinCap,
@@ -50,25 +48,21 @@ from .morphcat import (
     to_t2_module,
     zero_morph_object,
 )
-from .quivalg import BoundQuiverAlgebra, opposite, t2_base_of
+from .quivalg import BoundQuiverAlgebra, opposite, t2_base_of, t2_of
 from .repmod import (
-    _ENUM_BATCH,
     Representation,
-    broken_relations,
     cokernel,
     compose,
     decompose,
     direct_sum,
-    hom_basis,
     indecomposable_injective,
-    indecomposable_evidence,
+    indecomposable_projective,
     is_epi,
     is_isomorphic,
     is_mono,
     is_projective,
     iso_class_index,
     k_dual,
-    map_from_coefficients,
     projective_module,
     radical,
     regular_module,
@@ -76,7 +70,6 @@ from .repmod import (
     solve_hom_equation,
     syzygy_step,
     top_dims,
-    zero_map,
     zero_module,
 )
 
@@ -116,15 +109,23 @@ def gorenstein_profile(
 ) -> GorensteinProfile:
     """Detect self-injectivity and, failing that, compute the injective
     dimension of the regular module over the algebra and its opposite.
-    Hitting either cap on either side is reported, not fatal."""
+    Hitting either cap on either side is reported, not fatal.  Computed once
+    per algebra and caps (alg._cache)."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if is_selfinjective(alg):
-        return GorensteinProfile(alg, 0, True, True)
-    right, left = (_resolution_length(regular_module(a), cosyzygy, cap, dim_cap) for a in (alg, opposite(alg)))
-    if right is None or left is None:
-        return GorensteinProfile(alg, None, False, False, cap_exceeded=True)
-    return GorensteinProfile(alg, max(right, left), False, True)
+    key = ("gorenstein_profile", cap, dim_cap)
+    found = alg._cache.get(key)
+    if found is None:
+        if is_selfinjective(alg):
+            found = GorensteinProfile(alg, 0, True, True)
+        else:
+            right, left = (_resolution_length(regular_module(a), cosyzygy, cap, dim_cap) for a in (alg, opposite(alg)))
+            if right is None or left is None:
+                found = GorensteinProfile(alg, None, False, False, cap_exceeded=True)
+            else:
+                found = GorensteinProfile(alg, max(right, left), False, True)
+        alg._cache[key] = found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +170,17 @@ def tau_gprj(g: Representation, profile: GorensteinProfile) -> Representation:
     if not is_gorenstein_projective(g, profile):
         raise NotGorensteinProjective("input is not Gorenstein projective")
     core = _nonprojective_part(g)
-    if core.is_zero():
-        return core
-    t = transpose(core)
-    for _ in range(profile.d):
+    return core if core.is_zero() else _tau_g_core(core, profile.d)
+
+
+def _tau_g_core(g: Representation, d: int) -> Representation:
+    """`tau_gprj` of a Gorenstein projective g without projective summands,
+    over a d-Gorenstein algebra, with neither check repeated."""
+    t = transpose(g)
+    for _ in range(d):
         t = syzygy(t)
     t = k_dual(t)
-    for _ in range(profile.d):
+    for _ in range(d):
         t = syzygy(t)
     return t
 
@@ -305,136 +310,122 @@ def verify_ar_duality(
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration at fixture scale
+# knitting: complete lists of indecomposables
 
-# Most candidates an exhaustive enumeration may visit: p^(matrix entries)
-# modules of one dimension vector, or p^(dim Hom) maps between two modules;
-# beyond it the enumeration raises EnumerationCapExceeded.
-_ENTRY_CAP = 200_000
-
-
-def _all_modules_with_dims(alg: BoundQuiverAlgebra, dims):
-    """One representative per isomorphism class of representations with the
-    given dimension vector, by exhaustive matrix enumeration.  A class is
-    keyed by the iso classes of its indecomposable summands (Krull-Schmidt).
-
-    The candidates run in `itertools.product` order, in batches of at most
-    `_ENUM_BATCH` matrix entries, and `broken_relations` screens each batch
-    at once; only a candidate that satisfies every relation is built as a
-    module and decomposed, so a class keeps its first such candidate."""
-    arrows = alg.quiver.arrows
-    shapes = [(dims[a.target], dims[a.source]) for a in arrows]
-    entries = sum(r * c for r, c in shapes)
-    p = alg.field.p
-    if entries > 64 or p**entries > _ENTRY_CAP:
-        raise EnumerationCapExceeded(
-            f"dimension vector {tuple(dims)} needs {p}^{entries} candidates"
-        )
-    classes: dict[tuple[int, ...], Representation] = {}  # first candidate per key
-    indecs: list[Representation] = []
-    combos = itertools.product(range(p), repeat=entries)
-    batch = max(1, _ENUM_BATCH // max(1, entries))
-    while chunk := list(itertools.islice(combos, batch)):
-        flat = np.array(chunk, dtype=np.int64).reshape(len(chunk), entries)
-        stacks, pos = {}, 0
-        for a, (r, c) in zip(arrows, shapes):
-            stacks[a.id] = flat[:, pos : pos + r * c].reshape(len(chunk), r, c)
-            pos += r * c
-        passed = np.ones(len(chunk), dtype=bool)
-        for broken in broken_relations(alg, stacks):
-            passed &= ~broken
-        for k in np.flatnonzero(passed):
-            m = Representation(alg, dims, {aid: s[k] for aid, s in stacks.items()}, validate=False)
-            summands = require_certified(decompose(m)).summands
-            classes.setdefault(tuple(sorted(iso_class_index(indecs, s) for s in summands)), m)
-    return list(classes.values())
+# _knit raises BudgetExhausted at a member of larger total dimension
+_KNIT_DIM_CAP = 20
 
 
 def _fits(dims, caps) -> bool:
     return all(d <= c for d, c in zip(dims, caps))
 
 
-def _iso_classes_within(alg: BoundQuiverAlgebra, *caps):
-    """Representatives of every iso class with dims under one of caps
-    coordinatewise, the zero module included.  Each dims vector is enumerated
-    once, in lexicographic order, so `_fits` filters out the list of one cap."""
-    out = []
-    for dims in itertools.product(*(range(max(at_v) + 1) for at_v in zip(*caps))):
-        if any(_fits(dims, c) for c in caps):
-            out.extend(_all_modules_with_dims(alg, dims))
-    return out
+def _knit(seeds, translate) -> tuple[tuple[Representation, Representation | None], ...]:
+    """The list that starts from seeds, pairwise non-isomorphic
+    indecomposables, and visits each member X once, in the order it joined.
+    X adds, through `iso_class_index`, the summands of rad X if X is
+    projective, and otherwise of E in `almost_split_sequence`
+    0 -> t -> E -> X -> 0 with t = translate(X).  Returns (X, t) per member,
+    t None for a projective X.  A member above `_KNIT_DIM_CAP` raises
+    BudgetExhausted: over GF(p) there are finitely many modules of each
+    dimension, so a list with no bound on its members never closes, and one
+    cut off is not certified complete."""
+    found, pairs = list(seeds), []
+    for x in found:  # the loop reaches the members that join while it runs
+        if x.total_dim > _KNIT_DIM_CAP:
+            raise BudgetExhausted(f"knitting reached an indecomposable of total dimension {x.total_dim} > "
+                                  f"{_KNIT_DIM_CAP}, so the list of indecomposables is not certified complete")
+        if is_projective(x):
+            t, before = None, radical(x)[0]
+        else:
+            t = translate(x)
+            before = almost_split_sequence(x, t)[0]
+        pairs.append((x, t))
+        for s in require_certified(decompose(before)).summands:
+            iso_class_index(found, s)
+    return tuple(pairs)
 
 
-def _line_representatives(p: int, d: int):
-    """The zero vector, then every vector of GF(p)^d whose first nonzero
-    entry is 1, in the order of itertools.product(range(p), repeat=d): one
-    leading position at a time, from the last down to the first.  These are
-    the first members of the lines {c*v : c != 0} in that order."""
-    yield (0,) * d
-    for lead in range(d - 1, -1, -1):
-        for tail in itertools.product(range(p), repeat=d - 1 - lead):
-            yield (0,) * lead + (1,) + tail
+def indec_pool(alg: BoundQuiverAlgebra, bound) -> tuple[Representation, ...]:
+    """Indecomposable iso classes with dims under bound, sorted by dimension,
+    from the list of all of them, knitted once per algebra (alg._cache).
+
+    `_knit` starts from the indecomposable injectives; a projective X adds
+    the summands of rad X, any other X those of E in the almost split
+    sequence 0 -> tau X -> E -> X -> 0.  A list C closed this way is all of
+    ind alg.  An indecomposable Y not in C has a nonzero map, not an
+    isomorphism, into an injective in C (through its injective envelope).
+    A non-isomorphism into a member of C factors through that member's sink
+    map (rad X -> X or E -> X), whose source has its summands in C, none
+    isomorphic to Y.  Repeating gives nonzero composites of arbitrarily many
+    non-isomorphisms between indecomposables of bounded length, against the
+    Harada-Sai lemma (Auslander, Reiten and Smalo, ch. VI).  So a
+    representation-infinite algebra raises BudgetExhausted.
+    """
+    caps = tuple(int(b) for b in bound)
+    if len(caps) != alg.quiver.vertices:
+        raise ValueError("bound must give a cap per vertex")
+    found = alg._cache.get("indec_pool")
+    if found is None:
+        # distinct vertices give distinct socles, so these are not isomorphic
+        injectives = [indecomposable_injective(alg, v) for v in range(alg.quiver.vertices)]
+        alg._cache["indec_pool"] = found = _knit(injectives, ar_translate)
+    return tuple(sorted((m for m, _ in found if _fits(m.dims, caps)), key=lambda m: (m.total_dim, m.dims)))
 
 
-def _collect_gp_morph_objects(base: BoundQuiverAlgebra, bound):
-    """Indecomposable Gorenstein-projective modules over the triangular
-    matrix algebra of base whose dimension vectors fit under bound, found by
-    exhausting (A, B, f) triples and decomposing.  Returns a tuple of
-    (module, object) pairs sorted by dimension, memoized per bound in
-    base._cache next to the opposite/T2 links.
+def _knit_gprj_t2(base: BoundQuiverAlgebra) -> tuple[tuple[Representation, Representation | None], ...]:
+    """Every indecomposable Gorenstein-projective module over T2 = t2_of(base),
+    with its tau_G (None for a projective), in the order knitted.
 
-    Three reductions leave the result unchanged, representatives and order
-    included.  (A, B, f) is isomorphic to (A, B, c*f) for every c != 0 via
-    (id_A, c*id_B), so f runs over one coefficient vector per line, the
-    first one in lexicographic order (`_line_representatives`); the cap
-    still counts all p^(dim Hom) maps.  Pairs with dim A_v > dim B_v at some
-    vertex v are skipped after the cap check, since no map between them is
-    mono.  And only indecomposable triples are kept: a proper summand of a
-    triple has componentwise smaller dims, so its pool entries come first
-    and it is met as a triple of its own before any triple that contains
-    it.  So each triple needs only a verdict, `indecomposable_evidence`,
-    and is never split: when it is indecomposable, `decompose` would return
-    the T2 module itself as its one summand."""
-    n = base.quiver.vertices
-    bound = tuple(int(b) for b in bound)
-    if len(bound) != 2 * n:
-        raise ValueError("bound must cap each vertex of the triangular algebra")
-    key = ("gp_census", bound)
-    cached = base._cache.get(key)
-    if cached is not None:
-        return cached
+    Over a self-injective base, Gprj T2 is the submodule category S(base) of
+    monomorphisms (Ringel and Schmidmeier, Trans. AMS 360, 2008), and T2 is
+    1-Gorenstein.  Gprj is functorially finite and extension-closed, so it
+    has relative almost split sequences (Auslander and Smalo, J. Algebra
+    1981) with tau_G as the translate.  `_knit` starts from the
+    indecomposable projective T2-modules; a projective X adds the summands of
+    rad X, any other X those of E in 0 -> tau_G X -> E -> X -> 0.  Both end
+    in a sink map of X in Gprj.  A non-isomorphism Y -> X from an
+    indecomposable Y lands in rad X, and rad X is in S(base), which is closed
+    under submodules, so Mimo(rad X), the minimal right S(base)-approximation
+    of rad X, is rad X itself.  E -> X is right almost split in Gprj.  A list C
+    closed this way is all of ind Gprj: an indecomposable GP module Y not in
+    C embeds in a projective, so it maps nonzero, not isomorphically, into a
+    member of C, and the Harada-Sai argument of `indec_pool` applies inside
+    Gprj.  No tau_G^-1 step and no connectivity check are needed.  Members
+    are GP, indecomposable and non-projective by construction, so tau_G is
+    `_tau_g_core` with d = 1.
+
+    Over any other base, Gprj T2 is smaller than the monomorphisms and rad X
+    need not lie in it: the list is `indec_pool` of T2, certified by the
+    absolute knitting, cut down by `is_gp_in_h`.  Either way a
+    representation-infinite Gprj, or T2, raises BudgetExhausted.
+    """
+    t2, _ = t2_of(base)
     profile = gorenstein_profile(base)
+    if profile.is_selfinjective:
+        projectives = [indecomposable_projective(t2, v) for v in range(t2.quiver.vertices)]
+        return _knit(projectives, lambda x: _tau_g_core(x, 1))
 
     def gp_test(mod):
         return is_gorenstein_projective(mod, profile)
 
-    pool = _iso_classes_within(base, bound[:n], bound[n:])
-    pool_a = [m for m in pool if _fits(m.dims, bound[:n])]
-    pool_b = [m for m in pool if _fits(m.dims, bound[n:])]
-    p = base.field.p
-    classes: list[Representation] = []
-    for a_mod in pool_a:
-        for b_mod in pool_b:
-            basis = hom_basis(a_mod, b_mod)
-            if p ** len(basis) > _ENTRY_CAP:
-                raise EnumerationCapExceeded(
-                    f"hom space between dims {a_mod.dims} and {b_mod.dims} "
-                    f"has {p}^{len(basis)} elements"
-                )
-            if any(da > db for da, db in zip(a_mod.dims, b_mod.dims)):
-                continue  # no map is mono, so is_gp_in_h rejects every triple
-            for coeffs in _line_representatives(p, len(basis)):
-                f = map_from_coefficients(basis, list(coeffs)) if basis else zero_map(a_mod, b_mod)
-                obj = MorphObject(a_mod, b_mod, f)
-                if obj.is_zero() or not is_gp_in_h(obj, gp_test):
-                    continue
-                t2m = to_t2_module(obj)
-                if indecomposable_evidence(t2m) is not None:
-                    iso_class_index(classes, t2m)
-    classes.sort(key=lambda s: (s.total_dim, s.dims))
-    found = tuple((s, from_t2_module(s)) for s in classes)
-    base._cache[key] = found
-    return found
+    everything = indec_pool(t2, (_KNIT_DIM_CAP,) * t2.quiver.vertices)
+    gps = [x for x in everything if is_gp_in_h(from_t2_module(x), gp_test)]
+    d = gorenstein_profile(t2).d
+    return tuple((x, None if is_projective(x) else _tau_g_core(x, d)) for x in gps)
+
+
+def _gp_members(base: BoundQuiverAlgebra, bound) -> list[tuple[Representation, Representation | None]]:
+    """The (module, tau_G) pairs of `_knit_gprj_t2` whose dims fit under bound
+    (a cap per vertex of T2), sorted by dimension; the list is knitted once
+    per base (base._cache, key "gp_census")."""
+    caps = tuple(int(b) for b in bound)
+    if len(caps) != 2 * base.quiver.vertices:
+        raise ValueError("bound must cap each vertex of the triangular algebra")
+    found = base._cache.get("gp_census")
+    if found is None:
+        base._cache["gp_census"] = found = _knit_gprj_t2(base)
+    return sorted((pair for pair in found if _fits(pair[0].dims, caps)), key=lambda pair: (pair[0].total_dim, pair[0].dims))
 
 
 # ---------------------------------------------------------------------------
@@ -471,62 +462,17 @@ def _census_tag(obj: MorphObject) -> tuple[str, str]:
 
 
 def classify_gp_census(alg: BoundQuiverAlgebra, bound) -> GpCensus:
-    """Exhaustive census of the indecomposable Gorenstein-projective objects
-    of the morphism category of alg with dimension vectors under bound
-    (first half of bound caps sources, second half targets)."""
-    found = _collect_gp_morph_objects(alg, bound)
+    """Census of the indecomposable Gorenstein-projective objects of the
+    morphism category of alg with dimension vectors under bound (first half
+    of bound caps sources, second half targets), read from the knitted list
+    of `_knit_gprj_t2`."""
     objects = []
     counts = {"a": 0, "b": 0, "c": 0, "other": 0}
-    for i, (t2m, obj) in enumerate(found):
-        tag, count_key = _census_tag(obj)
+    for i, (t2m, _) in enumerate(_gp_members(alg, bound)):
+        tag, count_key = _census_tag(from_t2_module(t2m))
         counts[count_key] += 1
         objects.append((f"g{i}:" + "x".join(str(d) for d in t2m.dims), tag))
     return GpCensus(tuple(objects), counts)
-
-
-# ---------------------------------------------------------------------------
-# indecomposables under a dimension bound
-
-
-# indec_pool raises BudgetExhausted at a member of larger total dimension
-_KNIT_DIM_CAP = 20
-
-
-def indec_pool(alg: BoundQuiverAlgebra, bound) -> tuple[Representation, ...]:
-    """Indecomposable iso classes with dims under bound, sorted by dimension,
-    from the list of all of them, knitted once per algebra (alg._cache).
-
-    Knitting starts from the indecomposable injectives and visits each member
-    X once, in the order it joined; X adds, through `iso_class_index`, the
-    summands of rad X if X is projective and otherwise of E in the almost
-    split sequence 0 -> tau X -> E -> X -> 0.  A list C closed this way is
-    all of ind alg.  An indecomposable Y not in C has a nonzero map, not an
-    isomorphism, into an injective in C (through its injective envelope).
-    A non-isomorphism into a member of C factors through that member's sink
-    map (rad X -> X or E -> X), whose source has its summands in C, none
-    isomorphic to Y.  Repeating gives nonzero composites of arbitrarily many
-    non-isomorphisms between indecomposables of bounded length, against the
-    Harada-Sai lemma (Auslander, Reiten and Smalo, ch. VI).  Over GF(p) there
-    are finitely many modules of each dimension, so a representation-infinite
-    algebra never closes: a member above `_KNIT_DIM_CAP` raises
-    BudgetExhausted, as the list is not certified complete.
-    """
-    caps = tuple(int(b) for b in bound)
-    if len(caps) != alg.quiver.vertices:
-        raise ValueError("bound must give a cap per vertex")
-    found = alg._cache.get("indec_pool")
-    if found is None:
-        # distinct vertices give distinct socles, so these are not isomorphic
-        found = [indecomposable_injective(alg, v) for v in range(alg.quiver.vertices)]
-        for x in found:  # the loop reaches the members that join while it runs
-            if x.total_dim > _KNIT_DIM_CAP:
-                raise BudgetExhausted(f"knitting reached an indecomposable of total dimension {x.total_dim} > "
-                                      f"{_KNIT_DIM_CAP}, so the list of indecomposables is not certified complete")
-            before = radical(x)[0] if is_projective(x) else almost_split_sequence(x)[0]
-            for s in require_certified(decompose(before)).summands:
-                iso_class_index(found, s)
-        alg._cache["indec_pool"] = found = tuple(found)
-    return tuple(sorted((m for m in found if _fits(m.dims, caps)), key=lambda m: (m.total_dim, m.dims)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,29 +483,26 @@ def check_tau_is_syzygy(alg: BoundQuiverAlgebra, bound):
     """Compare tau_gprj against the minimal syzygy on every indecomposable
     non-projective Gorenstein projective with dims under bound.
 
-    Over a triangular matrix algebra the Gorenstein projectives are found by
-    the census enumeration over its base (bound caps the triangular dims).
-    That needs an algebra returned by t2_of, which links it to its base; an
-    equal algebra read from JSON has no such link.  Over a self-injective
-    algebra every module qualifies and the pool comes from indec_pool.  Returns (verdict, witnesses) with one witness
+    Over a triangular matrix algebra the Gorenstein projectives and their
+    translates are read from the knitted list of its base (bound caps the
+    triangular dims).  That needs an algebra returned by t2_of, which links
+    it to its base; an equal algebra read from JSON has no such link.  Over a
+    self-injective algebra every module qualifies and the pool comes from
+    indec_pool.  Returns (verdict, witnesses) with one witness
     (module, translate, syzygy) per failing module.
     """
-    profile = gorenstein_profile(alg)
     base_pair = t2_base_of(alg)
     if base_pair is not None:
-        base, _ = base_pair
-        gps = [t2m for t2m, _ in _collect_gp_morph_objects(base, bound)]
-    elif profile.is_selfinjective:
-        gps = indec_pool(alg, bound)
+        translated = [(g, t) for g, t in _gp_members(base_pair[0], bound) if t is not None]
     else:
-        raise NotSelfInjective(
-            "comparison needs a self-injective algebra or a triangular algebra over one"
-        )
+        profile = gorenstein_profile(alg)
+        if not profile.is_selfinjective:
+            raise NotSelfInjective(
+                "comparison needs a self-injective algebra or a triangular algebra over one"
+            )
+        translated = [(g, tau_gprj(g, profile)) for g in indec_pool(alg, bound) if not is_projective(g)]
     witnesses = []
-    for g in gps:
-        if is_projective(g):
-            continue
-        t = tau_gprj(g, profile)
+    for g, t in translated:
         om = syzygy(g)
         if not is_isomorphic(om, t):
             witnesses.append((g, t, om))

@@ -32,8 +32,12 @@ class MalformedRelation(PreconditionError):
 class BudgetExhausted(PreconditionError):
     """A computation stopped before certifying its answer: `repmod.decompose`
     met a piece it could neither split nor show local, with End too large to
-    search; `homalg.almost_split_sequence` met End(tau M)/rad larger than
-    GF(p); or the knitting of `arsubcat.indec_pool` passed its cap."""
+    search; `homalg.almost_split_sequence` met End(N)/rad larger than GF(p);
+    or a knitting passed its cap, so its list is not certified complete: the
+    list of all indecomposables of `arsubcat.indec_pool`, or the GP census
+    (`arsubcat.classify_gp_census`, and `check_tau_is_syzygy` over a
+    triangular algebra), which knits Gprj of the triangular algebra, or the
+    whole of it over a base that is not self-injective."""
 
 
 class NotProjective(PreconditionError):
@@ -65,8 +69,4 @@ class InfiniteProjectiveDimension(PreconditionError):
 
 
 class NotLocallyProjective(PreconditionError):
-    pass
-
-
-class EnumerationCapExceeded(PreconditionError):
     pass

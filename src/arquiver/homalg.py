@@ -330,15 +330,14 @@ def ext_dim(m: Representation, n: Representation, i: int) -> int:
     return ext(m, n, i).dim
 
 
-def extension_from_cocycle(
-    m: Representation, n: Representation, f: ModuleMap
-) -> tuple[Representation, ModuleMap, ModuleMap]:
+def extension_from_cocycle(m: Representation, n: Representation, f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """Middle term of the short exact sequence 0 -> n -> E -> m -> 0 whose
     class is the cocycle f: P1 -> n of ext(m, n, 1).
 
     f kills the image of d2, so it descends along the cover pi: P1 ->
     Omega(m) (d1 = kappa . pi, with kappa: Omega(m) -> P0); E is the pushout
-    of kappa along that map.  Returns (E, inclusion of n, projection onto m).
+    of kappa along that map, so E / n = P0 / Omega(m) = m.  Returns (E,
+    inclusion of n); the projection onto m is not built, as no caller reads it.
     """
     eps, omega, kappa = syzygy_step(m)
     pi = projective_cover(omega)
@@ -346,44 +345,48 @@ def extension_from_cocycle(
     if fbar is None:
         raise ValueError("extension_from_cocycle needs a cocycle of ext(m, n, 1)")
     p = m.algebra.field.p
-    total, incls, projs = direct_sum([n, eps.source])
+    _, incls, _ = direct_sum([n, eps.source])
     g = add_maps(compose(incls[0], fbar), scale_map(p - 1, compose(incls[1], kappa)))
     e, proj_e = cokernel(g)
-    incl_n = compose(proj_e, incls[0])
-    onto_m = solve_hom_equation(e, m, compose(eps, projs[1]), pre=proj_e)
-    return e, incl_n, onto_m
+    return e, compose(proj_e, incls[0])
 
 
-def almost_split_sequence(m: Representation) -> tuple[Representation, ModuleMap, ModuleMap]:
-    """0 -> tau M -> E -> M -> 0, almost split, for an indecomposable
-    non-projective M, as `extension_from_cocycle` returns it.  Its class
-    spans the simple socle of Ext^1(M, N), N = tau M, as an End(N)-module
-    (Auslander, Reiten and Smalo, ch. V).  In `ext`'s coordinates, r acts on
-    the image of generator k by r at its vertex, so the socle is the kernel
-    of one stack of Q (r y) over r spanning rad End(N), the rows of Q
-    cutting out the coboundaries B."""
-    n = ar_translate(m)
+def almost_split_sequence(m: Representation, n: Representation | None = None) -> tuple[Representation, ModuleMap]:
+    """0 -> N -> E -> M -> 0 for an indecomposable non-projective M, as
+    `extension_from_cocycle` returns it: almost split for N = tau M, the
+    default, and almost split inside a functorially finite, extension-closed
+    subcategory that holds M when N is the relative translate there, such as
+    N = tau_G M inside Gprj (Auslander and Smalo, "Almost split sequences in
+    subcategories", J. Algebra 1981).  Such a subcategory has the same Ext^1,
+    and the class spans the simple socle of Ext^1(M, N) as an End(N)-module
+    (Auslander, Reiten and Smalo, ch. V); with End(N)/rad = GF(p) that socle
+    is one vector.  In `ext`'s coordinates, r acts on the image of generator
+    k by r at its vertex, so the socle is the kernel of one stack of Q (r y)
+    over r spanning rad End(N), the rows of Q cutting out the coboundaries B."""
+    if n is None:
+        n = ar_translate(m)
     field = m.algebra.field
     p = field.p
     eps1, acts, bound, y = _ext_coordinates(m, n, 1)
-    invariant(y.shape[1] > 0, "Ext^1(M, tau M) is zero")
+    invariant(y.shape[1] > 0, "Ext^1(M, N) is zero")
     totals = _total_stack(hom_basis(n, n))
     rad = _local_radical(totals, _fitting_powers(totals, p), field)
     if rad is None:
-        raise BudgetExhausted(f"End(tau M) for M of dims {list(m.dims)} has a residue field larger than GF({p})")
+        raise BudgetExhausted(f"End(N) for N of dims {list(n.dims)} has a residue field larger than GF({p})")
     q = exactlin.kernel_basis(Matrix(field, bound.T)).a.T  # q w = 0 iff w is in B
     verts, starts = eps1.source._layout[0], np.cumsum((0,) + n.dims)
     offsets = _image_offsets(n, verts)
     blocks = [(slice(starts[v], starts[v + 1]), slice(o, o + n.dims[v])) for v, o in zip(verts, offsets)]
     rad_y = np.concatenate([_matmul_stacks(rad[:, at, at], y[rows], p) for at, rows in blocks], axis=1)
     socle = exactlin.kernel_basis(Matrix(field, _matmul_stacks(q, rad_y, p).reshape(-1, y.shape[1]))).a
-    xi = _matmul_stacks(y, socle[:, :1], p)
+    invariant(socle.shape[1] == 1, f"the socle of Ext^1(M, N) over End(N) has dimension {socle.shape[1]}, not 1")
+    xi = _matmul_stacks(y, socle, p)
     invariant(_matmul_stacks(q, xi, p).any(), "the almost split class is a coboundary")
     phis = _maps_on_paths(eps1.source, n, acts, xi)
     cocycle = ModuleMap(eps1.source, n, [Matrix(field, phi[:, :, 0].T) for phi in phis], validate=False)
-    e, incl, onto = extension_from_cocycle(m, n, cocycle)
+    e, incl = extension_from_cocycle(m, n, cocycle)
     invariant(e.total_dim == m.total_dim + n.total_dim, "the almost split sequence has the wrong dimension")
-    return e, incl, onto
+    return e, incl
 
 
 # ---------------------------------------------------------------------------

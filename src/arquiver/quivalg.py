@@ -96,9 +96,10 @@ class BoundQuiverAlgebra:
     """kQ/I for an admissible length-homogeneous ideal; use build_algebra()."""
 
     # _cache holds the links that opposite, t2_of and t2_base_of memoize on
-    # this object, the GP census per bound (arsubcat._collect_gp_morph_objects,
-    # key ("gp_census", bound)) and the knitted list of all indecomposables
-    # (arsubcat.indec_pool, key "indec_pool"); not part of equality or hash.
+    # this object, its Gorenstein profile per caps (arsubcat.gorenstein_profile),
+    # and the knitted lists of all indecomposables (arsubcat.indec_pool, key
+    # "indec_pool") and of the GP modules over its T2 with their tau_G
+    # (arsubcat._gp_members, key "gp_census"); not part of equality or hash.
     __slots__ = (
         "field",
         "quiver",

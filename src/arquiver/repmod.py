@@ -140,9 +140,10 @@ def broken_relations(algebra: BoundQuiverAlgebra, stacks: dict) -> list[np.ndarr
     boolean mask over the N candidates per relation, in the algebra's order.
 
     This is the one relation check: a `Representation` validates itself as a
-    stack of one, and the exhaustive enumeration in `arsubcat` screens its
-    candidates in batches.  Every path has two or more arrows, and each
-    product and each term is reduced mod p, so nothing overflows int64.
+    stack of one, and the exhaustive enumeration that the tests use as a
+    reference screens its candidates in batches.  Every path has two or more
+    arrows, and each product and each term is reduced mod p, so nothing
+    overflows int64.
     """
     p = algebra.field.p
     out = []
@@ -835,8 +836,7 @@ def decompose(m: Representation) -> DecompositionCertificate:
 
     Every summand carries an evidence string.  `certified` is False only when
     some piece got past all three steps (End too large to search): then that
-    piece may still decompose.  A caller that needs only the verdict on m
-    itself calls `indecomposable_evidence`, which builds no split.
+    piece may still decompose.
     """
     if m.is_zero():
         return DecompositionCertificate(m, (), (), (), (), True)
@@ -868,39 +868,13 @@ def decompose(m: Representation) -> DecompositionCertificate:
     )
 
 
-def _check_certified(certified: bool) -> None:
-    if not certified:
+def require_certified(cert: DecompositionCertificate) -> DecompositionCertificate:
+    if not cert.certified:
         raise BudgetExhausted(
             "decomposition could not be certified: a piece is neither split nor shown "
             "local, and its endomorphism algebra is too large to search"
         )
-
-
-def require_certified(cert: DecompositionCertificate) -> DecompositionCertificate:
-    _check_certified(cert.certified)
     return cert
-
-
-def indecomposable_evidence(m: Representation) -> str | None:
-    """The evidence string of m when it is certified indecomposable; None
-    when m splits or is zero.  Raises BudgetExhausted, with
-    `require_certified`'s message, when m is neither split nor certified.
-
-    One `hom_basis(m, m)` and the first step of `decompose`, with no split
-    built.  decompose(m) has one summand exactly when that step does not
-    split m, and the summand is then m itself, with this evidence: a split
-    always has two nonzero parts, since the Fitting element f is neither
-    nilpotent (im f^e != 0) nor a unit (ker f^e != 0) and the idempotent is
-    neither 0 nor 1, and each part gives at least one summand.
-    """
-    if m.is_zero():
-        return None
-    verdict, _ = _decompose_indec_evidence(m, hom_basis(m, m))
-    if verdict is None:
-        return None
-    evidence, certified = verdict
-    _check_certified(certified)
-    return evidence
 
 
 # ---------------------------------------------------------------------------

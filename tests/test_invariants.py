@@ -122,7 +122,7 @@ def test_module_state_check_tells_constants_from_caches():
 
 def test_resolution_layers_hold_no_module_level_state():
     # memos live on the objects they describe (e.g. Representation._cover,
-    # BoundQuiverAlgebra._cache, which also holds the GP census), so quivalg,
+    # BoundQuiverAlgebra._cache, which also holds the knitted GP list), so quivalg,
     # repmod, homalg, morphcat and arsubcat may bind only immutable literals
     # at module level
     found, defined = [], {}
@@ -138,7 +138,7 @@ def test_resolution_layers_hold_no_module_level_state():
     assert {"_EXACT_ENUM_LIMIT", "decompose"} <= defined["repmod.py"]
     assert {"right_minimalize", "ext"} <= defined["homalg.py"]
     assert {"is_gp_in_h", "to_t2_module"} <= defined["morphcat.py"]
-    assert {"_ENTRY_CAP", "_collect_gp_morph_objects"} <= defined["arsubcat.py"]
+    assert {"_KNIT_DIM_CAP", "_knit", "_gp_members"} <= defined["arsubcat.py"]
 
 
 def _random_generator_uses(source: str) -> list[str]:

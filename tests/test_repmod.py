@@ -409,6 +409,23 @@ _VERDICT_ALGEBRAS = {
 _VERDICT_BUILT = {}
 
 
+def indecomposable_evidence(m):
+    """The evidence string of m when it is certified indecomposable; None
+    when m splits or is zero.  Raises BudgetExhausted when m is neither split
+    nor certified.  One `hom_basis(m, m)` and the first step of `decompose`,
+    with no split built: decompose(m) has one summand exactly when that step
+    does not split m, and the summand is then m itself, with this evidence."""
+    if m.is_zero():
+        return None
+    verdict, _ = repmod._decompose_indec_evidence(m, hom_basis(m, m))
+    if verdict is None:
+        return None
+    evidence, certified = verdict
+    if not certified:
+        raise BudgetExhausted("decomposition could not be certified")
+    return evidence
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(sorted(_VERDICT_ALGEBRAS)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
 def test_indecomposable_evidence_is_the_verdict_of_decompose(name, p, seed):
@@ -421,14 +438,14 @@ def test_indecomposable_evidence_is_the_verdict_of_decompose(name, p, seed):
     # m itself, then each of its summands: every summand is one of the
     # one-summand cases, with the evidence decompose gave it
     for x in (m, *cert.summands):
-        got = repmod.indecomposable_evidence(x)
+        got = indecomposable_evidence(x)
         of_x = decompose(x)
         if len(of_x.summands) == 1:
             assert of_x.summands[0] is x
             assert got == of_x.indecomposability_evidence[0]
         else:
             assert got is None
-    assert repmod.indecomposable_evidence(zero_module(alg)) is None
+    assert indecomposable_evidence(zero_module(alg)) is None
 
 
 def test_indecomposable_evidence_raises_only_when_the_module_itself_is_uncertified():
@@ -439,12 +456,12 @@ def test_indecomposable_evidence_raises_only_when_the_module_itself_is_uncertifi
     m = Representation(alg, (2, 2), {"a": Matrix(alg.field, np.eye(2, dtype=np.int64)),
                                      "b": Matrix(alg.field, [[0, p - 1], [1, 0]])})
     with pytest.raises(BudgetExhausted, match="could not be certified"):
-        repmod.indecomposable_evidence(m)
+        indecomposable_evidence(m)
     # m + m splits at its first step, so its verdict is None, though its
     # pieces, and so decompose, stay uncertified
     mm, _, _ = direct_sum([m, m])
     assert not decompose(mm).certified
-    assert repmod.indecomposable_evidence(mm) is None
+    assert indecomposable_evidence(mm) is None
 
 
 def test_indecomposable_evidence_builds_no_split(monkeypatch):
@@ -455,8 +472,8 @@ def test_indecomposable_evidence_builds_no_split(monkeypatch):
     monkeypatch.setattr(repmod, "_split_by_idempotent", no_split)
     alg = loop_algebra(2, 3)
     s = simple(alg, 0)
-    assert repmod.indecomposable_evidence(direct_sum([s, s])[0]) is None
-    assert repmod.indecomposable_evidence(s) == "endomorphism algebra has dimension 1"
+    assert indecomposable_evidence(direct_sum([s, s])[0]) is None
+    assert indecomposable_evidence(s) == "endomorphism algebra has dimension 1"
 
 
 def _reference_complement_data(span):
