@@ -45,7 +45,6 @@ from .morphcat import (
     imin,
     is_gp_in_h,
     mimo,
-    to_t2_module,
     zero_morph_object,
 )
 from .quivalg import BoundQuiverAlgebra, opposite, t2_base_of, t2_of
@@ -68,7 +67,6 @@ from .repmod import (
     regular_module,
     require_certified,
     solve_hom_equation,
-    syzygy_step,
     top_dims,
     zero_module,
 )
@@ -266,8 +264,10 @@ def verify_ar_duality(
     tag: the ordinary translation (FULL), the Gorenstein-projective one
     (GPRJ), or the finite-projective-dimension one (PFIN).
 
-    indecs is a list of (id, Representation) pairs.  The list must contain
-    every nonzero translate up to isomorphism; otherwise PreconditionError.
+    indecs is a list of (id, Representation) pairs, each a certified
+    indecomposable, so that `is_isomorphic` is exact on them.  The list must
+    contain every nonzero translate up to isomorphism.  Either failure raises
+    PreconditionError naming the member.
     For projective X no translation is computed (it would vanish): the row is
     recorded with the right side zero and the left side still computed, so a
     nonzero stable hom out of a projective would surface as an inequality.
@@ -284,6 +284,9 @@ def verify_ar_duality(
         translate = lambda x: tau_pfin(x, profile)
     items = sorted(indecs, key=lambda pair: pair[0])
     for xid, x in items:
+        cert = decompose(x)
+        if not (cert.certified and len(cert.summands) == 1):
+            raise PreconditionError(f"{xid} is not a certified indecomposable")
         if tag == "GPRJ" and not is_gorenstein_projective(x, profile):
             raise NotGorensteinProjective(f"{xid} is not Gorenstein projective")
         if tag == "PFIN" and has_finite_projdim(x) is None:
@@ -296,6 +299,7 @@ def verify_ar_duality(
             continue
         t = translate(x)
         translates[xid] = t
+        # each y is a certified indecomposable, so the test is exact
         if not t.is_zero() and not any(is_isomorphic(t, y) for _, y in items):
             raise PreconditionError(
                 f"indecomposable list is not closed: translate of {xid} is missing"
@@ -314,10 +318,6 @@ def verify_ar_duality(
 
 # _knit raises BudgetExhausted at a member of larger total dimension
 _KNIT_DIM_CAP = 20
-
-
-def _fits(dims, caps) -> bool:
-    return all(d <= c for d, c in zip(dims, caps))
 
 
 def _knit(seeds, translate) -> tuple[tuple[Representation, Representation | None], ...]:
@@ -362,15 +362,27 @@ def indec_pool(alg: BoundQuiverAlgebra, bound) -> tuple[Representation, ...]:
     Harada-Sai lemma (Auslander, Reiten and Smalo, ch. VI).  So a
     representation-infinite algebra raises BudgetExhausted.
     """
+    return tuple(m for m, _ in _pool_members(alg, bound))
+
+
+def _knitted(alg: BoundQuiverAlgebra, key: str, knit, caps) -> list[tuple[Representation, Representation | None]]:
+    """The (module, translate) pairs of the list knit() returns, knitted once
+    per algebra (alg._cache[key]), with dims under caps, sorted by dimension."""
+    found = alg._cache.get(key)
+    if found is None:
+        alg._cache[key] = found = knit()
+    fits = [pair for pair in found if all(d <= c for d, c in zip(pair[0].dims, caps))]
+    return sorted(fits, key=lambda pair: (pair[0].total_dim, pair[0].dims))
+
+
+def _pool_members(alg: BoundQuiverAlgebra, bound) -> list[tuple[Representation, Representation | None]]:
+    """The members of `indec_pool` with their tau (None for a projective)."""
     caps = tuple(int(b) for b in bound)
     if len(caps) != alg.quiver.vertices:
         raise ValueError("bound must give a cap per vertex")
-    found = alg._cache.get("indec_pool")
-    if found is None:
-        # distinct vertices give distinct socles, so these are not isomorphic
-        injectives = [indecomposable_injective(alg, v) for v in range(alg.quiver.vertices)]
-        alg._cache["indec_pool"] = found = _knit(injectives, ar_translate)
-    return tuple(sorted((m for m, _ in found if _fits(m.dims, caps)), key=lambda m: (m.total_dim, m.dims)))
+    # distinct vertices give distinct socles, so the injective seeds are not isomorphic
+    knit = lambda: _knit([indecomposable_injective(alg, v) for v in range(alg.quiver.vertices)], ar_translate)
+    return _knitted(alg, "indec_pool", knit, caps)
 
 
 def _knit_gprj_t2(base: BoundQuiverAlgebra) -> tuple[tuple[Representation, Representation | None], ...]:
@@ -422,10 +434,7 @@ def _gp_members(base: BoundQuiverAlgebra, bound) -> list[tuple[Representation, R
     caps = tuple(int(b) for b in bound)
     if len(caps) != 2 * base.quiver.vertices:
         raise ValueError("bound must cap each vertex of the triangular algebra")
-    found = base._cache.get("gp_census")
-    if found is None:
-        base._cache["gp_census"] = found = _knit_gprj_t2(base)
-    return sorted((pair for pair in found if _fits(pair[0].dims, caps)), key=lambda pair: (pair[0].total_dim, pair[0].dims))
+    return _knitted(base, "gp_census", lambda: _knit_gprj_t2(base), caps)
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +454,22 @@ def _census_tag(obj: MorphObject) -> tuple[str, str]:
     """Classification shape of an indecomposable Gorenstein-projective
     object and its key in GpCensus.counts.  Tested in order: (c) the kernel
     inclusion of a projective cover of an indecomposable non-projective
-    module, (a) an isomorphism, (b) a zero source; anything else is OTHER."""
+    module, (a) an isomorphism, (b) a zero source; anything else is OTHER.
+
+    Shape (c) needs no comparison with the template (Omega g -> P(g)).  Let
+    f: A -> B be mono with B projective and g = coker f nonzero and not
+    projective.  The epimorphism B -> g from a projective splits as
+    B = P(g) (+) B2 with P(g) -> g a projective cover and B2 -> 0, so its
+    kernel is A = Omega g (+) B2 and the object is
+    (Omega g -> P(g)) (+) (B2 = B2).  The first summand is nonzero, so an
+    indecomposable object has B2 = 0 and is the template; g is then
+    indecomposable too, as a splitting of g splits the template.
+    """
     f = obj.f
     if is_projective(obj.b) and is_mono(f):
         g, _ = cokernel(f)
         if not g.is_zero() and not is_projective(g):
-            cover, k, incl = syzygy_step(g)
-            template = MorphObject(k, cover.source, incl)
-            if is_isomorphic(to_t2_module(obj), to_t2_module(template)):
-                return "C_SYZYGY", "c"
+            return "C_SYZYGY", "c"
     if is_mono(f) and is_epi(f):
         return "A_IDENTITY", "a"
     if obj.a.is_zero():
@@ -487,22 +503,26 @@ def check_tau_is_syzygy(alg: BoundQuiverAlgebra, bound):
     translates are read from the knitted list of its base (bound caps the
     triangular dims).  That needs an algebra returned by t2_of, which links
     it to its base; an equal algebra read from JSON has no such link.  Over a
-    self-injective algebra every module qualifies and the pool comes from
-    indec_pool.  Returns (verdict, witnesses) with one witness
-    (module, translate, syzygy) per failing module.
+    self-injective algebra every module qualifies, d = 0 makes tau_gprj the
+    ordinary tau, and both are read from the knitted list of `indec_pool`.
+    Either way each translate is tau_G of an indecomposable non-projective
+    GP module, itself indecomposable, so `is_isomorphic` is exact.  Returns
+    (verdict, witnesses) with one witness (module, translate, syzygy) per
+    failing module.
     """
     base_pair = t2_base_of(alg)
     if base_pair is not None:
-        translated = [(g, t) for g, t in _gp_members(base_pair[0], bound) if t is not None]
+        members = _gp_members(base_pair[0], bound)
+    elif gorenstein_profile(alg).is_selfinjective:
+        members = _pool_members(alg, bound)
     else:
-        profile = gorenstein_profile(alg)
-        if not profile.is_selfinjective:
-            raise NotSelfInjective(
-                "comparison needs a self-injective algebra or a triangular algebra over one"
-            )
-        translated = [(g, tau_gprj(g, profile)) for g in indec_pool(alg, bound) if not is_projective(g)]
+        raise NotSelfInjective(
+            "comparison needs a self-injective algebra or a triangular algebra over one"
+        )
     witnesses = []
-    for g, t in translated:
+    for g, t in members:
+        if t is None:
+            continue
         om = syzygy(g)
         if not is_isomorphic(om, t):
             witnesses.append((g, t, om))

@@ -336,6 +336,7 @@ class SuiteResult:
 
 
 def _witness_name(man: FixtureManifest, m: Representation) -> str:
+    # m is a knitted member, indecomposable, so is_isomorphic is exact
     for name in sorted(man.modules):
         if is_isomorphic(m, man.modules[name]):
             return name
@@ -378,6 +379,7 @@ def _run_indec_pool(man: FixtureManifest) -> SuiteResult:
     if man.expected_indec_count is not None and len(pool) != man.expected_indec_count:
         ok = False
         notes.append(f"expected {man.expected_indec_count}")
+    # each q is a knitted member, indecomposable, so is_isomorphic is exact
     missing = [
         name
         for name, m in sorted(man.modules.items())

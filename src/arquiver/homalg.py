@@ -49,11 +49,11 @@ from .repmod import (
     injective_envelope,
     is_projective,
     k_dual,
-    match_indecomposables,
     non_nilpotent,
     projective_cover,
     projective_generators,
     projective_module,
+    same_classes,
     scale_map,
     solve_hom_equation,
     syzygy_step,
@@ -463,7 +463,7 @@ def is_selfinjective(alg) -> bool:
     verts = range(alg.quiver.vertices)
     projectives = tuple(indecomposable_projective(alg, v) for v in verts)
     injectives = tuple(indecomposable_injective(alg, v) for v in verts)
-    return match_indecomposables(projectives, injectives) is not None
+    return same_classes(projectives, injectives)
 
 
 def nonprojective_summands(m: Representation) -> list[Representation]:
@@ -472,4 +472,4 @@ def nonprojective_summands(m: Representation) -> list[Representation]:
 
 def is_stably_isomorphic(m: Representation, n: Representation) -> bool:
     """Isomorphic after deleting projective direct summands from both sides."""
-    return match_indecomposables(nonprojective_summands(m), nonprojective_summands(n)) is not None
+    return same_classes(nonprojective_summands(m), nonprojective_summands(n))

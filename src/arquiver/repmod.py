@@ -881,86 +881,48 @@ def require_certified(cert: DecompositionCertificate) -> DecompositionCertificat
 # isomorphism
 
 
-def indecomposable_isomorphism(m: Representation, n: Representation) -> ModuleMap | None:
+def isomorphism(m: Representation, n: Representation) -> ModuleMap | None:
     """The first element of `hom_basis(m, n)` that is an isomorphism, or None.
 
-    Exact when either side is indecomposable (a certified summand, say): if
-    phi: m -> n is an isomorphism, End(m) is local by Fitting's lemma, so the
-    non-isomorphisms in Hom(m, n) form the proper subspace phi.rad End(m),
-    which no basis lies in.  A returned map is always an isomorphism; when
-    both sides are decomposable, a None can be wrong.
-    """
-    if m.dims != n.dims:
-        return None
-    return next((f for f in hom_basis(m, n) if is_mono(f)), None)
-
-
-def iso_class_index(reps: list[Representation], m: Representation) -> int:
-    """Position of the class of m in reps, a list of pairwise non-isomorphic
-    indecomposables; m is appended when its class is new.  Each comparison is
-    exact, as one side of it is indecomposable (`indecomposable_isomorphism`)."""
-    for k, r in enumerate(reps):
-        if indecomposable_isomorphism(m, r) is not None:
-            return k
-    reps.append(m)
-    return len(reps) - 1
-
-
-def match_indecomposables(
-    a: tuple[Representation, ...], b: tuple[Representation, ...]
-) -> list[tuple[int, ModuleMap]] | None:
-    """Pair the indecomposables in a one-to-one with isomorphic ones in b.
-
-    Entry k is (l, an isomorphism a[k] -> b[l]); None when the two lists are
-    not the same multiset of iso classes.  Taking the first free partner is
-    enough, because isomorphism is an equivalence relation.
-    """
-    if len(a) != len(b):
-        return None
-    used = [False] * len(b)
-    pairs = []
-    for s in a:
-        for l, t in enumerate(b):
-            if used[l]:
-                continue
-            iso = indecomposable_isomorphism(s, t)
-            if iso is not None:
-                used[l] = True
-                pairs.append((l, iso))
-                break
-        else:
-            return None
-    return pairs
-
-
-def is_isomorphic(m: Representation, n: Representation) -> bool:
-    return isomorphism(m, n) is not None
-
-
-def isomorphism(m: Representation, n: Representation) -> ModuleMap | None:
-    """An explicit isomorphism m -> n, or None.
-
-    A certified indecomposable m goes to `indecomposable_isomorphism`, and n
-    is not decomposed; otherwise the summands of both sides are matched with
-    `match_indecomposables`.
+    Precondition: one side is indecomposable (a certified summand, say).
+    Then the test is exact: if phi: m -> n is an isomorphism, End(m) is
+    local by Fitting's lemma, so the non-isomorphisms in Hom(m, n) form the
+    proper subspace phi.rad End(m), which no basis lies in.  A returned map
+    is always an isomorphism; when both sides are decomposable, a None can be
+    wrong (compare certified summands with `same_classes` instead).
     """
     if m.algebra != n.algebra:
         raise ValueError("isomorphism test between modules over different algebras")
     if m.dims != n.dims:
         return None
-    dm = decompose(m)
-    if dm.certified and len(dm.summands) == 1:
-        return indecomposable_isomorphism(m, n)
-    dn = decompose(n)
-    pairs = match_indecomposables(dm.summands, dn.summands)
-    if pairs is None:
-        return None
-    out = zero_map(m, n)
-    for k, (l, iso) in enumerate(pairs):
-        out = add_maps(out, compose(dn.inclusions[l], compose(iso, dm.projections[k])))
-    # out is invertible by construction (it matched a complete summand list)
-    invariant(is_mono(out), "matched summands do not assemble to an isomorphism")
-    return out
+    if m.is_zero():
+        return zero_map(m, n)
+    return next((f for f in hom_basis(m, n) if is_mono(f)), None)
+
+
+def is_isomorphic(m: Representation, n: Representation) -> bool:
+    """Whether `isomorphism(m, n)` finds one; exact under its precondition
+    that one side is indecomposable."""
+    return isomorphism(m, n) is not None
+
+
+def iso_class_index(reps: list[Representation], m: Representation) -> int:
+    """Position of the class of m in reps, a list of pairwise non-isomorphic
+    indecomposables; m is appended when its class is new.  Each comparison is
+    exact, as one side of it is indecomposable (`isomorphism`)."""
+    for k, r in enumerate(reps):
+        if isomorphism(m, r) is not None:
+            return k
+    reps.append(m)
+    return len(reps) - 1
+
+
+def same_classes(a, b) -> bool:
+    """Whether two lists of indecomposables are the same multiset of iso
+    classes (by Krull-Schmidt, whether their direct sums are isomorphic)."""
+    classes = []
+    count = lambda ms: sorted(iso_class_index(classes, x) for x in ms)
+    return len(a) == len(b) and count(a) == count(b)
 
 
 # ---------------------------------------------------------------------------

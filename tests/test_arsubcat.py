@@ -12,6 +12,7 @@ split into Gorenstein projectives {G1, G2, G3, P0, P1}, finite projective
 dimension {P0, P1, LxL, I0}, and neither {S0, LtoS}.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -52,7 +53,7 @@ from arquiver.arsubcat import (
     verify_ar_duality,
     _gp_members,
 )
-from arquiver import arsubcat
+from arquiver import arsubcat, morphcat
 from arquiver.morphcat import MorphObject, from_t2_module, is_gp_in_h, to_t2_module
 from arquiver.quivalg import (
     Quiver,
@@ -73,17 +74,19 @@ from arquiver.repmod import (
     hom_basis,
     identity_map,
     indecomposable_projective,
+    is_epi,
     is_isomorphic,
     is_mono,
     is_projective,
     iso_class_index,
     map_from_coefficients,
-    match_indecomposables,
+    same_classes,
     random_module,
     radical,
     regular_module,
     require_certified,
     simple_module,
+    syzygy_step,
     zero_map,
     zero_module,
 )
@@ -433,6 +436,22 @@ def test_duality_preconditions(t2_modules, t2_profile):
         verify_ar_duality(t2, "WEIRD", [])
 
 
+def test_duality_needs_certified_indecomposable_members(kx2, monkeypatch):
+    # the closure check compares translates with members by `is_isomorphic`,
+    # exact only when the member is indecomposable
+    s = simple_module(kx2, 0)
+    lam = regular_module(kx2)
+    with pytest.raises(PreconditionError, match="LS is not a certified indecomposable"):
+        verify_ar_duality(kx2, "FULL", [("L", lam), ("LS", direct_sum([lam, s])[0]), ("S", s)])
+    with pytest.raises(PreconditionError, match="Z is not a certified indecomposable"):
+        verify_ar_duality(kx2, "FULL", [("S", s), ("Z", zero_module(kx2))])
+    # a member whose decomposition is not certified is refused as well
+    real = arsubcat.decompose
+    monkeypatch.setattr(arsubcat, "decompose", lambda m: dataclasses.replace(real(m), certified=False))
+    with pytest.raises(PreconditionError, match="S is not a certified indecomposable"):
+        verify_ar_duality(kx2, "FULL", [("S", s)])
+
+
 # ---------------------------------------------------------------------------
 # census
 
@@ -477,6 +496,49 @@ def test_census_counts_the_submodule_categories(n, count):
     members = _gp_members(loop_algebra(n, 2), (arsubcat._KNIT_DIM_CAP,) * 2)
     assert len(members) == count
     assert all(is_gp_in_h(from_t2_module(x), lambda m: True) for x, _ in members)
+
+
+def _census_template(obj):
+    """The shape (c) template (Omega g -> P(g)) of g = coker f, built from a
+    projective cover of g, for an object (A, B, f) with f mono, B projective
+    and g nonzero and not projective; None for any other object."""
+    if is_projective(obj.b) and is_mono(obj.f):
+        g, _ = cokernel(obj.f)
+        if not g.is_zero() and not is_projective(g):
+            cover, k, incl = syzygy_step(g)
+            return MorphObject(k, cover.source, incl)
+    return None
+
+
+def _template_census_tag(obj):
+    """The census tag with shape (c) decided by an isomorphism to the
+    template: the reference for `_census_tag`, which needs no template."""
+    template = _census_template(obj)
+    if template is not None and is_isomorphic(to_t2_module(obj), to_t2_module(template)):
+        return "C_SYZYGY", "c"
+    if is_mono(obj.f) and is_epi(obj.f):
+        return "A_IDENTITY", "a"
+    if obj.a.is_zero():
+        return "B_COSOCLE", "b"
+    return "OTHER", "other"
+
+
+_TAG_CASES = {
+    **{f"S{n}-p{p}": (lambda n=n, p=p: loop_algebra(n, p)) for n in (2, 3, 4) for p in (2, 3, 5)},
+    "S5-p2": lambda: loop_algebra(5, 2),  # 50 objects; S(5) takes about 3 s per prime
+    **{f"a2-p{p}": (lambda p=p: a2_algebra(p)) for p in (2, 3, 5)},
+    **{f"a3-zero-relation-p{p}": (lambda p=p: a3_zero_relation(p)) for p in (2, 3, 5)},
+}
+
+
+@pytest.mark.parametrize("name", list(_TAG_CASES))
+def test_census_tags_match_the_template_reference(name):
+    # the whole knitted census of S(n) (submodule category of k[x]/(x^n))
+    # or of T2(base), tagged with and without the shape (c) template
+    base = _TAG_CASES[name]()
+    members = _gp_members(base, (arsubcat._KNIT_DIM_CAP,) * 2 * base.quiver.vertices)
+    objects = [from_t2_module(x) for x, _ in members]
+    assert [arsubcat._census_tag(o) for o in objects] == [_template_census_tag(o) for o in objects]
 
 
 def test_census_answers_where_the_enumeration_hit_its_cap():
@@ -602,7 +664,7 @@ def test_census_matches_the_full_enumeration_reference(make, bound):
     found = tuple(s for s, _ in _gp_members(base, bound))
     reference = tuple(_reference_gp_morph_modules(base, bound))
     assert [s.dims for s in found] == [s.dims for s in reference]
-    assert match_indecomposables(found, reference) is not None
+    assert same_classes(found, reference)
 
 
 @pytest.mark.parametrize(
@@ -627,23 +689,12 @@ def test_census_members_are_gp_indecomposable_and_pairwise_non_isomorphic(make, 
     ids=["kx2-p5", "kx3-p3", "a3-zero-relation-p2"],
 )
 def test_census_decomposes_no_triple(monkeypatch, make, bound):
-    # the census splits only knitted modules (rad X and middle terms), never
-    # the T2 module of an (A, B, f) triple
+    # the census splits and tags only knitted modules (rad X and middle
+    # terms): it builds the T2 module of no (A, B, f) triple, not even a
+    # shape (c) template
     base = make()
-    built = []
-    build, decompose_any = arsubcat.to_t2_module, arsubcat.decompose
-
-    def recorded(obj):
-        built.append(build(obj))
-        return built[-1]
-
-    def knitted_only(m):
-        if any(m is t for t in built):
-            raise AssertionError("census decomposed a triple")
-        return decompose_any(m)
-
-    monkeypatch.setattr(arsubcat, "to_t2_module", recorded)
-    monkeypatch.setattr(arsubcat, "decompose", knitted_only)
+    monkeypatch.setattr(morphcat, "to_t2_module", lambda obj: pytest.fail("census built a T2 module"))
+    assert not hasattr(arsubcat, "to_t2_module")
     census = classify_gp_census(base, bound)
     assert census.objects
 
@@ -760,27 +811,24 @@ def test_relative_almost_split_sequences_do_not_split_and_their_dims_add_up(make
         middle, incl = almost_split_sequence(x, t)
         assert middle.total_dim == x.total_dim + t.total_dim
         assert is_mono(incl) and is_isomorphic(cokernel(incl)[0], x)
-        assert not is_isomorphic(middle, direct_sum([t, x])[0])
+        assert not isomorphic_by_summands(middle, direct_sum([t, x])[0])
         # the middle term stays inside the list
         for s in require_certified(decompose(middle)).summands:
             assert sum(is_isomorphic(s, y) for y, _ in members) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_to_t2_module_satisfies_the_t2_relations(monkeypatch, p):
-    # every T2 module the census builds, and those of random objects (A, B, f)
+def test_to_t2_module_satisfies_the_t2_relations(p):
+    # the T2 modules of the census objects and of their shape (c) templates
+    # (`_template_census_tag`), and those of random objects (A, B, f)
     built = []
-    build = arsubcat.to_t2_module
-
-    def recorded(obj):
-        built.append(build(obj))
-        return built[-1]
-
-    monkeypatch.setattr(arsubcat, "to_t2_module", recorded)
     if p == 5:
         for base in (loop_algebra(2), loop_algebra(3)):
-            classify_gp_census(base, (2, 2))
-        assert built
+            for x, _ in _gp_members(base, (2, 2)):
+                obj = from_t2_module(x)
+                template = _census_template(obj)
+                built.extend(to_t2_module(o) for o in (obj, template) if o is not None)
+        assert len(built) > 10
     rng = np.random.default_rng(p)
     for base in (loop_algebra(2, p), loop_algebra(3, p), a3_zero_relation(p)):
         for _ in range(10):
@@ -793,9 +841,17 @@ def test_to_t2_module_satisfies_the_t2_relations(monkeypatch, p):
         Representation(out.algebra, out.dims, out.arrow_maps, validate=True)
 
 
+def isomorphic_by_summands(m, n):
+    """Isomorphism of two modules that may both be decomposable: by
+    Krull-Schmidt, their certified summands are the same iso classes."""
+    summands = lambda x: require_certified(decompose(x)).summands
+    return same_classes(summands(m), summands(n))
+
+
 def _reference_iso_classes(alg, caps):
     """Every representation with dims under caps, in the enumeration order of
-    the arrow matrices' entries, deduplicated with is_isomorphic."""
+    the arrow matrices' entries, deduplicated pairwise with
+    `isomorphic_by_summands`."""
     arrows = alg.quiver.arrows
     out = []
     for dims in itertools.product(*(range(c + 1) for c in caps)):
@@ -811,7 +867,7 @@ def _reference_iso_classes(alg, caps):
                 m = Representation(alg, dims, maps)
             except ValueError:
                 continue
-            if not any(is_isomorphic(m, c) for c in classes):
+            if not any(isomorphic_by_summands(m, c) for c in classes):
                 classes.append(m)
         out.extend(classes)
     return out
@@ -885,7 +941,7 @@ def test_indec_pool_matches_the_exhaustive_reference(name):
     caps = tuple(max(at_v) for at_v in zip(*(m.dims for m in everything)))
     assert len(everything) == count and indec_pool(alg, caps) == everything
     reference = [m for m in _iso_classes_within(alg, caps) if len(require_certified(decompose(m)).summands) == 1]
-    assert match_indecomposables(everything, tuple(reference)) is not None
+    assert same_classes(everything, reference)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -935,7 +991,7 @@ def test_knitted_list_is_closed_and_its_sequences_do_not_split_on_the_manifests(
             tau_x = ar_translate(x)
             assert before.total_dim == x.total_dim + tau_x.total_dim
             assert is_mono(incl) and is_isomorphic(cokernel(incl)[0], x)
-            assert not is_isomorphic(before, direct_sum([tau_x, x])[0])
+            assert not isomorphic_by_summands(before, direct_sum([tau_x, x])[0])
         for s in require_certified(decompose(before)).summands:
             assert sum(is_isomorphic(s, y) for y in knitted) == 1
 
@@ -991,7 +1047,7 @@ def test_almost_split_middles_do_not_split(t2_modules, t2_profile):
         middle, incl = extension_from_cocycle(g, tg, space.cocycles[0])
         assert middle.total_dim == g.total_dim + tg.total_dim
         assert is_mono(incl) and is_isomorphic(cokernel(incl)[0], g)
-        assert not is_isomorphic(middle, direct_sum([tg, g])[0])
+        assert not isomorphic_by_summands(middle, direct_sum([tg, g])[0])
 
 
 def test_almost_split_middle_hereditary():

@@ -336,6 +336,24 @@ def test_verify_unknown_member_exits_1(capsys, tmp_path):
     assert "ghost" in err
 
 
+def test_verify_decomposable_duality_member_exits_2_and_names_it(capsys, tmp_path):
+    # L (+) S over k[x]/(x^2) is not indecomposable, so the isomorphism test
+    # of the closure check would not be exact on it
+    fx = tmp_path / "fx"
+    shutil.copytree(FIX, fx)
+    (fx / "kx2_LS.json").write_text(json.dumps(
+        {"algebra": "kx2", "arrow_maps": {"x": [[0, 0, 0], [1, 0, 0], [0, 0, 0]]}, "dims": [3]}))
+    manifest = json.loads((fx / "manifest_kx2.json").read_text())
+    manifest["modules"]["LS"] = "kx2_LS.json"
+    manifest["suites"]["ar-full"]["members"] = ["L", "LS", "S"]
+    (fx / "manifest_kx2.json").write_text(json.dumps(manifest))
+    code, _, err = run(
+        ["verify", "--manifest", str(fx / "manifest_kx2.json"),
+         "--suite", "ar-full"], capsys)
+    assert code == 2
+    assert "LS is not a certified indecomposable" in err
+
+
 def test_verify_mismatched_base_algebra_exits_1(capsys, tmp_path):
     fx = tmp_path / "fx"
     shutil.copytree(FIX, fx)

@@ -31,7 +31,6 @@ from arquiver.repmod import (
     identity_map,
     image,
     indecomposable_injective,
-    indecomposable_isomorphism,
     indecomposable_projective,
     injective_envelope,
     is_isomorphic,
@@ -557,15 +556,15 @@ def test_indecomposable_isomorphism():
     alg = loop_algebra(2)
     s = simple(alg, 0)
     lam = indecomposable_projective(alg, 0)
-    iso = indecomposable_isomorphism(lam, lam)
+    iso = isomorphism(lam, lam)
     assert iso is not None
     assert all(inverse(vm) is not None for vm in iso.vertex_maps)
-    assert indecomposable_isomorphism(s, s) is not None
-    assert indecomposable_isomorphism(s, lam) is None
-    assert indecomposable_isomorphism(lam, k_dual(k_dual(lam))) is not None
+    assert isomorphism(s, s) is not None
+    assert isomorphism(s, lam) is None
+    assert isomorphism(lam, k_dual(k_dual(lam))) is not None
 
 
-def _reference_indecomposable_isomorphism(m, n):
+def _reference_isomorphism(m, n):
     """The isomorphism test of two Hom bases: the first f in hom_basis(m, n)
     for which some g.f, g in hom_basis(n, m), is invertible."""
     if m.dims != n.dims:
@@ -622,9 +621,8 @@ def test_indecomposable_isomorphism_matches_the_two_basis_test(name, p):
         ys = [y for y in randoms + summands if y.dims == x.dims] + [_conjugate(x, rng), direct_sum(top)[0]]
         for y in ys:
             for a, b in ((x, y), (y, x)):
-                iso = indecomposable_isomorphism(a, b)
-                assert iso == _reference_indecomposable_isomorphism(a, b)
-                assert (iso is not None) == is_isomorphic(a, b)
+                iso = isomorphism(a, b)
+                assert iso == _reference_isomorphism(a, b)
                 assert iso is None or is_mono(iso)
                 answers.add(iso is None)
     assert answers == {True, False}
@@ -638,23 +636,32 @@ def test_indecomposable_isomorphism_solves_one_hom_system_and_composes_nothing(m
     real = repmod.hom_basis
     monkeypatch.setattr(repmod, "hom_basis", lambda m, n: calls.append((m, n)) or real(m, n))
     monkeypatch.setattr(repmod, "compose", lambda g, f: pytest.fail("compose called"))
-    assert indecomposable_isomorphism(p0, other) is not None
+    assert isomorphism(p0, other) is not None
     assert calls == [(p0, other)]
 
 
-def test_isomorphism_decomposes_a_certified_indecomposable_first_argument_only(monkeypatch):
+def test_isomorphism_solves_one_hom_system_and_decomposes_nothing(monkeypatch):
     alg = _comm_square_algebra(3)
     p0 = indecomposable_projective(alg, 0)
-    calls = []
-    real = repmod.decompose
-    monkeypatch.setattr(repmod, "decompose", lambda m: calls.append(m) or real(m))
-    iso = isomorphism(p0, _conjugate(p0, np.random.default_rng(0)))
-    assert iso is not None and is_mono(iso)
-    assert calls == [p0]
-    # a decomposable first argument still decomposes both sides
-    calls.clear()
     s, _, _ = direct_sum([simple(alg, 0), simple(alg, 3)])
-    assert isomorphism(s, s) is not None and len(calls) == 2
+    calls = []
+    real = repmod.hom_basis
+    monkeypatch.setattr(repmod, "hom_basis", lambda m, n: calls.append((m, n)) or real(m, n))
+    monkeypatch.setattr(repmod, "decompose", lambda m: pytest.fail("decompose called"))
+    other = _conjugate(p0, np.random.default_rng(0))
+    iso = isomorphism(p0, other)
+    assert iso is not None and is_mono(iso) and calls == [(p0, other)]
+    # two decomposable sides get the same single system (its None may be
+    # wrong there), and unequal dims none
+    for m, n in ((s, s), (s, p0)):
+        calls.clear()
+        iso = isomorphism(m, n)
+        assert iso is None or is_mono(iso)
+        assert calls == ([(m, n)] if m.dims == n.dims else [])
+    # 0 is isomorphic to 0 without a Hom system
+    z = zero_module(alg)
+    calls.clear()
+    assert isomorphism(z, z) is not None and calls == []
 
 
 def test_is_isomorphic_scaled_presentation():
