@@ -121,11 +121,6 @@ def cmd_compute(args: argparse.Namespace) -> int:
     alg = _load_algebra(args.algebra)
     data = _load_json(args.module)
     is_morph = "A" in data
-    if is_morph:
-        base_id = str(data.get("A", {}).get("algebra") or Path(args.algebra).stem)
-    else:
-        base_id = str(data.get("algebra") or Path(args.algebra).stem)
-
     op = args.op
     kind, run, over_opposite = _OPS[op]
     if (kind == "morph") != is_morph:
@@ -139,6 +134,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseFailure(f"{args.module} is not a valid input over {args.algebra}: {exc}") from exc
 
+    # a parsed morphism file has a JSON object under "A"
+    base_id = str((data["A"] if is_morph else data).get("algebra") or Path(args.algebra).stem)
     res = run(arg, alg)
     out_id = base_id + ".op" if over_opposite else base_id
     if isinstance(res, Representation):

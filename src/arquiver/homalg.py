@@ -16,11 +16,12 @@ Hom(P(v), X) = X e_v), so a Hom out of a projective needs no equations, and
 f -> f.d is the matrix `_relation_system` of d.  Hom(M, X) is the kernel of
 one such system, and Ext^i(M, N) is the cohomology of
 Hom(P_{i-1}, N) -> Hom(P_i, N) -> Hom(P_{i+1}, N), whose two maps are such
-systems.  The dimensions are ranks and kernels in these coordinates; stable
-Hom builds no map, and Ext builds only the cocycles of its basis.  Every map
-out of a projective is built from its generator images by
+systems.  Both dimensions are rank counts in these coordinates, and neither
+stable Hom nor Ext builds a map.  The one class built as a map is the almost
+split class xi: P1 -> N of `almost_split_sequence`.  It and every other map
+out of a projective are built from their generator images by
 `repmod._maps_on_paths`: the projective cover, the dual D(d) in `transpose`
-and the Ext cocycles.
+and xi.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .quivalg import opposite
 from .repmod import (
     ModuleMap,
     Representation,
-    add_maps,
     cokernel,
     compose,
     decompose,
@@ -54,7 +54,6 @@ from .repmod import (
     projective_generators,
     projective_module,
     same_classes,
-    scale_map,
     solve_hom_equation,
     syzygy_step,
     _fitting_powers,
@@ -279,12 +278,12 @@ def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
 @dataclass(frozen=True)
 class ExtSpace:
     dim: int
-    cocycles: tuple[ModuleMap, ...]  # maps P_i -> n representing a basis of Ext^i
 
 
 def _ext_coordinates(m: Representation, n: Representation, i: int):
     """`ext`'s coordinates: (eps_i, the path actions on n, the coboundary
-    system, whose columns span B, and y, the cocycles of Ext^i's basis)."""
+    system, whose columns span B, and y, whose columns are the generator
+    images of cocycles P_i -> n that form a basis of Ext^i)."""
     field = n.algebra.field
     omega = m
     for _ in range(i - 1):
@@ -307,62 +306,40 @@ def ext(m: Representation, n: Representation, i: int) -> ExtSpace:
     The two maps are the relation systems of d_i and d_{i+1} for N, read from
     the presentations of Omega^{i-1} m and Omega^i m.  The cocycles Z are the
     kernel of the second and the coboundaries B the column span of the
-    first; the members of Z's basis that are pivots of [B | Z] form a basis
-    of Ext^i, and each is built as the map P_i -> n with those generator
-    images.
+    first; dim Ext^i is the number of members of Z's basis that are pivots
+    of [B | Z].  No map is built.
     """
     if i < 1:
         raise ValueError("ext is implemented for i >= 1")
     if m.algebra != n.algebra:
         raise ValueError("ext between modules over different algebras")
-    eps_i, acts, _, y = _ext_coordinates(m, n, i)
-    if not y.shape[1]:
-        return ExtSpace(0, ())
-    phis = _maps_on_paths(eps_i.source, n, acts, y)
-    cocycles = tuple(
-        ModuleMap(eps_i.source, n, [Matrix(n.algebra.field, phi[:, :, j].T) for phi in phis], validate=False)
-        for j in range(y.shape[1])
-    )
-    return ExtSpace(len(cocycles), cocycles)
+    return ExtSpace(_ext_coordinates(m, n, i)[3].shape[1])
 
 
 def ext_dim(m: Representation, n: Representation, i: int) -> int:
     return ext(m, n, i).dim
 
 
-def extension_from_cocycle(m: Representation, n: Representation, f: ModuleMap) -> tuple[Representation, ModuleMap]:
-    """Middle term of the short exact sequence 0 -> n -> E -> m -> 0 whose
-    class is the cocycle f: P1 -> n of ext(m, n, 1).
-
-    f kills the image of d2, so it descends along the cover pi: P1 ->
-    Omega(m) (d1 = kappa . pi, with kappa: Omega(m) -> P0); E is the pushout
-    of kappa along that map, so E / n = P0 / Omega(m) = m.  Returns (E,
-    inclusion of n); the projection onto m is not built, as no caller reads it.
-    """
-    eps, omega, kappa = syzygy_step(m)
-    pi = projective_cover(omega)
-    fbar = solve_hom_equation(omega, n, f, pre=pi) if (f.source, f.target) == (pi.source, n) else None
-    if fbar is None:
-        raise ValueError("extension_from_cocycle needs a cocycle of ext(m, n, 1)")
-    p = m.algebra.field.p
-    _, incls, _ = direct_sum([n, eps.source])
-    g = add_maps(compose(incls[0], fbar), scale_map(p - 1, compose(incls[1], kappa)))
-    e, proj_e = cokernel(g)
-    return e, compose(proj_e, incls[0])
-
-
 def almost_split_sequence(m: Representation, n: Representation | None = None) -> tuple[Representation, ModuleMap]:
-    """0 -> N -> E -> M -> 0 for an indecomposable non-projective M, as
-    `extension_from_cocycle` returns it: almost split for N = tau M, the
-    default, and almost split inside a functorially finite, extension-closed
-    subcategory that holds M when N is the relative translate there, such as
+    """0 -> N -> E -> M -> 0 for an indecomposable non-projective M, as (E,
+    inclusion of N); the projection onto M is not built, as no caller reads
+    it.  The sequence is almost split for N = tau M, the default, and almost
+    split inside a functorially finite, extension-closed subcategory that
+    holds M when N is the relative translate there, such as
     N = tau_G M inside Gprj (Auslander and Smalo, "Almost split sequences in
     subcategories", J. Algebra 1981).  Such a subcategory has the same Ext^1,
     and the class spans the simple socle of Ext^1(M, N) as an End(N)-module
     (Auslander, Reiten and Smalo, ch. V); with End(N)/rad = GF(p) that socle
     is one vector.  In `ext`'s coordinates, r acts on the image of generator
     k by r at its vertex, so the socle is the kernel of one stack of Q (r y)
-    over r spanning rad End(N), the rows of Q cutting out the coboundaries B."""
+    over r spanning rad End(N), the rows of Q cutting out the coboundaries B.
+
+    With the class xi: P1 -> N and d1 = kappa.pi: P1 -> Omega M -> P0, E is
+    the cokernel of (xi, -d1): P1 -> N (+) P0, so E / N = P0 / Omega M = M.
+    pi is onto, so this map has the column span, vertex by vertex, of the
+    pushout map (xi', -kappa) out of Omega M, with xi = xi'.pi.  If xi were
+    not a cocycle, it would not kill ker pi, the rank would grow and dim E
+    would fall short of dim M + dim N."""
     if n is None:
         n = ar_translate(m)
     field = m.algebra.field
@@ -383,10 +360,12 @@ def almost_split_sequence(m: Representation, n: Representation | None = None) ->
     xi = _matmul_stacks(y, socle, p)
     invariant(_matmul_stacks(q, xi, p).any(), "the almost split class is a coboundary")
     phis = _maps_on_paths(eps1.source, n, acts, xi)
-    cocycle = ModuleMap(eps1.source, n, [Matrix(field, phi[:, :, 0].T) for phi in phis], validate=False)
-    e, incl = extension_from_cocycle(m, n, cocycle)
+    eps0, _, kappa = syzygy_step(m)
+    d1 = compose(kappa, eps1)
+    g = [Matrix(field, np.vstack([phi[:, :, 0].T, -d.a])) for phi, d in zip(phis, d1.vertex_maps)]
+    e, proj = cokernel(ModuleMap(eps1.source, direct_sum([n, eps0.source])[0], g, validate=False))
     invariant(e.total_dim == m.total_dim + n.total_dim, "the almost split sequence has the wrong dimension")
-    return e, incl
+    return e, ModuleMap(n, e, [Matrix(field, pv.a[:, :nv]) for pv, nv in zip(proj.vertex_maps, n.dims)], validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +420,7 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
         invariant(hits.size > 0, "stable ideal power has a nilpotent basis")
         # the image part of the Fitting split lies inside ker h because the
         # witness does
-        (ker_part, ker_incl, _), (im_part, im_incl, _) = _fitting_split(m, w[hits[0]])
+        (ker_part, ker_incl), (im_part, im_incl) = _fitting_split(m, w[hits[0]])
         invariant(not im_part.is_zero(), "witness was nilpotent after all")
         invariant(compose(h, im_incl).is_zero(), "stripped part does not die under h")
         stripped.append(im_part)

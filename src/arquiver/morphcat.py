@@ -49,6 +49,8 @@ from .repmod import (
     solve_hom_equation,
     zero_map,
     zero_module,
+    _json_matrix,
+    _json_object,
 )
 from . import exactlin
 
@@ -280,7 +282,7 @@ def tau_s_lambda(obj: MorphObject) -> MorphObject:
     minimal presentations), not to (B -> coker f) as an object.  Taking the
     object-level translate over the triangular algebra instead produces a
     projective object already for (S = S) over k[x]/(x^2), so it cannot be
-    the almost-split end; see the decisions ledger.
+    the almost-split end.
     """
     alg = obj.algebra
     if not is_selfinjective(alg):
@@ -312,14 +314,10 @@ def morph_to_json_dict(obj: MorphObject, algebra_id: str) -> dict:
 def morph_from_json_dict(alg: BoundQuiverAlgebra, data: dict) -> MorphObject:
     a = module_from_json_dict(alg, data["A"])
     b = module_from_json_dict(alg, data["B"])
-    vms = []
-    raw = data.get("f", {}).get("vertex_maps", {})
-    for i in range(alg.quiver.vertices):
-        rows = raw.get(str(i), raw.get(i, []))
-        mat = np.zeros((b.dims[i], a.dims[i]), dtype=np.int64)
-        for r, row in enumerate(rows):
-            for c, x in enumerate(row):
-                mat[r, c] = int(x)
-        vms.append(Matrix(alg.field, mat))
+    raw = _json_object(_json_object(data.get("f", {}), "f").get("vertex_maps", {}), "f.vertex_maps")
+    vms = [
+        _json_matrix(alg.field, raw.get(str(i), raw.get(i, [])), (b.dims[i], a.dims[i]), f"vertex map {i}")
+        for i in range(alg.quiver.vertices)
+    ]
     f = ModuleMap(a, b, vms, validate=True)
     return MorphObject(a, b, f)

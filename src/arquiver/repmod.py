@@ -336,33 +336,31 @@ def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     return _restrict(f.source, [exactlin.kernel_basis(vm) for vm in f.vertex_maps])
 
 
-def _complement_data(span: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """For a span inside k^n: (basis B of the span, complement basis E, projection onto E).
+def _complement_data(span: Matrix) -> tuple[Matrix, Matrix]:
+    """For a span inside k^n: (complement basis E, projection onto E along
+    the span), so proj @ span == 0 and proj @ E == I.
 
-    The projection is along span(B): proj @ B == 0 and proj @ E == I.  One
-    row reduction T [span | I] = R gives all three.  Its pivots left of the
-    I block are span's pivot columns, so B is what `column_space_basis`
-    picks; the other pivots give the unit vectors E.  The pivot columns of R
-    are the unit vectors in order, so T [B | E] = I, and T is the I block of
-    R: its rows past B project onto E.
+    One row reduction T [span | I] = R gives both.  Its pivots left of the I
+    block are span's pivot columns, B say; the other pivots give the unit
+    vectors E.  The pivot columns of R are the unit vectors in order, so
+    T [B | E] = I, and T is the I block of R: its rows past B project onto
+    E.  Both depend on the column span of span alone.
     """
     field = span.field
     red, pivots = exactlin.rref(exactlin.hstack([span, Matrix.identity(field, span.rows)]))
     invariant(len(pivots) == span.rows, "span and complement are not a basis")
     nb = sum(c < span.cols for c in pivots)
-    b = Matrix(field, span.a[:, pivots[:nb]])
     e = Matrix(field, np.eye(span.rows, dtype=np.int64)[:, [c - span.cols for c in pivots[nb:]]])
-    return b, e, Matrix(field, red.a[nb:, span.cols :])
+    return e, Matrix(field, red.a[nb:, span.cols :])
 
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """(coker f, projection)."""
     n = f.target
     alg = n.algebra
-    bs, es, projs = [], [], []
+    es, projs = [], []
     for vm in f.vertex_maps:
-        b, e, proj = _complement_data(vm)
-        bs.append(b)
+        e, proj = _complement_data(vm)
         es.append(e)
         projs.append(proj)
     dims = [e.cols for e in es]
@@ -374,15 +372,9 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     return cok, ModuleMap(n, cok, projs, validate=False)
 
 
-def image(f: ModuleMap) -> tuple[Representation, ModuleMap, ModuleMap]:
-    """(im f, inclusion into target, corestriction of f onto its image)."""
-    im, incl = _restrict(f.target, [exactlin.column_space_basis(vm) for vm in f.vertex_maps])
-    epis = []
-    for b, vm in zip(incl.vertex_maps, f.vertex_maps):
-        sol = exactlin.solve(b, vm)
-        invariant(sol is not None, "map does not factor through its image")
-        epis.append(sol)
-    return im, incl, ModuleMap(f.source, im, epis, validate=False)
+def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
+    """(im f, inclusion into target)."""
+    return _restrict(f.target, [exactlin.column_space_basis(vm) for vm in f.vertex_maps])
 
 
 def direct_sum(summands: list[Representation]) -> tuple[Representation, list[ModuleMap], list[ModuleMap]]:
@@ -539,7 +531,7 @@ def _build_projective_cover(m: Representation) -> ModuleMap:
     verts: list[int] = []
     lifts: list[np.ndarray] = []  # chosen preimages of the top basis vectors
     for j in range(alg.quiver.vertices):
-        _, e, _ = _complement_data(spans[j])
+        e, _ = _complement_data(spans[j])
         verts += [j] * e.cols
         lifts += list(e.a.T)
     if not verts:
@@ -608,8 +600,8 @@ def _maps_on_paths(src: Representation, x: Representation, acts: dict, y: np.nda
     X(path) y_k, the image under map j of src's basis path c = (k, path) at v.
     One stacked product per pair of vertices.  This is the one builder of
     maps out of a projective (Yoneda: Hom(P(v), X) = X e_v): projective
-    covers, homalg's D(d) in the transpose and Ext cocycles all come from
-    it."""
+    covers, homalg's D(d) in the transpose and the class of an almost split
+    sequence all come from it; Ext itself builds no map."""
     gen_verts, coords = src._layout
     p = x.algebra.field.p
     offsets = _image_offsets(x, gen_verts)
@@ -638,10 +630,8 @@ def is_projective(m: Representation) -> bool:
 
 @dataclass(frozen=True)
 class DecompositionCertificate:
-    module: Representation
     summands: tuple[Representation, ...]
-    inclusions: tuple[ModuleMap, ...]
-    projections: tuple[ModuleMap, ...]
+    inclusions: tuple[ModuleMap, ...]  # they fix the order of the summands
     indecomposability_evidence: tuple[str, ...]
     certified: bool
 
@@ -668,26 +658,20 @@ def _block_map(m: Representation, total: np.ndarray) -> ModuleMap:
     return ModuleMap(m, m, blocks, validate=False)
 
 
-def _complementary_split(m: Representation, part1, part2, failure: str):
+def _complementary_split(part1, part2, failure: str):
     """Check that the inclusions of part1 = (m1, i1) and part2 = (m2, i2) make
-    M = m1 (+) m2, and return (m1, i1, p1), (m2, i2, p2) with the projections;
-    raise InternalInvariantError(failure) if they do not."""
-    (m1, i1), (m2, i2) = part1, part2
-    field = m.algebra.field
-    p1, p2 = [], []
-    for v in range(len(m.dims)):
-        sinv = exactlin.inverse(exactlin.hstack([i1.vertex_maps[v], i2.vertex_maps[v]]))
-        invariant(sinv is not None, failure)
-        p1.append(Matrix(field, sinv.a[: m1.dims[v], :]))
-        p2.append(Matrix(field, sinv.a[m1.dims[v] :, :]))
-    return (m1, i1, ModuleMap(m, m1, p1, validate=False)), (m2, i2, ModuleMap(m, m2, p2, validate=False))
+    M = m1 (+) m2, and return them; raise InternalInvariantError(failure) if
+    they do not."""
+    for i1, i2 in zip(part1[1].vertex_maps, part2[1].vertex_maps):
+        invariant(exactlin.inverse(exactlin.hstack([i1, i2])) is not None, failure)
+    return part1, part2
 
 
 def _split_by_idempotent(m: Representation, e: np.ndarray):
     """M = im(e) + ker(e) for the total matrix e of an idempotent endomorphism
     (ker e = im(1 - e); `_block_map` reduces 1 - e mod p)."""
-    parts = [image(_block_map(m, f))[:2] for f in (e, np.eye(m.total_dim, dtype=np.int64) - e)]
-    return _complementary_split(m, *parts, "idempotent split is not a direct sum")
+    parts = [image(_block_map(m, f)) for f in (e, np.eye(m.total_dim, dtype=np.int64) - e)]
+    return _complementary_split(*parts, "idempotent split is not a direct sum")
 
 
 def _fitting_split(m: Representation, f: np.ndarray):
@@ -697,7 +681,7 @@ def _fitting_split(m: Representation, f: np.ndarray):
     part, im part) as `_complementary_split` does; either part may be zero."""
     e = 1 << (m.total_dim - 1).bit_length()
     power = _block_map(m, _power_stack(f[None], e, m.algebra.field.p)[0])
-    return _complementary_split(m, kernel(power), image(power)[:2], "Fitting split is not a direct sum")
+    return _complementary_split(kernel(power), image(power), "Fitting split is not a direct sum")
 
 
 def first_combination(totals: np.ndarray, p: int) -> list[int] | None:
@@ -818,7 +802,7 @@ def _decompose_indec_evidence(m, endos):
 
 
 def decompose(m: Representation) -> DecompositionCertificate:
-    """Split m into indecomposable summands with inclusion/projection maps.
+    """Split m into indecomposable summands with their inclusions.
 
     A piece whose endomorphism algebra has dimension t = 1 over GF(p) is
     indecomposable outright.  Every other piece, of dimension D, goes through
@@ -839,33 +823,26 @@ def decompose(m: Representation) -> DecompositionCertificate:
     piece may still decompose.
     """
     if m.is_zero():
-        return DecompositionCertificate(m, (), (), (), (), True)
-    work = [(m, identity_map(m), identity_map(m))]
+        return DecompositionCertificate((), (), (), True)
+    work = [(m, identity_map(m))]
     final = []
     certified = True
     while work:
-        cur, incl, proj = work.pop()
+        cur, incl = work.pop()
         endos = hom_basis(cur, cur)
         verdict, split = _decompose_indec_evidence(cur, endos)
         if split is not None:
             build, x = split
-            (m1, i1, p1), (m2, i2, p2) = build(cur, x)
-            work.append((m1, compose(incl, i1), compose(p1, proj)))
-            work.append((m2, compose(incl, i2), compose(p2, proj)))
+            for part, part_incl in build(cur, x):
+                work.append((part, compose(incl, part_incl)))
             continue
         evidence, ok = verdict
         certified = certified and ok
-        final.append((cur, incl, proj, evidence))
-    # deterministic order: sort by dims, then by entry data
+        final.append((cur, incl, evidence))
+    # deterministic order: sort by dims, then by the entries of the inclusion
     final.sort(key=lambda x: (tuple(x[0].dims), [vm.tolist() for vm in x[1].vertex_maps]))
-    return DecompositionCertificate(
-        m,
-        tuple(f[0] for f in final),
-        tuple(f[1] for f in final),
-        tuple(f[2] for f in final),
-        tuple(f[3] for f in final),
-        certified,
-    )
+    summands, inclusions, evidence = zip(*final)
+    return DecompositionCertificate(summands, inclusions, evidence, certified)
 
 
 def require_certified(cert: DecompositionCertificate) -> DecompositionCertificate:
@@ -984,14 +961,38 @@ def module_to_json_dict(m: Representation, algebra_id: str) -> dict:
     }
 
 
+def _json_object(value, where: str) -> dict:
+    if isinstance(value, dict):
+        return value
+    raise TypeError(f"{where} must be a JSON object")
+
+
+def _json_ints(value, where: str) -> list[int]:
+    """value, a JSON list of integers; TypeError otherwise, also for "10",
+    0.5 or true, which int() would take."""
+    if isinstance(value, list) and all(type(x) is int for x in value):
+        return value
+    raise TypeError(f"{where} must be a list of integers")
+
+
+def _json_matrix(field, rows, shape, where: str) -> Matrix:
+    """A matrix of the given shape whose leading rows are `rows`, a JSON list
+    of lists of integers (the rest is zero)."""
+    if not isinstance(rows, list):
+        raise TypeError(f"{where} must be a list of rows")
+    mat = np.zeros(shape, dtype=np.int64)
+    for r, row in enumerate(rows):
+        for c, x in enumerate(_json_ints(row, f"row {r} of {where}")):
+            mat[r, c] = x % field.p
+    return Matrix(field, mat)
+
+
 def module_from_json_dict(algebra: BoundQuiverAlgebra, data: dict) -> Representation:
-    dims = [int(d) for d in data["dims"]]
-    maps = {}
-    for a in algebra.quiver.arrows:
-        rows = data.get("arrow_maps", {}).get(a.id, [])
-        mat = np.zeros((dims[a.target], dims[a.source]), dtype=np.int64)
-        for r, row in enumerate(rows):
-            for c, x in enumerate(row):
-                mat[r, c] = int(x)
-        maps[a.id] = Matrix(algebra.field, mat)
+    data = _json_object(data, "a module")
+    dims = _json_ints(data["dims"], "dims")
+    raw = _json_object(data.get("arrow_maps", {}), "arrow_maps")
+    maps = {
+        a.id: _json_matrix(algebra.field, raw.get(a.id, []), (dims[a.target], dims[a.source]), f"arrow {a.id!r}")
+        for a in algebra.quiver.arrows
+    }
     return Representation(algebra, dims, maps, validate=True)

@@ -155,6 +155,50 @@ def test_malformed_json_exits_1(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize(
+    "name, keys, value, phrase",
+    [
+        ("kx2_L", ("arrow_maps",), [[1]], "arrow_maps must be a JSON object"),
+        ("a2_S0", ("dims",), "10", "dims must be a list of integers"),
+        ("kx2_L", ("arrow_maps", "x", 1, 0), 0.5, "row 1 of arrow 'x' must be a list of integers"),
+        ("kx2_L", ("arrow_maps", "x", 1, 0), True, "row 1 of arrow 'x' must be a list of integers"),
+        ("kx2_L", ("arrow_maps", "x"), "00", "arrow 'x' must be a list of rows"),
+        ("kx2_L", ("arrow_maps", "x"), ["00"], "row 0 of arrow 'x' must be a list of integers"),
+        ("kx2_S_to_zero", ("A",), [1], "a module must be a JSON object"),
+        ("kx2_S_to_zero", ("f",), [1], "f must be a JSON object"),
+        ("kx2_S_to_zero", ("f", "vertex_maps"), [[]], "f.vertex_maps must be a JSON object"),
+    ],
+    ids=["arrow-maps-list", "dims-string", "entry-float", "entry-bool", "rows-string", "row-string", "morph-a-list",
+         "morph-f-list", "morph-vertex-maps-list"],
+)
+def test_malformed_module_or_morphism_file_exits_1(capsys, tmp_path, name, keys, value, phrase):
+    # int() would take "10", 0.5, True and the characters of "00", and
+    # .get() on a list raises AttributeError, which would exit 3
+    data = json.loads((FIX / f"{name}.json").read_text())
+    inner = data
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    algebra, op = name.split("_")[0], "mimo" if "A" in data else "syzygy"
+    code, _, err = run(["compute", "--algebra", str(FIX / f"{algebra}.json"), "--module", str(bad), "--op", op], capsys)
+    assert code == 1
+    assert "input error" in err and phrase in err
+
+
+def test_verify_malformed_module_file_exits_1(capsys, tmp_path):
+    # the manifest reads its modules through the same reader as compute
+    fx = tmp_path / "fx"
+    shutil.copytree(FIX, fx)
+    module = json.loads((fx / "kx2_L.json").read_text())
+    module["arrow_maps"] = [[1]]
+    (fx / "kx2_L.json").write_text(json.dumps(module))
+    code, _, err = run(["verify", "--manifest", str(fx / "manifest_kx2.json"), "--suite", "all"], capsys)
+    assert code == 1
+    assert "kx2_L.json: not a valid module" in err and "arrow_maps must be a JSON object" in err
+
+
 def test_missing_file_exits_1(capsys, tmp_path):
     code, _, err = run(
         ["compute", "--algebra", str(tmp_path / "absent.json"),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import exactlin, homalg, repmod
+from arquiver import errors, exactlin, homalg, repmod
 from arquiver.errors import BudgetExhausted, InternalInvariantError, NotProjective
 from arquiver.exactlin import Matrix, PrimeField
 from arquiver.homalg import (
@@ -94,6 +94,17 @@ def projective_resolution(m, length):
         ds.append(compose(incl, cover))
         ps.append(cover.source)
     return ps, ds, eps
+
+
+def ext_cocycles(m, n, i):
+    """The columns y of `homalg._ext_coordinates`, each built as the map
+    P_i -> n with those generator images, which `ext` itself never builds."""
+    eps_i, acts, _, y = homalg._ext_coordinates(m, n, i)
+    phis = repmod._maps_on_paths(eps_i.source, n, acts, y)
+    return [
+        ModuleMap(eps_i.source, n, [Matrix(n.algebra.field, phi[:, :, j].T) for phi in phis], validate=False)
+        for j in range(y.shape[1])
+    ]
 
 
 def _annihilated(basis, images):
@@ -333,10 +344,10 @@ def test_ext1_matches_injective_coresolution_oracle():
 def test_ext_cocycles_are_cocycles_not_coboundaries():
     alg = loop_algebra(3)
     s = simple(alg, 0)
-    e = ext(s, jordan2(alg), 1)
+    cocycles = ext_cocycles(s, jordan2(alg), 1)
     _, ds, _ = projective_resolution(s, 2)
-    assert len(e.cocycles) == e.dim
-    for z in e.cocycles:
+    assert len(cocycles) == ext(s, jordan2(alg), 1).dim > 0
+    for z in cocycles:
         assert compose(z, ds[1]).is_zero()
         assert not z.is_zero()
 
@@ -545,8 +556,8 @@ def _reference_right_minimalize(h):
                 power, e = compose(power, power), 2 * e
             if not power.is_zero():
                 break
-        parts = repmod.kernel(power), repmod.image(power)[:2]
-        (m, ker_incl, _), (im_part, _, _) = repmod._complementary_split(m, *parts, "not a direct sum")
+        parts = repmod.kernel(power), repmod.image(power)
+        (m, ker_incl), (im_part, _) = repmod._complementary_split(*parts, "not a direct sum")
         stripped.append(im_part)
         h = compose(h, ker_incl)
     if not stripped:
@@ -801,18 +812,19 @@ def test_ext_matches_the_hom_basis_route(p, i):
             for n in mods:
                 got = ext(m, n, i)
                 reps, bound, d_next = _reference_ext(m, n, i)
-                assert got.dim == len(got.cocycles) == len(reps)
-                for z in got.cocycles:
+                cocycles = ext_cocycles(m, n, i)
+                assert got.dim == len(cocycles) == len(reps)
+                for z in cocycles:
                     # a module map P_i -> n that kills d_{i+1}
                     assert ModuleMap(z.source, z.target, z.vertex_maps, validate=True) == z
                     assert compose(z, d_next).is_zero()
                 # the cocycles are independent modulo the reference coboundaries
-                if got.cocycles:
+                if cocycles:
                     ranks = [
                         exactlin.rank(Matrix(field, np.stack([flatten_map(f) for f in maps])))
                         if maps
                         else 0
-                        for maps in (bound, bound + list(got.cocycles))
+                        for maps in (bound, bound + cocycles)
                     ]
                     assert ranks[1] == ranks[0] + got.dim
                 nonzero += got.dim > 0
@@ -835,18 +847,127 @@ def test_ext_and_stable_hom_reject_bad_arguments():
         stable_hom_proj(s, simple(loop_algebra(2, 3), 0))
 
 
-def test_extension_from_cocycle_wants_an_ext1_cocycle():
-    from arquiver.homalg import extension_from_cocycle
+def test_ext_builds_no_map(monkeypatch):
+    # past the memoized resolution steps, which the first call builds, ext
+    # is a rank count: a second call constructs no ModuleMap at all
+    built = []
+    init = ModuleMap.__init__
 
-    alg = a3_radsq_algebra(5)
-    s0, s2 = simple(alg, 0), simple(alg, 2)
-    # Ext^2(S0, S2) = k, its cocycle lives on P2 = P(2), not on P1 = P(1)
-    space = ext(s0, s2, 2)
-    assert space.dim == 1
-    with pytest.raises(ValueError):
-        extension_from_cocycle(s0, s2, space.cocycles[0])
-    with pytest.raises(ValueError):
-        extension_from_cocycle(s0, s2, repmod.zero_map(s0, s2))
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    nonzero = 0
+    for _, mods in _reference_cases(3):
+        for m in mods:
+            for n in mods:
+                for i in (1, 2):
+                    want = ext(m, n, i).dim
+                    with monkeypatch.context() as patch:
+                        patch.setattr(ModuleMap, "__init__", counting_init)
+                        assert ext(m, n, i).dim == want
+                    assert not built
+                    nonzero += want > 0
+    assert nonzero
+
+
+def jordan(alg, d):
+    """J_d, the d-dimensional indecomposable over k[x]/(x^n), n >= d."""
+    return Representation(alg, [d], {"x": Matrix(alg.field, np.eye(d, k=-1, dtype=np.int64))})
+
+
+def test_almost_split_sequence_refuses_a_class_that_is_not_a_cocycle(monkeypatch):
+    # J_3 over k[x]/(x^5) has the resolution ... -> L -x^2-> L -x^3-> L, and
+    # tau J_3 = J_3.  A map P1 = L -> J_3 is a cocycle iff its generator
+    # image y has x^2 y = 0, so a unit vector y outside ker x^2 is none.
+    # Added to the almost split class, it must trip the dimension check
+    alg = loop_algebra(5, 3)
+    x = jordan(alg, 3)
+    tx = ar_translate(x)
+    p = alg.field.p
+    closed = homalg._relation_system(*homalg._presentation_relations(syzygy(x)), tx, repmod._path_actions(tx))
+    w = np.zeros((closed.shape[1], 1), dtype=np.int64)
+    w[np.flatnonzero(closed.any(axis=0))[0]] = 1
+    maps_on_paths = homalg._maps_on_paths
+    monkeypatch.setattr(homalg, "_maps_on_paths", lambda src, n, acts, y: maps_on_paths(src, n, acts, (y + w) % p))
+    with pytest.raises(InternalInvariantError, match="wrong dimension"):
+        almost_split_sequence(x, tx)
+
+
+def test_almost_split_sequence_solves_one_hom_system(monkeypatch):
+    # End N for the socle, and no Hom(Omega M, N) system to push the class
+    # down: the middle term is the cokernel of a map out of P1
+    calls = []
+    hom, solve = repmod.hom_basis, repmod.solve_hom_equation
+    counting_hom = lambda m, n: calls.append((m, n)) or hom(m, n)
+    for mod in (repmod, homalg):
+        monkeypatch.setattr(mod, "hom_basis", counting_hom)
+        monkeypatch.setattr(mod, "solve_hom_equation", lambda *a, **k: calls.append("solve") or solve(*a, **k))
+    alg = loop_algebra(5, 3)
+    for d in (1, 2, 3, 4):
+        x = jordan(alg, d)
+        tx = ar_translate(x)
+        calls.clear()
+        middle, incl = almost_split_sequence(x, tx)
+        assert calls == [(tx, tx)]
+        assert middle.total_dim == 2 * d and is_isomorphic(cokernel(incl)[0], x)
+
+
+def _reference_extension_from_cocycle(m, n, f):
+    """The pushout from Omega M: f kills the image of d2, so it descends along
+    the cover pi: P1 -> Omega M (d1 = kappa.pi); E is the pushout of kappa
+    along that map, from one Hom(Omega M, N) system.  Returns (E, inclusion
+    of N)."""
+    eps, omega, kappa = syzygy_step(m)
+    pi = projective_cover(omega)
+    fbar = repmod.solve_hom_equation(omega, n, f, pre=pi)
+    assert fbar is not None
+    p = m.algebra.field.p
+    _, incls, _ = direct_sum([n, eps.source])
+    g = repmod.add_maps(compose(incls[0], fbar), repmod.scale_map(p - 1, compose(incls[1], kappa)))
+    e, proj_e = cokernel(g)
+    return e, compose(proj_e, incls[0])
+
+
+def _knitted_lists():
+    """(name, algebra) of the knitted lists that the almost split sequences
+    are compared on."""
+    from arquiver.quivalg import t2_of
+
+    yield "kx3-p2", loop_algebra(3, 2)
+    yield "kx3-p5", loop_algebra(3, 5)
+    yield "a3-rad2-p2", a3_radsq_algebra(2)
+    yield "t2kx2-p5", t2_of(loop_algebra(2, 5))[0]
+    yield "t2kx3-p3", t2_of(loop_algebra(3, 3))[0]
+
+
+@pytest.mark.parametrize("name, alg", list(_knitted_lists()), ids=[name for name, _ in _knitted_lists()])
+def test_almost_split_sequence_matches_the_pushout_reference(name, alg, monkeypatch):
+    # (E, inclusion of N) entry for entry as the pushout from Omega M builds
+    # them from the same class, captured where it is built
+    from arquiver.arsubcat import _pool_members
+
+    seen = 0
+    for x, tx in _pool_members(alg, (20,) * alg.quiver.vertices):
+        if tx is None:
+            continue
+        built = []
+        maps_on_paths = homalg._maps_on_paths
+
+        def spy(src, n, acts, y):
+            built.append((src, n, maps_on_paths(src, n, acts, y)))
+            return built[-1][2]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(homalg, "_maps_on_paths", spy)
+            got = almost_split_sequence(x, tx)
+        (src, n, phis), = built
+        xi = ModuleMap(src, n, [Matrix(alg.field, phi[:, :, 0].T) for phi in phis], validate=True)
+        want = _reference_extension_from_cocycle(x, tx, xi)
+        errors.invariant(got[0] == want[0], f"{name}: the middle term of {x} differs from the pushout's")
+        errors.invariant(got[1] == want[1], f"{name}: the inclusion of tau {x} differs from the pushout's")
+        seen += 1
+    assert seen
 
 
 @pytest.mark.parametrize("n, i", [(4, 2), (5, 2), (5, 3)])
@@ -855,14 +976,10 @@ def test_almost_split_sequence_takes_the_socle_of_ext(n, i):
     # tau J_i = J_i; Ext^1(J_i, J_i) has dimension 2, and some of its classes
     # have another middle term (J_{i-2} (+) J_{i+2}, with J_0 = 0)
     alg = loop_algebra(n, 3)
-
-    def jordan(d):
-        return Representation(alg, [d], {"x": Matrix(alg.field, np.eye(d, k=-1, dtype=np.int64))})
-
-    x = jordan(i)
+    x = jordan(alg, i)
     assert is_isomorphic(ar_translate(x), x) and ext_dim(x, x, 1) == 2
     middle, incl = almost_split_sequence(x)
-    assert isomorphic_by_summands(middle, direct_sum([jordan(i - 1), jordan(i + 1)])[0])
+    assert isomorphic_by_summands(middle, direct_sum([jordan(alg, i - 1), jordan(alg, i + 1)])[0])
     assert middle.total_dim == 2 * x.total_dim and is_isomorphic(cokernel(incl)[0], x)
 
 
