@@ -1,15 +1,16 @@
 """Auslander-Reiten theory relative to subcategories of a module category.
 
-Provides the Gorenstein homological profile of an algebra (self-injectivity,
-two-sided injective dimension of the regular module), membership tests for
-Gorenstein projectives and for modules of finite projective dimension, the
-relative translations on those two subcategories, a transpose for morphisms
-between projectives over a self-injective algebra, duality verification by
-exact dimension counting over explicit lists of indecomposables, and
-complete lists of indecomposables, certified by knitting with almost split
-sequences: all of ind alg (`indec_pool`), and the Gorenstein projectives of
-the morphism category (`classify_gp_census`, tagged by classification
-shape), knitted inside Gprj with its relative translate tau_G.
+Provides the Gorenstein profile of an algebra, d = id of the regular module
+on both sides (0 when self-injective), which every other question here reads
+from the algebra of its module: membership tests for Gorenstein projectives
+and for modules of finite projective dimension, the relative translations on
+those two subcategories, a transpose for morphisms between projectives over
+a self-injective algebra, duality verification by exact dimension counting
+over explicit lists of indecomposables, and complete lists of
+indecomposables, certified by knitting with almost split sequences: all of
+ind alg (`indec_pool`), and the Gorenstein projectives of the morphism
+category (`classify_gp_census`, tagged by classification shape), knitted
+inside Gprj with its relative translate tau_G.
 """
 
 from __future__ import annotations
@@ -74,25 +75,18 @@ from .repmod import (
 # ---------------------------------------------------------------------------
 # Gorenstein profile
 
-
-@dataclass(frozen=True)
-class GorensteinProfile:
-    """How far an algebra is from self-injective: d bounds the injective
-    dimension of the regular module on both sides, when that is finite
-    within the computed cap."""
-
-    algebra: BoundQuiverAlgebra
-    d: int | None
-    is_selfinjective: bool
-    is_d_gorenstein: bool
-    cap_exceeded: bool = False
+# gorenstein_profile gives up (d None) when the injective coresolution of the
+# regular module, on either side, takes over _PROFILE_CAP steps or reaches a
+# term above _PROFILE_DIM_CAP in total dimension (divergent coresolutions
+# double at every step, so the depth cap alone would stall on huge kernels)
+_PROFILE_CAP = 8
+_PROFILE_DIM_CAP = 256
 
 
 def _resolution_length(m: Representation, step, cap: int, dim_cap: float) -> int | None:
     """Length of the minimal resolution of m whose terms `step` (syzygy or
-    cosyzygy) computes, or None when it does not reach zero within cap steps
-    or a term outgrows dim_cap (divergent coresolutions double at every
-    step, so the depth cap alone would stall on huge exact kernels)."""
+    cosyzygy) computes, or None when it does not reach zero within cap + 1
+    steps or a term outgrows dim_cap."""
     steps = 0
     while not m.is_zero():
         if steps > cap or m.total_dim > dim_cap:
@@ -102,51 +96,56 @@ def _resolution_length(m: Representation, step, cap: int, dim_cap: float) -> int
     return max(steps - 1, 0)
 
 
-def gorenstein_profile(
-    alg: BoundQuiverAlgebra, cap: int = 8, dim_cap: int = 256
-) -> GorensteinProfile:
-    """Detect self-injectivity and, failing that, compute the injective
-    dimension of the regular module over the algebra and its opposite.
-    Hitting either cap on either side is reported, not fatal.  Computed once
-    per algebra and caps (alg._cache)."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    key = ("gorenstein_profile", cap, dim_cap)
-    found = alg._cache.get(key)
-    if found is None:
+def gorenstein_profile(alg: BoundQuiverAlgebra) -> int | None:
+    """d = id alg, the injective dimension of the regular module on both
+    sides (their maximum): 0 exactly when alg is self-injective, None when a
+    cap above is hit on either side, so alg is not Gorenstein within them.
+    Self-injectivity is asked first, so a large self-injective algebra does
+    not hit the dimension cap.  Computed once per algebra (alg._cache)."""
+    key = "gorenstein_profile"
+    if key not in alg._cache:
         if is_selfinjective(alg):
-            found = GorensteinProfile(alg, 0, True, True)
+            d = 0
         else:
-            right, left = (_resolution_length(regular_module(a), cosyzygy, cap, dim_cap) for a in (alg, opposite(alg)))
-            if right is None or left is None:
-                found = GorensteinProfile(alg, None, False, False, cap_exceeded=True)
-            else:
-                found = GorensteinProfile(alg, max(right, left), False, True)
-        alg._cache[key] = found
-    return found
+            right, left = (
+                _resolution_length(regular_module(a), cosyzygy, _PROFILE_CAP, _PROFILE_DIM_CAP)
+                for a in (alg, opposite(alg))
+            )
+            d = None if right is None or left is None else max(right, left)
+        alg._cache[key] = d
+    return alg._cache[key]
+
+
+def _gorenstein_d(alg: BoundQuiverAlgebra, needs: str) -> int:
+    """`gorenstein_profile(alg)`; NotGorensteinWithinCap when it is None."""
+    d = gorenstein_profile(alg)
+    if d is None:
+        raise NotGorensteinWithinCap(f"{needs} needs a Gorenstein algebra, and this one is not within the caps")
+    return d
 
 
 # ---------------------------------------------------------------------------
 # membership tests
 
 
-def is_gorenstein_projective(m: Representation, profile: GorensteinProfile) -> bool:
+def is_gorenstein_projective(m: Representation) -> bool:
     """Over a d-Gorenstein algebra: Ext^i(m, regular) = 0 for 1 <= i <= d.
     Trivially true when the algebra is self-injective."""
-    if not profile.is_d_gorenstein or profile.d is None:
-        raise NotGorensteinWithinCap(
-            "Gorenstein-projective membership needs a d-Gorenstein profile"
-        )
-    if profile.is_selfinjective or m.is_zero():
+    d = _gorenstein_d(m.algebra, "Gorenstein-projective membership")
+    if d == 0 or m.is_zero():
         return True
-    reg = regular_module(profile.algebra)
-    return all(ext_dim(m, reg, i) == 0 for i in range(1, profile.d + 1))
+    reg = regular_module(m.algebra)
+    return all(ext_dim(m, reg, i) == 0 for i in range(1, d + 1))
 
 
-def has_finite_projdim(m: Representation, cap: int = 16) -> int | None:
-    """Projective dimension by iterating minimal syzygies until zero, or
-    None when no zero syzygy appears within cap steps."""
-    return _resolution_length(m, syzygy, cap, float("inf"))
+def has_finite_projdim(m: Representation) -> int | None:
+    """Projective dimension of m by minimal syzygies, or None when it is
+    infinite.  Over a d-Gorenstein algebra a module of finite projective
+    dimension n has pd <= d: Ext^n(m, regular) != 0 (the last map of the
+    minimal resolution does not split), while Ext^i(-, regular) = 0 for
+    i > d = id regular.  So at most d + 1 syzygies decide it."""
+    d = _gorenstein_d(m.algebra, "deciding finite projective dimension")
+    return _resolution_length(m, syzygy, d, float("inf"))
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +160,14 @@ def _nonprojective_part(m: Representation) -> Representation:
     return parts[0] if len(parts) == 1 else direct_sum(parts)[0]
 
 
-def tau_gprj(g: Representation, profile: GorensteinProfile) -> Representation:
+def tau_gprj(g: Representation) -> Representation:
     """Translation on Gorenstein projectives: apply the transpose, d minimal
     syzygies over the opposite algebra, the linear dual back, and d minimal
     syzygies again.  Projective summands go to zero."""
-    if not is_gorenstein_projective(g, profile):
+    if not is_gorenstein_projective(g):
         raise NotGorensteinProjective("input is not Gorenstein projective")
     core = _nonprojective_part(g)
-    return core if core.is_zero() else _tau_g_core(core, profile.d)
+    return core if core.is_zero() else _tau_g_core(core, gorenstein_profile(g.algebra))
 
 
 def _tau_g_core(g: Representation, d: int) -> Representation:
@@ -183,21 +182,30 @@ def _tau_g_core(g: Representation, d: int) -> Representation:
     return t
 
 
-def tau_pfin(m: Representation, profile: GorensteinProfile) -> Representation:
+def _require_one_gorenstein(alg: BoundQuiverAlgebra) -> None:
+    d = gorenstein_profile(alg)
+    if d is None or d > 1:
+        raise NotOneGorenstein("tau_pfin needs a 1-Gorenstein algebra")
+
+
+def tau_pfin(m: Representation) -> Representation:
     """Translation on modules of finite projective dimension over a
     1-Gorenstein algebra: present the ordinary translate minimally, push the
     presentation map to a monomorphism with the same cokernel behaviour, and
     return the right-minimized induced map's source between the cokernels."""
-    if not (profile.is_d_gorenstein and profile.d is not None and profile.d <= 1):
-        raise NotOneGorenstein("tau_pfin needs a 1-Gorenstein algebra")
+    _require_one_gorenstein(m.algebra)
     core = _nonprojective_part(m)
     if core.is_zero():
         return core
     if has_finite_projdim(core) is None:
-        raise InfiniteProjectiveDimension(
-            "tau_pfin input must have finite projective dimension"
-        )
-    t = ar_translate(core)
+        raise InfiniteProjectiveDimension("tau_pfin input must have finite projective dimension")
+    return _tau_p_core(core)
+
+
+def _tau_p_core(m: Representation) -> Representation:
+    """`tau_pfin` of m of finite projective dimension without projective
+    summands, over a 1-Gorenstein algebra, with no check repeated."""
+    t = ar_translate(m)
     if t.is_zero():
         return t
     pres = minimal_presentation(t)
@@ -215,7 +223,7 @@ def tr_p_lambda(obj: MorphObject) -> MorphObject:
     self-injective algebra, landing in the morphism category over the
     opposite algebra as an injective-copresentation-minimal object."""
     alg = obj.algebra
-    if not is_selfinjective(alg):
+    if gorenstein_profile(alg) != 0:
         raise NotSelfInjective("tr_p_lambda needs a self-injective algebra")
     if not (is_projective(obj.a) and is_projective(obj.b)):
         raise NotLocallyProjective("tr_p_lambda needs projective source and target")
@@ -253,46 +261,42 @@ class DualityReport:
 _DUALITY_TAGS = ("FULL", "GPRJ", "PFIN")
 
 
-def verify_ar_duality(
-    alg: BoundQuiverAlgebra,
-    tag: str,
-    indecs,
-    profile: GorensteinProfile | None = None,
-) -> DualityReport:
+def verify_ar_duality(alg: BoundQuiverAlgebra, tag: str, indecs) -> DualityReport:
     """Check dim Hom-bar(X, Y) = dim Ext^1(Y, tau(X)) for every ordered pair
     from indecs with X non-projective, where tau is the translation matching
     tag: the ordinary translation (FULL), the Gorenstein-projective one
-    (GPRJ), or the finite-projective-dimension one (PFIN).
+    (GPRJ), or the finite-projective-dimension one (PFIN), with the d of
+    `gorenstein_profile(alg)`.
 
     indecs is a list of (id, Representation) pairs, each a certified
     indecomposable, so that `is_isomorphic` is exact on them.  The list must
     contain every nonzero translate up to isomorphism.  Either failure raises
-    PreconditionError naming the member.
+    PreconditionError naming the member.  Each member is checked once, for
+    indecomposability and for membership in the subcategory, and then
+    translated without either check repeated.
     For projective X no translation is computed (it would vanish): the row is
     recorded with the right side zero and the left side still computed, so a
     nonzero stable hom out of a projective would surface as an inequality.
     """
     if tag not in _DUALITY_TAGS:
         raise ValueError(f"unknown subcategory tag {tag!r}")
-    if profile is None:
-        profile = gorenstein_profile(alg)
     if tag == "FULL":
         translate = ar_translate
     elif tag == "GPRJ":
-        translate = lambda x: tau_gprj(x, profile)
+        d = gorenstein_profile(alg)
+        translate = lambda x: _tau_g_core(x, d)
     else:
-        translate = lambda x: tau_pfin(x, profile)
+        _require_one_gorenstein(alg)
+        translate = _tau_p_core
     items = sorted(indecs, key=lambda pair: pair[0])
     for xid, x in items:
         cert = decompose(x)
         if not (cert.certified and len(cert.summands) == 1):
             raise PreconditionError(f"{xid} is not a certified indecomposable")
-        if tag == "GPRJ" and not is_gorenstein_projective(x, profile):
+        if tag == "GPRJ" and not is_gorenstein_projective(x):
             raise NotGorensteinProjective(f"{xid} is not Gorenstein projective")
         if tag == "PFIN" and has_finite_projdim(x) is None:
-            raise InfiniteProjectiveDimension(
-                f"{xid} has no finite projective dimension within cap 16"
-            )
+            raise InfiniteProjectiveDimension(f"{xid} has infinite projective dimension")
     translates = {}
     for xid, x in items:
         if is_projective(x):
@@ -413,17 +417,12 @@ def _knit_gprj_t2(base: BoundQuiverAlgebra) -> tuple[tuple[Representation, Repre
     representation-infinite Gprj, or T2, raises BudgetExhausted.
     """
     t2, _ = t2_of(base)
-    profile = gorenstein_profile(base)
-    if profile.is_selfinjective:
+    if gorenstein_profile(base) == 0:
         projectives = [indecomposable_projective(t2, v) for v in range(t2.quiver.vertices)]
         return _knit(projectives, lambda x: _tau_g_core(x, 1))
-
-    def gp_test(mod):
-        return is_gorenstein_projective(mod, profile)
-
     everything = indec_pool(t2, (_KNIT_DIM_CAP,) * t2.quiver.vertices)
-    gps = [x for x in everything if is_gp_in_h(from_t2_module(x), gp_test)]
-    d = gorenstein_profile(t2).d
+    gps = [x for x in everything if is_gp_in_h(from_t2_module(x), is_gorenstein_projective)]
+    d = gorenstein_profile(t2)
     return tuple((x, None if is_projective(x) else _tau_g_core(x, d)) for x in gps)
 
 
@@ -513,7 +512,7 @@ def check_tau_is_syzygy(alg: BoundQuiverAlgebra, bound):
     base_pair = t2_base_of(alg)
     if base_pair is not None:
         members = _gp_members(base_pair[0], bound)
-    elif gorenstein_profile(alg).is_selfinjective:
+    elif gorenstein_profile(alg) == 0:
         members = _pool_members(alg, bound)
     else:
         raise NotSelfInjective(

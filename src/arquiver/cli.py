@@ -109,8 +109,8 @@ _OPS = {
     "tau": ("module", lambda m, alg: ar_translate(m), False),
     "tr": ("module", lambda m, alg: transpose(m), True),
     "dual": ("module", lambda m, alg: k_dual(m), True),
-    "tau-gprj": ("module", lambda m, alg: tau_gprj(m, gorenstein_profile(alg)), False),
-    "tau-pfin": ("module", lambda m, alg: tau_pfin(m, gorenstein_profile(alg)), False),
+    "tau-gprj": ("module", lambda m, alg: tau_gprj(m), False),
+    "tau-pfin": ("module", lambda m, alg: tau_pfin(m), False),
     "imin": ("module", lambda m, alg: imin(m), False),
     "mimo": ("morph", lambda obj, alg: mimo(obj)[0], False),
     "tr-p": ("morph", lambda obj, alg: tr_p_lambda(obj), True),
@@ -341,20 +341,14 @@ def _witness_name(man: FixtureManifest, m: Representation) -> str:
 
 
 def _run_profile(man: FixtureManifest) -> SuiteResult:
-    prof = gorenstein_profile(man.algebra)
-    payload = {
-        "selfinjective": prof.is_selfinjective,
-        "d": prof.d,
-        "cap_exceeded": prof.cap_exceeded,
-    }
+    d = gorenstein_profile(man.algebra)
+    payload = {"selfinjective": d == 0, "d": d, "cap_exceeded": d is None}
     ok = True
     exp = man.expected_gorenstein
     if exp is not None:
-        ok = bool(exp.get("selfinjective")) == prof.is_selfinjective and (
-            exp.get("d", prof.d) == prof.d
-        )
-    detail = f"self-injective={prof.is_selfinjective}, d={prof.d}"
-    if prof.cap_exceeded:
+        ok = bool(exp.get("selfinjective")) == (d == 0) and exp.get("d", d) == d
+    detail = f"self-injective={d == 0}, d={d}"
+    if d is None:
         detail += " (cap exceeded)"
     return SuiteResult("profile", ok, ok, detail, payload)
 

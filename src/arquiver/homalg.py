@@ -44,8 +44,6 @@ from .repmod import (
     direct_sum,
     dual_map,
     hom_basis,
-    indecomposable_injective,
-    indecomposable_projective,
     injective_envelope,
     is_projective,
     k_dual,
@@ -53,6 +51,7 @@ from .repmod import (
     projective_cover,
     projective_generators,
     projective_module,
+    regular_module,
     same_classes,
     solve_hom_equation,
     syzygy_step,
@@ -438,11 +437,11 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
 
 
 def is_selfinjective(alg) -> bool:
-    """Whether the indecomposable projectives and injectives agree as multisets."""
-    verts = range(alg.quiver.vertices)
-    projectives = tuple(indecomposable_projective(alg, v) for v in verts)
-    injectives = tuple(indecomposable_injective(alg, v) for v in verts)
-    return same_classes(projectives, injectives)
+    """Whether the regular module is injective: its injective envelope is no
+    larger, as `is_projective` asks of the cover.  The regular module is
+    injective exactly when alg is self-injective (quasi-Frobenius)."""
+    reg = regular_module(alg)
+    return injective_envelope(reg).target.dims == reg.dims
 
 
 def nonprojective_summands(m: Representation) -> list[Representation]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .errors import NotMono, NotSelfInjective, invariant
 from .exactlin import Matrix
 from .homalg import ar_translate_of_map, is_selfinjective
-from .quivalg import BoundQuiverAlgebra, t2_base_of, t2_of
+from .quivalg import BoundQuiverAlgebra, _json_value, t2_base_of, t2_of
 from .repmod import (
     ModuleMap,
     Representation,
@@ -50,7 +50,6 @@ from .repmod import (
     zero_map,
     zero_module,
     _json_matrix,
-    _json_object,
 )
 from . import exactlin
 
@@ -314,7 +313,7 @@ def morph_to_json_dict(obj: MorphObject, algebra_id: str) -> dict:
 def morph_from_json_dict(alg: BoundQuiverAlgebra, data: dict) -> MorphObject:
     a = module_from_json_dict(alg, data["A"])
     b = module_from_json_dict(alg, data["B"])
-    raw = _json_object(_json_object(data.get("f", {}), "f").get("vertex_maps", {}), "f.vertex_maps")
+    raw = _json_value(_json_value(data.get("f", {}), dict, "f").get("vertex_maps", {}), dict, "f.vertex_maps")
     vms = [
         _json_matrix(alg.field, raw.get(str(i), raw.get(i, [])), (b.dims[i], a.dims[i]), f"vertex map {i}")
         for i in range(alg.quiver.vertices)

@@ -96,7 +96,7 @@ class BoundQuiverAlgebra:
     """kQ/I for an admissible length-homogeneous ideal; use build_algebra()."""
 
     # _cache holds the links that opposite, t2_of and t2_base_of memoize on
-    # this object, its Gorenstein profile per caps (arsubcat.gorenstein_profile),
+    # this object, its Gorenstein dimension d (arsubcat.gorenstein_profile),
     # and the knitted lists of all indecomposables (arsubcat.indec_pool, key
     # "indec_pool") and of the GP modules over its T2 with their tau_G
     # (arsubcat._gp_members, key "gp_census"); not part of equality or hash.
@@ -390,14 +390,47 @@ def algebra_to_json_dict(alg: BoundQuiverAlgebra) -> dict:
     }
 
 
+# Strict JSON readers, shared by the algebra, module and morphism files: a
+# value must have exactly the JSON type it stands for, since int() would take
+# "10", 0.5 and true, and tuple() the characters of "xx".
+
+
+def _json_names(kind: type) -> tuple[str, str]:
+    """The name of the JSON type kind, singular with its article, and plural."""
+    return {int: ("an integer", "integers"), str: ("a string", "strings"),
+            dict: ("a JSON object", "JSON objects"), list: ("a list", "lists")}[kind]
+
+
+def _json_value(value, kind: type, where: str):
+    """value, whose type is exactly kind; TypeError otherwise."""
+    if type(value) is kind:
+        return value
+    raise TypeError(f"{where} must be {_json_names(kind)[0]}")
+
+
+def _json_list(value, kind: type, where: str) -> list:
+    """value, a JSON list whose items have exactly the type kind; TypeError
+    otherwise."""
+    if type(value) is list and all(type(x) is kind for x in value):
+        return value
+    raise TypeError(f"{where} must be a list of {_json_names(kind)[1]}")
+
+
 def algebra_from_json_dict(data: dict) -> BoundQuiverAlgebra:
-    field = PrimeField(int(data["field_p"]))
-    quiver = Quiver(
-        int(data["vertices"]),
-        [(a["id"], a["source"], a["target"]) for a in data["arrows"]],
-    )
+    data = _json_value(data, dict, "an algebra")
+    field = PrimeField(_json_value(data["field_p"], int, "field_p"))
+    arrows = [
+        (_json_value(a["id"], str, "an arrow id"),
+         *(_json_value(a[end], int, f"the {end} of arrow {a['id']!r}") for end in ("source", "target")))
+        for a in _json_list(data["arrows"], dict, "arrows")
+    ]
+    quiver = Quiver(_json_value(data["vertices"], int, "vertices"), arrows)
     rels = [
-        [RelationTerm(int(t["coeff"]), tuple(t["path"])) for t in rel]
-        for rel in data.get("relations", [])
+        [
+            RelationTerm(_json_value(t["coeff"], int, "a relation coefficient"),
+                         tuple(_json_list(t["path"], str, "a relation path")))
+            for t in _json_list(rel, dict, "a relation")
+        ]
+        for rel in _json_list(data.get("relations", []), list, "relations")
     ]
     return build_algebra(quiver, rels, field)

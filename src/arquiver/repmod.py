@@ -19,7 +19,7 @@ from . import exactlin
 from ._gfcore_py import matmul as _matmul_stacks
 from .errors import BudgetExhausted, invariant
 from .exactlin import Matrix
-from .quivalg import BoundQuiverAlgebra, opposite
+from .quivalg import BoundQuiverAlgebra, _json_list, _json_value, opposite
 
 
 class Representation:
@@ -392,20 +392,13 @@ def direct_sum(summands: list[Representation]) -> tuple[Representation, list[Mod
             acc = exactlin.direct_sum(acc, s.arrow_maps[a.id])
         maps[a.id] = acc
     total = Representation(alg, dims, maps, validate=False)
+    # at each vertex, summand s sits in the columns end - d to end of the identity
+    eyes = [np.eye(d, dtype=np.int64) for d in dims]
     incls, projs = [], []
-    for k, s in enumerate(summands):
-        ivms, pvms = [], []
-        for i in range(nv):
-            before = sum(t.dims[i] for t in summands[:k])
-            ia = np.zeros((dims[i], s.dims[i]), dtype=np.int64)
-            pa = np.zeros((s.dims[i], dims[i]), dtype=np.int64)
-            for r in range(s.dims[i]):
-                ia[before + r, r] = 1
-                pa[r, before + r] = 1
-            ivms.append(Matrix(field, ia))
-            pvms.append(Matrix(field, pa))
-        incls.append(ModuleMap(s, total, ivms, validate=False))
-        projs.append(ModuleMap(total, s, pvms, validate=False))
+    for s, ends in zip(summands, np.cumsum([s.dims for s in summands], axis=0)):
+        cols = [eye[:, e - d : e] for eye, d, e in zip(eyes, s.dims, ends)]
+        incls.append(ModuleMap(s, total, [Matrix(field, c) for c in cols], validate=False))
+        projs.append(ModuleMap(total, s, [Matrix(field, c.T) for c in cols], validate=False))
     return total, incls, projs
 
 
@@ -667,13 +660,6 @@ def _complementary_split(part1, part2, failure: str):
     return part1, part2
 
 
-def _split_by_idempotent(m: Representation, e: np.ndarray):
-    """M = im(e) + ker(e) for the total matrix e of an idempotent endomorphism
-    (ker e = im(1 - e); `_block_map` reduces 1 - e mod p)."""
-    parts = [image(_block_map(m, f)) for f in (e, np.eye(m.total_dim, dtype=np.int64) - e)]
-    return _complementary_split(*parts, "idempotent split is not a direct sum")
-
-
 def _fitting_split(m: Representation, f: np.ndarray):
     """Fitting's lemma: M = ker f^e (+) im f^e for the total matrix f of an
     endomorphism, where e is the least power of two with e >= dim M (kernels
@@ -774,8 +760,9 @@ def _local_radical(totals: np.ndarray, powers: np.ndarray, field) -> np.ndarray 
 def _decompose_indec_evidence(m, endos):
     """`decompose`'s three steps on m, with End(m) already computed.  Returns
     ((evidence, certified), None) when they do not split m, and otherwise
-    (None, (split, x)): the split is split(m, x), for the Fitting element x
-    (split = `_fitting_split`) or the idempotent x (`_split_by_idempotent`)."""
+    (None, x): the split is `_fitting_split(m, x)`, for the Fitting element
+    or the nontrivial idempotent x (an idempotent is its own Fitting power,
+    so its split is ker x (+) im x)."""
     field = m.algebra.field
     p = field.p
     t = len(endos)
@@ -788,7 +775,7 @@ def _decompose_indec_evidence(m, endos):
     # 1. the first basis element f that is neither nilpotent nor a unit splits M
     for f, power, scalar in zip(totals, powers, scalars):
         if (power != scalar).any() and exactlin.rank(Matrix(field, power)) < dd:
-            return None, (_fitting_split, f)
+            return None, f
     # 2. End is local with residue field GF(p)
     if _local_radical(totals, powers, field) is not None:
         return ("endomorphism algebra is local: scalars plus a nilpotent ideal", True), None
@@ -797,7 +784,7 @@ def _decompose_indec_evidence(m, endos):
         coeffs = first_combination(totals, p)
         if coeffs is None:
             return ("no nontrivial idempotent endomorphism (exhaustive search)", True), None
-        return None, (_split_by_idempotent, np.tensordot(coeffs, totals, axes=1) % p)
+        return None, np.tensordot(coeffs, totals, axes=1) % p
     return ("not split and not shown local; too large to search for idempotents", False), None
 
 
@@ -815,8 +802,9 @@ def decompose(m: Representation) -> DecompositionCertificate:
        N^D = 0.  Then End = k 1 (+) (nilpotent ideal) is local and the piece
        is indecomposable.
     3. Fallback, when neither step settles the piece: an exhaustive search of
-       End for a nontrivial idempotent, which splits the piece or certifies
-       it, while p^t <= `_EXACT_ENUM_LIMIT` (200,000).
+       End for a nontrivial idempotent e, which splits the piece as
+       ker e (+) im e or certifies it, while p^t <= `_EXACT_ENUM_LIMIT`
+       (200,000).
 
     Every summand carries an evidence string.  `certified` is False only when
     some piece got past all three steps (End too large to search): then that
@@ -830,10 +818,9 @@ def decompose(m: Representation) -> DecompositionCertificate:
     while work:
         cur, incl = work.pop()
         endos = hom_basis(cur, cur)
-        verdict, split = _decompose_indec_evidence(cur, endos)
-        if split is not None:
-            build, x = split
-            for part, part_incl in build(cur, x):
+        verdict, x = _decompose_indec_evidence(cur, endos)
+        if x is not None:
+            for part, part_incl in _fitting_split(cur, x):
                 work.append((part, compose(incl, part_incl)))
             continue
         evidence, ok = verdict
@@ -961,20 +948,6 @@ def module_to_json_dict(m: Representation, algebra_id: str) -> dict:
     }
 
 
-def _json_object(value, where: str) -> dict:
-    if isinstance(value, dict):
-        return value
-    raise TypeError(f"{where} must be a JSON object")
-
-
-def _json_ints(value, where: str) -> list[int]:
-    """value, a JSON list of integers; TypeError otherwise, also for "10",
-    0.5 or true, which int() would take."""
-    if isinstance(value, list) and all(type(x) is int for x in value):
-        return value
-    raise TypeError(f"{where} must be a list of integers")
-
-
 def _json_matrix(field, rows, shape, where: str) -> Matrix:
     """A matrix of the given shape whose leading rows are `rows`, a JSON list
     of lists of integers (the rest is zero)."""
@@ -982,15 +955,15 @@ def _json_matrix(field, rows, shape, where: str) -> Matrix:
         raise TypeError(f"{where} must be a list of rows")
     mat = np.zeros(shape, dtype=np.int64)
     for r, row in enumerate(rows):
-        for c, x in enumerate(_json_ints(row, f"row {r} of {where}")):
+        for c, x in enumerate(_json_list(row, int, f"row {r} of {where}")):
             mat[r, c] = x % field.p
     return Matrix(field, mat)
 
 
 def module_from_json_dict(algebra: BoundQuiverAlgebra, data: dict) -> Representation:
-    data = _json_object(data, "a module")
-    dims = _json_ints(data["dims"], "dims")
-    raw = _json_object(data.get("arrow_maps", {}), "arrow_maps")
+    data = _json_value(data, dict, "a module")
+    dims = _json_list(data["dims"], int, "dims")
+    raw = _json_value(data.get("arrow_maps", {}), dict, "arrow_maps")
     maps = {
         a.id: _json_matrix(algebra.field, raw.get(a.id, []), (dims[a.target], dims[a.source]), f"arrow {a.id!r}")
         for a in algebra.quiver.arrows

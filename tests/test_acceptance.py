@@ -16,7 +16,6 @@ from arquiver import cli
 from arquiver.arsubcat import (
     check_tau_is_syzygy,
     classify_gp_census,
-    gorenstein_profile,
     verify_ar_duality,
 )
 from arquiver.exactlin import Matrix, PrimeField
@@ -208,9 +207,8 @@ def test_criterion_3_negative_control_kx3():
 def test_criterion_4_gprj_duality():
     start = time.perf_counter()
     t2, t2m = _t2_with_modules()
-    profile = gorenstein_profile(t2)
     members = [(n, t2m[n]) for n in ("G1", "G2", "G3", "P0", "P1")]
-    report = verify_ar_duality(t2, "GPRJ", members, profile=profile)
+    report = verify_ar_duality(t2, "GPRJ", members)
     elapsed = time.perf_counter() - start
     assert report.all_equal
     assert len(report.pairs) == 25
@@ -231,9 +229,8 @@ def _t2_with_modules():
 def test_criterion_5_pfin_duality():
     start = time.perf_counter()
     t2, t2m = _t2_with_modules()
-    profile = gorenstein_profile(t2)
     members = [(n, t2m[n]) for n in ("I0", "LxL", "P0", "P1")]
-    report = verify_ar_duality(t2, "PFIN", members, profile=profile)
+    report = verify_ar_duality(t2, "PFIN", members)
     elapsed = time.perf_counter() - start
     assert report.all_equal
     assert len(report.pairs) == 16

@@ -187,6 +187,33 @@ def test_malformed_module_or_morphism_file_exits_1(capsys, tmp_path, name, keys,
     assert "input error" in err and phrase in err
 
 
+@pytest.mark.parametrize(
+    "keys, value, phrase",
+    [
+        (("relations", 0, 0, "coeff"), True, "a relation coefficient must be an integer"),
+        (("relations", 0, 0, "coeff"), 0.5, "a relation coefficient must be an integer"),
+        (("field_p",), 5.0, "field_p must be an integer"),
+        (("vertices",), "1", "vertices must be an integer"),
+        (("arrows", 0, "source"), "0", "the source of arrow 'x' must be an integer"),
+        (("relations", 0, 0, "path"), "xx", "a relation path must be a list of strings"),
+    ],
+    ids=["coeff-bool", "coeff-float", "field-float", "vertices-string", "source-string", "path-string"],
+)
+def test_malformed_algebra_file_exits_1(capsys, tmp_path, keys, value, phrase):
+    # int() would take true, 0.5 (as 0: k[x]/(x^2) read as k[x]), 5.0 and
+    # "1", and tuple() the characters of "xx"
+    data = json.loads((FIX / "kx2.json").read_text())
+    inner = data
+    for key in keys[:-1]:
+        inner = inner[key]
+    inner[keys[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    code, _, err = run(["compute", "--algebra", str(bad), "--module", str(FIX / "kx2_S.json"), "--op", "syzygy"], capsys)
+    assert code == 1
+    assert "input error" in err and phrase in err
+
+
 def test_verify_malformed_module_file_exits_1(capsys, tmp_path):
     # the manifest reads its modules through the same reader as compute
     fx = tmp_path / "fx"

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -615,6 +617,50 @@ def test_is_selfinjective():
     assert is_selfinjective(loop_algebra(3))
     assert not is_selfinjective(a2_algebra())
     assert not is_selfinjective(t2_of(loop_algebra(2))[0])
+
+
+def _multiset_selfinjective(alg):
+    """Reference for `is_selfinjective`: the indecomposable projectives and
+    injectives agree as multisets."""
+    from arquiver.repmod import indecomposable_injective
+
+    verts = range(alg.quiver.vertices)
+    return same_classes(
+        [indecomposable_projective(alg, v) for v in verts], [indecomposable_injective(alg, v) for v in verts]
+    )
+
+
+def random_monomial_algebra(rng, p):
+    """A bound quiver algebra on 1 to 3 vertices and 1 to 3 arrows, with every
+    path of length L (2 or 3) killed and, when L = 3, a random share of the
+    paths of length 2 as well: finite-dimensional and admissible."""
+    nv = int(rng.integers(1, 4))
+    arrows = [(f"a{k}", int(rng.integers(nv)), int(rng.integers(nv))) for k in range(int(rng.integers(1, 4)))]
+    paths = [(a,) for a in arrows]
+    by_length = {}
+    for length in (2, 3):
+        paths = [pa + (a,) for pa in paths for a in arrows if pa[-1][2] == a[1]]
+        by_length[length] = [tuple(a[0] for a in pa) for pa in paths]
+    top = int(rng.integers(2, 4))
+    killed = by_length[top] + [pa for pa in by_length[2] if top == 3 and rng.random() < 0.5]
+    return build_algebra(Quiver(nv, arrows), [[(1, pa)] for pa in killed], PrimeField(p))
+
+
+def test_is_selfinjective_matches_the_multiset_reference():
+    from arquiver.cli import fixtures_dir
+    from arquiver.homalg import is_selfinjective
+    from arquiver.quivalg import algebra_from_json_dict, opposite, t2_of
+
+    fixtures = [algebra_from_json_dict(json.loads((fixtures_dir() / f"{name}.json").read_text()))
+                for name in ("a2", "kx2", "kx3", "t2_kx2")]
+    algebras = fixtures + [opposite(a) for a in fixtures] + [t2_of(a)[0] for a in fixtures[:3]]
+    for p in (2, 3):
+        rng = np.random.default_rng(p)
+        algebras += [random_monomial_algebra(rng, p) for _ in range(25)]
+    verdicts = [is_selfinjective(alg) for alg in algebras]
+    assert verdicts == [_multiset_selfinjective(alg) for alg in algebras]
+    assert verdicts[:7] == [False, True, True, False, False, True, True]
+    assert True in verdicts[11:] and False in verdicts[11:]
 
 
 def test_dual_of_projective_map_is_contravariant():

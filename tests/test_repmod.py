@@ -142,6 +142,39 @@ def _a3_radical_square_zero(p):
     return build_algebra(Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [[(1, ("a", "b"))]], PrimeField(p))
 
 
+def _reference_direct_sum_maps(summands):
+    """The inclusions' and projections' matrices of a direct sum, entry by
+    entry: summand k sits after the summands before it at each vertex."""
+    nv = len(summands[0].dims)
+    dims = [sum(s.dims[i] for s in summands) for i in range(nv)]
+    incls, projs = [], []
+    for k, s in enumerate(summands):
+        ivms, pvms = [], []
+        for i in range(nv):
+            before = sum(t.dims[i] for t in summands[:k])
+            ia = np.zeros((dims[i], s.dims[i]), dtype=np.int64)
+            for r in range(s.dims[i]):
+                ia[before + r, r] = 1
+            ivms.append(ia)
+            pvms.append(ia.T)
+        incls.append(ivms)
+        projs.append(pvms)
+    return incls, projs
+
+
+def test_direct_sum_maps_match_the_entrywise_reference():
+    alg = _a3_radical_square_zero(3)
+    rng = np.random.default_rng(3)
+    mods = [zero_module(alg), repmod.simple_module(alg, 1)] + [random_module(alg, rng) for _ in range(3)]
+    for summands in (mods[1:2], mods, mods[::-1], [mods[2], mods[0], mods[2]]):
+        total, incls, projs = direct_sum(summands)
+        want_incls, want_projs = _reference_direct_sum_maps(summands)
+        for f, g, want_f, want_g, s in zip(incls, projs, want_incls, want_projs, summands):
+            assert (f.source, f.target, g.source, g.target) == (s, total, total, s)
+            assert [vm.tolist() for vm in f.vertex_maps] == [w.tolist() for w in want_f]
+            assert [vm.tolist() for vm in g.vertex_maps] == [w.tolist() for w in want_g]
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_hom_basis_matches_kron_system(p):
     rng = np.random.default_rng(p)
@@ -470,7 +503,6 @@ def test_indecomposable_evidence_builds_no_split(monkeypatch):
         raise AssertionError("split built")
 
     monkeypatch.setattr(repmod, "_fitting_split", no_split)
-    monkeypatch.setattr(repmod, "_split_by_idempotent", no_split)
     alg = loop_algebra(2, 3)
     s = simple(alg, 0)
     assert indecomposable_evidence(direct_sum([s, s])[0]) is None
