@@ -32,6 +32,8 @@ from .homalg import ar_translate, syzygy, transpose
 from .morphcat import imin, mimo, morph_from_json_dict, morph_to_json_dict
 from .quivalg import (
     BoundQuiverAlgebra,
+    _json_list,
+    _json_value,
     algebra_from_json_dict,
     algebra_to_json_dict,
     t2_of,
@@ -195,38 +197,14 @@ class FixtureManifest:
     suites: dict[str, dict]
 
 
-def _int_tuple(value, where: str) -> tuple[int, ...]:
-    """value, a JSON list of integers, as a tuple; ParseFailure otherwise,
-    also for 1.5, "2" or true, which int() would take."""
-    if isinstance(value, list) and all(type(b) is int for b in value):
-        return tuple(value)
-    raise ParseFailure(f"{where} must be a list of integers")
-
-
 def _bound(value, count: int, where: str, over: str) -> tuple[int, ...]:
     """value, a JSON list of count non-negative integers, one cap per vertex
-    of `over`, as a tuple; ParseFailure otherwise."""
-    bound = _int_tuple(value, where)
+    of `over`, as a tuple; TypeError or ParseFailure otherwise, also for 1.5,
+    "2" or true, which int() would take."""
+    bound = tuple(_json_list(value, int, where))
     if len(bound) != count or min(bound, default=0) < 0:
         raise ParseFailure(f"{where} must hold a non-negative integer per vertex of {over} ({count}), got {list(bound)}")
     return bound
-
-
-def _integer(value, where: str) -> int:
-    if type(value) is int:
-        return value
-    raise ParseFailure(f"{where} must be an integer")
-
-
-def _require_names(value, where: str) -> None:
-    if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
-        raise ParseFailure(f"{where} must be a list of names")
-
-
-def _require_object(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ParseFailure(f"{where} must be a JSON object")
-    return value
 
 
 def load_manifest(path: str | Path) -> FixtureManifest:
@@ -234,27 +212,6 @@ def load_manifest(path: str | Path) -> FixtureManifest:
     root = Path(path).resolve().parent
     if "algebra" not in data:
         raise ParseFailure(f"{path}: manifest lacks an 'algebra' entry")
-    entries = _require_object(data.get("modules", {}), f"{path}: 'modules'")
-    expected = _require_object(data.get("expected", {}), f"{path}: 'expected'")
-    suites = _require_object(data.get("suites", {}), f"{path}: 'suites'")
-    unknown = sorted(set(suites) - set(_SUITE_ORDER))
-    if unknown:
-        raise ParseFailure(f"{path}: unknown suites {unknown}")
-    for suite, cfg in suites.items():
-        _require_object(cfg, f"{path}: suite {suite}")
-        if "counts" in cfg:
-            counts = _require_object(cfg["counts"], f"{path}: {suite}.counts")
-            _int_tuple(list(counts.values()), f"{path}: the values of {suite}.counts")
-        if "pairs" in cfg:
-            _integer(cfg["pairs"], f"{path}: {suite}.pairs")
-        for key in ("members", "witnesses"):
-            if key in cfg:
-                _require_names(cfg[key], f"{path}: {suite}.{key}")
-    count = expected.get("indec_count")
-    if count is not None:
-        count = _integer(count, f"{path}: expected.indec_count")
-    if "gorenstein" in expected:
-        _require_object(expected["gorenstein"], f"{path}: expected.gorenstein")
     alg = _load_algebra(root / data["algebra"])
     base = None
     if data.get("base_algebra"):
@@ -266,18 +223,43 @@ def load_manifest(path: str | Path) -> FixtureManifest:
                 f"algebra of {data['base_algebra']}"
             )
         alg = canonical
-    nv = alg.quiver.vertices
-    bound = _bound(data["bound"], nv, f"{path}: 'bound'", "the algebra") if "bound" in data else None
-    # the census caps the triangular algebra of its base: two caps per vertex
-    # of the base, which the doubled top-level bound fits only without a base
-    census_nv = 2 * (alg if base is None else base).quiver.vertices
-    for suite, cfg in suites.items():
-        census = suite == "gp-census"
-        if "bound" in cfg:
-            over = "the triangular algebra of the base" if census else "the algebra"
-            _bound(cfg["bound"], census_nv if census else nv, f"{path}: {suite}.bound", over)
-        elif census and base is not None:
-            raise ParseFailure(f"{path}: {_CENSUS_BOUND_REQUIRED}")
+    # the strict JSON readers raise TypeError on a value of the wrong shape
+    try:
+        entries = _json_value(data.get("modules", {}), dict, f"{path}: 'modules'")
+        expected = _json_value(data.get("expected", {}), dict, f"{path}: 'expected'")
+        suites = _json_value(data.get("suites", {}), dict, f"{path}: 'suites'")
+        unknown = sorted(set(suites) - set(_SUITE_ORDER))
+        if unknown:
+            raise ParseFailure(f"{path}: unknown suites {unknown}")
+        for suite, cfg in suites.items():
+            _json_value(cfg, dict, f"{path}: suite {suite}")
+            if "counts" in cfg:
+                counts = _json_value(cfg["counts"], dict, f"{path}: {suite}.counts")
+                _json_list(list(counts.values()), int, f"{path}: the values of {suite}.counts")
+            if "pairs" in cfg:
+                _json_value(cfg["pairs"], int, f"{path}: {suite}.pairs")
+            for key in ("members", "witnesses"):
+                if key in cfg:
+                    _json_list(cfg[key], str, f"{path}: {suite}.{key}")
+        count = expected.get("indec_count")
+        if count is not None:
+            _json_value(count, int, f"{path}: expected.indec_count")
+        if "gorenstein" in expected:
+            _json_value(expected["gorenstein"], dict, f"{path}: expected.gorenstein")
+        nv = alg.quiver.vertices
+        bound = _bound(data["bound"], nv, f"{path}: 'bound'", "the algebra") if "bound" in data else None
+        # the census caps the triangular algebra of its base: two caps per vertex
+        # of the base, which the doubled top-level bound fits only without a base
+        census_nv = 2 * (alg if base is None else base).quiver.vertices
+        for suite, cfg in suites.items():
+            census = suite == "gp-census"
+            if "bound" in cfg:
+                over = "the triangular algebra of the base" if census else "the algebra"
+                _bound(cfg["bound"], census_nv if census else nv, f"{path}: {suite}.bound", over)
+            elif census and base is not None:
+                raise ParseFailure(f"{path}: {_CENSUS_BOUND_REQUIRED}")
+    except TypeError as exc:
+        raise ParseFailure(str(exc)) from exc
 
     modules: dict[str, Representation] = {}
     for name in sorted(entries):

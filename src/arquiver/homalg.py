@@ -60,6 +60,7 @@ from .repmod import (
     _image_offsets,
     _local_radical,
     _maps_on_paths,
+    _memo_of,
     _path_actions,
     _product_span,
     _total_stack,
@@ -89,7 +90,7 @@ def minimal_presentation(m: Representation) -> MinimalPresentation:
 def syzygy(m: Representation) -> Representation:
     """First syzygy: the kernel of the projective cover (zero for projectives).
 
-    Computed once per module object and shared (see `repmod.syzygy_step`).
+    Computed once per module value and shared (see `repmod.syzygy_step`).
     """
     return syzygy_step(m)[1]
 
@@ -140,12 +141,12 @@ def transpose(m: Representation) -> Representation:
 
     Tr of a projective is zero; projective summands of M never leak into the
     output because the presentation is minimal.  Computed once per module
-    object and shared, like the projective cover.
+    value and shared, like the projective cover (`repmod._memo_of`).
     """
-    if m._transpose is None:
-        cok, _ = cokernel(dual_of_projective_map(minimal_presentation(m).d))
-        object.__setattr__(m, "_transpose", cok)
-    return m._transpose
+    memo = _memo_of(m)
+    if "transpose" not in memo:
+        memo["transpose"] = cokernel(dual_of_projective_map(minimal_presentation(m).d))[0]
+    return memo["transpose"]
 
 
 def transpose_of_map(q: ModuleMap) -> ModuleMap:

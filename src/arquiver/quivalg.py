@@ -97,9 +97,12 @@ class BoundQuiverAlgebra:
 
     # _cache holds the links that opposite, t2_of and t2_base_of memoize on
     # this object, its Gorenstein dimension d (arsubcat.gorenstein_profile),
-    # and the knitted lists of all indecomposables (arsubcat.indec_pool, key
+    # the knitted lists of all indecomposables (arsubcat.indec_pool, key
     # "indec_pool") and of the GP modules over its T2 with their tau_G
-    # (arsubcat._gp_members, key "gp_census"); not part of equality or hash.
+    # (arsubcat._gp_members, key "gp_census"), the projectives by vertex
+    # list (repmod.projective_module, key "projectives") and one memo per
+    # module value (repmod._memo_of, key "modules"); not part of equality or
+    # hash.
     __slots__ = (
         "field",
         "quiver",
@@ -307,9 +310,9 @@ def build_algebra(quiver: Quiver, relations, field: PrimeField, degree_cap: int 
 def opposite(alg: BoundQuiverAlgebra) -> BoundQuiverAlgebra:
     """The opposite algebra: arrows and relation paths reversed, ids kept.
 
-    Memoized on the algebra object, like `Representation._cover`, since
-    duality constructions call this inside loops; the link is kept both
-    ways, so opposite(opposite(a)) is a.
+    Memoized on the algebra object, like the module memos of
+    `repmod._memo_of`, since duality constructions call this inside loops;
+    the link is kept both ways, so opposite(opposite(a)) is a.
     """
     cached = alg._cache.get("opposite")
     if cached is not None:
@@ -332,9 +335,9 @@ def t2_of(alg: BoundQuiverAlgebra) -> tuple[BoundQuiverAlgebra, dict[int, tuple[
     Returns (algebra, correspondence) where correspondence[i] = (i, i') gives
     the two copies of base vertex i.  Modules over it are morphisms between
     modules of the base algebra, realized by the connecting arrows eps<i>.
-    Memoized on the algebra object, like `Representation._cover`, so
-    repeated calls share one triangular algebra, which links back to alg
-    (see t2_base_of).
+    Memoized on the algebra object, like the module memos of
+    `repmod._memo_of`, so repeated calls share one triangular algebra, which
+    links back to alg (see t2_base_of).
     """
     cached = alg._cache.get("t2")
     if cached is not None:

@@ -24,10 +24,11 @@ from .quivalg import BoundQuiverAlgebra, _json_list, _json_value, opposite
 
 class Representation:
     # _layout is (summand vertices, path-basis coordinates) on a module built
-    # by projective_module and None on any other; _cover and _syzygy memoize
-    # the first resolution step (projective_cover, syzygy_step) and _transpose
-    # memoizes homalg.transpose.  None of them is part of equality or the hash.
-    __slots__ = ("algebra", "dims", "arrow_maps", "_layout", "_cover", "_syzygy", "_transpose")
+    # by projective_module and None on any other; _memo is None until the
+    # first `_memo_of`, then the memo dict of this module's value, shared by
+    # every equal module over the same algebra object.  Neither is part of
+    # equality or the hash.
+    __slots__ = ("algebra", "dims", "arrow_maps", "_layout", "_memo")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims, arrow_maps, validate: bool = True):
         dims = tuple(int(d) for d in dims)
@@ -48,9 +49,7 @@ class Representation:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "arrow_maps", maps)
         object.__setattr__(self, "_layout", None)
-        object.__setattr__(self, "_cover", None)
-        object.__setattr__(self, "_syzygy", None)
-        object.__setattr__(self, "_transpose", None)
+        object.__setattr__(self, "_memo", None)
         if validate:
             self._check_relations()
 
@@ -71,7 +70,7 @@ class Representation:
         return self.total_dim == 0
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Representation)
             and other.algebra == self.algebra
             and other.dims == self.dims
@@ -423,8 +422,15 @@ def indecomposable_projective(algebra: BoundQuiverAlgebra, vertex: int) -> Repre
 
 
 def projective_module(algebra: BoundQuiverAlgebra, verts) -> Representation:
-    """Direct sum of P(v) for v in verts, with its path-basis layout attached."""
+    """Direct sum of P(v) for v in verts, with its path-basis layout attached.
+
+    Built once per (algebra object, vertex tuple), in algebra._cache, and
+    shared: a later call with the same list returns the same module.
+    """
     verts = tuple(int(v) for v in verts)
+    built = algebra._cache.setdefault("projectives", {})
+    if verts in built:
+        return built[verts]
     nv = algebra.quiver.vertices
     coords = {j: [] for j in range(nv)}
     for k, v in enumerate(verts):
@@ -443,6 +449,7 @@ def projective_module(algebra: BoundQuiverAlgebra, verts) -> Representation:
         maps[a.id] = Matrix(algebra.field, mat)
     rep = Representation(algebra, dims, maps, validate=False)
     object.__setattr__(rep, "_layout", (verts, coords))
+    built[verts] = rep
     return rep
 
 
@@ -496,26 +503,42 @@ def top_dims(m: Representation) -> tuple[int, ...]:
     return tuple(m.dims[j] - exactlin.rank(spans[j]) for j in range(len(m.dims)))
 
 
+def _memo_of(m: Representation) -> dict:
+    """The memo of m's value: one dict per distinct module over m.algebra,
+    kept in m.algebra._cache["modules"] under the first equal module that
+    asked, so it lives and dies with the algebra.  projective_cover
+    ("cover"), syzygy_step ("syzygy"), _path_actions ("path_actions") and
+    homalg.transpose ("transpose") fill it on first use.  Each of them reads
+    the value of m only, so equal modules may share one result; m._memo keeps
+    later lookups off the hash."""
+    if m._memo is None:
+        object.__setattr__(m, "_memo", m.algebra._cache.setdefault("modules", {}).setdefault(m, {}))
+    return m._memo
+
+
 def projective_cover(m: Representation) -> ModuleMap:
     """The projective cover P(M) -> M; the source carries its summand layout.
 
-    Computed once per module object, on its first call, and shared: later
-    calls return the same ModuleMap.  Internal checks: the map is onto and its
-    kernel is superfluous (contained in rad P).
+    Computed once per module value, on the first call for any module equal
+    to m, and shared: later calls return the same ModuleMap, whose target
+    is that first module.  Internal checks: the map is onto and its kernel
+    is superfluous (contained in rad P).
     """
-    if m._cover is None:
-        object.__setattr__(m, "_cover", _build_projective_cover(m))
-    return m._cover
+    memo = _memo_of(m)
+    if "cover" not in memo:
+        memo["cover"] = _build_projective_cover(m)
+    return memo["cover"]
 
 
 def syzygy_step(m: Representation) -> tuple[ModuleMap, Representation, ModuleMap]:
     """(projective cover, Omega M, inclusion Omega M -> P(M)): the first step of
-    the minimal projective resolution, computed once per module object and
+    the minimal projective resolution, computed once per module value and
     shared like the cover."""
     cover = projective_cover(m)
-    if m._syzygy is None:
-        object.__setattr__(m, "_syzygy", kernel(cover))
-    return (cover, *m._syzygy)
+    memo = _memo_of(m)
+    if "syzygy" not in memo:
+        memo["syzygy"] = kernel(cover)
+    return (cover, *memo["syzygy"])
 
 
 def _build_projective_cover(m: Representation) -> ModuleMap:
@@ -566,7 +589,12 @@ def projective_generators(proj: Representation) -> list[tuple[int, int]]:
 
 def _path_actions(x: Representation) -> dict:
     """X(path) for every basis path of the algebra, keyed by the path; each
-    path costs one product, onto the action of its prefix."""
+    path costs one product, onto the action of its prefix.  Built once per
+    module value (`_memo_of`); the arrays are read-only, since every equal
+    module shares them."""
+    memo = _memo_of(x)
+    if "path_actions" in memo:
+        return memo["path_actions"]
     p = x.algebra.field.p
     acts: dict = {}
 
@@ -579,7 +607,10 @@ def _path_actions(x: Representation) -> dict:
             )
         return acts[src, arrows]
 
-    return {bp: act(*bp) for bp in x.algebra.basis}
+    memo["path_actions"] = {bp: act(*bp) for bp in x.algebra.basis}
+    for a in acts.values():
+        a.setflags(write=False)
+    return memo["path_actions"]
 
 
 def _image_offsets(x: Representation, gen_verts) -> np.ndarray:

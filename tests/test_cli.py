@@ -453,8 +453,8 @@ def test_verify_mismatched_base_algebra_exits_1(capsys, tmp_path):
         (lambda m: m["suites"]["ar-full"].update({"pairs": "x"}), "ar-full.pairs must be an integer"),
         (lambda m: m["suites"]["ar-full"].update({"pairs": "4"}), "ar-full.pairs must be an integer"),
         (lambda m: m["expected"].update({"indec_count": 2.7}), "expected.indec_count must be an integer"),
-        (lambda m: m["suites"]["ar-full"].update({"members": 5}), "ar-full.members must be a list of names"),
-        (lambda m: m["suites"]["tau-syzygy"].update({"witnesses": 5}), "tau-syzygy.witnesses must be a list of names"),
+        (lambda m: m["suites"]["ar-full"].update({"members": 5}), "ar-full.members must be a list of strings"),
+        (lambda m: m["suites"]["tau-syzygy"].update({"witnesses": 5}), "tau-syzygy.witnesses must be a list of strings"),
         (lambda m: m.pop("bound"), "lacks a 'bound' entry, which suite indec-pool reads"),
         (lambda m: m.update({"bound": [2, 2]}), "'bound' must hold a non-negative integer per vertex of the algebra (1)"),
         (lambda m: m.update({"bound": [-1]}), "'bound' must hold a non-negative integer per vertex"),

@@ -23,7 +23,7 @@ from arquiver.homalg import (
     syzygy,
     transpose,
 )
-from arquiver.quivalg import Quiver, build_algebra
+from arquiver.quivalg import Quiver, algebra_from_json_dict, algebra_to_json_dict, build_algebra
 from arquiver.repmod import (
     ModuleMap,
     Representation,
@@ -742,12 +742,22 @@ def _memo_cases(p):
     ]
 
 
-def _copy(m):
-    return Representation(m.algebra, m.dims, dict(m.arrow_maps))
+def _copy(m, alg=None):
+    """An equal module: a new object, over alg if given."""
+    return Representation(m.algebra if alg is None else alg, m.dims, dict(m.arrow_maps))
+
+
+def _fresh_algebra(alg):
+    """An equal algebra read back from JSON, so no memo of alg (module
+    values, projectives) reaches modules over it."""
+    fresh = algebra_from_json_dict(algebra_to_json_dict(alg))
+    assert fresh == alg and fresh is not alg
+    return fresh
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_each_cover_is_built_once_per_module(p, monkeypatch):
+    # _memo_cases builds its algebras here, so no earlier test filled their memos
     built = []
     build = repmod._build_projective_cover
     monkeypatch.setattr(repmod, "_build_projective_cover", lambda m: built.append(m) or build(m))
@@ -761,11 +771,17 @@ def test_each_cover_is_built_once_per_module(p, monkeypatch):
             stable_hom_proj(n, m)
             ext(m, n, 2)
             counts.append(len(built))
-        # the second round builds nothing; the list keeps every built module
-        # alive, so distinct ids mean no module had its cover built twice
-        assert counts[0] == counts[1] > 3
-        assert len({id(b) for b in built}) == len(built)
-        assert projective_cover(m) is projective_cover(m)
+        # the second round builds nothing, and no two built modules are equal:
+        # each cover is built once per module value
+        assert counts[0] == counts[1] >= 2
+        assert len(set(built)) == len(built)
+        copy = _copy(m)
+        assert projective_cover(copy) is projective_cover(m)
+        assert projective_cover(m).source is repmod.projective_module(m.algebra, projective_cover(m).source._layout[0])
+        syzygy(copy)
+        transpose(copy)
+        projective_resolution(copy, 3)
+        assert len(built) == counts[1]
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -774,18 +790,57 @@ def test_memoized_resolution_matches_a_fresh_copy(p):
         untouched = _copy(m)
         ps, ds, eps = projective_resolution(m, 3)
         again = projective_resolution(m, 3)
-        fresh = projective_resolution(_copy(m), 3)
+        fresh = projective_resolution(_copy(m, _fresh_algebra(m.algebra)), 3)
         for res in (again, fresh):
             assert res[0] == ps and res[1] == ds and res[2] == eps
             assert [q._layout for q in res[0]] == [q._layout for q in ps]
-        assert again[2] is eps
+        assert again[2] is eps and fresh[2] is not eps
         tr = transpose(m)
         assert transpose(m) is tr and ar_translate(m) == repmod.k_dual(tr)
-        assert tr == transpose(_copy(m))
-        # filled memo slots take no part in equality or the hash
-        assert m._cover is not None and m._syzygy is not None and m._transpose is not None
-        assert untouched._cover is None and untouched._syzygy is None and untouched._transpose is None
+        assert tr == transpose(_copy(m, _fresh_algebra(m.algebra)))
+        # the memo is one dict per value, which an equal module finds on its
+        # first use; a filled memo takes no part in equality or the hash
+        assert {"cover", "syzygy", "transpose", "path_actions"} <= m._memo.keys()
+        assert untouched._memo is None
         assert m == untouched and hash(m) == hash(untouched)
+        assert repmod._memo_of(untouched) is m._memo
+
+
+def test_shared_path_actions_are_read_only():
+    m = jordan2(loop_algebra(3, 2))
+    acts = repmod._path_actions(m)
+    assert repmod._path_actions(_copy(m)) is acts
+    for a in acts.values():
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_MINIMALIZE_ALGEBRAS)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_shared_memos_match_a_recompute_over_a_fresh_algebra(name, p, seed):
+    alg = _MINIMALIZE_ALGEBRAS[name](p)
+    rng = np.random.default_rng(seed)
+    m, n = (random_module(alg, rng, max_mult=1) for _ in range(2))
+
+    def profile(x, y):
+        return (
+            projective_cover(x).source.dims,
+            syzygy(x),
+            transpose(x),
+            ar_translate(x),
+            ar_translate_inverse(x),
+            ext_dim(x, y, 1),
+            stable_hom_proj(x, y).stable_dim,
+        )
+
+    first = profile(m, n)
+    # equal copies over the same algebra read the memos that m and n filled
+    copies = (_copy(m), _copy(n))
+    assert profile(*copies) == first
+    assert copies[0]._memo is m._memo and copies[1]._memo is n._memo
+    # over an equal algebra built again, everything is computed afresh
+    fresh = _fresh_algebra(alg)
+    assert profile(_copy(m, fresh), _copy(n, fresh)) == first
 
 
 # ---------------------------------------------------------------------------

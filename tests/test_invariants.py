@@ -121,8 +121,8 @@ def test_module_state_check_tells_constants_from_caches():
 
 
 def test_resolution_layers_hold_no_module_level_state():
-    # memos live on the objects they describe (e.g. Representation._cover,
-    # BoundQuiverAlgebra._cache, which also holds the knitted GP list), so quivalg,
+    # memos live on the objects they describe (BoundQuiverAlgebra._cache, which
+    # holds the module memos, the projectives and the knitted GP list), so quivalg,
     # repmod, homalg, morphcat and arsubcat may bind only immutable literals
     # at module level
     found, defined = [], {}
