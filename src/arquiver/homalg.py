@@ -7,21 +7,19 @@ presentation P1 -> P0 -> M: the presentation matrix is read off as elements
 x_{lk} in e_{j_l} A e_{i_k}, reversed into the opposite algebra, and the
 transpose is the cokernel of the dual map between opposite projectives.
 
-Stable Hom (`stable_hom_proj`) and Ext (`ext`) work in generator-image
-coordinates along the minimal resolution ... -> P1 -> P0 -> M, read from
-the memoized steps of M, Omega M, ... (`_presentation_relations`): a map f
-out of a projective with generators g_k at vertices v_k is recorded by
-y(f) = (f(g_k))_k in (+)_k X_{v_k}, which determines it (Yoneda:
-Hom(P(v), X) = X e_v), so a Hom out of a projective needs no equations, and
-f -> f.d is the matrix `_relation_system` of d.  Hom(M, X) is the kernel of
-one such system, and Ext^i(M, N) is the cohomology of
-Hom(P_{i-1}, N) -> Hom(P_i, N) -> Hom(P_{i+1}, N), whose two maps are such
-systems.  Both dimensions are rank counts in these coordinates, and neither
-stable Hom nor Ext builds a map.  The one class built as a map is the almost
-split class xi: P1 -> N of `almost_split_sequence`.  It and every other map
-out of a projective are built from their generator images by
-`repmod._maps_on_paths`: the projective cover, the dual D(d) in `transpose`
-and xi.
+Stable Hom (`stable_hom_proj`) and Ext (`ext`) are sums of Hom dimensions
+(`_hom_dim`, memoized per pair of module values) along two exact sequences,
+stated in their docstrings.  dim Hom(A, N) is read in generator-image
+coordinates along the minimal presentation P1 --d--> P0 --eps--> A
+(`_presentation_relations`): a map f out of a projective with generators
+g_k at vertices v_k is recorded by y(f) = (f(g_k))_k in (+)_k N_{v_k},
+which determines it (Yoneda: Hom(P(v), N) = N e_v), so Hom(P0, N) needs no
+equations, and Hom(A, N) is the kernel of f -> f.d, the matrix
+`_relation_system` of d.  No map is built for either.  The one class built
+as a map is the almost split class xi: P1 -> N of `almost_split_sequence`.
+It and every other map out of a projective are built from their generator
+images by `repmod._maps_on_paths`: the projective cover, the dual D(d) in
+`transpose` and xi.
 """
 
 from __future__ import annotations
@@ -209,14 +207,24 @@ def _presentation_relations(m: Representation) -> tuple[ModuleMap, list]:
     """The minimal presentation P1 --d--> P0 --eps--> M, read from the
     memoized resolution steps of M and of Omega M: (eps, relations), with one
     relation (u, column) per generator of P1, at its vertex u, holding its
-    image under d over P0's basis at u.  d is read at those columns only."""
-    eps, omega, incl = syzygy_step(m)
-    cover1 = projective_cover(omega)
-    p = m.algebra.field.p
-    return eps, [
-        (u, _matmul_stacks(incl.vertex_maps[u].a, cover1.vertex_maps[u].a[:, pos : pos + 1], p)[:, 0])
-        for u, pos in projective_generators(cover1.source)
-    ]
+    image under d over P0's basis at u.  d is read at those columns only.
+    Built once per module value, when it checks eps.d = 0.  In the
+    resolution of M, d_i = kappa.eps_i, so the check on Omega^i M gives
+    d_i.d_{i+1} = 0, and as Hom(-, N) is a functor, the relation systems of
+    d_i and d_{i+1} compose to Hom(d_i.d_{i+1}, N) = 0 for every N."""
+    memo = _memo_of(m)
+    if "presentation" not in memo:
+        eps, omega, incl = syzygy_step(m)
+        cover1 = projective_cover(omega)
+        p = m.algebra.field.p
+        relations = [
+            (u, _matmul_stacks(incl.vertex_maps[u].a, cover1.vertex_maps[u].a[:, pos : pos + 1], p)[:, 0])
+            for u, pos in projective_generators(cover1.source)
+        ]
+        killed = (not _matmul_stacks(eps.vertex_maps[u].a, col[:, None], p).any() for u, col in relations)
+        invariant(all(killed), "the presentation is not a complex: eps does not kill a relation")
+        memo["presentation"] = eps, relations
+    return memo["presentation"]
 
 
 def _relation_system(eps: ModuleMap, relations, x: Representation, acts: dict) -> np.ndarray:
@@ -238,41 +246,34 @@ def _relation_system(eps: ModuleMap, relations, x: Representation, acts: dict) -
     return system
 
 
-def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
-    """Hom(m, n) modulo maps factoring through a projective.
+def _hom_dim(a: Representation, n: Representation) -> int:
+    """dim Hom(a, n): columns less rank of the relation system of a's
+    presentation for n.  Memoized in a's memo under the token ("key") of
+    n's memo, which lives as long as a memo holds it: an id() of a collected
+    memo could be reused and alias another module's answer."""
+    homs = _memo_of(a).setdefault("homs", {})
+    key = _memo_of(n).setdefault("key", object())
+    if key not in homs:
+        system = _relation_system(*_presentation_relations(a), n, _path_actions(n))
+        homs[key] = system.shape[1] - exactlin.rank(Matrix(n.algebra.field, system))
+    return homs[key]
 
-    In the generator-image coordinates (module docstring) of the minimal
-    presentation P1 --d--> P0 --eps--> M, Hom(M, X) is the kernel of the
-    relation system of d for X.  A map factors through some projective iff
-    it factors through the projective cover pi: P(N) -> N, so the factoring
-    subspace is pi applied blockwise to the kernel for X = P(N).  total_dim
-    and factoring_dim are the kernel dimension for N and that subspace's
-    rank; no map is built.
-    """
+
+def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
+    """Hom(m, n) modulo maps factoring through a projective.  A map factors
+    through some projective iff it factors through the projective cover
+    P(N) -> N, and Hom(M, -) is left exact, so 0 -> Hom(M, Omega N) ->
+    Hom(M, P(N)) -> Hom(M, N) is exact and the image of its last map is the
+    factoring subspace: total_dim is dim Hom(M, N) and factoring_dim is
+    dim Hom(M, P(N)) - dim Hom(M, Omega N), between 0 and total_dim."""
     if m.algebra != n.algebra:
         raise ValueError("stable_hom_proj between modules over different algebras")
-    field = m.algebra.field
-    p = field.p
-    eps, relations = _presentation_relations(m)
-    acts = _path_actions(n)
-    system = _relation_system(eps, relations, n, acts)
-    homs = exactlin.kernel_basis(Matrix(field, system)).a
-    if not homs.shape[1]:
+    total = _hom_dim(m, n)
+    if not total:
         return StableHomSpace(m, n, 0, 0, 0)
-    cover = projective_cover(n)
-    gens = projective_generators(eps.source)
-    to_p = exactlin.kernel_basis(
-        Matrix(field, _relation_system(eps, relations, cover.source, _path_actions(cover.source)))
-    ).a
-    starts = _image_offsets(cover.source, [v for v, _ in gens])
-    through = np.vstack(
-        [_matmul_stacks(cover.vertex_maps[v].a, to_p[starts[k] : starts[k + 1]], p) for k, (v, _) in enumerate(gens)]
-    )
-    # the reduced rows of through^T: a basis of the factoring maps, as columns
-    red, pivots = exactlin.rref(Matrix(field, through.T))
-    factoring = red.a[: len(pivots)].T
-    invariant(not _matmul_stacks(system, factoring, p).any(), "a map through the projective cover is not in Hom(M, N)")
-    return StableHomSpace(m, n, homs.shape[1], len(pivots), homs.shape[1] - len(pivots))
+    factoring = _hom_dim(m, projective_cover(n).source) - _hom_dim(m, syzygy(n))
+    invariant(0 <= factoring <= total, "the maps through the projective cover are not a subspace of Hom(M, N)")
+    return StableHomSpace(m, n, total, factoring, total - factoring)
 
 
 @dataclass(frozen=True)
@@ -280,40 +281,35 @@ class ExtSpace:
     dim: int
 
 
-def _ext_coordinates(m: Representation, n: Representation, i: int):
-    """`ext`'s coordinates: (eps_i, the path actions on n, the coboundary
-    system, whose columns span B, and y, whose columns are the generator
-    images of cocycles P_i -> n that form a basis of Ext^i)."""
-    field = n.algebra.field
-    omega = m
-    for _ in range(i - 1):
-        omega = syzygy(omega)
+def _ext_coordinates(m: Representation, n: Representation):
+    """Ext^1(m, n) as the cohomology of Hom(P0, n) -> Hom(P1, n) ->
+    Hom(P2, n), for `almost_split_sequence`: (eps1, the path actions on n,
+    the coboundary system, whose columns span B, and y, whose columns are
+    the generator images of cocycles P1 -> n that form a basis modulo B)."""
     acts = _path_actions(n)
-    bound = _relation_system(*_presentation_relations(omega), n, acts)
-    eps_i, relations = _presentation_relations(syzygy(omega))
-    closed = _relation_system(eps_i, relations, n, acts)
-    invariant(not _matmul_stacks(closed, bound, field.p).any(), "resolution is not a complex: d d != 0")
-    z = exactlin.kernel_basis(Matrix(field, closed)).a
-    _, pivots = exactlin.rref(Matrix(field, np.hstack([bound, z])))
-    return eps_i, acts, bound, z[:, [c - bound.shape[1] for c in pivots if c >= bound.shape[1]]]
+    bound = _relation_system(*_presentation_relations(m), n, acts)
+    eps1, relations = _presentation_relations(syzygy(m))
+    closed = _relation_system(eps1, relations, n, acts)
+    z = exactlin.kernel_basis(Matrix(n.algebra.field, closed)).a
+    _, pivots = exactlin.rref(Matrix(n.algebra.field, np.hstack([bound, z])))
+    return eps1, acts, bound, z[:, [c - bound.shape[1] for c in pivots if c >= bound.shape[1]]]
 
 
 def ext(m: Representation, n: Representation, i: int) -> ExtSpace:
-    """Ext^i(m, n) for i >= 1: the cohomology of
-    Hom(P_{i-1}, N) -> Hom(P_i, N) -> Hom(P_{i+1}, N) along the minimal
-    projective resolution of m, in generator-image coordinates.
-
-    The two maps are the relation systems of d_i and d_{i+1} for N, read from
-    the presentations of Omega^{i-1} m and Omega^i m.  The cocycles Z are the
-    kernel of the second and the coboundaries B the column span of the
-    first; dim Ext^i is the number of members of Z's basis that are pivots
-    of [B | Z].  No map is built.
-    """
+    """Ext^i(m, n) for i >= 1, as Ext^1(A, N) for A = Omega^{i-1} M: the
+    exact sequence 0 -> Hom(A, N) -> Hom(P(A), N) -> Hom(Omega A, N) ->
+    Ext^1(A, N) -> 0 gives dim Hom(Omega A, N) - dim Hom(P(A), N)
+    + dim Hom(A, N), where dim Hom(P(A), N) is the sum of dim N_v over the
+    generators of P(A) at v (Yoneda).  No map is built."""
     if i < 1:
         raise ValueError("ext is implemented for i >= 1")
     if m.algebra != n.algebra:
         raise ValueError("ext between modules over different algebras")
-    return ExtSpace(_ext_coordinates(m, n, i)[3].shape[1])
+    omega = m
+    for _ in range(i - 1):
+        omega = syzygy(omega)
+    gens = projective_cover(omega).source._layout[0]
+    return ExtSpace(_hom_dim(syzygy(omega), n) - sum(n.dims[v] for v in gens) + _hom_dim(omega, n))
 
 
 def ext_dim(m: Representation, n: Representation, i: int) -> int:
@@ -344,7 +340,7 @@ def almost_split_sequence(m: Representation, n: Representation | None = None) ->
         n = ar_translate(m)
     field = m.algebra.field
     p = field.p
-    eps1, acts, bound, y = _ext_coordinates(m, n, 1)
+    eps1, acts, bound, y = _ext_coordinates(m, n)
     invariant(y.shape[1] > 0, "Ext^1(M, N) is zero")
     totals = _total_stack(hom_basis(n, n))
     rad = _local_radical(totals, _fitting_powers(totals, p), field)

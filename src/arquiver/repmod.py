@@ -25,9 +25,9 @@ from .quivalg import BoundQuiverAlgebra, _json_list, _json_value, opposite
 class Representation:
     # _layout is (summand vertices, path-basis coordinates) on a module built
     # by projective_module and None on any other; _memo is None until the
-    # first `_memo_of`, then the memo dict of this module's value, shared by
-    # every equal module over the same algebra object.  Neither is part of
-    # equality or the hash.
+    # first `_memo_of`, then the memo dict of this module's value (cover,
+    # syzygy, presentation, Hom dimensions, ...), shared by every equal module
+    # over the same algebra object.  Neither is part of equality or the hash.
     __slots__ = ("algebra", "dims", "arrow_maps", "_layout", "_memo")
 
     def __init__(self, algebra: BoundQuiverAlgebra, dims, arrow_maps, validate: bool = True):
@@ -507,10 +507,12 @@ def _memo_of(m: Representation) -> dict:
     """The memo of m's value: one dict per distinct module over m.algebra,
     kept in m.algebra._cache["modules"] under the first equal module that
     asked, so it lives and dies with the algebra.  projective_cover
-    ("cover"), syzygy_step ("syzygy"), _path_actions ("path_actions") and
-    homalg.transpose ("transpose") fill it on first use.  Each of them reads
-    the value of m only, so equal modules may share one result; m._memo keeps
-    later lookups off the hash."""
+    ("cover"), syzygy_step ("syzygy"), _path_actions ("path_actions"),
+    homalg.transpose ("transpose"), homalg._presentation_relations
+    ("presentation") and homalg._hom_dim ("homs": dim Hom(m, n) keyed by
+    the object under "key" in n's memo) fill it on first use.  Each reads
+    the values only, so equal modules share one result; m._memo keeps later
+    lookups off the hash."""
     if m._memo is None:
         object.__setattr__(m, "_memo", m.algebra._cache.setdefault("modules", {}).setdefault(m, {}))
     return m._memo

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import errors, exactlin, homalg, repmod
+from arquiver import errors, exactlin, homalg, quivalg, repmod
 from arquiver.errors import BudgetExhausted, InternalInvariantError, NotProjective
 from arquiver.exactlin import Matrix, PrimeField
 from arquiver.homalg import (
@@ -99,9 +99,12 @@ def projective_resolution(m, length):
 
 
 def ext_cocycles(m, n, i):
-    """The columns y of `homalg._ext_coordinates`, each built as the map
-    P_i -> n with those generator images, which `ext` itself never builds."""
-    eps_i, acts, _, y = homalg._ext_coordinates(m, n, i)
+    """The columns y of `homalg._ext_coordinates` for Omega^{i-1} m, each
+    built as the map P_i -> n with those generator images, which `ext`
+    itself never builds."""
+    for _ in range(i - 1):
+        m = syzygy(m)
+    eps_i, acts, _, y = homalg._ext_coordinates(m, n)
     phis = repmod._maps_on_paths(eps_i.source, n, acts, y)
     return [
         ModuleMap(eps_i.source, n, [Matrix(n.algebra.field, phi[:, :, j].T) for phi in phis], validate=False)
@@ -830,9 +833,13 @@ def test_shared_memos_match_a_recompute_over_a_fresh_algebra(name, p, seed):
             ar_translate(x),
             ar_translate_inverse(x),
             ext_dim(x, y, 1),
-            stable_hom_proj(x, y).stable_dim,
+            ext_dim(x, y, 2),
+            ext_dim(y, x, 1),
+            dims(stable_hom_proj(x, y)),
+            dims(stable_hom_proj(y, x)),
         )
 
+    dims = lambda h: (h.total_dim, h.factoring_dim, h.stable_dim)
     first = profile(m, n)
     # equal copies over the same algebra read the memos that m and n filled
     copies = (_copy(m), _copy(n))
@@ -876,18 +883,43 @@ def _reference_cases(p):
         yield alg, mods + [indecomposable_projective(alg, alg.quiver.vertices - 1), repmod.zero_module(alg)]
 
 
+_HOMALG_SMALL = {
+    "kx4": lambda p: loop_algebra(4, p),
+    "a3rsz": a3_radsq_algebra,
+    "t2kx2": lambda p: quivalg.t2_of(loop_algebra(2, p))[0],
+    "square": comm_square_algebra,
+    "t2kx3": lambda p: quivalg.t2_of(loop_algebra(3, p))[0],
+}
+
+
+def _check_stable_hom(m, n):
+    """stable_hom_proj(m, n) against the hom_basis route: the same ends and
+    all three dimensions."""
+    got = stable_hom_proj(m, n)
+    assert got == _reference_stable_hom_proj(m, n)
+    return got
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_stable_hom_proj_matches_the_hom_basis_route(p):
     seen = set()
     for _, mods in _reference_cases(p):
         for m in mods:
             for n in mods:
-                got, want = stable_hom_proj(m, n), _reference_stable_hom_proj(m, n)
-                # the same ends and all three dimensions
-                assert got == want
+                got = _check_stable_hom(m, n)
                 seen.add((got.total_dim > 0, got.factoring_dim > 0, got.stable_dim > 0))
     # all of Hom factoring, and nonzero factoring and stable parts at once, were met
     assert {(True, True, False), (True, True, True)} <= seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_HOMALG_SMALL)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_stable_hom_proj_matches_the_hom_basis_route_on_random_modules(name, p, seed):
+    alg = _HOMALG_SMALL[name](p)
+    rng = np.random.default_rng(seed)
+    m, n = (random_module(alg, rng, max_mult=2, max_gens=2) for _ in range(2))
+    for x, y in ((m, n), (n, m), (m, m)):
+        _check_stable_hom(x, y)
 
 
 def _reference_ext(m, n, i):
@@ -903,33 +935,47 @@ def _reference_ext(m, n, i):
     return _quotient_data(m.algebra.field, bound, cocycles), bound, ds[i]
 
 
+def _check_ext(m, n, i):
+    """dim Ext^i(m, n) against the hom_basis route, and the cocycles of
+    `_ext_coordinates` as module maps P_i -> n that kill d_{i+1} and are
+    independent modulo the reference coboundaries."""
+    got = ext(m, n, i)
+    reps, bound, d_next = _reference_ext(m, n, i)
+    cocycles = ext_cocycles(m, n, i)
+    assert got.dim == len(cocycles) == len(reps)
+    for z in cocycles:
+        assert ModuleMap(z.source, z.target, z.vertex_maps, validate=True) == z
+        assert compose(z, d_next).is_zero()
+    if cocycles:
+        field = m.algebra.field
+        ranks = [
+            exactlin.rank(Matrix(field, np.stack([flatten_map(f) for f in maps]))) if maps else 0
+            for maps in (bound, bound + cocycles)
+        ]
+        assert ranks[1] == ranks[0] + got.dim
+    return got.dim
+
+
 @pytest.mark.parametrize("i", [1, 2])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_ext_matches_the_hom_basis_route(p, i):
-    field = PrimeField(p)
     nonzero = 0
     for _, mods in _reference_cases(p):
         for m in mods:
             for n in mods:
-                got = ext(m, n, i)
-                reps, bound, d_next = _reference_ext(m, n, i)
-                cocycles = ext_cocycles(m, n, i)
-                assert got.dim == len(cocycles) == len(reps)
-                for z in cocycles:
-                    # a module map P_i -> n that kills d_{i+1}
-                    assert ModuleMap(z.source, z.target, z.vertex_maps, validate=True) == z
-                    assert compose(z, d_next).is_zero()
-                # the cocycles are independent modulo the reference coboundaries
-                if cocycles:
-                    ranks = [
-                        exactlin.rank(Matrix(field, np.stack([flatten_map(f) for f in maps])))
-                        if maps
-                        else 0
-                        for maps in (bound, bound + cocycles)
-                    ]
-                    assert ranks[1] == ranks[0] + got.dim
-                nonzero += got.dim > 0
+                nonzero += _check_ext(m, n, i) > 0
     assert nonzero
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_HOMALG_SMALL)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_ext_matches_the_hom_basis_route_on_random_modules(name, p, seed):
+    alg = _HOMALG_SMALL[name](p)
+    rng = np.random.default_rng(seed)
+    m, n = (random_module(alg, rng, max_mult=2, max_gens=2) for _ in range(2))
+    for i in (1, 2):
+        for x, y in ((m, n), (n, m)):
+            _check_ext(x, y, i)
 
 
 def test_ext_and_stable_hom_reject_bad_arguments():
@@ -970,6 +1016,79 @@ def test_ext_builds_no_map(monkeypatch):
                     assert not built
                     nonzero += want > 0
     assert nonzero
+
+
+def _outside_ker_eps(m):
+    """A unit vector of P(m) at vertex 0 that the cover P(m) -> m does not kill."""
+    eps = projective_cover(m)
+    w = np.zeros((eps.source.dims[0], 1), dtype=np.int64)
+    w[np.flatnonzero(eps.vertex_maps[0].a.any(axis=0))[0]] = 1
+    return w
+
+
+def test_a_corrupted_relation_column_breaks_the_presentation_check(monkeypatch):
+    # S over k[x]/(x^2): P0 = L, Omega S = rad L; the one relation column,
+    # moved off ker eps, must trip the once-per-module check eps.d = 0
+    s = simple(loop_algebra(2, 3), 0)
+    w, incl = _outside_ker_eps(s), syzygy_step(s)[2].vertex_maps[0].a
+    matmul = homalg._matmul_stacks
+    monkeypatch.setattr(homalg, "_matmul_stacks", lambda a, b, p: (matmul(a, b, p) + w) % p if a is incl else matmul(a, b, p))
+    with pytest.raises(InternalInvariantError, match="not a complex"):
+        ext(s, s, 1)
+
+
+def test_a_corrupted_syzygy_inclusion_breaks_the_presentation_check(monkeypatch):
+    # Omega S = rad L is one-dimensional, so adding w to its inclusion moves
+    # the image of the generator of P1 off ker eps
+    s = simple(loop_algebra(2, 3), 0)
+    w = _outside_ker_eps(s)
+    step = homalg.syzygy_step
+
+    def corrupted(m):
+        eps, omega, incl = step(m)
+        if m is not s:
+            return eps, omega, incl
+        return eps, omega, ModuleMap(omega, eps.source, [Matrix(m.algebra.field, incl.vertex_maps[0].a + w)], validate=False)
+
+    monkeypatch.setattr(homalg, "syzygy_step", corrupted)
+    with pytest.raises(InternalInvariantError, match="not a complex"):
+        stable_hom_proj(s, s)
+
+
+def test_a_wrong_syzygy_of_the_target_breaks_the_stable_hom_check(monkeypatch):
+    # Omega N swapped for P(N) + P(N): Hom(S, P(N)) = soc L is nonzero, so
+    # dim Hom(M, P(N)) - dim Hom(M, Omega N) falls below 0
+    s = simple(loop_algebra(2, 3), 0)
+    monkeypatch.setattr(homalg, "syzygy", lambda n: direct_sum([projective_cover(n).source] * 2)[0])
+    with pytest.raises(InternalInvariantError, match="not a subspace"):
+        stable_hom_proj(s, s)
+
+
+@pytest.mark.parametrize("name", sorted(_HOMALG_SMALL))
+def test_a_second_homalg_pass_is_all_memo_hits(name, monkeypatch):
+    # stable Hom, Ext^1(Y, tau X) and Ext^2(X, Y) on every pair, as a
+    # homalg-small pass reads them: the second pass row-reduces nothing
+    alg = _HOMALG_SMALL[name](3)
+    vertices = range(alg.quiver.vertices)
+    mods = [simple(alg, v) for v in vertices] + [syzygy(simple(alg, v)) for v in vertices]
+    mods += [indecomposable_projective(alg, v) for v in vertices]
+    mods += [repmod.indecomposable_injective(alg, v) for v in vertices]
+
+    def homalg_pass():
+        taus = [ar_translate(x) for x in mods]
+        return [
+            (stable_hom_proj(x, y).stable_dim, ext_dim(y, tx, 1), ext_dim(x, y, 2))
+            for x, tx in zip(mods, taus)
+            for y in mods
+        ]
+
+    first = homalg_pass()
+    calls = []
+    rref = exactlin.rref
+    monkeypatch.setattr(exactlin, "rref", lambda m: calls.append(m.shape) or rref(m))
+    assert homalg_pass() == first
+    assert not calls
+    assert any(stable for stable, _, _ in first)
 
 
 def jordan(alg, d):
