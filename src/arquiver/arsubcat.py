@@ -31,6 +31,7 @@ from .homalg import (
     almost_split_sequence,
     ar_translate,
     cosyzygy,
+    dual_of_projective_map,
     ext_dim,
     is_selfinjective,
     minimal_presentation,
@@ -46,7 +47,6 @@ from .morphcat import (
     imin,
     is_gp_in_h,
     mimo,
-    zero_morph_object,
 )
 from .quivalg import BoundQuiverAlgebra, opposite, t2_base_of, t2_of
 from .repmod import (
@@ -63,12 +63,11 @@ from .repmod import (
     is_projective,
     iso_class_index,
     k_dual,
-    projective_module,
+    projective_cover,
     radical,
     regular_module,
     require_certified,
     solve_hom_equation,
-    top_dims,
     zero_module,
 )
 
@@ -219,29 +218,25 @@ def _tau_p_core(m: Representation) -> Representation:
 
 
 def tr_p_lambda(obj: MorphObject) -> MorphObject:
-    """Transpose of a morphism between projective modules over a
-    self-injective algebra, landing in the morphism category over the
-    opposite algebra as an injective-copresentation-minimal object."""
+    """Transpose of a morphism f: A -> B between projective modules over a
+    self-injective algebra: IMin(Coker f*) in the morphism category over the
+    opposite algebra, for f* = Hom(f, alg).
+
+    The covers of A and B are isomorphisms, as both are projective, and
+    carry f onto a map between layout-carrying projectives, which
+    `dual_of_projective_map` dualizes.  Writing f = d (+) (Q = Q) (+)
+    (A2 -> 0) (+) (0 -> B2) with d a minimal presentation of Coker f gives
+    Coker f* = Tr(Coker f) (+) A2*: (Q = Q)* is an isomorphism and
+    (0 -> B2)* has target 0."""
     alg = obj.algebra
     if gorenstein_profile(alg) != 0:
         raise NotSelfInjective("tr_p_lambda needs a self-injective algebra")
     if not (is_projective(obj.a) and is_projective(obj.b)):
         raise NotLocallyProjective("tr_p_lambda needs projective source and target")
-    op = opposite(alg)
-    _, _, killed = right_minimalize(obj.f)
-    cok, _ = cokernel(obj.f)
-    parts = []
-    tr = transpose(cok)
-    if not tr.is_zero():
-        parts.append(tr)
-    mult = top_dims(killed)
-    verts = tuple(v for v in range(alg.quiver.vertices) for _ in range(mult[v]))
-    if verts:
-        parts.append(projective_module(op, verts))
-    if not parts:
-        return zero_morph_object(op)
-    total = parts[0] if len(parts) == 1 else direct_sum(parts)[0]
-    return imin(total)
+    cover_a, cover_b = projective_cover(obj.a), projective_cover(obj.b)
+    # f lifts through the cover of B, which is onto, as P(A) is projective
+    f = solve_hom_equation(cover_a.source, cover_b.source, compose(obj.f, cover_a), post=cover_b)
+    return imin(cokernel(dual_of_projective_map(f))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -107,15 +107,15 @@ def _dump_json(data: dict, out: str | None) -> None:
 # op -> (input kind, operation, whether the result is over the opposite
 # algebra); each operation looks up its function when it runs
 _OPS = {
-    "syzygy": ("module", lambda m, alg: syzygy(m), False),
-    "tau": ("module", lambda m, alg: ar_translate(m), False),
-    "tr": ("module", lambda m, alg: transpose(m), True),
-    "dual": ("module", lambda m, alg: k_dual(m), True),
-    "tau-gprj": ("module", lambda m, alg: tau_gprj(m), False),
-    "tau-pfin": ("module", lambda m, alg: tau_pfin(m), False),
-    "imin": ("module", lambda m, alg: imin(m), False),
-    "mimo": ("morph", lambda obj, alg: mimo(obj)[0], False),
-    "tr-p": ("morph", lambda obj, alg: tr_p_lambda(obj), True),
+    "syzygy": ("module", lambda m: syzygy(m), False),
+    "tau": ("module", lambda m: ar_translate(m), False),
+    "tr": ("module", lambda m: transpose(m), True),
+    "dual": ("module", lambda m: k_dual(m), True),
+    "tau-gprj": ("module", lambda m: tau_gprj(m), False),
+    "tau-pfin": ("module", lambda m: tau_pfin(m), False),
+    "imin": ("module", lambda m: imin(m), False),
+    "mimo": ("morph", lambda obj: mimo(obj)[0], False),
+    "tr-p": ("morph", lambda obj: tr_p_lambda(obj), True),
 }
 
 
@@ -138,7 +138,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
     # a parsed morphism file has a JSON object under "A"
     base_id = str((data["A"] if is_morph else data).get("algebra") or Path(args.algebra).stem)
-    res = run(arg, alg)
+    res = run(arg)
     out_id = base_id + ".op" if over_opposite else base_id
     if isinstance(res, Representation):
         # the three translates note a projective input, which they send to zero

@@ -2,24 +2,28 @@
 Auslander-Reiten translation, stable hom spaces, Ext and right minimal
 versions.
 
-The transpose of M is computed symbolically from a minimal projective
-presentation P1 -> P0 -> M: the presentation matrix is read off as elements
-x_{lk} in e_{j_l} A e_{i_k}, reversed into the opposite algebra, and the
-transpose is the cokernel of the dual map between opposite projectives.
+`minimal_presentation` is the one presentation builder, memoized per module
+value: P1 --d--> P0 --eps--> M with d = kappa.pi, the inclusion of Omega M
+after the cover of Omega M, and d's column at each generator of P1 (its
+relations).  Hom, Ext, Tr, tau_P and the almost split sequence all read it.
+The transpose is the cokernel of the dual d* between opposite projectives:
+d's columns are read off as elements x_{lk} in e_{j_l} A e_{i_k} and
+reversed into the opposite algebra.  The injective side is read through the
+dual: Omega^-1 M = D Omega D M, and alg is self-injective iff D(alg) is
+projective.
 
 Stable Hom (`stable_hom_proj`) and Ext (`ext`) are sums of Hom dimensions
 (`_hom_dim`, memoized per pair of module values) along two exact sequences,
 stated in their docstrings.  dim Hom(A, N) is read in generator-image
-coordinates along the minimal presentation P1 --d--> P0 --eps--> A
-(`_presentation_relations`): a map f out of a projective with generators
-g_k at vertices v_k is recorded by y(f) = (f(g_k))_k in (+)_k N_{v_k},
-which determines it (Yoneda: Hom(P(v), N) = N e_v), so Hom(P0, N) needs no
-equations, and Hom(A, N) is the kernel of f -> f.d, the matrix
-`_relation_system` of d.  No map is built for either.  The one class built
-as a map is the almost split class xi: P1 -> N of `almost_split_sequence`.
-It and every other map out of a projective are built from their generator
-images by `repmod._maps_on_paths`: the projective cover, the dual D(d) in
-`transpose` and xi.
+coordinates along A's presentation: a map f out of a projective with
+generators g_k at vertices v_k is recorded by y(f) = (f(g_k))_k in
+(+)_k N_{v_k}, which determines it (Yoneda: Hom(P(v), N) = N e_v), so
+Hom(P0, N) needs no equations, and Hom(A, N) is the kernel of f -> f.d, the
+matrix `_relation_system` of d's relations.  No map is built for either.
+The one class built as a map is the almost split class xi: P1 -> N of
+`almost_split_sequence`.  It and every other map out of a projective are
+built from their generator images by `repmod._maps_on_paths`: the
+projective cover, the dual D(d) in `transpose` and xi.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from .repmod import (
     direct_sum,
     dual_map,
     hom_basis,
-    injective_envelope,
     is_projective,
     k_dual,
     non_nilpotent,
@@ -71,18 +74,39 @@ class MinimalPresentation:
     p0: Representation
     d: ModuleMap  # p1 -> p0
     eps: ModuleMap  # p0 -> m
+    # (u, column) per generator of p1: its vertex u and its image under d
+    # over p0's basis at u
+    relations: tuple
 
 
 def minimal_presentation(m: Representation) -> MinimalPresentation:
-    """Minimal projective presentation P1 --d--> P0 --eps--> M -> 0."""
-    eps, ker, incl = syzygy_step(m)
-    cover1 = projective_cover(ker)
-    d = compose(incl, cover1)
-    # exactness at p0: im d = ker eps
-    invariant(compose(eps, d).is_zero(), "presentation is not a complex at P0")
-    for v in range(m.algebra.quiver.vertices):
-        invariant(exactlin.rank(d.vertex_maps[v]) == ker.dims[v], "presentation is not exact at P0")
-    return MinimalPresentation(cover1.source, eps.source, d, eps)
+    """Minimal projective presentation P1 --d--> P0 --eps--> M -> 0, with
+    d = kappa.pi for the cover pi: P1 -> Omega M and the inclusion kappa of
+    Omega M into P0.  The one presentation builder: Hom, Ext, Tr, tau_P and
+    the almost split sequence all read it.  Built once per module value
+    (`repmod._memo_of`, key "presentation").
+
+    Two checks run when it is built.  Complex at P0: eps kills every
+    relation column.  That is eps.d = 0, since eps.d is a module map out of
+    P1 and P1 is generated by its generators, so eps.d vanishes iff it
+    vanishes on each of them.  In the resolution of M, d_i = kappa.pi_i, so
+    the check on Omega^i M gives d_i.d_{i+1} = 0, and as Hom(-, N) is a
+    functor, the relation systems of d_i and d_{i+1} compose to
+    Hom(d_i.d_{i+1}, N) = 0 for every N.  Exact at P0: d has rank
+    dim Omega M at each vertex, so im d = ker eps."""
+    memo = _memo_of(m)
+    if "presentation" not in memo:
+        eps, omega, kappa = syzygy_step(m)
+        pi = projective_cover(omega)
+        d = compose(kappa, pi)
+        relations = tuple((u, d.vertex_maps[u].a[:, pos]) for u, pos in projective_generators(pi.source))
+        p = m.algebra.field.p
+        killed = (not _matmul_stacks(eps.vertex_maps[u].a, col[:, None], p).any() for u, col in relations)
+        invariant(all(killed), "the presentation is not a complex: eps does not kill a relation")
+        for v in range(m.algebra.quiver.vertices):
+            invariant(exactlin.rank(d.vertex_maps[v]) == omega.dims[v], "presentation is not exact at P0")
+        memo["presentation"] = MinimalPresentation(pi.source, eps.source, d, eps, relations)
+    return memo["presentation"]
 
 
 def syzygy(m: Representation) -> Representation:
@@ -94,9 +118,11 @@ def syzygy(m: Representation) -> Representation:
 
 
 def cosyzygy(m: Representation) -> Representation:
-    """First cosyzygy: the cokernel of the injective envelope."""
-    cok, _ = cokernel(injective_envelope(m))
-    return cok
+    """First cosyzygy Omega^-1 M = D Omega D M: dualizing 0 -> Omega DM ->
+    P(DM) -> DM -> 0 gives 0 -> M -> D P(DM) -> D Omega DM -> 0, whose middle
+    map is the injective envelope.  It shares the syzygy of DM with
+    tau^-1 = Tr D, which presents DM."""
+    return k_dual(syzygy(k_dual(m)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,41 +229,17 @@ class StableHomSpace:
     stable_dim: int
 
 
-def _presentation_relations(m: Representation) -> tuple[ModuleMap, list]:
-    """The minimal presentation P1 --d--> P0 --eps--> M, read from the
-    memoized resolution steps of M and of Omega M: (eps, relations), with one
-    relation (u, column) per generator of P1, at its vertex u, holding its
-    image under d over P0's basis at u.  d is read at those columns only.
-    Built once per module value, when it checks eps.d = 0.  In the
-    resolution of M, d_i = kappa.eps_i, so the check on Omega^i M gives
-    d_i.d_{i+1} = 0, and as Hom(-, N) is a functor, the relation systems of
-    d_i and d_{i+1} compose to Hom(d_i.d_{i+1}, N) = 0 for every N."""
-    memo = _memo_of(m)
-    if "presentation" not in memo:
-        eps, omega, incl = syzygy_step(m)
-        cover1 = projective_cover(omega)
-        p = m.algebra.field.p
-        relations = [
-            (u, _matmul_stacks(incl.vertex_maps[u].a, cover1.vertex_maps[u].a[:, pos : pos + 1], p)[:, 0])
-            for u, pos in projective_generators(cover1.source)
-        ]
-        killed = (not _matmul_stacks(eps.vertex_maps[u].a, col[:, None], p).any() for u, col in relations)
-        invariant(all(killed), "the presentation is not a complex: eps does not kill a relation")
-        memo["presentation"] = eps, relations
-    return memo["presentation"]
-
-
-def _relation_system(eps: ModuleMap, relations, x: Representation, acts: dict) -> np.ndarray:
+def _relation_system(pres: MinimalPresentation, x: Representation, acts: dict) -> np.ndarray:
     """f -> f.d from Hom(P0, X) to Hom(P1, X) in generator-image coordinates,
-    for P0 = eps.source and d given by `relations`: one block row per
-    generator h of P1, sum_r c_r X(path_r) y_{k_r} where d(h) = sum_r c_r
-    g_{k_r}.path_r.  Its kernel is Hom(coker d, X)."""
-    gen_verts, coords = eps.source._layout
+    for the presentation P1 --d--> P0, d read at its relation columns: one
+    block row per generator h of P1, sum_r c_r X(path_r) y_{k_r} where
+    d(h) = sum_r c_r g_{k_r}.path_r.  Its kernel is Hom(coker d, X)."""
+    gen_verts, coords = pres.p0._layout
     p = x.algebra.field.p
     offsets = _image_offsets(x, gen_verts)
-    system = np.zeros((sum(x.dims[u] for u, _ in relations), offsets[-1]), dtype=np.int64)
+    system = np.zeros((sum(x.dims[u] for u, _ in pres.relations), offsets[-1]), dtype=np.int64)
     row = 0
-    for u, col in relations:
+    for u, col in pres.relations:
         for i in np.flatnonzero(col):
             k, bp = coords[u][i]
             part = system[row : row + x.dims[u], offsets[k] : offsets[k + 1]]
@@ -254,7 +256,7 @@ def _hom_dim(a: Representation, n: Representation) -> int:
     homs = _memo_of(a).setdefault("homs", {})
     key = _memo_of(n).setdefault("key", object())
     if key not in homs:
-        system = _relation_system(*_presentation_relations(a), n, _path_actions(n))
+        system = _relation_system(minimal_presentation(a), n, _path_actions(n))
         homs[key] = system.shape[1] - exactlin.rank(Matrix(n.algebra.field, system))
     return homs[key]
 
@@ -283,16 +285,16 @@ class ExtSpace:
 
 def _ext_coordinates(m: Representation, n: Representation):
     """Ext^1(m, n) as the cohomology of Hom(P0, n) -> Hom(P1, n) ->
-    Hom(P2, n), for `almost_split_sequence`: (eps1, the path actions on n,
-    the coboundary system, whose columns span B, and y, whose columns are
-    the generator images of cocycles P1 -> n that form a basis modulo B)."""
+    Hom(P2, n), for `almost_split_sequence`: (the path actions on n, the
+    coboundary system, whose columns span B, and y, whose columns are the
+    generator images of cocycles P1 -> n that form a basis modulo B).  P1 is
+    the P1 of m's presentation and the P0 of Omega m's, one memoized cover."""
     acts = _path_actions(n)
-    bound = _relation_system(*_presentation_relations(m), n, acts)
-    eps1, relations = _presentation_relations(syzygy(m))
-    closed = _relation_system(eps1, relations, n, acts)
+    bound = _relation_system(minimal_presentation(m), n, acts)
+    closed = _relation_system(minimal_presentation(syzygy(m)), n, acts)
     z = exactlin.kernel_basis(Matrix(n.algebra.field, closed)).a
     _, pivots = exactlin.rref(Matrix(n.algebra.field, np.hstack([bound, z])))
-    return eps1, acts, bound, z[:, [c - bound.shape[1] for c in pivots if c >= bound.shape[1]]]
+    return acts, bound, z[:, [c - bound.shape[1] for c in pivots if c >= bound.shape[1]]]
 
 
 def ext(m: Representation, n: Representation, i: int) -> ExtSpace:
@@ -330,8 +332,9 @@ def almost_split_sequence(m: Representation, n: Representation | None = None) ->
     k by r at its vertex, so the socle is the kernel of one stack of Q (r y)
     over r spanning rad End(N), the rows of Q cutting out the coboundaries B.
 
-    With the class xi: P1 -> N and d1 = kappa.pi: P1 -> Omega M -> P0, E is
-    the cokernel of (xi, -d1): P1 -> N (+) P0, so E / N = P0 / Omega M = M.
+    With the class xi: P1 -> N and d = kappa.pi: P1 -> Omega M -> P0 of the
+    presentation, E is the cokernel of (xi, -d): P1 -> N (+) P0, so
+    E / N = P0 / Omega M = M.
     pi is onto, so this map has the column span, vertex by vertex, of the
     pushout map (xi', -kappa) out of Omega M, with xi = xi'.pi.  If xi were
     not a cocycle, it would not kill ker pi, the rank would grow and dim E
@@ -340,14 +343,15 @@ def almost_split_sequence(m: Representation, n: Representation | None = None) ->
         n = ar_translate(m)
     field = m.algebra.field
     p = field.p
-    eps1, acts, bound, y = _ext_coordinates(m, n)
+    pres = minimal_presentation(m)
+    acts, bound, y = _ext_coordinates(m, n)
     invariant(y.shape[1] > 0, "Ext^1(M, N) is zero")
     totals = _total_stack(hom_basis(n, n))
     rad = _local_radical(totals, _fitting_powers(totals, p), field)
     if rad is None:
         raise BudgetExhausted(f"End(N) for N of dims {list(n.dims)} has a residue field larger than GF({p})")
     q = exactlin.kernel_basis(Matrix(field, bound.T)).a.T  # q w = 0 iff w is in B
-    verts, starts = eps1.source._layout[0], np.cumsum((0,) + n.dims)
+    verts, starts = pres.p1._layout[0], np.cumsum((0,) + n.dims)
     offsets = _image_offsets(n, verts)
     blocks = [(slice(starts[v], starts[v + 1]), slice(o, o + n.dims[v])) for v, o in zip(verts, offsets)]
     rad_y = np.concatenate([_matmul_stacks(rad[:, at, at], y[rows], p) for at, rows in blocks], axis=1)
@@ -355,11 +359,9 @@ def almost_split_sequence(m: Representation, n: Representation | None = None) ->
     invariant(socle.shape[1] == 1, f"the socle of Ext^1(M, N) over End(N) has dimension {socle.shape[1]}, not 1")
     xi = _matmul_stacks(y, socle, p)
     invariant(_matmul_stacks(q, xi, p).any(), "the almost split class is a coboundary")
-    phis = _maps_on_paths(eps1.source, n, acts, xi)
-    eps0, _, kappa = syzygy_step(m)
-    d1 = compose(kappa, eps1)
-    g = [Matrix(field, np.vstack([phi[:, :, 0].T, -d.a])) for phi, d in zip(phis, d1.vertex_maps)]
-    e, proj = cokernel(ModuleMap(eps1.source, direct_sum([n, eps0.source])[0], g, validate=False))
+    phis = _maps_on_paths(pres.p1, n, acts, xi)
+    g = [Matrix(field, np.vstack([phi[:, :, 0].T, -d.a])) for phi, d in zip(phis, pres.d.vertex_maps)]
+    e, proj = cokernel(ModuleMap(pres.p1, direct_sum([n, pres.p0])[0], g, validate=False))
     invariant(e.total_dim == m.total_dim + n.total_dim, "the almost split sequence has the wrong dimension")
     return e, ModuleMap(n, e, [Matrix(field, pv.a[:, :nv]) for pv, nv in zip(proj.vertex_maps, n.dims)], validate=False)
 
@@ -434,11 +436,11 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
 
 
 def is_selfinjective(alg) -> bool:
-    """Whether the regular module is injective: its injective envelope is no
-    larger, as `is_projective` asks of the cover.  The regular module is
-    injective exactly when alg is self-injective (quasi-Frobenius)."""
-    reg = regular_module(alg)
-    return injective_envelope(reg).target.dims == reg.dims
+    """Whether the regular module is injective, that is, its dual over the
+    opposite algebra is projective (D swaps injectives and projectives).
+    The regular module is injective exactly when alg is self-injective
+    (quasi-Frobenius)."""
+    return is_projective(k_dual(regular_module(alg)))
 
 
 def nonprojective_summands(m: Representation) -> list[Representation]:

@@ -48,7 +48,6 @@ from .repmod import (
     module_to_json_dict,
     solve_hom_equation,
     zero_map,
-    zero_module,
     _json_matrix,
 )
 from . import exactlin
@@ -102,11 +101,6 @@ class MorphMap:
 
     def is_zero(self) -> bool:
         return self.sigma1.is_zero() and self.sigma2.is_zero()
-
-
-def zero_morph_object(alg: BoundQuiverAlgebra) -> MorphObject:
-    z = zero_module(alg)
-    return MorphObject(z, z, zero_map(z, z))
 
 
 def identity_morph_map(obj: MorphObject) -> MorphMap:

@@ -498,17 +498,12 @@ def radical(m: Representation) -> tuple[Representation, ModuleMap]:
     return _restrict(m, [exactlin.column_space_basis(s) for s in radical_spans(m)])
 
 
-def top_dims(m: Representation) -> tuple[int, ...]:
-    spans = radical_spans(m)
-    return tuple(m.dims[j] - exactlin.rank(spans[j]) for j in range(len(m.dims)))
-
-
 def _memo_of(m: Representation) -> dict:
     """The memo of m's value: one dict per distinct module over m.algebra,
     kept in m.algebra._cache["modules"] under the first equal module that
     asked, so it lives and dies with the algebra.  projective_cover
     ("cover"), syzygy_step ("syzygy"), _path_actions ("path_actions"),
-    homalg.transpose ("transpose"), homalg._presentation_relations
+    homalg.transpose ("transpose"), homalg.minimal_presentation
     ("presentation") and homalg._hom_dim ("homs": dim Hom(m, n) keyed by
     the object under "key" in n's memo) fill it on first use.  Each reads
     the values only, so equal modules share one result; m._memo keeps later

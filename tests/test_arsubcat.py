@@ -28,6 +28,7 @@ from arquiver.errors import (
     NotSelfInjective,
     PreconditionError,
 )
+from arquiver import exactlin
 from arquiver.exactlin import Matrix, PrimeField
 from arquiver.cli import fixtures_dir, load_manifest
 from arquiver.homalg import (
@@ -35,7 +36,9 @@ from arquiver.homalg import (
     ar_translate,
     ext,
     is_stably_isomorphic,
+    right_minimalize,
     syzygy,
+    transpose,
 )
 from arquiver.arsubcat import (
     DualityReport,
@@ -53,7 +56,7 @@ from arquiver.arsubcat import (
     _gp_members,
 )
 from arquiver import arsubcat, morphcat
-from arquiver.morphcat import MorphObject, from_t2_module, is_gp_in_h, to_t2_module
+from arquiver.morphcat import MorphObject, from_t2_module, imin, is_gp_in_h, to_t2_module
 from arquiver.quivalg import (
     Quiver,
     algebra_from_json_dict,
@@ -63,11 +66,13 @@ from arquiver.quivalg import (
     t2_of,
 )
 from arquiver.repmod import (
+    add_maps,
     _ENUM_BATCH,
     ModuleMap,
     Representation,
     broken_relations,
     cokernel,
+    compose,
     decompose,
     direct_sum,
     hom_basis,
@@ -79,6 +84,8 @@ from arquiver.repmod import (
     is_projective,
     iso_class_index,
     map_from_coefficients,
+    projective_cover,
+    projective_module,
     same_classes,
     random_module,
     radical,
@@ -352,6 +359,45 @@ def test_tr_p_lambda_is_a_stable_involution(t2_modules):
     for name in ("P0", "P1", "I0", "LxL"):
         twice = tr_p_lambda(tr_p_lambda(objs[name]))
         assert is_stably_isomorphic(to_t2_module(twice), to_t2_module(objs[name]))
+
+
+def _reference_tr_p_lambda(obj):
+    """tr_p_lambda by the right-minimal route it replaced: split f as
+    f1 (+) (A2 -> 0) with f1 right minimal, and take IMin(Tr(Coker f) (+) A2*)."""
+    _, _, a2 = right_minimalize(obj.f)
+    a2_star = projective_module(opposite(obj.algebra), projective_cover(a2).source._layout[0])
+    return imin(direct_sum([transpose(cokernel(obj.f)[0]), a2_star])[0])
+
+
+def _random_map_between_projectives(alg, rng):
+    """f0 (+) (Q = Q) (+) (A2 -> 0) (+) (0 -> B2) for a random f0: P^a -> P^b,
+    with a and b 1 or 2, and Q, A2 and B2 one copy of P, then a random
+    automorphism of the target."""
+    power = lambda k: projective_module(alg, (0,) * k)
+    a, b, q = power(int(rng.integers(1, 3))), power(int(rng.integers(1, 3))), power(1)
+    src, _, src_projs = direct_sum([a, q, power(1)])
+    tgt, tgt_incls, _ = direct_sum([b, q, power(1)])
+    draw = lambda basis: map_from_coefficients(basis, [int(c) for c in rng.integers(0, alg.field.p, len(basis))])
+    f0 = draw(hom_basis(a, b))
+    f = add_maps(compose(tgt_incls[0], compose(f0, src_projs[0])), compose(tgt_incls[1], src_projs[1]))
+    endos = hom_basis(tgt, tgt)
+    while exactlin.inverse((u := draw(endos)).vertex_maps[0]) is None:
+        pass
+    return MorphObject(src, tgt, compose(u, f))
+
+
+@pytest.mark.parametrize("power", [2, 3])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_tr_p_lambda_matches_the_right_minimal_reference(power, p, seed):
+    # Coker f* = Tr(Coker f) (+) A2*: a route that drops the A2* summand, or
+    # keeps a (Q = Q) or (0 -> B2) one, changes the T2 summands
+    obj = _random_map_between_projectives(loop_algebra(power, p), np.random.default_rng(seed))
+    got, want = tr_p_lambda(obj), _reference_tr_p_lambda(obj)
+    summands = lambda o: require_certified(decompose(to_t2_module(o))).summands
+    assert (got.a.dims, got.b.dims) == (want.a.dims, want.b.dims)
+    assert not want.a.is_zero()
+    assert same_classes(summands(got), summands(want))
 
 
 def test_tr_p_lambda_preconditions(t2_modules):

@@ -32,6 +32,30 @@ def test_primefield_rejects_nonprime():
     assert PrimeField(2147483647).p == 2147483647  # 2^31 - 1 is prime
 
 
+def test_primefield_accepts_exactly_the_primes():
+    # a sieve for n < 10^4, then the largest order, Carmichael numbers, an
+    # odd composite just below it and the square of a prime near sqrt(2^31)
+    n = 10**4
+    sieve = np.ones(n, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, 100):
+        sieve[q * q :: q] &= ~sieve[q]
+    for k in range(n):
+        if sieve[k]:
+            assert PrimeField(k).p == k
+        else:
+            with pytest.raises(ValueError):
+                PrimeField(k)
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
+    assert 46337**2 == 2147117569
+    for composite in (561, 41041, 2147483645, 2147117569):
+        with pytest.raises(ValueError):
+            PrimeField(composite)
+    for out_of_range in (-7, 0, 2**31, 2**61 - 1):
+        with pytest.raises(ValueError):
+            PrimeField(out_of_range)
+
+
 def test_entries_reduced_mod_p():
     m = Matrix(F5, [[7, -1], [10, 4]])
     assert m.tolist() == [[2, 4], [0, 4]]

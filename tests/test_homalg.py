@@ -91,10 +91,10 @@ def projective_resolution(m, length):
     ds = []
     omega = m
     for _ in range(length):
-        _, omega, incl = syzygy_step(omega)
-        cover = projective_cover(omega)
-        ds.append(compose(incl, cover))
-        ps.append(cover.source)
+        pres = minimal_presentation(omega)
+        ds.append(pres.d)
+        ps.append(pres.p1)
+        omega = syzygy(omega)
     return ps, ds, eps
 
 
@@ -104,10 +104,11 @@ def ext_cocycles(m, n, i):
     itself never builds."""
     for _ in range(i - 1):
         m = syzygy(m)
-    eps_i, acts, _, y = homalg._ext_coordinates(m, n)
-    phis = repmod._maps_on_paths(eps_i.source, n, acts, y)
+    acts, _, y = homalg._ext_coordinates(m, n)
+    p_i = minimal_presentation(m).p1
+    phis = repmod._maps_on_paths(p_i, n, acts, y)
     return [
-        ModuleMap(eps_i.source, n, [Matrix(n.algebra.field, phi[:, :, j].T) for phi in phis], validate=False)
+        ModuleMap(p_i, n, [Matrix(n.algebra.field, phi[:, :, j].T) for phi in phis], validate=False)
         for j in range(y.shape[1])
     ]
 
@@ -185,6 +186,45 @@ def test_cosyzygy_frozen():
 
     a2 = a2_algebra()
     assert cosyzygy(simple(a2, 1)).dims == (1, 0)
+
+
+def _reference_cosyzygy(m):
+    """Omega^-1 M as the cokernel of the injective envelope, the route that
+    `cosyzygy` took before it read D Omega D M."""
+    return cokernel(injective_envelope(m))[0]
+
+
+def _check_cosyzygy(m):
+    got, want = cosyzygy(m), _reference_cosyzygy(m)
+    assert got.dims == want.dims
+    assert isomorphic_by_summands(got, want)
+    return got
+
+
+# the homalg-small workload's algebras at its primes
+_HOMALG_SMALL_PRIMES = {"kx4": 2, "a3rsz": 3, "t2kx2": 5, "square": 3, "t2kx3": 2}
+
+
+@pytest.mark.parametrize("name", sorted(_HOMALG_SMALL_PRIMES))
+def test_cosyzygy_matches_the_envelope_reference_on_the_homalg_small_inputs(name):
+    # the workload's inputs: simples, indecomposable projectives and
+    # injectives, Omega S and Omega^-1 S
+    alg = _HOMALG_SMALL[name](_HOMALG_SMALL_PRIMES[name])
+    inputs = []
+    for v in range(alg.quiver.vertices):
+        s = simple(alg, v)
+        inputs += [s, indecomposable_projective(alg, v), repmod.indecomposable_injective(alg, v), syzygy(s)]
+        inputs.append(_check_cosyzygy(s))
+    for m in inputs:
+        _check_cosyzygy(m)
+    assert any(not cosyzygy(m).is_zero() for m in inputs)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_cosyzygy_matches_the_envelope_reference_on_random_modules(p):
+    for _, mods in _reference_cases(p):
+        for m in mods:
+            _check_cosyzygy(m)
 
 
 def test_minimal_presentation_shapes():
@@ -809,6 +849,17 @@ def test_memoized_resolution_matches_a_fresh_copy(p):
         assert repmod._memo_of(untouched) is m._memo
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_an_equal_module_reads_the_same_presentation(p):
+    for m, _ in _memo_cases(p):
+        pres = minimal_presentation(m)
+        assert minimal_presentation(_copy(m)) is pres
+        assert m._memo["presentation"] is pres
+        fresh = minimal_presentation(_copy(m, _fresh_algebra(m.algebra)))
+        assert fresh is not pres and fresh.d == pres.d
+        assert [u for u, _ in fresh.relations] == [u for u, _ in pres.relations]
+
+
 def test_shared_path_actions_are_read_only():
     m = jordan2(loop_algebra(3, 2))
     acts = repmod._path_actions(m)
@@ -1027,12 +1078,23 @@ def _outside_ker_eps(m):
 
 
 def test_a_corrupted_relation_column_breaks_the_presentation_check(monkeypatch):
-    # S over k[x]/(x^2): P0 = L, Omega S = rad L; the one relation column,
-    # moved off ker eps, must trip the once-per-module check eps.d = 0
+    # S over k[x]/(x^2): P0 = L, Omega S = rad L, P1 = L; the one relation,
+    # d's column at the generator of P1, moved off ker eps, must trip the
+    # once-per-module check that eps kills every relation
     s = simple(loop_algebra(2, 3), 0)
-    w, incl = _outside_ker_eps(s), syzygy_step(s)[2].vertex_maps[0].a
-    matmul = homalg._matmul_stacks
-    monkeypatch.setattr(homalg, "_matmul_stacks", lambda a, b, p: (matmul(a, b, p) + w) % p if a is incl else matmul(a, b, p))
+    w, kappa = _outside_ker_eps(s), syzygy_step(s)[2]
+    compose = homalg.compose
+
+    def corrupted(g, f):
+        d = compose(g, f)
+        if g is not kappa:
+            return d
+        ((u, pos),) = repmod.projective_generators(f.source)
+        bumped = d.vertex_maps[u].a.copy()
+        bumped[:, pos : pos + 1] += w
+        return ModuleMap(d.source, d.target, [Matrix(s.algebra.field, bumped)], validate=False)
+
+    monkeypatch.setattr(homalg, "compose", corrupted)
     with pytest.raises(InternalInvariantError, match="not a complex"):
         ext(s, s, 1)
 
@@ -1105,7 +1167,7 @@ def test_almost_split_sequence_refuses_a_class_that_is_not_a_cocycle(monkeypatch
     x = jordan(alg, 3)
     tx = ar_translate(x)
     p = alg.field.p
-    closed = homalg._relation_system(*homalg._presentation_relations(syzygy(x)), tx, repmod._path_actions(tx))
+    closed = homalg._relation_system(minimal_presentation(syzygy(x)), tx, repmod._path_actions(tx))
     w = np.zeros((closed.shape[1], 1), dtype=np.int64)
     w[np.flatnonzero(closed.any(axis=0))[0]] = 1
     maps_on_paths = homalg._maps_on_paths

@@ -31,7 +31,6 @@ from arquiver.morphcat import (
     morph_to_json_dict,
     tau_s_lambda,
     to_t2_module,
-    zero_morph_object,
 )
 from arquiver.quivalg import Quiver, build_algebra, t2_of
 from arquiver.repmod import (
@@ -236,7 +235,8 @@ def test_factor_zero_map_with_no_maps_to_lift_into():
 
 def test_factor_from_the_zero_object_lands_in_the_source_of_c():
     _, y = a2_identity_objects()
-    x = zero_morph_object(y.algebra)
+    z = zero_module(y.algebra)
+    x = MorphObject(z, z, zero_map(z, z))
     m = MorphMap(x, y, zero_map(x.a, y.a), zero_map(x.b, y.b))
     h = factor_morph_map_through(m, identity_morph_map(y))
     assert h is not None and h.source == x and h.target == y
@@ -268,7 +268,6 @@ def test_imin_pmin_frozen():
     assert (got.a.dims, got.b.dims) == ((2,), (2,))
     assert same_object(got, objs["LxL"])
     assert imin(zero_module(alg)).is_zero()
-    assert zero_morph_object(alg).is_zero()
 
 
 # ---------------------------------------------------------------------------
