@@ -14,16 +14,18 @@ projective.
 
 Stable Hom (`stable_hom_proj`) and Ext (`ext`) are sums of Hom dimensions
 (`_hom_dim`, memoized per pair of module values) along two exact sequences,
-stated in their docstrings.  dim Hom(A, N) is read in generator-image
-coordinates along A's presentation: a map f out of a projective with
-generators g_k at vertices v_k is recorded by y(f) = (f(g_k))_k in
-(+)_k N_{v_k}, which determines it (Yoneda: Hom(P(v), N) = N e_v), so
-Hom(P0, N) needs no equations, and Hom(A, N) is the kernel of f -> f.d, the
-matrix `_relation_system` of d's relations.  No map is built for either.
-The one class built as a map is the almost split class xi: P1 -> N of
-`almost_split_sequence`.  It and every other map out of a projective are
-built from their generator images by `repmod._maps_on_paths`: the
-projective cover, the dual D(d) in `transpose` and xi.
+stated in their docstrings; Hom into a projective cover P(N) is the sum of
+Hom into its indecomposable summands P(v).  dim Hom(A, N) is read in
+generator-image coordinates along A's presentation: a map f out of a
+projective with generators g_k at vertices v_k is recorded by
+y(f) = (f(g_k))_k in (+)_k N_{v_k}, which determines it (Yoneda:
+Hom(P(v), N) = N e_v), so Hom(P0, N) needs no equations, and Hom(A, N) is
+the kernel of f -> f.d, the matrix `_relation_system` of d's relations.  No
+map is built for either.  The one class built as a map is the almost split
+class xi: P1 -> N of `almost_split_sequence`.  It and every other map out of
+a projective are built from their generator images by
+`repmod._maps_on_paths`: the projective cover, the dual D(d) in `transpose`
+and xi.
 """
 
 from __future__ import annotations
@@ -267,13 +269,18 @@ def stable_hom_proj(m: Representation, n: Representation) -> StableHomSpace:
     P(N) -> N, and Hom(M, -) is left exact, so 0 -> Hom(M, Omega N) ->
     Hom(M, P(N)) -> Hom(M, N) is exact and the image of its last map is the
     factoring subspace: total_dim is dim Hom(M, N) and factoring_dim is
-    dim Hom(M, P(N)) - dim Hom(M, Omega N), between 0 and total_dim."""
+    dim Hom(M, P(N)) - dim Hom(M, Omega N), between 0 and total_dim.
+    Hom(M, -) is additive and P(N) is the sum of P(v_k) over the vertices
+    v_k of its generators, so dim Hom(M, P(N)) is the sum of the
+    dim Hom(M, P(v_k)): small systems, each memoized per pair and shared by
+    every N, and no system over P(N) is built."""
     if m.algebra != n.algebra:
         raise ValueError("stable_hom_proj between modules over different algebras")
     total = _hom_dim(m, n)
     if not total:
         return StableHomSpace(m, n, 0, 0, 0)
-    factoring = _hom_dim(m, projective_cover(n).source) - _hom_dim(m, syzygy(n))
+    into_cover = sum(_hom_dim(m, projective_module(n.algebra, (v,))) for v in projective_cover(n).source._layout[0])
+    factoring = into_cover - _hom_dim(m, syzygy(n))
     invariant(0 <= factoring <= total, "the maps through the projective cover are not a subspace of Hom(M, N)")
     return StableHomSpace(m, n, total, factoring, total - factoring)
 

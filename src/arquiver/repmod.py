@@ -424,33 +424,46 @@ def indecomposable_projective(algebra: BoundQuiverAlgebra, vertex: int) -> Repre
 def projective_module(algebra: BoundQuiverAlgebra, verts) -> Representation:
     """Direct sum of P(v) for v in verts, with its path-basis layout attached.
 
-    Built once per (algebra object, vertex tuple), in algebra._cache, and
-    shared: a later call with the same list returns the same module.
+    Only a one-vertex list builds P(v) from its paths, reducing each path
+    times each arrow with `reduce_path`.  Any other list, the empty one and
+    repeats included, is the block-diagonal sum of the P(v_k): its basis at
+    j is (k, path) for k in summand order, then P(v_k)'s own order, so each
+    arrow acts on it by the blocks of the summands.  Built once per (algebra
+    object, vertex tuple), in algebra._cache, and shared: a later call with
+    the same list returns the same module.
     """
     verts = tuple(int(v) for v in verts)
     built = algebra._cache.setdefault("projectives", {})
     if verts in built:
         return built[verts]
     nv = algebra.quiver.vertices
-    coords = {j: [] for j in range(nv)}
-    for k, v in enumerate(verts):
-        for j in range(nv):
-            for bp in algebra.path_basis(v, j):
-                coords[j].append((k, bp))
-    index = {j: {pair: pos for pos, pair in enumerate(coords[j])} for j in range(nv)}
+    if len(verts) == 1:
+        paths = [algebra.path_basis(verts[0], j) for j in range(nv)]
+        coords = {j: [(0, bp) for bp in paths[j]] for j in range(nv)}
+        mats = {}
+        for a in algebra.quiver.arrows:
+            mat = mats[a.id] = np.zeros((len(paths[a.target]), len(paths[a.source])), dtype=np.int64)
+            for pos, bp in enumerate(paths[a.source]):
+                for nf, c in algebra.reduce_path(bp[0], bp[1] + (a.id,)).items():
+                    mat[paths[a.target].index(nf), pos] = c
+    else:
+        parts = [projective_module(algebra, (v,)) for v in verts]
+        coords = {j: [(k, bp) for k, part in enumerate(parts) for _, bp in part._layout[1][j]] for j in range(nv)}
+        mats = {a.id: _block_diagonal([part.arrow_maps[a.id].a for part in parts]) for a in algebra.quiver.arrows}
     dims = [len(coords[j]) for j in range(nv)]
-    maps = {}
-    for a in algebra.quiver.arrows:
-        i, j = a.source, a.target
-        mat = np.zeros((dims[j], dims[i]), dtype=np.int64)
-        for pos, (k, bp) in enumerate(coords[i]):
-            for nf, c in algebra.reduce_path(bp[0], bp[1] + (a.id,)).items():
-                mat[index[j][(k, nf)], pos] = c
-        maps[a.id] = Matrix(algebra.field, mat)
+    maps = {aid: Matrix(algebra.field, mat) for aid, mat in mats.items()}
     rep = Representation(algebra, dims, maps, validate=False)
     object.__setattr__(rep, "_layout", (verts, coords))
     built[verts] = rep
     return rep
+
+
+def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    rows, cols = np.cumsum([(0, 0)] + [b.shape for b in blocks], axis=0).T
+    out = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for b, r, c in zip(blocks, rows, cols):
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+    return out
 
 
 def regular_module(algebra: BoundQuiverAlgebra) -> Representation:
@@ -502,7 +515,8 @@ def _memo_of(m: Representation) -> dict:
     """The memo of m's value: one dict per distinct module over m.algebra,
     kept in m.algebra._cache["modules"] under the first equal module that
     asked, so it lives and dies with the algebra.  projective_cover
-    ("cover"), syzygy_step ("syzygy"), _path_actions ("path_actions"),
+    ("cover", and "syzygy" for syzygy_step, built with it from the same
+    kernel bases), _path_actions ("path_actions"),
     homalg.transpose ("transpose"), homalg.minimal_presentation
     ("presentation") and homalg._hom_dim ("homs": dim Hom(m, n) keyed by
     the object under "key" in n's memo) fill it on first use.  Each reads
@@ -518,51 +532,46 @@ def projective_cover(m: Representation) -> ModuleMap:
 
     Computed once per module value, on the first call for any module equal
     to m, and shared: later calls return the same ModuleMap, whose target
-    is that first module.  Internal checks: the map is onto and its kernel
+    is that first module.  Omega M is built with it, from the same kernel
+    bases, and memoized beside it (`syzygy_step`).  Internal checks: the map
+    is onto (its nullity at each vertex is dim P_v - dim M_v) and its kernel
     is superfluous (contained in rad P).
     """
     memo = _memo_of(m)
     if "cover" not in memo:
-        memo["cover"] = _build_projective_cover(m)
+        memo["cover"], memo["syzygy"] = _build_projective_cover(m)
     return memo["cover"]
 
 
 def syzygy_step(m: Representation) -> tuple[ModuleMap, Representation, ModuleMap]:
     """(projective cover, Omega M, inclusion Omega M -> P(M)): the first step of
-    the minimal projective resolution, computed once per module value and
-    shared like the cover."""
-    cover = projective_cover(m)
-    memo = _memo_of(m)
-    if "syzygy" not in memo:
-        memo["syzygy"] = kernel(cover)
-    return (cover, *memo["syzygy"])
+    the minimal projective resolution.  Omega M is spanned by the kernel
+    bases that the cover's checks computed, so it is built with the cover,
+    once per module value, and shared like it."""
+    return (projective_cover(m), *_memo_of(m)["syzygy"])
 
 
-def _build_projective_cover(m: Representation) -> ModuleMap:
+def _build_projective_cover(m: Representation) -> tuple[ModuleMap, tuple[Representation, ModuleMap]]:
+    """(cover P(M) -> M, (Omega M, inclusion)): one kernel basis per vertex
+    map serves the onto check, the superfluous-kernel check and Omega M."""
     alg = m.algebra
     spans = radical_spans(m)
     verts: list[int] = []
-    lifts: list[np.ndarray] = []  # chosen preimages of the top basis vectors
+    lifts: list[np.ndarray] = []  # chosen preimages of the top basis vectors, one after another
     for j in range(alg.quiver.vertices):
         e, _ = _complement_data(spans[j])
         verts += [j] * e.cols
-        lifts += list(e.a.T)
-    if not verts:
-        invariant(m.is_zero(), "nonzero module with zero top")
-        z = projective_module(alg, ())
-        return ModuleMap(z, m, [Matrix.zeros(alg.field, d, 0) for d in m.dims], validate=False)
+        lifts.append(e.a.T.ravel())
     cover_src = projective_module(alg, verts)
     phis = _maps_on_paths(cover_src, m, _path_actions(m), np.concatenate(lifts)[:, None])
-    vms = [Matrix(alg.field, phi[:, :, 0].T) for phi in phis]
-    cover = ModuleMap(cover_src, m, vms, validate=True)
-    # onto, with superfluous kernel
-    rad_p = radical_spans(cover_src)
-    for l in range(alg.quiver.vertices):
-        invariant(exactlin.rank(vms[l]) == m.dims[l], "projective cover is not onto")
-        kb = exactlin.kernel_basis(vms[l])
+    cover = ModuleMap(cover_src, m, [Matrix(alg.field, phi[:, :, 0].T) for phi in phis], validate=True)
+    # onto (a nonzero module with zero top fails here), with superfluous kernel
+    kbs = [exactlin.kernel_basis(vm) for vm in cover.vertex_maps]
+    for kb, rad, p_dim, m_dim in zip(kbs, radical_spans(cover_src), cover_src.dims, m.dims):
+        invariant(p_dim - kb.cols == m_dim, "projective cover is not onto")
         if kb.cols:
-            invariant(exactlin.image_membership(rad_p[l], kb), "cover kernel is not superfluous")
-    return cover
+            invariant(exactlin.image_membership(rad, kb), "cover kernel is not superfluous")
+    return cover, _restrict(cover_src, kbs)
 
 
 def injective_envelope(m: Representation) -> ModuleMap:

@@ -41,8 +41,6 @@ from arquiver.homalg import (
     transpose,
 )
 from arquiver.arsubcat import (
-    DualityReport,
-    GpCensus,
     check_tau_is_syzygy,
     classify_gp_census,
     gorenstein_profile,

@@ -14,7 +14,6 @@ from arquiver.exactlin import (
     rank,
     rref,
     solve,
-    transpose,
 )
 
 F5 = PrimeField(5)

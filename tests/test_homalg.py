@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -971,6 +973,54 @@ def test_stable_hom_proj_matches_the_hom_basis_route_on_random_modules(name, p, 
     m, n = (random_module(alg, rng, max_mult=2, max_gens=2) for _ in range(2))
     for x, y in ((m, n), (n, m), (m, m)):
         _check_stable_hom(x, y)
+
+
+def _hom_dim_on_one_system(m, x):
+    """dim Hom(m, x) from one relation system of m's presentation over all
+    of x, unmemoized."""
+    system = homalg._relation_system(minimal_presentation(m), x, repmod._path_actions(x))
+    return system.shape[1] - exactlin.rank(Matrix(x.algebra.field, system))
+
+
+def _check_factoring_on_one_system(m, n):
+    """factoring_dim, a sum over the summands P(v) of P(n), against
+    dim Hom(m, P(n)) from one system over P(n), less dim Hom(m, Omega n)."""
+    got = stable_hom_proj(m, n)
+    cover = projective_cover(n).source
+    assert got.factoring_dim == _hom_dim_on_one_system(m, cover) - homalg._hom_dim(m, syzygy(n))
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_HOMALG_SMALL)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_factoring_dim_matches_one_system_over_the_cover_on_random_modules(name, p, seed):
+    alg = _HOMALG_SMALL[name](p)
+    rng = np.random.default_rng(seed)
+    m, n = (random_module(alg, rng, max_mult=2, max_gens=2) for _ in range(2))
+    for x, y in ((m, n), (n, m), (m, m)):
+        _check_factoring_on_one_system(x, y)
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, which builds the homalg-* inputs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_factoring_dim_matches_one_system_over_the_cover_on_the_homalg_large_inputs():
+    workloads = _benchmark_workloads()
+    groups = workloads.large_inputs(0, dict(workloads.small_algebras()))
+    seen = set()
+    for _, mods in groups:
+        for _, x in mods:
+            for _, y in mods:
+                got = _check_factoring_on_one_system(x, y)
+                seen.add((got.factoring_dim > 0, len(projective_cover(y).source._layout[0]) > 1))
+    # nonzero factoring parts through covers of several summands were met
+    assert (True, True) in seen
 
 
 def _reference_ext(m, n, i):

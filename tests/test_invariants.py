@@ -40,6 +40,16 @@ def test_broken_invariant_raises_and_exits_3(capsys, monkeypatch):
     assert "internal error (InternalInvariantError): cover kernel is not superfluous" in err
 
 
+def test_a_dropped_kernel_column_breaks_the_onto_check(monkeypatch):
+    # the onto check reads the nullity of each vertex map: one kernel vector
+    # short, P(S) seems to hit more than the one dimension of S
+    basis = exactlin.kernel_basis
+    monkeypatch.setattr(exactlin, "kernel_basis", lambda m: exactlin.Matrix(m.field, basis(m).a[:, 1:]))
+    alg = build_algebra(Quiver(1, [("x", 0, 0)]), [[(1, ("x", "x"))]], PrimeField(5))
+    with pytest.raises(InternalInvariantError, match="projective cover is not onto"):
+        projective_cover(simple_module(alg, 0))
+
+
 _CONSTANT_NODES = (ast.Constant, ast.UnaryOp, ast.BinOp, ast.Tuple, ast.unaryop, ast.operator, ast.expr_context)
 _CACHE_DECORATORS = {"cache", "lru_cache"}
 _BUILTIN_TYPES = {"tuple", "list", "dict", "set", "frozenset", "type"}
@@ -217,6 +227,37 @@ def test_dead_helper_check_finds_unused_private_defs():
 def test_package_has_no_dead_private_helpers():
     sources = {path.name: path.read_text() for path in sorted(Path(arquiver.__file__).parent.glob("*.py"))}
     assert _unreferenced_private_defs(sources) == []
+
+
+def _unread_imports(source: str) -> list[str]:
+    """"line:name" for each name that an import in `source` binds and that
+    no expression reads: a name passed only as a string, or only assigned
+    to, is not read.  `import a.b` binds a."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{line}:{name}" for name, line in bound.items() if name not in read]
+
+
+def test_unread_import_check_finds_every_form():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport json as js\nfrom a import (b, c as d, e)\n"
+        "def test_x(monkeypatch):\n    monkeypatch.setattr(os, 'e', b)\n    d = js.loads('[]')\n"
+    )
+    # os is read through the binding of os.path; d is only assigned to, e only named in a string
+    assert _unread_imports(source) == ["4:d", "4:e"]
+    assert _unread_imports("import a\nfrom b import c\nprint(a, c())\n") == []
+
+
+def test_test_modules_read_every_name_they_import():
+    paths = sorted(Path(__file__).parent.glob("test_*.py"))
+    assert {"test_homalg.py", "test_invariants.py"} <= {path.name for path in paths}
+    found = [f"{path.name}:{x}" for path in paths for x in _unread_imports(path.read_text())]
+    assert found == []
 
 
 # Public names that no job reaches, kept on purpose; the walk starts at them

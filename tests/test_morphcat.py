@@ -16,7 +16,7 @@ import pytest
 
 from arquiver.errors import NotMono, NotSelfInjective
 from arquiver.exactlin import Matrix, PrimeField
-from arquiver.homalg import ext_dim, is_stably_isomorphic, minimal_presentation, syzygy
+from arquiver.homalg import ext_dim, minimal_presentation
 from arquiver.morphcat import (
     MorphMap,
     MorphObject,

@@ -7,7 +7,6 @@ from arquiver.errors import MalformedRelation, NotFiniteDimensional
 from arquiver.exactlin import PrimeField
 from arquiver.quivalg import (
     Quiver,
-    RelationTerm,
     algebra_from_json_dict,
     algebra_to_json_dict,
     build_algebra,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import repmod
+from arquiver import exactlin, repmod
 from arquiver.errors import BudgetExhausted
 from arquiver.exactlin import (
     Matrix,
@@ -20,7 +20,7 @@ from arquiver.exactlin import (
     scale,
     solve,
 )
-from arquiver.quivalg import Quiver, build_algebra, t2_of
+from arquiver.quivalg import Quiver, build_algebra, opposite, t2_of
 from arquiver.repmod import (
     ModuleMap,
     Representation,
@@ -708,6 +708,82 @@ def test_is_isomorphic_scaled_presentation():
     assert not is_isomorphic(m1, sum1)  # same dims, different module
 
 
+_PROJECTIVE_ALGEBRAS = {
+    "kx4": lambda p: loop_algebra(4, p),
+    "a3rsz": _a3_radical_square_zero,
+    "t2kx2": lambda p: t2_of(loop_algebra(2, p))[0],
+    "square": _comm_square_algebra,
+    "t2kx3": lambda p: t2_of(loop_algebra(3, p))[0],
+}
+
+
+def _reference_projective_module(alg, verts):
+    """(+)_k P(v_k) from its paths: basis (k, path) at each vertex, in
+    summand order, and each arrow acting by `reduce_path` on path.arrow."""
+    nv = alg.quiver.vertices
+    coords = {j: [(k, bp) for k, v in enumerate(verts) for bp in alg.path_basis(v, j)] for j in range(nv)}
+    maps = {}
+    for a in alg.quiver.arrows:
+        mat = np.zeros((len(coords[a.target]), len(coords[a.source])), dtype=np.int64)
+        for pos, (k, bp) in enumerate(coords[a.source]):
+            for nf, c in alg.reduce_path(bp[0], bp[1] + (a.id,)).items():
+                mat[coords[a.target].index((k, nf)), pos] = c
+        maps[a.id] = mat
+    return [len(coords[j]) for j in range(nv)], (tuple(verts), coords), maps
+
+
+def _vertex_lists(nv, rng):
+    """The empty list, a repeat, the regular list and random lists up to
+    five long, most with repeats."""
+    lists = [(), (0, 0), tuple(range(nv)), tuple(reversed(range(nv)))]
+    return lists + [tuple(int(v) for v in rng.integers(0, nv, size=rng.integers(1, 6))) for _ in range(12)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", sorted(_PROJECTIVE_ALGEBRAS))
+def test_projective_module_matches_the_path_reduction_reference(name, p):
+    base = _PROJECTIVE_ALGEBRAS[name](p)
+    rng = np.random.default_rng(p)
+    for alg in (base, opposite(base)):
+        for verts in _vertex_lists(alg.quiver.vertices, rng):
+            got = repmod.projective_module(alg, verts)
+            dims, layout, maps = _reference_projective_module(alg, verts)
+            assert got.dims == tuple(dims) and got._layout == layout
+            assert {aid: m.tolist() for aid, m in got.arrow_maps.items()} == {aid: m.tolist() for aid, m in maps.items()}
+            got._check_relations()
+
+
+def test_a_sum_of_projectives_reduces_no_path(monkeypatch):
+    # once each P(v) is built, a list of several vertices is assembled from
+    # their blocks: reduce_path runs for one-vertex lists only
+    alg = _PROJECTIVE_ALGEBRAS["square"](3)
+    for v in range(alg.quiver.vertices):
+        repmod.projective_module(alg, (v,))
+    monkeypatch.setattr(type(alg), "reduce_path", lambda *args: pytest.fail("reduce_path ran"))
+    for verts in _vertex_lists(alg.quiver.vertices, np.random.default_rng(0)):
+        assert repmod.projective_module(alg, verts).dims == tuple(
+            sum(repmod.projective_module(alg, (v,)).dims[j] for v in verts) for j in range(alg.quiver.vertices)
+        )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_a_cover_build_reduces_each_vertex_map_once(p, monkeypatch):
+    # one kernel basis per vertex map serves the onto check, the
+    # superfluous-kernel check and Omega M; kernel() is not called
+    alg = _PROJECTIVE_ALGEBRAS["square"](p)
+    mods = [random_module(alg, np.random.default_rng([p, k]), max_mult=2, max_gens=2) for k in range(4)]
+    mods += [repmod.simple_module(alg, 0), zero_module(alg)]
+    calls = []
+    # the names imported here, kernel_basis and kernel, stay the originals
+    monkeypatch.setattr(exactlin, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
+    monkeypatch.setattr(repmod, "kernel", lambda f: pytest.fail("kernel ran"))
+    for m in mods:
+        calls.clear()
+        cover, omega, incl = repmod.syzygy_step(m)
+        assert len(calls) == alg.quiver.vertices
+        assert (omega, incl) == kernel(cover)
+
+
 def test_projective_cover_and_envelope_frozen():
     alg = loop_algebra(2)
     s = simple(alg, 0)
@@ -716,8 +792,6 @@ def test_projective_cover_and_envelope_frozen():
     env = injective_envelope(s)
     assert env.target.dims == (2,)  # I(0) = P(0) here
     # envelope is injective vertexwise
-    from arquiver import exactlin
-
     for vm in env.vertex_maps:
         assert exactlin.kernel_basis(vm).cols == 0
 
