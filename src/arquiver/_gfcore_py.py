@@ -1,4 +1,5 @@
-"""Pure-numpy GF(p) kernel: same two-function API as the compiled _gfcore.
+"""Pure-numpy GF(p) kernel: the compiled _gfcore's rref and matmul, plus
+pivots, which the compiled backend reads off its rref.
 
 Everything is int64 and exact.  Row operations keep every intermediate in
 [-(p-1)^2 * k, (p-1)^2] for small k, which fits int64 for p < 2^31.
@@ -25,25 +26,56 @@ def rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        nz = m[r:, c].nonzero()[0]
+        if not nz.size:
             continue
         k = r + int(nz[0])
         if k != r:
-            m[[r, k]] = m[[k, r]]
+            m[r], m[k] = m[k], m[r].copy()
         # row r is zero left of column c, so only columns c: change
         piv = int(m[r, c])
         if piv != 1:
-            m[r, c:] = (m[r, c:] * pow(piv, p - 2, p)) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        hit = np.nonzero(col)[0]
-        if hit.size:
+            m[r, c:] = m[r, c:] * pow(piv, p - 2, p) % p
+        hit = m[:, c].nonzero()[0]
+        if hit.size > 1:
+            hit = hit[hit != r]
             # entries stay within +-(p-1)^2 before the reduction
-            m[hit, c:] = (m[hit, c:] - col[hit, None] * m[r, c:][None, :]) % p
+            m[hit, c:] = (m[hit, c:] - m[hit, c, None] * m[r, c:]) % p
         pivots.append(c)
         r += 1
     return m, pivots
+
+
+def pivots(a: np.ndarray, p: int) -> list[int]:
+    """The pivot columns of `rref(a, p)`, by forward elimination alone.
+
+    Only the rows below each pivot are cleared; the pivot row is neither
+    scaled nor used to clear the rows above it.  The pivot columns are the
+    columns that are not in the span of the columns left of them, so they
+    do not depend on how far the elimination goes.
+    """
+    m = np.array(a, dtype=np.int64, order="C", copy=True)
+    rows, cols = m.shape
+    r = 0
+    out: list[int] = []
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = m[r:, c].nonzero()[0]
+        if not nz.size:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            m[r], m[k] = m[k], m[r].copy()
+        if nz.size > 1:
+            # row k was the first nonzero, so the swap leaves the others in place;
+            # column c below the pivot is never read again
+            hit = nz[1:] + r
+            f = m[hit, c] * pow(int(m[r, c]), p - 2, p) % p
+            m[hit, c + 1 :] = (m[hit, c + 1 :] - f[:, None] * m[r, c + 1 :]) % p
+        out.append(c)
+        r += 1
+    return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

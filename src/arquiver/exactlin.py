@@ -1,8 +1,11 @@
 """Exact dense linear algebra over prime fields GF(p).
 
 Matrices are immutable wrappers around int64 numpy arrays with entries in
-[0, p).  Zero-row and zero-column shapes are first-class: a 0 x n matrix is
-the unique map from an n-dimensional space to the zero space.
+[0, p).  `Matrix(field, entries)` checks and reduces what it is given; the
+results of this module's own operations are already reduced, and
+`Matrix._reduced` wraps them as they are.  Zero-row and zero-column shapes
+are first-class: a 0 x n matrix is the unique map from an n-dimensional
+space to the zero space.
 
 All functions are pure; nothing here ever mutates an argument.
 """
@@ -71,6 +74,18 @@ class Matrix:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "a", arr)
 
+    @classmethod
+    def _reduced(cls, field: PrimeField, arr: np.ndarray) -> "Matrix":
+        """Wrap a 2-D int64 array whose entries are already in [0, p), without
+        a copy or a `% p`.  The array becomes read-only; if it is a view, the
+        Matrix keeps its base array alive, so copy a small slice of a large
+        buffer before wrapping it."""
+        arr.setflags(write=False)
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "a", arr)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -131,39 +146,44 @@ def _check_same_field(a: Matrix, b: Matrix):
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
     red, piv = _gfkernel.rref(m.a, m.field.p)
-    return Matrix(m.field, red), list(piv)
+    return Matrix._reduced(m.field, red), list(piv)
+
+
+def pivots(m: Matrix) -> list[int]:
+    """The pivot columns of `rref(m)`, by forward elimination: no reduced form is built."""
+    return _gfkernel.pivots(m.a, m.field.p)
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(pivots(m))
 
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
     _check_same_field(a, b)
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch for multiply: {a.shape} @ {b.shape}")
-    return Matrix(a.field, _gfkernel.matmul(a.a, b.a, a.field.p))
+    return Matrix._reduced(a.field, _gfkernel.matmul(a.a, b.a, a.field.p))
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:
     _check_same_field(a, b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch for add: {a.shape} vs {b.shape}")
-    return Matrix(a.field, (a.a + b.a) % a.field.p)
+    return Matrix._reduced(a.field, (a.a + b.a) % a.field.p)
 
 
 def scale(c: int, m: Matrix) -> Matrix:
-    return Matrix(m.field, (m.a * (c % m.field.p)) % m.field.p)
+    return Matrix._reduced(m.field, (m.a * (c % m.field.p)) % m.field.p)
 
 
 def transpose(m: Matrix) -> Matrix:
-    return Matrix(m.field, m.a.T)
+    return Matrix._reduced(m.field, m.a.T.copy())
 
 
 def hstack(mats: list[Matrix]) -> Matrix:
     if not mats:
         raise ValueError("hstack of nothing")
-    return Matrix(mats[0].field, np.hstack([m.a for m in mats]))
+    return Matrix._reduced(mats[0].field, np.hstack([m.a for m in mats]))
 
 
 def direct_sum(a: Matrix, b: Matrix) -> Matrix:
@@ -207,12 +227,17 @@ def solve(m: Matrix, b: Matrix) -> Matrix | None:
         return None
     x = np.zeros((m.cols, b.cols), dtype=np.int64)
     x[pivots] = red[: len(pivots), m.cols :]
-    return Matrix(m.field, x)
+    return Matrix._reduced(m.field, x)
 
 
 def image_membership(span: Matrix, v: Matrix) -> bool:
-    """True when every column of v lies in the column space of span."""
-    return solve(span, v) is not None
+    """True when every column of v lies in the column space of span: no
+    pivot of [span | v] lands in v's block."""
+    _check_same_field(span, v)
+    if v.rows != span.rows:
+        raise ValueError(f"dimension mismatch for image_membership: {span.shape} vs {v.shape}")
+    piv = _gfkernel.pivots(np.hstack([span.a, v.a]), span.field.p)
+    return not piv or piv[-1] < span.cols
 
 
 def inverse(m: Matrix) -> Matrix | None:
@@ -224,5 +249,4 @@ def inverse(m: Matrix) -> Matrix | None:
 
 def column_space_basis(m: Matrix) -> Matrix:
     """Basis of the column space: the pivot columns of m."""
-    _, pivots = rref(m)
-    return Matrix(m.field, m.a[:, pivots])
+    return Matrix._reduced(m.field, m.a[:, pivots(m)])

@@ -159,7 +159,7 @@ def dual_of_projective_map(g: ModuleMap) -> ModuleMap:
             for nf, c in op.reduce_path(vk, tuple(reversed(bp[1]))).items():
                 y[offsets[l] + coords_p[tgt_verts[l]].index((k, nf))] += int(col[row]) * c
     phis = _maps_on_paths(qstar, pstar, _path_actions(pstar), y % op.field.p)
-    return ModuleMap(qstar, pstar, [Matrix(op.field, phi[:, :, 0].T) for phi in phis], validate=True)
+    return ModuleMap(qstar, pstar, [Matrix._reduced(op.field, phi[:, :, 0].T) for phi in phis], validate=True)
 
 
 def transpose(m: Representation) -> Representation:
@@ -259,7 +259,7 @@ def _hom_dim(a: Representation, n: Representation) -> int:
     key = _memo_of(n).setdefault("key", object())
     if key not in homs:
         system = _relation_system(minimal_presentation(a), n, _path_actions(n))
-        homs[key] = system.shape[1] - exactlin.rank(Matrix(n.algebra.field, system))
+        homs[key] = system.shape[1] - exactlin.rank(Matrix._reduced(n.algebra.field, system))
     return homs[key]
 
 
@@ -300,7 +300,7 @@ def _ext_coordinates(m: Representation, n: Representation):
     bound = _relation_system(minimal_presentation(m), n, acts)
     closed = _relation_system(minimal_presentation(syzygy(m)), n, acts)
     z = exactlin.kernel_basis(Matrix(n.algebra.field, closed)).a
-    _, pivots = exactlin.rref(Matrix(n.algebra.field, np.hstack([bound, z])))
+    pivots = exactlin.pivots(Matrix(n.algebra.field, np.hstack([bound, z])))
     return acts, bound, z[:, [c - bound.shape[1] for c in pivots if c >= bound.shape[1]]]
 
 

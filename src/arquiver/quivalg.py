@@ -164,7 +164,7 @@ class BoundQuiverAlgebra:
         return {table.paths[i]: int(vec[i]) for i in table.nf_positions if vec[i]}
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, BoundQuiverAlgebra)
             and other.field == self.field
             and other.quiver == self.quiver

@@ -350,7 +350,7 @@ def _complement_data(span: Matrix) -> tuple[Matrix, Matrix]:
     invariant(len(pivots) == span.rows, "span and complement are not a basis")
     nb = sum(c < span.cols for c in pivots)
     e = Matrix(field, np.eye(span.rows, dtype=np.int64)[:, [c - span.cols for c in pivots[nb:]]])
-    return e, Matrix(field, red.a[nb:, span.cols :])
+    return e, Matrix._reduced(field, red.a[nb:, span.cols :].copy())
 
 
 def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
@@ -558,13 +558,13 @@ def _build_projective_cover(m: Representation) -> tuple[ModuleMap, tuple[Represe
     spans = radical_spans(m)
     verts: list[int] = []
     lifts: list[np.ndarray] = []  # chosen preimages of the top basis vectors, one after another
-    for j in range(alg.quiver.vertices):
-        e, _ = _complement_data(spans[j])
+    for j, span in enumerate(spans):
+        e, _ = _complement_data(span)
         verts += [j] * e.cols
         lifts.append(e.a.T.ravel())
     cover_src = projective_module(alg, verts)
     phis = _maps_on_paths(cover_src, m, _path_actions(m), np.concatenate(lifts)[:, None])
-    cover = ModuleMap(cover_src, m, [Matrix(alg.field, phi[:, :, 0].T) for phi in phis], validate=True)
+    cover = ModuleMap(cover_src, m, [Matrix._reduced(alg.field, phi[:, :, 0].T) for phi in phis], validate=True)
     # onto (a nonzero module with zero top fails here), with superfluous kernel
     kbs = [exactlin.kernel_basis(vm) for vm in cover.vertex_maps]
     for kb, rad, p_dim, m_dim in zip(kbs, radical_spans(cover_src), cover_src.dims, m.dims):
@@ -755,8 +755,7 @@ def _power_stack(phi: np.ndarray, e: int, p: int) -> np.ndarray:
 def _span_basis(stack: np.ndarray, field) -> np.ndarray:
     """The matrices of a stack at the pivots of their span: a basis of it."""
     flat = stack.reshape(len(stack), stack.shape[1] * stack.shape[2])
-    _, pivots = exactlin.rref(Matrix(field, flat.T))
-    return stack[pivots]
+    return stack[exactlin.pivots(Matrix(field, flat.T))]
 
 
 def _product_span(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:

@@ -11,6 +11,7 @@ from arquiver.exactlin import (
     inverse,
     kernel_basis,
     multiply,
+    pivots,
     rank,
     rref,
     solve,
@@ -155,7 +156,7 @@ def test_inverse_randomized():
 
 
 def test_backends_agree():
-    from arquiver import _gfcore_py
+    from arquiver import _gfcore_py, _gfkernel
 
     try:
         from arquiver import _gfcore
@@ -168,6 +169,7 @@ def test_backends_agree():
             r1, p1 = _gfcore_py.rref(a, p)
             r2, p2 = _gfcore.rref(a, p)
             assert np.array_equal(r1, r2) and list(p1) == list(p2)
+            assert _gfcore_py.pivots(a, p) == list(p2) and list(_gfkernel.pivots(a, p)) == p1
             b = rng.integers(0, p, size=(a.shape[1], int(rng.integers(0, 6))))
             assert np.array_equal(_gfcore_py.matmul(a, b, p), _gfcore.matmul(a, b, p))
 
@@ -290,6 +292,45 @@ def test_solve_answers_exactly_when_a_solution_exists(mat, data):
     )
     x = solve(m, b)
     assert (x is not None) == solvable
+    assert image_membership(m, b) == solvable
     if x is not None:
         assert x.shape == (cols, rhs_cols)
         assert _reference_product(entries, x.tolist(), p, rhs_cols) == b.tolist()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 2147483647])
+def test_pivots_are_the_pivot_columns_of_rref(p):
+    from arquiver import _gfcore_py
+
+    field = PrimeField(p)
+    rng = np.random.default_rng(p % 1009)
+    cases = [np.zeros(shape, dtype=np.int64) for shape in [(0, 4), (4, 0), (0, 0), (3, 5)]]
+    cases += [np.eye(4, dtype=np.int64)[::-1], np.triu(np.ones((5, 3), dtype=np.int64))]
+    for _ in range(150):
+        rows, cols, k = (int(x) for x in rng.integers(1, 9, size=3))
+        # a product through k dimensions has rank at most k; sparse ones drop further
+        a = _gfcore_py.matmul(rng.integers(0, p, size=(rows, k)), rng.integers(0, p, size=(k, cols)), p)
+        a[rng.random(a.shape) < rng.random()] = 0
+        cases.append(a)
+    ranks = set()
+    for a in cases:
+        want = _gfcore_py.rref(a, p)[1]
+        assert _gfcore_py.pivots(a, p) == want
+        m = Matrix(field, a)
+        assert pivots(m) == rref(m)[1] == want and rank(m) == len(want)
+        ranks.add(("zero" if not want else "full" if len(want) == min(a.shape) else "between"))
+    assert ranks == {"zero", "full", "between"}
+
+
+def test_pivots_at_the_largest_prime_do_not_overflow():
+    from arquiver import _gfcore_py
+
+    p = 2147483647
+    rng = np.random.default_rng(31)
+    for rows, cols in [(6, 8), (8, 6), (7, 7)]:
+        for _ in range(10):
+            a = rng.integers(p - 3, p, size=(rows, cols))  # entries near p - 1
+            a[:, -1] = a[:, 0]  # a repeated column is never a pivot
+            want = _reference_rref(a.tolist(), cols, p)[1]
+            assert _gfcore_py.pivots(a, p) == want == _gfcore_py.rref(a, p)[1]
+            assert cols - 1 not in want

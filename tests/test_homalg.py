@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import errors, exactlin, homalg, quivalg, repmod
+from arquiver import _gfkernel, cli, errors, exactlin, homalg, quivalg, repmod
 from arquiver.errors import BudgetExhausted, InternalInvariantError, NotProjective
 from arquiver.exactlin import Matrix, PrimeField
 from arquiver.homalg import (
@@ -1176,31 +1176,65 @@ def test_a_wrong_syzygy_of_the_target_breaks_the_stable_hom_check(monkeypatch):
         stable_hom_proj(s, s)
 
 
-@pytest.mark.parametrize("name", sorted(_HOMALG_SMALL))
-def test_a_second_homalg_pass_is_all_memo_hits(name, monkeypatch):
-    # stable Hom, Ext^1(Y, tau X) and Ext^2(X, Y) on every pair, as a
-    # homalg-small pass reads them: the second pass row-reduces nothing
-    alg = _HOMALG_SMALL[name](3)
+def _homalg_pass(alg):
+    """Stable Hom, Ext^1(Y, tau X) and Ext^2(X, Y) on every pair of simples,
+    their syzygies and the indecomposable projectives and injectives, as a
+    homalg-small pass reads them."""
     vertices = range(alg.quiver.vertices)
     mods = [simple(alg, v) for v in vertices] + [syzygy(simple(alg, v)) for v in vertices]
     mods += [indecomposable_projective(alg, v) for v in vertices]
     mods += [repmod.indecomposable_injective(alg, v) for v in vertices]
+    taus = [ar_translate(x) for x in mods]
+    return [
+        (stable_hom_proj(x, y).stable_dim, ext_dim(y, tx, 1), ext_dim(x, y, 2))
+        for x, tx in zip(mods, taus)
+        for y in mods
+    ]
 
-    def homalg_pass():
-        taus = [ar_translate(x) for x in mods]
-        return [
-            (stable_hom_proj(x, y).stable_dim, ext_dim(y, tx, 1), ext_dim(x, y, 2))
-            for x, tx in zip(mods, taus)
-            for y in mods
-        ]
 
-    first = homalg_pass()
+@pytest.mark.parametrize("name", sorted(_HOMALG_SMALL))
+def test_a_second_homalg_pass_is_all_memo_hits(name, monkeypatch):
+    # the second pass row-reduces nothing: both kernel entry points that
+    # eliminate, rref and pivots, are counted, whichever exactlin function calls them
+    alg = _HOMALG_SMALL[name](3)
+    first = _homalg_pass(alg)
     calls = []
-    rref = exactlin.rref
-    monkeypatch.setattr(exactlin, "rref", lambda m: calls.append(m.shape) or rref(m))
-    assert homalg_pass() == first
+    for entry in ("rref", "pivots"):
+        kernel = getattr(_gfkernel, entry)
+        monkeypatch.setattr(_gfkernel, entry, lambda a, p, kernel=kernel: calls.append(a.shape) or kernel(a, p))
+    assert _homalg_pass(alg) == first
     assert not calls
     assert any(stable for stable, _, _ in first)
+
+
+def test_every_array_wrapped_as_reduced_is_2d_int64_and_in_range(monkeypatch, tmp_path):
+    # Matrix._reduced skips the checks and the % p of Matrix(field, entries),
+    # so every array it is handed must already be a reduced 2-D int64 array
+    wrap = Matrix._reduced.__func__
+    primes = []
+
+    def checked(cls, field, arr):
+        assert arr.ndim == 2 and arr.dtype == np.int64
+        assert not arr.size or (arr.min() >= 0 and arr.max() < field.p)
+        primes.append(field.p)
+        return wrap(cls, field, arr)
+
+    monkeypatch.setattr(Matrix, "_reduced", classmethod(checked))
+    for name, p in _HOMALG_SMALL_PRIMES.items():
+        _homalg_pass(_HOMALG_SMALL[name](p))
+    for p in (2, 3):
+        for _, mods in _reference_cases(p):
+            for m in mods:
+                decompose(m)
+                for n in mods:
+                    stable_hom_proj(m, n), ext_dim(n, ar_translate(m), 1)
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+    for name in ("a2", "kx2", "kx3", "t2_kx2"):
+        report = tmp_path / f"{name}.json"
+        argv = ["verify", "--manifest", str(cli.fixtures_dir() / f"manifest_{name}.json"), "--suite", "all"]
+        assert cli.main(argv + ["--seed", "0", "--json", str(report)]) == 0
+        assert report.read_bytes() == (golden / f"manifest_{name}.json").read_bytes()
+    assert {2, 3, 5} <= set(primes)
 
 
 def jordan(alg, d):

@@ -267,7 +267,7 @@ _KEPT_WITHOUT_A_JOB = {
     "are checked over",
     "factor_morph_map_through": "acceptance criterion 6: the factorization through the Mimo approximation",
     "is_stably_isomorphic": "acceptance criterion 7: Tr Tr M is M up to projective summands",
-    "tau_s_lambda": "ROADMAP item 3: Ringel and Schmidmeier's tau_S, the second route to the tau-syzygy verdict; it "
+    "tau_s_lambda": "ROADMAP item 5: Ringel and Schmidmeier's tau_S, the second route to the tau-syzygy verdict; it "
     "keeps ar_translate_of_map, transpose_of_map and NotMono",
 }
 

@@ -28,6 +28,12 @@ def a2_algebra(p=5):
     return build_algebra(Quiver(2, [("a", 0, 1)]), [], PrimeField(p))
 
 
+def test_equal_algebras_built_apart_compare_equal_and_hash_the_same():
+    a, b = loop_algebra(3), loop_algebra(3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a == a and a != loop_algebra(2) and a != loop_algebra(3, p=3)
+
+
 def test_loop_square_dimension_and_basis():
     alg = loop_algebra(2)
     assert alg.dimension == 2
