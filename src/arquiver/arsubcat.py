@@ -35,7 +35,6 @@ from .homalg import (
     ext_dim,
     is_selfinjective,
     minimal_presentation,
-    nonprojective_summands,
     right_minimalize,
     stable_hom_proj,
     syzygy,
@@ -54,7 +53,6 @@ from .repmod import (
     cokernel,
     compose,
     decompose,
-    direct_sum,
     indecomposable_injective,
     indecomposable_projective,
     is_epi,
@@ -68,7 +66,6 @@ from .repmod import (
     regular_module,
     require_certified,
     solve_hom_equation,
-    zero_module,
 )
 
 # ---------------------------------------------------------------------------
@@ -151,27 +148,24 @@ def has_finite_projdim(m: Representation) -> int | None:
 # relative translations
 
 
-def _nonprojective_part(m: Representation) -> Representation:
-    """The direct sum of the non-projective summands of m, or the zero module."""
-    parts = nonprojective_summands(m)
-    if not parts:
-        return zero_module(m.algebra)
-    return parts[0] if len(parts) == 1 else direct_sum(parts)[0]
-
-
 def tau_gprj(g: Representation) -> Representation:
     """Translation on Gorenstein projectives: apply the transpose, d minimal
     syzygies over the opposite algebra, the linear dual back, and d minimal
-    syzygies again.  Projective summands go to zero."""
+    syzygies again (`_tau_g_core`).  Projective summands go to zero: Tr
+    drops them, as `_tau_g_core` says."""
     if not is_gorenstein_projective(g):
         raise NotGorensteinProjective("input is not Gorenstein projective")
-    core = _nonprojective_part(g)
-    return core if core.is_zero() else _tau_g_core(core, gorenstein_profile(g.algebra))
+    return _tau_g_core(g, gorenstein_profile(g.algebra))
 
 
 def _tau_g_core(g: Representation, d: int) -> Representation:
-    """`tau_gprj` of a Gorenstein projective g without projective summands,
-    over a d-Gorenstein algebra, with neither check repeated."""
+    """`tau_gprj` of a Gorenstein projective g over a d-Gorenstein algebra,
+    with neither check repeated.  Projective summands of g need no
+    stripping, since every step starts from Tr and Tr drops them: the
+    minimal presentation of M (+) P is M's with P added to P0 and given no
+    relation, so d*: P0* -> P1* vanishes on P*, has the image of M's d*,
+    and Tr(M (+) P) = Coker d* is Tr M; in particular Tr P is zero
+    (Auslander, Reiten and Smalo, ch. IV)."""
     t = transpose(g)
     for _ in range(d):
         t = syzygy(t)
@@ -191,19 +185,20 @@ def tau_pfin(m: Representation) -> Representation:
     """Translation on modules of finite projective dimension over a
     1-Gorenstein algebra: present the ordinary translate minimally, push the
     presentation map to a monomorphism with the same cokernel behaviour, and
-    return the right-minimized induced map's source between the cokernels."""
+    return the right-minimized induced map's source between the cokernels
+    (`_tau_p_core`).  Projective summands go to zero."""
     _require_one_gorenstein(m.algebra)
-    core = _nonprojective_part(m)
-    if core.is_zero():
-        return core
-    if has_finite_projdim(core) is None:
+    if has_finite_projdim(m) is None:
         raise InfiniteProjectiveDimension("tau_pfin input must have finite projective dimension")
-    return _tau_p_core(core)
+    return _tau_p_core(m)
 
 
 def _tau_p_core(m: Representation) -> Representation:
-    """`tau_pfin` of m of finite projective dimension without projective
-    summands, over a 1-Gorenstein algebra, with no check repeated."""
+    """`tau_pfin` of m of finite projective dimension over a 1-Gorenstein
+    algebra, with no check repeated.  Projective summands of m need no
+    stripping: pd(M (+) P) is finite exactly when pd M is, as Omega(M (+) P)
+    is Omega M, and tau(M (+) P) = D Tr(M (+) P) is tau M, since Tr drops P
+    (see `_tau_g_core`)."""
     t = ar_translate(m)
     if t.is_zero():
         return t

@@ -4,9 +4,9 @@ matrix algebras.  All file formats are the JSON shapes defined by quivalg
 (algebras), repmod (modules) and morphcat (morphism objects).
 
 Exit codes: 0 success, including a verification whose only failures were
-predicted by the manifest and matched; 1 malformed input; 2 violated
-precondition, named in the diagnostic; 3 internal error; 4 verification ran
-but an expectation in the manifest was not met.
+predicted by the manifest and matched; 1 malformed input or command line;
+2 violated precondition, named in the diagnostic; 3 internal error;
+4 verification ran but an expectation in the manifest was not met.
 """
 
 from __future__ import annotations
@@ -207,37 +207,53 @@ def _bound(value, count: int, where: str, over: str) -> tuple[int, ...]:
     return bound
 
 
+def _known_keys(value: dict, known, where: str) -> None:
+    """ParseFailure naming the first key of value outside known: a misspelt
+    expectation would otherwise be dropped and pass unchecked."""
+    unknown = sorted(set(value) - set(known))
+    if unknown:
+        raise ParseFailure(f"{where}: unknown key {unknown[0]!r}")
+
+
 def load_manifest(path: str | Path) -> FixtureManifest:
     data = _load_json(path)
     root = Path(path).resolve().parent
     if "algebra" not in data:
         raise ParseFailure(f"{path}: manifest lacks an 'algebra' entry")
-    alg = _load_algebra(root / data["algebra"])
-    base = None
-    if data.get("base_algebra"):
-        base = _load_algebra(root / data["base_algebra"])
-        canonical, _ = t2_of(base)
-        if canonical != alg:
-            raise ParseFailure(
-                f"{path}: {data['algebra']} is not the triangular matrix "
-                f"algebra of {data['base_algebra']}"
-            )
-        alg = canonical
     # the strict JSON readers raise TypeError on a value of the wrong shape
     try:
+        alg = _load_algebra(root / _json_value(data["algebra"], str, f"{path}: 'algebra'"))
+        base = None
+        if "base_algebra" in data:
+            base = _load_algebra(root / _json_value(data["base_algebra"], str, f"{path}: 'base_algebra'"))
+            canonical, _ = t2_of(base)
+            if canonical != alg:
+                raise ParseFailure(
+                    f"{path}: {data['algebra']} is not the triangular matrix "
+                    f"algebra of {data['base_algebra']}"
+                )
+            alg = canonical
         entries = _json_value(data.get("modules", {}), dict, f"{path}: 'modules'")
         expected = _json_value(data.get("expected", {}), dict, f"{path}: 'expected'")
+        _known_keys(expected, ("indec_count", "gorenstein"), f"{path}: 'expected'")
         suites = _json_value(data.get("suites", {}), dict, f"{path}: 'suites'")
         unknown = sorted(set(suites) - set(_SUITE_ORDER))
         if unknown:
             raise ParseFailure(f"{path}: unknown suites {unknown}")
+        # the keys each suite reads; the three ar-* suites read the same ones
+        known = {"gp-census": ("bound", "counts"), "tau-syzygy": ("bound", "holds", "witnesses")}
         for suite, cfg in suites.items():
             _json_value(cfg, dict, f"{path}: suite {suite}")
+            _known_keys(cfg, known.get(suite, ("members", "all_equal", "pairs")), f"{path}: suite {suite}")
             if "counts" in cfg:
                 counts = _json_value(cfg["counts"], dict, f"{path}: {suite}.counts")
+                _known_keys(counts, ("a", "b", "c", "other"), f"{path}: {suite}.counts")
                 _json_list(list(counts.values()), int, f"{path}: the values of {suite}.counts")
             if "pairs" in cfg:
                 _json_value(cfg["pairs"], int, f"{path}: {suite}.pairs")
+            for key in ("all_equal", "holds"):
+                if key in cfg:
+                    _json_value(cfg[key], bool, f"{path}: {suite}.{key}")
             for key in ("members", "witnesses"):
                 if key in cfg:
                     _json_list(cfg[key], str, f"{path}: {suite}.{key}")
@@ -245,7 +261,12 @@ def load_manifest(path: str | Path) -> FixtureManifest:
         if count is not None:
             _json_value(count, int, f"{path}: expected.indec_count")
         if "gorenstein" in expected:
-            _json_value(expected["gorenstein"], dict, f"{path}: expected.gorenstein")
+            gorenstein = _json_value(expected["gorenstein"], dict, f"{path}: expected.gorenstein")
+            _known_keys(gorenstein, ("d", "selfinjective"), f"{path}: expected.gorenstein")
+            if "selfinjective" in gorenstein:
+                _json_value(gorenstein["selfinjective"], bool, f"{path}: expected.gorenstein.selfinjective")
+            if gorenstein.get("d") is not None:  # null: not Gorenstein within the caps
+                _json_value(gorenstein["d"], int, f"{path}: expected.gorenstein.d")
         nv = alg.quiver.vertices
         bound = _bound(data["bound"], nv, f"{path}: 'bound'", "the algebra") if "bound" in data else None
         # the census caps the triangular algebra of its base: two caps per vertex
@@ -328,7 +349,7 @@ def _run_profile(man: FixtureManifest) -> SuiteResult:
     ok = True
     exp = man.expected_gorenstein
     if exp is not None:
-        ok = bool(exp.get("selfinjective")) == (d == 0) and exp.get("d", d) == d
+        ok = exp.get("selfinjective", False) == (d == 0) and exp.get("d", d) == d
     detail = f"self-injective={d == 0}, d={d}"
     if d is None:
         detail += " (cap exceeded)"
@@ -375,9 +396,9 @@ def _run_duality(suite: str, man: FixtureManifest) -> SuiteResult:
     }
     expectation_met = True
     if "all_equal" in cfg:
-        expectation_met = report.all_equal == bool(cfg["all_equal"])
+        expectation_met = report.all_equal == cfg["all_equal"]
     if expectation_met and "pairs" in cfg:
-        expectation_met = len(report.pairs) == int(cfg["pairs"])
+        expectation_met = len(report.pairs) == cfg["pairs"]
     bad = [p for p in report.pairs if not p[4]]
     if report.all_equal:
         detail = f"{len(report.pairs)} pairs checked, all equal"
@@ -405,7 +426,7 @@ def _run_gp_census(man: FixtureManifest) -> SuiteResult:
     exp = cfg.get("counts")
     ok = True
     if exp is not None:
-        want = {key: int(exp.get(key, 0)) for key in ("a", "b", "c", "other")}
+        want = {key: exp.get(key, 0) for key in ("a", "b", "c", "other")}
         ok = census.counts == want
     c = census.counts
     detail = (
@@ -433,7 +454,7 @@ def _run_tau_syzygy(man: FixtureManifest) -> SuiteResult:
     payload = {"holds": holds, "witnesses": named}
     expectation_met = True
     if "holds" in cfg:
-        expectation_met = holds == bool(cfg["holds"])
+        expectation_met = holds == cfg["holds"]
     if expectation_met and "witnesses" in cfg:
         expectation_met = sorted(w["witness"] for w in named) == sorted(
             cfg["witnesses"]
@@ -543,7 +564,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage and the offending value; --help exits 0
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
     try:
         return args.func(args)
     except ParseFailure as exc:

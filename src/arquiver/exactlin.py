@@ -44,12 +44,6 @@ class PrimeField:
     def __setattr__(self, name, value):
         raise AttributeError("PrimeField is immutable")
 
-    def inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(p)")
-        return pow(x, self.p - 2, self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -172,10 +166,6 @@ def add(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._reduced(a.field, (a.a + b.a) % a.field.p)
 
 
-def scale(c: int, m: Matrix) -> Matrix:
-    return Matrix._reduced(m.field, (m.a * (c % m.field.p)) % m.field.p)
-
-
 def transpose(m: Matrix) -> Matrix:
     return Matrix._reduced(m.field, m.a.T.copy())
 
@@ -184,14 +174,6 @@ def hstack(mats: list[Matrix]) -> Matrix:
     if not mats:
         raise ValueError("hstack of nothing")
     return Matrix._reduced(mats[0].field, np.hstack([m.a for m in mats]))
-
-
-def direct_sum(a: Matrix, b: Matrix) -> Matrix:
-    _check_same_field(a, b)
-    out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=np.int64)
-    out[: a.rows, : a.cols] = a.a
-    out[a.rows :, a.cols :] = b.a
-    return Matrix(a.field, out)
 
 
 def kernel_basis(m: Matrix) -> Matrix:

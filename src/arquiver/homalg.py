@@ -50,7 +50,6 @@ from .repmod import (
     hom_basis,
     is_projective,
     k_dual,
-    non_nilpotent,
     projective_cover,
     projective_generators,
     projective_module,
@@ -58,6 +57,7 @@ from .repmod import (
     same_classes,
     solve_hom_equation,
     syzygy_step,
+    zero_module,
     _fitting_powers,
     _fitting_split,
     _image_offsets,
@@ -66,6 +66,7 @@ from .repmod import (
     _memo_of,
     _path_actions,
     _product_span,
+    _scalar_parts,
     _total_stack,
 )
 
@@ -354,7 +355,8 @@ def almost_split_sequence(m: Representation, n: Representation | None = None) ->
     acts, bound, y = _ext_coordinates(m, n)
     invariant(y.shape[1] > 0, "Ext^1(M, N) is zero")
     totals = _total_stack(hom_basis(n, n))
-    rad = _local_radical(totals, _fitting_powers(totals, p), field)
+    powers = _fitting_powers(totals, p)
+    rad = _local_radical(totals, powers, _scalar_parts(powers), field)
     if rad is None:
         raise BudgetExhausted(f"End(N) for N of dims {list(n.dims)} has a residue field larger than GF({p})")
     q = exactlin.kernel_basis(Matrix(field, bound.T)).a.T  # q w = 0 iff w is in B
@@ -411,8 +413,10 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
     """Split h: M -> N as h1 (+) (M2 -> 0) with h1: M1 -> N right minimal.
 
     Returns (M1, h1, M2).  Each step splits off, by Fitting's lemma, the
-    summand that the first non-nilpotent basis element of the stable ideal
-    power carries into ker h (see above); no search is involved.
+    summand that the first non-nilpotent basis element u of the stable ideal
+    power carries into ker h (see above); no search is involved.  u is the
+    first basis element whose Fitting power u^q (`repmod._fitting_powers`)
+    is nonzero, and the split is read off that power.
     """
     m = h.source
     p = m.algebra.field.p
@@ -421,11 +425,12 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
         w = _stable_ideal_power(h)
         if not len(w):
             break  # h is right minimal now
-        hits = np.flatnonzero(non_nilpotent(w, p))
+        powers = _fitting_powers(w, p)
+        hits = np.flatnonzero(powers.any(axis=(1, 2)))
         invariant(hits.size > 0, "stable ideal power has a nilpotent basis")
         # the image part of the Fitting split lies inside ker h because the
         # witness does
-        (ker_part, ker_incl), (im_part, im_incl) = _fitting_split(m, w[hits[0]])
+        (ker_part, ker_incl), (im_part, im_incl) = _fitting_split(m, powers[hits[0]])
         invariant(not im_part.is_zero(), "witness was nilpotent after all")
         invariant(compose(h, im_incl).is_zero(), "stripped part does not die under h")
         stripped.append(im_part)
@@ -434,7 +439,7 @@ def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Represent
     if stripped:
         m2 = direct_sum(stripped)[0] if len(stripped) > 1 else stripped[0]
     else:
-        m2 = projective_module(h.source.algebra, ())  # the zero module
+        m2 = zero_module(h.source.algebra)
     return m, h, m2
 
 

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._gfkernel import matmul as _matmul, rref as _rref
+from ._gfkernel import rref as _rref
 from .errors import MalformedRelation, NotFiniteDimensional, invariant
 from .exactlin import PrimeField
 
@@ -80,16 +80,19 @@ BasisPath = tuple[int, tuple[str, ...]]
 
 
 class _DegreeTable:
-    """Reduction data for one path degree d >= 1."""
+    """Reduction data for one path degree d >= 1: the rref of the whole
+    degree-d piece of the ideal, A1 I_{d-1} + I_{d-1} A1 plus the relations
+    of degree d, over the length-d paths.  A path is a normal form unless it
+    is a pivot, and a pivot path is congruent to minus the rest of its row,
+    which lies on normal forms."""
 
-    __slots__ = ("paths", "index", "red", "pivots", "nf_positions")
+    __slots__ = ("paths", "index", "red", "pivot_rows")
 
-    def __init__(self, paths, index, red, pivots, nf_positions):
+    def __init__(self, paths, index, red, pivots):
         self.paths = paths  # all length-d paths, as tuples of arrow ids
         self.index = index  # path -> position in `paths`
         self.red = red  # rref basis of the ideal's degree-d piece
-        self.pivots = pivots
-        self.nf_positions = nf_positions  # non-pivot positions = normal forms
+        self.pivot_rows = {c: r for r, c in enumerate(pivots)}  # pivot position -> its row of red
 
 
 class BoundQuiverAlgebra:
@@ -136,32 +139,19 @@ class BoundQuiverAlgebra:
         return list(self._by_source_target.get((source, target), []))
 
     def reduce_path(self, source: int, arrows: tuple[str, ...]) -> dict[BasisPath, int]:
-        """Normal form of a composable path, as {basis path: coefficient}."""
-        p = self.field.p
-        terms: dict[tuple[str, ...], int] = {arrows[:0]: 1}
-        src = source
-        for d, aid in enumerate(arrows, start=1):
-            grown: dict[tuple[str, ...], int] = {}
-            for pa, c in terms.items():
-                grown[pa + (aid,)] = c
-            terms = self._reduce_degree(d, grown)
-            if not terms:
-                return {}
-        return {(src, pa): c for pa, c in terms.items()}
-
-    def _reduce_degree(self, d, terms: dict[tuple[str, ...], int]) -> dict:
-        """Reduce a degree-d path combination to normal-form support."""
-        if d > self._max_degree:
+        """Normal form of a composable path, as {basis path: coefficient},
+        read off the path's own column of its degree's `_DegreeTable`."""
+        if not arrows:
+            return {(source, ()): 1}
+        if len(arrows) > self._max_degree:
             return {}
-        table = self._deg[d]
+        table = self._deg[len(arrows)]
+        i = table.index[arrows]
+        if i not in table.pivot_rows:
+            return {(source, table.paths[i]): 1}
+        row = table.red[table.pivot_rows[i]]
         p = self.field.p
-        vec = np.zeros(len(table.paths), dtype=np.int64)
-        for pa, c in terms.items():
-            vec[table.index[pa]] = c % p
-        if table.red.shape[0]:
-            drop = _matmul(vec[table.pivots].reshape(1, -1), table.red, p)[0]
-            vec = (vec - drop) % p
-        return {table.paths[i]: int(vec[i]) for i in table.nf_positions if vec[i]}
+        return {(source, table.paths[j]): p - int(row[j]) for j in np.flatnonzero(row) if j != i}
 
     def __eq__(self, other):
         return other is self or (
@@ -295,8 +285,8 @@ def build_algebra(quiver: Quiver, relations, field: PrimeField, degree_cap: int 
             red = red[: len(pivots)]
         else:
             red, pivots = np.zeros((0, len(paths)), dtype=np.int64), []
-        nf_positions = [i for i in range(len(paths)) if i not in set(pivots)]
-        deg_tables.append(_DegreeTable(paths, index, red, list(pivots), nf_positions))
+        deg_tables.append(_DegreeTable(paths, index, red, pivots))
+        nf_positions = [i for i in range(len(paths)) if i not in deg_tables[-1].pivot_rows]
         src_of = {pa: quiver.arrow(pa[0]).source for pa in paths}
         basis.extend((src_of[paths[i]], paths[i]) for i in nf_positions)
         if not nf_positions:
@@ -400,7 +390,7 @@ def algebra_to_json_dict(alg: BoundQuiverAlgebra) -> dict:
 
 def _json_names(kind: type) -> tuple[str, str]:
     """The name of the JSON type kind, singular with its article, and plural."""
-    return {int: ("an integer", "integers"), str: ("a string", "strings"),
+    return {int: ("an integer", "integers"), str: ("a string", "strings"), bool: ("a boolean", "booleans"),
             dict: ("a JSON object", "JSON objects"), list: ("a list", "lists")}[kind]
 
 

@@ -191,20 +191,6 @@ def add_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
     )
 
 
-def scale_map(c: int, f: ModuleMap) -> ModuleMap:
-    return ModuleMap(f.source, f.target, [exactlin.scale(c, m) for m in f.vertex_maps], validate=False)
-
-
-def zero_module(algebra: BoundQuiverAlgebra) -> Representation:
-    n = algebra.quiver.vertices
-    return Representation(
-        algebra,
-        (0,) * n,
-        {a.id: Matrix.zeros(algebra.field, 0, 0) for a in algebra.quiver.arrows},
-        validate=False,
-    )
-
-
 # ---------------------------------------------------------------------------
 # hom spaces
 
@@ -260,12 +246,16 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
 
 
 def map_from_coefficients(basis: list[ModuleMap], coeffs) -> ModuleMap:
+    """sum_k coeffs[k] basis[k]: one product per vertex, of the coefficient
+    row with the stacked vertex maps of the basis."""
     f = basis[0]
-    out = zero_map(f.source, f.target)
-    for c, g in zip(coeffs, basis):
-        if c % f.source.algebra.field.p:
-            out = add_maps(out, scale_map(int(c), g))
-    return out
+    field = f.source.algebra.field
+    c = np.asarray(coeffs, dtype=np.int64)[None] % field.p
+    vms = []
+    for v, (rows, cols) in enumerate(zip(f.target.dims, f.source.dims)):
+        stack = np.stack([g.vertex_maps[v].a.reshape(-1) for g in basis])
+        vms.append(Matrix._reduced(field, _matmul_stacks(c, stack, field.p).reshape(rows, cols)))
+    return ModuleMap(f.source, f.target, vms, validate=False)
 
 
 def is_mono(f: ModuleMap) -> bool:
@@ -381,15 +371,15 @@ def direct_sum(summands: list[Representation]) -> tuple[Representation, list[Mod
     if not summands:
         raise ValueError("direct_sum of nothing; use zero_module")
     alg = summands[0].algebra
+    if any(s.algebra != alg for s in summands):
+        raise ValueError("direct_sum of modules over different algebras")
     field = alg.field
     nv = alg.quiver.vertices
     dims = [sum(s.dims[i] for s in summands) for i in range(nv)]
-    maps = {}
-    for a in alg.quiver.arrows:
-        acc = summands[0].arrow_maps[a.id]
-        for s in summands[1:]:
-            acc = exactlin.direct_sum(acc, s.arrow_maps[a.id])
-        maps[a.id] = acc
+    maps = {
+        a.id: Matrix._reduced(field, _block_diagonal([s.arrow_maps[a.id].a for s in summands]))
+        for a in alg.quiver.arrows
+    }
     total = Representation(alg, dims, maps, validate=False)
     # at each vertex, summand s sits in the columns end - d to end of the identity
     eyes = [np.eye(d, dtype=np.int64) for d in dims]
@@ -464,6 +454,11 @@ def _block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
     for b, r, c in zip(blocks, rows, cols):
         out[r : r + b.shape[0], c : c + b.shape[1]] = b
     return out
+
+
+def zero_module(algebra: BoundQuiverAlgebra) -> Representation:
+    """The zero module: the empty sum of projectives, one per algebra object."""
+    return projective_module(algebra, ())
 
 
 def regular_module(algebra: BoundQuiverAlgebra) -> Representation:
@@ -697,13 +692,13 @@ def _complementary_split(part1, part2, failure: str):
     return part1, part2
 
 
-def _fitting_split(m: Representation, f: np.ndarray):
-    """Fitting's lemma: M = ker f^e (+) im f^e for the total matrix f of an
-    endomorphism, where e is the least power of two with e >= dim M (kernels
-    and images of the powers of f have stabilized by then).  Returns (ker
-    part, im part) as `_complementary_split` does; either part may be zero."""
-    e = 1 << (m.total_dim - 1).bit_length()
-    power = _block_map(m, _power_stack(f[None], e, m.algebra.field.p)[0])
+def _fitting_split(m: Representation, power: np.ndarray):
+    """Fitting's lemma: M = ker f^q (+) im f^q for an endomorphism f and
+    q >= dim M, when kernels and images of the powers of f have stabilized;
+    `power` is the total matrix of f^q, as `_fitting_powers` gives it, or an
+    idempotent, which is its own power.  Returns (ker part, im part) as
+    `_complementary_split` does; either part may be zero."""
+    power = _block_map(m, power)
     return _complementary_split(kernel(power), image(power), "Fitting split is not a direct sum")
 
 
@@ -732,12 +727,6 @@ def nontrivial_idempotent(phi: np.ndarray, p: int) -> np.ndarray:
     sq = _matmul_stacks(phi, phi, p)
     ident = np.eye(phi.shape[1], dtype=np.int64)
     return (sq == phi).all(axis=(1, 2)) & phi.any(axis=(1, 2)) & (phi != ident).any(axis=(1, 2))
-
-
-def non_nilpotent(phi: np.ndarray, p: int) -> np.ndarray:
-    """Mask over a stack of D x D matrices: phi^e is nonzero for e the least
-    power of two >= D, that is, phi is not nilpotent."""
-    return _power_stack(phi, 1 << (phi.shape[1] - 1).bit_length(), p).any(axis=(1, 2))
 
 
 def _power_stack(phi: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -778,17 +767,23 @@ def _nilpotent_span(nil: np.ndarray, field) -> bool:
 
 def _fitting_powers(totals: np.ndarray, p: int) -> np.ndarray:
     """f^q for a stack of D x D matrices f, q the least power of p >= D: f^q
-    has Fitting's kernel and image, and (c + n)^q = c + n^q for a scalar c."""
+    has Fitting's kernel and image, so it is nonzero exactly when f is not
+    nilpotent, and (c + n)^q = c + n^q for a scalar c."""
     q = 1
     while q < totals.shape[1]:
         q *= p
     return _power_stack(totals, q, p)
 
 
-def _local_radical(totals: np.ndarray, powers: np.ndarray, field) -> np.ndarray | None:
-    """`decompose`'s step 2: the stack of the f - c_f 1 when every f^q is c_f 1
-    and they span an N with N^D = 0, so End = k 1 + N is local with N = rad End."""
-    scalars = powers[:, :1, :1] * np.eye(totals.shape[1], dtype=np.int64)
+def _scalar_parts(powers: np.ndarray) -> np.ndarray:
+    """c_f 1 for each f^q of a stack of `_fitting_powers`, c_f its (0, 0) entry."""
+    return powers[:, :1, :1] * np.eye(powers.shape[1], dtype=np.int64)
+
+
+def _local_radical(totals: np.ndarray, powers: np.ndarray, scalars: np.ndarray, field) -> np.ndarray | None:
+    """`decompose`'s step 2: the stack of the f - c_f 1 when every f^q is its
+    scalar part c_f 1 (`_scalar_parts`) and they span an N with N^D = 0, so
+    End = k 1 + N is local with N = rad End."""
     nil = (totals - scalars) % field.p
     return nil if (powers == scalars).all() and _nilpotent_span(nil, field) else None
 
@@ -796,9 +791,9 @@ def _local_radical(totals: np.ndarray, powers: np.ndarray, field) -> np.ndarray 
 def _decompose_indec_evidence(m, endos):
     """`decompose`'s three steps on m, with End(m) already computed.  Returns
     ((evidence, certified), None) when they do not split m, and otherwise
-    (None, x): the split is `_fitting_split(m, x)`, for the Fitting element
-    or the nontrivial idempotent x (an idempotent is its own Fitting power,
-    so its split is ker x (+) im x)."""
+    (None, x): the split is `_fitting_split(m, x)`, for the Fitting power x
+    that step 1 tested or the nontrivial idempotent x of step 3 (its own
+    Fitting power, so its split is ker x (+) im x)."""
     field = m.algebra.field
     p = field.p
     t = len(endos)
@@ -807,13 +802,13 @@ def _decompose_indec_evidence(m, endos):
     totals = _total_stack(endos)  # (t, D, D)
     dd = totals.shape[1]
     powers = _fitting_powers(totals, p)
-    scalars = powers[:, :1, :1] * np.eye(dd, dtype=np.int64)
+    scalars = _scalar_parts(powers)
     # 1. the first basis element f that is neither nilpotent nor a unit splits M
-    for f, power, scalar in zip(totals, powers, scalars):
+    for power, scalar in zip(powers, scalars):
         if (power != scalar).any() and exactlin.rank(Matrix(field, power)) < dd:
-            return None, f
+            return None, power
     # 2. End is local with residue field GF(p)
-    if _local_radical(totals, powers, field) is not None:
+    if _local_radical(totals, powers, scalars, field) is not None:
         return ("endomorphism algebra is local: scalars plus a nilpotent ideal", True), None
     # 3. neither settles it (say End/rad End is a larger field): search all of End
     if p**t <= _EXACT_ENUM_LIMIT:
@@ -831,12 +826,13 @@ def decompose(m: Representation) -> DecompositionCertificate:
     indecomposable outright.  Every other piece, of dimension D, goes through
     three deterministic steps, in this order:
 
-    1. Fitting split: the first End-basis element f that is neither
-       nilpotent nor invertible splits the piece as ker f^e (+) im f^e, e >= D.
-    2. Locality certificate: with q the least power of p with q >= D, every
-       basis element has f^q = c_f 1, and the span N of the f - c_f 1 has
-       N^D = 0.  Then End = k 1 (+) (nilpotent ideal) is local and the piece
-       is indecomposable.
+    1. Fitting split: with q the least power of p with q >= D, the first
+       End-basis element f that is neither nilpotent nor invertible splits
+       the piece as ker f^e (+) im f^e, e >= D, read at e = q, the power
+       that tested it.
+    2. Locality certificate: every basis element has f^q = c_f 1, and the
+       span N of the f - c_f 1 has N^D = 0.  Then End = k 1 (+) (nilpotent
+       ideal) is local and the piece is indecomposable.
     3. Fallback, when neither step settles the piece: an exhaustive search of
        End for a nontrivial idempotent e, which splits the piece as
        ker e (+) im e or certifies it, while p^t <= `_EXACT_ENUM_LIMIT`

@@ -333,6 +333,27 @@ def test_tau_pfin_preconditions(t2_modules):
         tau_pfin(t2m["G1"])
 
 
+@pytest.mark.python_O
+@pytest.mark.parametrize("n, p", [(2, 5), (3, 2)], ids=["S2-p5", "S3-p2"])
+def test_translates_drop_a_projective_summand(n, p, t2_modules):
+    # Tr drops projective summands, so tau_G and tau_P need not strip them:
+    # every non-projective GP member of S(n), and the PFIN members of the
+    # t2_kx2 manifest, against the same member plus each P(v)
+    cases = []
+    members = _gp_members(loop_algebra(n, p), (arsubcat._KNIT_DIM_CAP,) * 2)
+    cases += [(tau_gprj, x) for x, t in members if t is not None]
+    if p == 5:
+        _, t2m, _ = t2_modules
+        cases += [(tau_pfin, t2m[name]) for name in ("I0", "LxL", "P0", "P1")]
+    assert len(cases) >= 3
+    for translate, x in cases:
+        want = require_certified(decompose(translate(x))).summands
+        for v in range(x.algebra.quiver.vertices):
+            padded = direct_sum([x, indecomposable_projective(x.algebra, v)])[0]
+            got = require_certified(decompose(translate(padded))).summands
+            assert same_classes(got, want), (translate.__name__, x.dims, v)
+
+
 # ---------------------------------------------------------------------------
 # transpose of morphisms between projectives
 
@@ -384,6 +405,7 @@ def _random_map_between_projectives(alg, rng):
     return MorphObject(src, tgt, compose(u, f))
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("power", [2, 3])
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("seed", range(3))
@@ -722,6 +744,7 @@ def _reference_gp_morph_modules(base, bound):
     return classes
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize(
     "make, bound",
     [
@@ -805,6 +828,7 @@ def comm_square(p: int = 2):
     )
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("batch", [None, 5], ids=["batch-default", "batch-5"])
 @pytest.mark.parametrize(
     "make, dims_list",
@@ -878,6 +902,7 @@ def test_census_memoizes_each_tau_g_as_tau_gprj(make):
             assert is_isomorphic(t, tau_gprj(x))
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("make", [lambda: loop_algebra(2), lambda: loop_algebra(3, 2)], ids=["kx2-p5", "kx3-p2"])
 def test_relative_almost_split_sequences_do_not_split_and_their_dims_add_up(make):
     base = make()
@@ -1008,6 +1033,7 @@ _KNIT_CASES = {
 }
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("name", list(_KNIT_CASES))
 def test_indec_pool_matches_the_exhaustive_reference(name):
     # the knitted list, cut at its own largest dims, against every
@@ -1029,6 +1055,7 @@ def test_indec_pool_of_t2_kx3_has_27_classes(p):
     assert all(len(require_certified(decompose(m)).summands) == 1 for m in pool)
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("make", [_kronecker, lambda: t2_of(loop_algebra(4, 2))[0]], ids=["kronecker", "t2_kx4"])
 def test_knitting_a_representation_infinite_algebra_is_not_certified(make):
     alg = make()
@@ -1056,6 +1083,7 @@ def test_indec_pool_is_memoized_once_per_algebra(monkeypatch):
     assert len(built) == 2  # one sequence per non-projective member, (1,) and (2,)
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("name", ["a2", "kx2", "kx3", "t2_kx2"])
 def test_knitted_list_is_closed_and_its_sequences_do_not_split_on_the_manifests(name):
     alg = load_manifest(fixtures_dir() / f"manifest_{name}.json").algebra

@@ -464,12 +464,29 @@ def test_verify_mismatched_base_algebra_exits_1(capsys, tmp_path):
          "gp-census.bound must hold a non-negative integer per vertex of the triangular algebra of the base (2)"),
         (lambda m: m["suites"]["tau-syzygy"].update({"bound": [2, 2, 2]}),
          "tau-syzygy.bound must hold a non-negative integer per vertex of the algebra (1)"),
+        (lambda m: m.update({"algebra": 5}), "'algebra' must be a string"),
+        (lambda m: m.update({"algebra": ["kx2.json"]}), "'algebra' must be a string"),
+        (lambda m: m.update({"base_algebra": 5}), "'base_algebra' must be a string"),
+        (lambda m: m.update({"base_algebra": ["kx2.json"]}), "'base_algebra' must be a string"),
+        (lambda m: m["suites"]["ar-full"].update({"all_equal": "no"}), "ar-full.all_equal must be a boolean"),
+        (lambda m: m["expected"]["gorenstein"].update({"selfinjective": "false"}),
+         "expected.gorenstein.selfinjective must be a boolean"),
+        (lambda m: m["suites"]["tau-syzygy"].update({"holds": 0}), "tau-syzygy.holds must be a boolean"),
+        (lambda m: m["expected"]["gorenstein"].update({"d": "0"}), "expected.gorenstein.d must be an integer"),
+        (lambda m: m["suites"]["ar-full"].update({"all_equals": False}), "suite ar-full: unknown key 'all_equals'"),
+        (lambda m: m["suites"]["gp-census"]["counts"].update({"d": 0}), "gp-census.counts: unknown key 'd'"),
+        (lambda m: m["expected"].update({"indec_counts": 2}), "'expected': unknown key 'indec_counts'"),
+        (lambda m: m["expected"]["gorenstein"].update({"self_injective": True}),
+         "expected.gorenstein: unknown key 'self_injective'"),
     ],
     ids=["suite-list", "bound-string", "expected-list", "modules-list", "module-path", "census-bound", "census-counts",
          "indec-count-string", "gorenstein-list", "pairs-string", "pairs-numeral", "indec-count-float",
          "members-number", "witnesses-number",
          "bound-missing", "bound-too-long", "bound-negative", "bound-float", "tau-syzygy-bound-bool",
-         "census-bound-too-short", "tau-syzygy-bound-too-long"],
+         "census-bound-too-short", "tau-syzygy-bound-too-long",
+         "algebra-number", "algebra-list", "base-algebra-number", "base-algebra-list", "all-equal-string",
+         "selfinjective-string", "holds-number", "gorenstein-d-string", "suite-unknown-key", "counts-unknown-key",
+         "expected-unknown-key", "gorenstein-unknown-key"],
 )
 def test_verify_malformed_manifest_shapes_exit_1(capsys, tmp_path, edit, phrase):
     fx = tmp_path / "fx"
@@ -537,6 +554,27 @@ def test_verify_negative_seed_exits_1(capsys, monkeypatch):
         ["verify", "--manifest", str(FIX / "manifest_kx2.json"), "--suite", "all", "--seed", "-1"], capsys)
     assert code == 1 and out == ""
     assert "--seed must be a non-negative integer, got -1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, phrase",
+    [
+        (["verify", "--manifest", str(FIX / "manifest_kx2.json"), "--suite", "bogus"], "'bogus'"),
+        (["compute", "--algebra", str(FIX / "kx2.json"), "--module", str(FIX / "kx2_S.json"), "--op", "bogus"],
+         "'bogus'"),
+        (["verify", "--manifest", str(FIX / "manifest_kx2.json"), "--suite", "all", "--seed", "abc"], "'abc'"),
+        (["verify", "--suite", "all"], "--manifest"),
+    ],
+    ids=["suite", "op", "seed", "missing-manifest"],
+)
+def test_usage_errors_exit_1_and_name_the_value(argv, phrase, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 1 and phrase in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run(["verify", "--help"], capsys)
+    assert code == 0 and "--manifest" in out
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from arquiver.exactlin import (
     Matrix,
     PrimeField,
-    direct_sum,
     image_membership,
     inverse,
     kernel_basis,
@@ -32,6 +31,7 @@ def test_primefield_rejects_nonprime():
     assert PrimeField(2147483647).p == 2147483647  # 2^31 - 1 is prime
 
 
+@pytest.mark.python_O
 def test_primefield_accepts_exactly_the_primes():
     # a sieve for n < 10^4, then the largest order, Carmichael numbers, an
     # odd composite just below it and the square of a prime near sqrt(2^31)
@@ -81,11 +81,6 @@ def test_solve_frozen_examples():
     assert solve(Matrix(F5, [[0]]), Matrix(F5, [[1]])) is None
     with pytest.raises(ValueError):
         solve(Matrix(F5, [[1, 2]]), Matrix(F5, [[1], [2]]))
-
-
-def test_direct_sum_frozen_example():
-    s = direct_sum(Matrix(F5, [[2]]), Matrix(F5, [[3]]))
-    assert s.tolist() == [[2, 0], [0, 3]]
 
 
 def test_zero_row_and_zero_column_shapes():
@@ -298,6 +293,7 @@ def test_solve_answers_exactly_when_a_solution_exists(mat, data):
         assert _reference_product(entries, x.tolist(), p, rhs_cols) == b.tolist()
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("p", [2, 3, 5, 2147483647])
 def test_pivots_are_the_pivot_columns_of_rref(p):
     from arquiver import _gfcore_py
@@ -322,6 +318,7 @@ def test_pivots_are_the_pivot_columns_of_rref(p):
     assert ranks == {"zero", "full", "between"}
 
 
+@pytest.mark.python_O
 def test_pivots_at_the_largest_prime_do_not_overflow():
     from arquiver import _gfcore_py
 

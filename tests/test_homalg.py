@@ -207,6 +207,7 @@ def _check_cosyzygy(m):
 _HOMALG_SMALL_PRIMES = {"kx4": 2, "a3rsz": 3, "t2kx2": 5, "square": 3, "t2kx3": 2}
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("name", sorted(_HOMALG_SMALL_PRIMES))
 def test_cosyzygy_matches_the_envelope_reference_on_the_homalg_small_inputs(name):
     # the workload's inputs: simples, indecomposable projectives and
@@ -222,6 +223,7 @@ def test_cosyzygy_matches_the_envelope_reference_on_the_homalg_small_inputs(name
     assert any(not cosyzygy(m).is_zero() for m in inputs)
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("p", [2, 3])
 def test_cosyzygy_matches_the_envelope_reference_on_random_modules(p):
     for _, mods in _reference_cases(p):
@@ -746,7 +748,7 @@ def test_functorial_translate_frozen_over_loop_square():
 
 def test_functorial_translate_respects_composition_stably():
     from arquiver.homalg import ar_translate_of_map
-    from arquiver.repmod import add_maps, scale_map, hom_basis, map_from_coefficients
+    from arquiver.repmod import hom_basis, map_from_coefficients
 
     alg = loop_algebra(3)
     rng = np.random.default_rng(29)
@@ -762,7 +764,7 @@ def test_functorial_translate_respects_composition_stably():
         g = map_from_coefficients(hnk, [int(c) for c in rng.integers(0, p, len(hnk))])
         lhs = ar_translate_of_map(compose(g, f))
         rhs = compose(ar_translate_of_map(g), ar_translate_of_map(f))
-        diff = add_maps(lhs, scale_map(p - 1, rhs))
+        diff = map_from_coefficients([lhs, rhs], [1, p - 1])
         # equal in the injectively stable category
         assert _factors_through_injective(diff)
         done += 1
@@ -851,6 +853,7 @@ def test_memoized_resolution_matches_a_fresh_copy(p):
         assert repmod._memo_of(untouched) is m._memo
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("p", [2, 3])
 def test_an_equal_module_reads_the_same_presentation(p):
     for m, _ in _memo_cases(p):
@@ -871,6 +874,7 @@ def test_shared_path_actions_are_read_only():
             a[...] = 0
 
 
+@pytest.mark.python_O
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(_MINIMALIZE_ALGEBRAS)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
 def test_shared_memos_match_a_recompute_over_a_fresh_algebra(name, p, seed):
@@ -953,6 +957,7 @@ def _check_stable_hom(m, n):
     return got
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_stable_hom_proj_matches_the_hom_basis_route(p):
     seen = set()
@@ -965,6 +970,7 @@ def test_stable_hom_proj_matches_the_hom_basis_route(p):
     assert {(True, True, False), (True, True, True)} <= seen
 
 
+@pytest.mark.python_O
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(_HOMALG_SMALL)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
 def test_stable_hom_proj_matches_the_hom_basis_route_on_random_modules(name, p, seed):
@@ -991,6 +997,7 @@ def _check_factoring_on_one_system(m, n):
     return got
 
 
+@pytest.mark.python_O
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(_HOMALG_SMALL)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
 def test_factoring_dim_matches_one_system_over_the_cover_on_random_modules(name, p, seed):
@@ -1010,6 +1017,7 @@ def _benchmark_workloads():
     return module
 
 
+@pytest.mark.python_O
 def test_factoring_dim_matches_one_system_over_the_cover_on_the_homalg_large_inputs():
     workloads = _benchmark_workloads()
     groups = workloads.large_inputs(0, dict(workloads.small_algebras()))
@@ -1057,6 +1065,7 @@ def _check_ext(m, n, i):
     return got.dim
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("i", [1, 2])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_ext_matches_the_hom_basis_route(p, i):
@@ -1068,6 +1077,7 @@ def test_ext_matches_the_hom_basis_route(p, i):
     assert nonzero
 
 
+@pytest.mark.python_O
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(_HOMALG_SMALL)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
 def test_ext_matches_the_hom_basis_route_on_random_modules(name, p, seed):
@@ -1127,6 +1137,7 @@ def _outside_ker_eps(m):
     return w
 
 
+@pytest.mark.python_O
 def test_a_corrupted_relation_column_breaks_the_presentation_check(monkeypatch):
     # S over k[x]/(x^2): P0 = L, Omega S = rad L, P1 = L; the one relation,
     # d's column at the generator of P1, moved off ker eps, must trip the
@@ -1149,6 +1160,7 @@ def test_a_corrupted_relation_column_breaks_the_presentation_check(monkeypatch):
         ext(s, s, 1)
 
 
+@pytest.mark.python_O
 def test_a_corrupted_syzygy_inclusion_breaks_the_presentation_check(monkeypatch):
     # Omega S = rad L is one-dimensional, so adding w to its inclusion moves
     # the image of the generator of P1 off ker eps
@@ -1167,6 +1179,7 @@ def test_a_corrupted_syzygy_inclusion_breaks_the_presentation_check(monkeypatch)
         stable_hom_proj(s, s)
 
 
+@pytest.mark.python_O
 def test_a_wrong_syzygy_of_the_target_breaks_the_stable_hom_check(monkeypatch):
     # Omega N swapped for P(N) + P(N): Hom(S, P(N)) = soc L is nonzero, so
     # dim Hom(M, P(N)) - dim Hom(M, Omega N) falls below 0
@@ -1192,6 +1205,7 @@ def _homalg_pass(alg):
     ]
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("name", sorted(_HOMALG_SMALL))
 def test_a_second_homalg_pass_is_all_memo_hits(name, monkeypatch):
     # the second pass row-reduces nothing: both kernel entry points that
@@ -1207,6 +1221,7 @@ def test_a_second_homalg_pass_is_all_memo_hits(name, monkeypatch):
     assert any(stable for stable, _, _ in first)
 
 
+@pytest.mark.python_O
 def test_every_array_wrapped_as_reduced_is_2d_int64_and_in_range(monkeypatch, tmp_path):
     # Matrix._reduced skips the checks and the % p of Matrix(field, entries),
     # so every array it is handed must already be a reduced 2-D int64 array
@@ -1242,6 +1257,7 @@ def jordan(alg, d):
     return Representation(alg, [d], {"x": Matrix(alg.field, np.eye(d, k=-1, dtype=np.int64))})
 
 
+@pytest.mark.python_O
 def test_almost_split_sequence_refuses_a_class_that_is_not_a_cocycle(monkeypatch):
     # J_3 over k[x]/(x^5) has the resolution ... -> L -x^2-> L -x^3-> L, and
     # tau J_3 = J_3.  A map P1 = L -> J_3 is a cocycle iff its generator
@@ -1290,7 +1306,7 @@ def _reference_extension_from_cocycle(m, n, f):
     assert fbar is not None
     p = m.algebra.field.p
     _, incls, _ = direct_sum([n, eps.source])
-    g = repmod.add_maps(compose(incls[0], fbar), repmod.scale_map(p - 1, compose(incls[1], kappa)))
+    g = repmod.map_from_coefficients([compose(incls[0], fbar), compose(incls[1], kappa)], [1, p - 1])
     e, proj_e = cokernel(g)
     return e, compose(proj_e, incls[0])
 
@@ -1307,6 +1323,7 @@ def _knitted_lists():
     yield "t2kx3-p3", t2_of(loop_algebra(3, 3))[0]
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("name, alg", list(_knitted_lists()), ids=[name for name, _ in _knitted_lists()])
 def test_almost_split_sequence_matches_the_pushout_reference(name, alg, monkeypatch):
     # (E, inclusion of N) entry for entry as the pushout from Omega M builds
@@ -1336,6 +1353,7 @@ def test_almost_split_sequence_matches_the_pushout_reference(name, alg, monkeypa
     assert seen
 
 
+@pytest.mark.python_O
 @pytest.mark.parametrize("n, i", [(4, 2), (5, 2), (5, 3)])
 def test_almost_split_sequence_takes_the_socle_of_ext(n, i):
     # 0 -> J_i -> J_{i-1} (+) J_{i+1} -> J_i -> 0 over k[x]/(x^n), where
@@ -1349,6 +1367,7 @@ def test_almost_split_sequence_takes_the_socle_of_ext(n, i):
     assert middle.total_dim == 2 * x.total_dim and is_isomorphic(cokernel(incl)[0], x)
 
 
+@pytest.mark.python_O
 def test_almost_split_sequence_checks_its_socle_is_one_vector():
     # Ext^1(S (+) S, S) over k[x]/(x^2) is two-dimensional and End(S) = k has
     # zero radical, so the whole of it is the socle: S (+) S is no

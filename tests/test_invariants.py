@@ -15,6 +15,8 @@ from arquiver.quivalg import Quiver, build_algebra
 from arquiver.repmod import projective_cover, simple_module
 
 FIX = cli.fixtures_dir()
+# the whole file runs in the CI step under python -O
+pytestmark = pytest.mark.python_O
 
 
 def test_package_has_no_assert_statements():

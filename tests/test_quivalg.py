@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from arquiver.cli import fixtures_dir
@@ -144,3 +145,43 @@ def test_semisimple_quiver():
     assert alg.dimension == 3
     assert alg.path_basis(0, 0) == [(0, ())]
     assert alg.path_basis(0, 1) == []
+
+
+def _reference_reduce_path(alg, source, arrows):
+    """The degree-by-degree reduction that `reduce_path` replaced: the normal
+    form of each prefix, times the next arrow, reduced again in its degree."""
+    p = alg.field.p
+    terms = {(): 1}
+    for d, aid in enumerate(arrows, start=1):
+        if d > alg._max_degree:
+            return {}
+        table = alg._deg[d]
+        vec = np.zeros(len(table.paths), dtype=np.int64)
+        for pa, c in terms.items():
+            vec[table.index[pa + (aid,)]] = c % p
+        pivots = list(table.pivot_rows)
+        if pivots:
+            vec = (vec - vec[pivots] @ table.red) % p
+        terms = {table.paths[i]: int(c) for i, c in enumerate(vec) if c and i not in table.pivot_rows}
+        if not terms:
+            return {}
+    return {(source, pa): c for pa, c in terms.items()}
+
+
+@pytest.mark.python_O
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reduce_path_matches_the_degree_by_degree_reference(p):
+    seen = 0
+    for name in ("a2", "kx2", "kx3", "t2_kx2"):
+        data = json.loads((fixtures_dir() / f"{name}.json").read_text())
+        base = algebra_from_json_dict({**data, "field_p": p})
+        t2 = t2_of(base)[0]
+        for alg in (base, opposite(base), t2, opposite(t2)):
+            for v in range(alg.quiver.vertices):
+                assert alg.reduce_path(v, ()) == {(v, ()): 1}
+            for d in range(1, alg._max_degree + 1):
+                for path in alg._deg[d].paths:
+                    source = alg.quiver.arrow(path[0]).source
+                    assert alg.reduce_path(source, path) == _reference_reduce_path(alg, source, path), path
+                    seen += 1
+    assert seen > 200
