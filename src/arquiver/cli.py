@@ -1,7 +1,8 @@
 """Command-line surface: run single operations on modules and morphism
 objects, verify fixture manifests suite by suite, and export triangular
-matrix algebras.  All file formats are the JSON shapes defined by quivalg
-(algebras), repmod (modules) and morphcat (morphism objects).
+matrix algebras.  All file formats are the JSON shapes declared by quivalg
+(algebras), repmod (modules), morphcat (morphism objects) and this module
+(manifests), and checked by quivalg._check_shape before anything is built.
 
 Exit codes: 0 success, including a verification whose only failures were
 predicted by the manifest and matched; 1 malformed input or command line;
@@ -29,11 +30,14 @@ from .arsubcat import (
 )
 from .errors import PreconditionError
 from .homalg import ar_translate, syzygy, transpose
-from .morphcat import imin, mimo, morph_from_json_dict, morph_to_json_dict
+from .morphcat import MorphObject, imin, mimo, morph_from_json_dict, morph_to_json_dict
 from .quivalg import (
     BoundQuiverAlgebra,
-    _json_list,
-    _json_value,
+    _Map,
+    _Nullable,
+    _Required,
+    _check_shape,
+    _per_vertex,
     algebra_from_json_dict,
     algebra_to_json_dict,
     t2_of,
@@ -68,7 +72,10 @@ def fixtures_dir() -> Path:
 # File plumbing
 
 
-def _load_json(path: str | Path) -> dict:
+def _read(path: str | Path, read):
+    """read(data) for the JSON value data in the file at path, where read
+    checks the shape of its file before it builds anything; ParseFailure
+    naming path when the file is unreadable or malformed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -76,17 +83,10 @@ def _load_json(path: str | Path) -> dict:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseFailure(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ParseFailure(f"{path}: expected a JSON object at top level")
-    return data
-
-
-def _load_algebra(path: str | Path) -> BoundQuiverAlgebra:
-    data = _load_json(path)
     try:
-        return algebra_from_json_dict(data)
+        return read(data)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseFailure(f"{path} is not a valid algebra file: {exc}") from exc
+        raise ParseFailure(f"{path}: {exc}") from exc
 
 
 def _dump_json(data: dict, out: str | None) -> None:
@@ -119,10 +119,18 @@ _OPS = {
 }
 
 
+def _module_or_morph(alg: BoundQuiverAlgebra, data) -> tuple:
+    """The module or morphism object of a file's data over alg, with the
+    algebra name that its module file (A, for a morphism object) gives."""
+    if type(data) is dict and "A" in data:
+        return morph_from_json_dict(alg, data), data["A"].get("algebra")
+    return module_from_json_dict(alg, data), data.get("algebra")
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
-    alg = _load_algebra(args.algebra)
-    data = _load_json(args.module)
-    is_morph = "A" in data
+    alg = _read(args.algebra, algebra_from_json_dict)
+    arg, base_id = _read(args.module, lambda data: _module_or_morph(alg, data))
+    is_morph = isinstance(arg, MorphObject)
     op = args.op
     kind, run, over_opposite = _OPS[op]
     if (kind == "morph") != is_morph:
@@ -131,13 +139,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         print(f"precondition violated: op '{op}' needs {wanted}, got {got} file", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    try:
-        arg = (morph_from_json_dict if is_morph else module_from_json_dict)(alg, data)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise ParseFailure(f"{args.module} is not a valid input over {args.algebra}: {exc}") from exc
-
-    # a parsed morphism file has a JSON object under "A"
-    base_id = str((data["A"] if is_morph else data).get("algebra") or Path(args.algebra).stem)
+    base_id = base_id or Path(args.algebra).stem
     res = run(arg)
     out_id = base_id + ".op" if over_opposite else base_id
     if isinstance(res, Representation):
@@ -156,7 +158,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
 
 def cmd_t2(args: argparse.Namespace) -> int:
-    alg = _load_algebra(args.algebra)
+    alg = _read(args.algebra, algebra_from_json_dict)
     t2, corr = t2_of(alg)
     data = algebra_to_json_dict(t2)
     data["vertex_correspondence"] = {
@@ -197,120 +199,54 @@ class FixtureManifest:
     suites: dict[str, dict]
 
 
-def _bound(value, count: int, where: str, over: str) -> tuple[int, ...]:
-    """value, a JSON list of count non-negative integers, one cap per vertex
-    of `over`, as a tuple; TypeError or ParseFailure otherwise, also for 1.5,
-    "2" or true, which int() would take."""
-    bound = tuple(_json_list(value, int, where))
-    if len(bound) != count or min(bound, default=0) < 0:
-        raise ParseFailure(f"{where} must hold a non-negative integer per vertex of {over} ({count}), got {list(bound)}")
-    return bound
+_DUALITY_SHAPE = {"members": [str], "all_equal": bool, "pairs": int}
+_MANIFEST_SHAPE = {
+    "algebra": _Required(str),
+    "base_algebra": str,
+    "bound": [int],
+    "modules": _Map(str),
+    "expected": {"indec_count": int, "gorenstein": {"d": _Nullable(int), "selfinjective": bool}},
+    "suites": {
+        **dict.fromkeys(_DUALITY_TAGS, _DUALITY_SHAPE),
+        "gp-census": {"bound": [int], "counts": dict.fromkeys(("a", "b", "c", "other"), int)},
+        "tau-syzygy": {"bound": [int], "holds": bool, "witnesses": [str]},
+    },
+}
 
 
-def _known_keys(value: dict, known, where: str) -> None:
-    """ParseFailure naming the first key of value outside known: a misspelt
-    expectation would otherwise be dropped and pass unchecked."""
-    unknown = sorted(set(value) - set(known))
-    if unknown:
-        raise ParseFailure(f"{where}: unknown key {unknown[0]!r}")
+def _manifest_of(data, root: Path) -> FixtureManifest:
+    """The manifest of data, read from a file in the directory root."""
+    _check_shape(data, _MANIFEST_SHAPE)
+    alg = _read(root / data["algebra"], algebra_from_json_dict)
+    base = None
+    if "base_algebra" in data:
+        base = _read(root / data["base_algebra"], algebra_from_json_dict)
+        canonical, _ = t2_of(base)
+        if canonical != alg:
+            raise ValueError(f"{data['algebra']} is not the triangular matrix algebra of {data['base_algebra']}")
+        alg = canonical
+    entries, expected, suites = data.get("modules", {}), data.get("expected", {}), data.get("suites", {})
+    nv = alg.quiver.vertices
+    bound = _per_vertex(data["bound"], nv, "bound") if "bound" in data else None
+    # the census caps the triangular algebra of its base: two caps per vertex
+    # of the base, which the doubled top-level bound fits only without a base
+    census_nv = 2 * (alg if base is None else base).quiver.vertices
+    for suite, cfg in suites.items():
+        census = suite == "gp-census"
+        if "bound" in cfg:
+            over = "the triangular algebra of the base" if census else "the algebra"
+            _per_vertex(cfg["bound"], census_nv if census else nv, f"suites.{suite}.bound", over)
+        elif census and base is not None:
+            raise ValueError(_CENSUS_BOUND_REQUIRED)
+        for member in cfg.get("members", ()):
+            if member not in entries:
+                raise ValueError(f"suites.{suite}.members: unknown module {member!r}")
+    modules = {name: _read(root / entries[name], lambda d: module_from_json_dict(alg, d)) for name in sorted(entries)}
+    return FixtureManifest(alg, base, modules, bound, expected.get("indec_count"), expected.get("gorenstein"), suites)
 
 
 def load_manifest(path: str | Path) -> FixtureManifest:
-    data = _load_json(path)
-    root = Path(path).resolve().parent
-    if "algebra" not in data:
-        raise ParseFailure(f"{path}: manifest lacks an 'algebra' entry")
-    # the strict JSON readers raise TypeError on a value of the wrong shape
-    try:
-        alg = _load_algebra(root / _json_value(data["algebra"], str, f"{path}: 'algebra'"))
-        base = None
-        if "base_algebra" in data:
-            base = _load_algebra(root / _json_value(data["base_algebra"], str, f"{path}: 'base_algebra'"))
-            canonical, _ = t2_of(base)
-            if canonical != alg:
-                raise ParseFailure(
-                    f"{path}: {data['algebra']} is not the triangular matrix "
-                    f"algebra of {data['base_algebra']}"
-                )
-            alg = canonical
-        entries = _json_value(data.get("modules", {}), dict, f"{path}: 'modules'")
-        expected = _json_value(data.get("expected", {}), dict, f"{path}: 'expected'")
-        _known_keys(expected, ("indec_count", "gorenstein"), f"{path}: 'expected'")
-        suites = _json_value(data.get("suites", {}), dict, f"{path}: 'suites'")
-        unknown = sorted(set(suites) - set(_SUITE_ORDER))
-        if unknown:
-            raise ParseFailure(f"{path}: unknown suites {unknown}")
-        # the keys each suite reads; the three ar-* suites read the same ones
-        known = {"gp-census": ("bound", "counts"), "tau-syzygy": ("bound", "holds", "witnesses")}
-        for suite, cfg in suites.items():
-            _json_value(cfg, dict, f"{path}: suite {suite}")
-            _known_keys(cfg, known.get(suite, ("members", "all_equal", "pairs")), f"{path}: suite {suite}")
-            if "counts" in cfg:
-                counts = _json_value(cfg["counts"], dict, f"{path}: {suite}.counts")
-                _known_keys(counts, ("a", "b", "c", "other"), f"{path}: {suite}.counts")
-                _json_list(list(counts.values()), int, f"{path}: the values of {suite}.counts")
-            if "pairs" in cfg:
-                _json_value(cfg["pairs"], int, f"{path}: {suite}.pairs")
-            for key in ("all_equal", "holds"):
-                if key in cfg:
-                    _json_value(cfg[key], bool, f"{path}: {suite}.{key}")
-            for key in ("members", "witnesses"):
-                if key in cfg:
-                    _json_list(cfg[key], str, f"{path}: {suite}.{key}")
-        count = expected.get("indec_count")
-        if count is not None:
-            _json_value(count, int, f"{path}: expected.indec_count")
-        if "gorenstein" in expected:
-            gorenstein = _json_value(expected["gorenstein"], dict, f"{path}: expected.gorenstein")
-            _known_keys(gorenstein, ("d", "selfinjective"), f"{path}: expected.gorenstein")
-            if "selfinjective" in gorenstein:
-                _json_value(gorenstein["selfinjective"], bool, f"{path}: expected.gorenstein.selfinjective")
-            if gorenstein.get("d") is not None:  # null: not Gorenstein within the caps
-                _json_value(gorenstein["d"], int, f"{path}: expected.gorenstein.d")
-        nv = alg.quiver.vertices
-        bound = _bound(data["bound"], nv, f"{path}: 'bound'", "the algebra") if "bound" in data else None
-        # the census caps the triangular algebra of its base: two caps per vertex
-        # of the base, which the doubled top-level bound fits only without a base
-        census_nv = 2 * (alg if base is None else base).quiver.vertices
-        for suite, cfg in suites.items():
-            census = suite == "gp-census"
-            if "bound" in cfg:
-                over = "the triangular algebra of the base" if census else "the algebra"
-                _bound(cfg["bound"], census_nv if census else nv, f"{path}: {suite}.bound", over)
-            elif census and base is not None:
-                raise ParseFailure(f"{path}: {_CENSUS_BOUND_REQUIRED}")
-    except TypeError as exc:
-        raise ParseFailure(str(exc)) from exc
-
-    modules: dict[str, Representation] = {}
-    for name in sorted(entries):
-        rel = entries[name]
-        if not isinstance(rel, str):
-            raise ParseFailure(f"{path}: module {name!r} must name a module file")
-        mdata = _load_json(root / rel)
-        try:
-            modules[name] = module_from_json_dict(alg, mdata)
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise ParseFailure(
-                f"{rel}: not a valid module over {data['algebra']}: {exc}"
-            ) from exc
-
-    for suite, cfg in suites.items():
-        for member in cfg.get("members", ()):
-            if member not in modules:
-                raise ParseFailure(
-                    f"{path}: suite {suite} references unknown module {member!r}"
-                )
-
-    return FixtureManifest(
-        algebra=alg,
-        base_algebra=base,
-        modules=modules,
-        bound=bound,
-        expected_indec_count=count,
-        expected_gorenstein=expected.get("gorenstein"),
-        suites=suites,
-    )
+    return _read(path, lambda data: _manifest_of(data, Path(path).resolve().parent))
 
 
 @dataclass(frozen=True)
@@ -349,7 +285,8 @@ def _run_profile(man: FixtureManifest) -> SuiteResult:
     ok = True
     exp = man.expected_gorenstein
     if exp is not None:
-        ok = exp.get("selfinjective", False) == (d == 0) and exp.get("d", d) == d
+        # an absent key states no expectation
+        ok = exp.get("selfinjective", d == 0) == (d == 0) and exp.get("d", d) == d
     detail = f"self-injective={d == 0}, d={d}"
     if d is None:
         detail += " (cap exceeded)"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .errors import NotMono, NotSelfInjective, invariant
 from .exactlin import Matrix
 from .homalg import ar_translate_of_map, is_selfinjective
-from .quivalg import BoundQuiverAlgebra, _json_value, t2_base_of, t2_of
+from .quivalg import BoundQuiverAlgebra, _Required, _check_shape, _json_matrix, t2_base_of, t2_of
 from .repmod import (
     ModuleMap,
     Representation,
@@ -44,11 +44,11 @@ from .repmod import (
     is_mono,
     kernel,
     map_from_coefficients,
-    module_from_json_dict,
     module_to_json_dict,
     solve_hom_equation,
     zero_map,
-    _json_matrix,
+    _module_of,
+    _module_shape,
 )
 from . import exactlin
 
@@ -305,12 +305,12 @@ def morph_to_json_dict(obj: MorphObject, algebra_id: str) -> dict:
 
 
 def morph_from_json_dict(alg: BoundQuiverAlgebra, data: dict) -> MorphObject:
-    a = module_from_json_dict(alg, data["A"])
-    b = module_from_json_dict(alg, data["B"])
-    raw = _json_value(_json_value(data.get("f", {}), dict, "f").get("vertex_maps", {}), dict, "f.vertex_maps")
+    module = _Required(_module_shape(alg))
+    vertex_maps = {str(i): _Required([[int]]) for i in range(alg.quiver.vertices)}
+    _check_shape(data, {"A": module, "B": module, "f": _Required({"vertex_maps": _Required(vertex_maps)})})
+    a, b = _module_of(alg, data["A"], "A."), _module_of(alg, data["B"], "B.")
     vms = [
-        _json_matrix(alg.field, raw.get(str(i), raw.get(i, [])), (b.dims[i], a.dims[i]), f"vertex map {i}")
+        _json_matrix(alg.field, data["f"]["vertex_maps"][str(i)], (b.dims[i], a.dims[i]), f"f.vertex_maps.{i}")
         for i in range(alg.quiver.vertices)
     ]
-    f = ModuleMap(a, b, vms, validate=True)
-    return MorphObject(a, b, f)
+    return MorphObject(a, b, ModuleMap(a, b, vms, validate=True))

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._gfkernel import rref as _rref
 from .errors import MalformedRelation, NotFiniteDimensional, invariant
-from .exactlin import PrimeField
+from .exactlin import Matrix, PrimeField
 
 
 class Arrow(NamedTuple):
@@ -383,47 +383,95 @@ def algebra_to_json_dict(alg: BoundQuiverAlgebra) -> dict:
     }
 
 
-# Strict JSON readers, shared by the algebra, module and morphism files: a
-# value must have exactly the JSON type it stands for, since int() would take
-# "10", 0.5 and true, and tuple() the characters of "xx".
+# Input files.  Each reader declares the shape of its file once, and
+# _check_shape checks a JSON value against it before anything is built.  A
+# shape is one of:
+# - int, str or bool: a value of exactly that JSON type, since int() would
+#   take "10", 0.5 and true, and tuple() the characters of "xx";
+# - [s]: a list of items of shape s;
+# - a dict: a JSON object with no keys but these, each value of its shape; a
+#   key whose shape is _Required(s) must be present, the others may be absent;
+# - _Map(s): a JSON object from any keys to values of shape s;
+# - _Nullable(s): a value of shape s, or null.
+
+
+class _Required(NamedTuple):
+    shape: object
+
+
+class _Map(NamedTuple):
+    shape: object
+
+
+class _Nullable(NamedTuple):
+    shape: object
 
 
 def _json_names(kind: type) -> tuple[str, str]:
     """The name of the JSON type kind, singular with its article, and plural."""
     return {int: ("an integer", "integers"), str: ("a string", "strings"), bool: ("a boolean", "booleans"),
-            dict: ("a JSON object", "JSON objects"), list: ("a list", "lists")}[kind]
+            list: ("a list", "lists"), dict: ("a JSON object", "JSON objects")}[kind]
 
 
-def _json_value(value, kind: type, where: str):
-    """value, whose type is exactly kind; TypeError otherwise."""
-    if type(value) is kind:
-        return value
-    raise TypeError(f"{where} must be {_json_names(kind)[0]}")
+def _check_shape(value, shape, where: str = "") -> None:
+    """TypeError naming the dotted path of the first part of value that does
+    not have the given shape; where is the path of value, "" for a file."""
+    null = ""
+    if isinstance(shape, _Nullable):
+        if value is None:
+            return
+        shape, null = shape.shape, " or null"
+    name = where or "the top level"
+    if isinstance(shape, type):
+        if type(value) is not shape:
+            raise TypeError(f"{name} must be {_json_names(shape)[0]}{null}")
+    elif isinstance(shape, list):
+        item = shape[0]
+        scalar = isinstance(item, type)  # a list of scalars is named as a whole
+        if type(value) is not list or scalar and any(type(x) is not item for x in value):
+            raise TypeError(f"{name} must be a list of {_json_names(item if scalar else type(item))[1]}")
+        if not scalar:
+            for i, x in enumerate(value):
+                _check_shape(x, item, f"{where}[{i}]")
+    elif type(value) is not dict:
+        raise TypeError(f"{name} must be a JSON object")
+    else:
+        prefix = f"{where}." if where else ""
+        for key, x in value.items():
+            sub = shape.shape if isinstance(shape, _Map) else shape.get(key)
+            if sub is None:
+                raise TypeError(f"unknown key {prefix + str(key)!r}")
+            _check_shape(x, sub.shape if isinstance(sub, _Required) else sub, prefix + str(key))
+        for key, sub in shape.items() if isinstance(shape, dict) else ():
+            if isinstance(sub, _Required) and key not in value:
+                raise TypeError(f"{prefix}{key} is required")
 
 
-def _json_list(value, kind: type, where: str) -> list:
-    """value, a JSON list whose items have exactly the type kind; TypeError
-    otherwise."""
-    if type(value) is list and all(type(x) is kind for x in value):
-        return value
-    raise TypeError(f"{where} must be a list of {_json_names(kind)[1]}")
+def _per_vertex(values: list, count: int, where: str, over: str = "the algebra") -> tuple[int, ...]:
+    """values, a checked list of integers, as a tuple; ValueError unless it
+    holds a non-negative integer per vertex of `over`, which has count."""
+    if len(values) != count or min(values, default=0) < 0:
+        raise ValueError(f"{where} must hold a non-negative integer per vertex of {over} ({count}), got {values}")
+    return tuple(values)
+
+
+def _json_matrix(field: PrimeField, rows: list, shape: tuple[int, int], where: str) -> Matrix:
+    """rows, a checked list of lists of integers, as a matrix over field with
+    its entries read mod p; ValueError unless it has exactly that shape."""
+    if len(rows) != shape[0] or any(len(row) != shape[1] for row in rows):
+        raise ValueError(f"{where} must be a {shape[0]} x {shape[1]} matrix")
+    return Matrix(field, np.array([[x % field.p for x in row] for row in rows], dtype=np.int64).reshape(shape))
 
 
 def algebra_from_json_dict(data: dict) -> BoundQuiverAlgebra:
-    data = _json_value(data, dict, "an algebra")
-    field = PrimeField(_json_value(data["field_p"], int, "field_p"))
-    arrows = [
-        (_json_value(a["id"], str, "an arrow id"),
-         *(_json_value(a[end], int, f"the {end} of arrow {a['id']!r}") for end in ("source", "target")))
-        for a in _json_list(data["arrows"], dict, "arrows")
-    ]
-    quiver = Quiver(_json_value(data["vertices"], int, "vertices"), arrows)
-    rels = [
-        [
-            RelationTerm(_json_value(t["coeff"], int, "a relation coefficient"),
-                         tuple(_json_list(t["path"], str, "a relation path")))
-            for t in _json_list(rel, dict, "a relation")
-        ]
-        for rel in _json_list(data.get("relations", []), list, "relations")
-    ]
+    _check_shape(data, {
+        "field_p": _Required(int),
+        "vertices": _Required(int),
+        "arrows": _Required([{"id": _Required(str), "source": _Required(int), "target": _Required(int)}]),
+        "relations": [[{"coeff": _Required(int), "path": _Required([str])}]],
+        "vertex_correspondence": _Map([int]),  # written by `arquiver t2`, not read
+    })
+    field = PrimeField(data["field_p"])
+    quiver = Quiver(data["vertices"], [(a["id"], a["source"], a["target"]) for a in data["arrows"]])
+    rels = [[RelationTerm(t["coeff"] % field.p, tuple(t["path"])) for t in rel] for rel in data.get("relations", [])]
     return build_algebra(quiver, rels, field)

@@ -19,7 +19,7 @@ from . import exactlin
 from ._gfcore_py import matmul as _matmul_stacks
 from .errors import BudgetExhausted, invariant
 from .exactlin import Matrix
-from .quivalg import BoundQuiverAlgebra, _json_list, _json_value, opposite
+from .quivalg import BoundQuiverAlgebra, _Required, _check_shape, _json_matrix, _per_vertex, opposite
 
 
 class Representation:
@@ -980,24 +980,26 @@ def module_to_json_dict(m: Representation, algebra_id: str) -> dict:
     }
 
 
-def _json_matrix(field, rows, shape, where: str) -> Matrix:
-    """A matrix of the given shape whose leading rows are `rows`, a JSON list
-    of lists of integers (the rest is zero)."""
-    if not isinstance(rows, list):
-        raise TypeError(f"{where} must be a list of rows")
-    mat = np.zeros(shape, dtype=np.int64)
-    for r, row in enumerate(rows):
-        for c, x in enumerate(_json_list(row, int, f"row {r} of {where}")):
-            mat[r, c] = x % field.p
-    return Matrix(field, mat)
+def _module_shape(algebra: BoundQuiverAlgebra) -> dict:
+    """The shape of a module file over algebra (see quivalg._check_shape):
+    `algebra` names it for the reader only, and `arrow_maps` holds a matrix
+    for each arrow of the algebra and for nothing else."""
+    arrows = {a.id: _Required([[int]]) for a in algebra.quiver.arrows}
+    return {"algebra": str, "dims": _Required([int]), "arrow_maps": _Required(arrows)}
 
 
-def module_from_json_dict(algebra: BoundQuiverAlgebra, data: dict) -> Representation:
-    data = _json_value(data, dict, "a module")
-    dims = _json_list(data["dims"], int, "dims")
-    raw = _json_value(data.get("arrow_maps", {}), dict, "arrow_maps")
+def _module_of(algebra: BoundQuiverAlgebra, data: dict, prefix: str = "") -> Representation:
+    """The module of data, which has the shape of a module file; prefix
+    starts the paths that errors name ("A." for the A of a morphism object)."""
+    dims = _per_vertex(data["dims"], algebra.quiver.vertices, prefix + "dims")
     maps = {
-        a.id: _json_matrix(algebra.field, raw.get(a.id, []), (dims[a.target], dims[a.source]), f"arrow {a.id!r}")
+        a.id: _json_matrix(algebra.field, data["arrow_maps"][a.id], (dims[a.target], dims[a.source]),
+                           f"{prefix}arrow_maps.{a.id}")
         for a in algebra.quiver.arrows
     }
     return Representation(algebra, dims, maps, validate=True)
+
+
+def module_from_json_dict(algebra: BoundQuiverAlgebra, data: dict) -> Representation:
+    _check_shape(data, _module_shape(algebra))
+    return _module_of(algebra, data)

@@ -7,9 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from arquiver import cli
-from arquiver.quivalg import algebra_from_json_dict
+from arquiver.morphcat import morph_from_json_dict, morph_to_json_dict
+from arquiver.quivalg import algebra_from_json_dict, algebra_to_json_dict
+from arquiver.repmod import module_from_json_dict, module_to_json_dict
 
 
 FIX = cli.fixtures_dir()
@@ -51,6 +55,34 @@ def test_fixture_algebras_parse():
     for name in ["kx2.json", "kx3.json", "a2.json", "t2_kx2.json"]:
         alg = algebra_from_json_dict(json.loads((FIX / name).read_text()))
         assert alg.dimension > 0
+
+
+def test_every_packaged_file_is_read_and_written_back_unchanged():
+    # the exact-shape rule rejects no file the package ships: each algebra,
+    # module and morphism object reads and writes back to the same JSON
+    kinds = []
+    for path in sorted(FIX.glob("*.json")):
+        data = json.loads(path.read_text())
+        if path.name.startswith("manifest_"):
+            kinds.append("manifest")
+            assert cli.load_manifest(path).modules
+        elif "field_p" in data:
+            kinds.append("algebra")
+            alg = algebra_from_json_dict(data)
+            # t2_kx2.json, written by `arquiver t2`, also holds its vertex_correspondence
+            data.pop("vertex_correspondence", None)
+            assert algebra_to_json_dict(alg) == data
+        else:
+            name = (data["A"] if "A" in data else data)["algebra"]
+            alg = algebra_from_json_dict(json.loads((FIX / f"{name}.json").read_text()))
+            if "A" in data:
+                kinds.append("morphism object")
+                assert morph_to_json_dict(morph_from_json_dict(alg, data), name) == data
+            else:
+                kinds.append("module")
+                assert module_to_json_dict(module_from_json_dict(alg, data), name) == data
+    assert sorted(set(kinds)) == ["algebra", "manifest", "module", "morphism object"]
+    assert len(kinds) == 26
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +192,28 @@ def test_malformed_json_exits_1(capsys, tmp_path):
     [
         ("kx2_L", ("arrow_maps",), [[1]], "arrow_maps must be a JSON object"),
         ("a2_S0", ("dims",), "10", "dims must be a list of integers"),
-        ("kx2_L", ("arrow_maps", "x", 1, 0), 0.5, "row 1 of arrow 'x' must be a list of integers"),
-        ("kx2_L", ("arrow_maps", "x", 1, 0), True, "row 1 of arrow 'x' must be a list of integers"),
-        ("kx2_L", ("arrow_maps", "x"), "00", "arrow 'x' must be a list of rows"),
-        ("kx2_L", ("arrow_maps", "x"), ["00"], "row 0 of arrow 'x' must be a list of integers"),
-        ("kx2_S_to_zero", ("A",), [1], "a module must be a JSON object"),
+        ("kx2_L", ("arrow_maps", "x", 1, 0), 0.5, "arrow_maps.x[1] must be a list of integers"),
+        ("kx2_L", ("arrow_maps", "x", 1, 0), True, "arrow_maps.x[1] must be a list of integers"),
+        ("kx2_L", ("arrow_maps", "x"), "00", "arrow_maps.x must be a list of lists"),
+        ("kx2_L", ("arrow_maps", "x"), ["00"], "arrow_maps.x[0] must be a list of integers"),
+        ("kx2_S_to_zero", ("A",), [1], "A must be a JSON object"),
         ("kx2_S_to_zero", ("f",), [1], "f must be a JSON object"),
         ("kx2_S_to_zero", ("f", "vertex_maps"), [[]], "f.vertex_maps must be a JSON object"),
+        ("kx2_L", ("arrow_maps", "y"), [[0]], "unknown key 'arrow_maps.y'"),
+        ("kx2_L", ("arrow_maps", "x"), [[0, 0], [1]], "arrow_maps.x must be a 2 x 2 matrix"),
+        ("kx2_L", ("arrow_maps", "x"), [[0, 0]], "arrow_maps.x must be a 2 x 2 matrix"),
+        ("kx2_L", ("dims",), [2, 0], "dims must hold a non-negative integer per vertex of the algebra (1)"),
+        ("kx2_S_to_zero", ("f", "vertex_maps", "0"), [[0]], "f.vertex_maps.0 must be a 0 x 1 matrix"),
+        ("kx2_S_to_zero", ("B", "dims"), [-1], "B.dims must hold a non-negative integer per vertex"),
     ],
     ids=["arrow-maps-list", "dims-string", "entry-float", "entry-bool", "rows-string", "row-string", "morph-a-list",
-         "morph-f-list", "morph-vertex-maps-list"],
+         "morph-f-list", "morph-vertex-maps-list", "arrow-unknown", "row-short", "matrix-short", "dims-too-long",
+         "vertex-map-wrong-shape", "morph-dims-negative"],
 )
 def test_malformed_module_or_morphism_file_exits_1(capsys, tmp_path, name, keys, value, phrase):
-    # int() would take "10", 0.5, True and the characters of "00", and
-    # .get() on a list raises AttributeError, which would exit 3
+    # int() would take "10", 0.5, True and the characters of "00", .get() on
+    # a list raises AttributeError, which would exit 3, and a short row or
+    # matrix must not be padded with zeros
     data = json.loads((FIX / f"{name}.json").read_text())
     inner = data
     for key in keys[:-1]:
@@ -190,12 +230,12 @@ def test_malformed_module_or_morphism_file_exits_1(capsys, tmp_path, name, keys,
 @pytest.mark.parametrize(
     "keys, value, phrase",
     [
-        (("relations", 0, 0, "coeff"), True, "a relation coefficient must be an integer"),
-        (("relations", 0, 0, "coeff"), 0.5, "a relation coefficient must be an integer"),
+        (("relations", 0, 0, "coeff"), True, "relations[0][0].coeff must be an integer"),
+        (("relations", 0, 0, "coeff"), 0.5, "relations[0][0].coeff must be an integer"),
         (("field_p",), 5.0, "field_p must be an integer"),
         (("vertices",), "1", "vertices must be an integer"),
-        (("arrows", 0, "source"), "0", "the source of arrow 'x' must be an integer"),
-        (("relations", 0, 0, "path"), "xx", "a relation path must be a list of strings"),
+        (("arrows", 0, "source"), "0", "arrows[0].source must be an integer"),
+        (("relations", 0, 0, "path"), "xx", "relations[0][0].path must be a list of strings"),
     ],
     ids=["coeff-bool", "coeff-float", "field-float", "vertices-string", "source-string", "path-string"],
 )
@@ -214,6 +254,52 @@ def test_malformed_algebra_file_exits_1(capsys, tmp_path, keys, value, phrase):
     assert "input error" in err and phrase in err
 
 
+def _rename(obj: dict, key: str, new: str) -> None:
+    obj[new] = obj.pop(key)
+
+
+@pytest.mark.parametrize(
+    "name, edit, phrase",
+    [
+        ("kx2_L", lambda d: _rename(d, "arrow_maps", "arrow_map"), "unknown key 'arrow_map'"),
+        ("kx2", lambda d: _rename(d, "relations", "relation"), "unknown key 'relation'"),
+        ("a2", lambda d: _rename(d, "relations", "relation"), "unknown key 'relation'"),
+        ("kx2_S_to_zero", lambda d: _rename(d["f"], "vertex_maps", "vertex_map"), "unknown key 'f.vertex_map'"),
+        ("kx2", lambda d: _rename(d["arrows"][0], "source", "sourc"), "unknown key 'arrows[0].sourc'"),
+        ("kx2_L", lambda d: d["arrow_maps"].pop("x"), "arrow_maps.x is required"),
+        ("kx2_S_to_zero", lambda d: d["f"]["vertex_maps"].pop("0"), "f.vertex_maps.0 is required"),
+    ],
+    ids=["module-arrow-maps-misspelt", "algebra-relations-misspelt", "acyclic-relations-misspelt",
+         "morph-vertex-maps-misspelt", "arrow-source-misspelt", "arrow-missing", "vertex-map-missing"],
+)
+def test_misspelt_or_missing_keys_exit_1(capsys, tmp_path, name, edit, phrase):
+    # a misspelt key must not be dropped, nor a missing one read as zero
+    data = json.loads((FIX / f"{name}.json").read_text())
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    if "field_p" in data:
+        argv = ["--algebra", str(bad), "--module", str(FIX / f"{name}_S0.json" if name == "a2" else FIX / "kx2_S.json")]
+    else:
+        argv = ["--algebra", str(FIX / "kx2.json"), "--module", str(bad)]
+    code, _, err = run(["compute", *argv, "--op", "mimo" if "A" in data else "syzygy"], capsys)
+    assert code == 1
+    assert "input error" in err and phrase in err
+
+
+def test_misspelt_manifest_expectation_exits_1(capsys, tmp_path):
+    # with `expected` misspelt, a wrong indec_count used to be dropped unread
+    fx = tmp_path / "fx"
+    shutil.copytree(FIX, fx)
+    manifest = json.loads((fx / "manifest_kx2.json").read_text())
+    manifest["expected"]["indec_count"] = 99
+    _rename(manifest, "expected", "expectd")
+    (fx / "manifest_kx2.json").write_text(json.dumps(manifest))
+    code, out, err = run(["verify", "--manifest", str(fx / "manifest_kx2.json"), "--suite", "all"], capsys)
+    assert code == 1 and "RESULT" not in out
+    assert "unknown key 'expectd'" in err
+
+
 def test_verify_malformed_module_file_exits_1(capsys, tmp_path):
     # the manifest reads its modules through the same reader as compute
     fx = tmp_path / "fx"
@@ -223,7 +309,7 @@ def test_verify_malformed_module_file_exits_1(capsys, tmp_path):
     (fx / "kx2_L.json").write_text(json.dumps(module))
     code, _, err = run(["verify", "--manifest", str(fx / "manifest_kx2.json"), "--suite", "all"], capsys)
     assert code == 1
-    assert "kx2_L.json: not a valid module" in err and "arrow_maps must be a JSON object" in err
+    assert "kx2_L.json: arrow_maps must be a JSON object" in err
 
 
 def test_missing_file_exits_1(capsys, tmp_path):
@@ -381,6 +467,23 @@ def test_verify_unmet_expectation_exits_4(capsys, tmp_path):
     assert "RESULT: FAIL" in text
 
 
+@pytest.mark.parametrize(
+    "gorenstein, status",
+    [({"d": 0}, "PASS"), ({"selfinjective": True}, "PASS"), ({}, "PASS"),
+     ({"d": 1}, "FAIL"), ({"selfinjective": False}, "FAIL"), ({"d": None}, "FAIL")],
+)
+def test_verify_gorenstein_expectation_checks_only_the_keys_it_states(capsys, tmp_path, gorenstein, status):
+    # k[x]/(x^2) is self-injective, d = 0; an absent key expects nothing
+    fx = tmp_path / "fx"
+    shutil.copytree(FIX, fx)
+    manifest = json.loads((fx / "manifest_kx2.json").read_text())
+    manifest["expected"]["gorenstein"] = gorenstein
+    (fx / "manifest_kx2.json").write_text(json.dumps(manifest))
+    code, out, _ = run(["verify", "--manifest", str(fx / "manifest_kx2.json"), "--suite", "all"], capsys)
+    assert code == (0 if status == "PASS" else 4)
+    assert f"profile     {status}" in out and f"RESULT: {status}" in out
+
+
 def test_verify_unknown_suite_in_manifest_exits_1(capsys, tmp_path):
     fx = tmp_path / "fx"
     shutil.copytree(FIX, fx)
@@ -391,7 +494,7 @@ def test_verify_unknown_suite_in_manifest_exits_1(capsys, tmp_path):
         ["verify", "--manifest", str(fx / "manifest_kx2.json"),
          "--suite", "ar-full"], capsys)
     assert code == 1
-    assert "unknown suites" in err
+    assert "unknown key 'suites.bogus'" in err
 
 
 def test_verify_unknown_member_exits_1(capsys, tmp_path):
@@ -441,11 +544,11 @@ def test_verify_mismatched_base_algebra_exits_1(capsys, tmp_path):
 @pytest.mark.parametrize(
     "edit, phrase",
     [
-        (lambda m: m["suites"].update({"ar-full": ["L", "S"]}), "suite ar-full must be a JSON object"),
-        (lambda m: m.update({"bound": ["x"]}), "'bound' must be a list of integers"),
-        (lambda m: m.update({"expected": [2]}), "'expected' must be a JSON object"),
-        (lambda m: m.update({"modules": ["kx2_L.json"]}), "'modules' must be a JSON object"),
-        (lambda m: m["modules"].update({"L": 3}), "module 'L' must name a module file"),
+        (lambda m: m["suites"].update({"ar-full": ["L", "S"]}), "suites.ar-full must be a JSON object"),
+        (lambda m: m.update({"bound": ["x"]}), ": bound must be a list of integers"),
+        (lambda m: m.update({"expected": [2]}), ": expected must be a JSON object"),
+        (lambda m: m.update({"modules": ["kx2_L.json"]}), ": modules must be a JSON object"),
+        (lambda m: m["modules"].update({"L": 3}), "modules.L must be a string"),
         (lambda m: m["suites"]["gp-census"].update({"bound": ["x", 2]}), "gp-census.bound must be a list"),
         (lambda m: m["suites"]["gp-census"].update({"counts": [1]}), "gp-census.counts must be a JSON object"),
         (lambda m: m["expected"].update({"indec_count": "x"}), "expected.indec_count must be an integer"),
@@ -456,28 +559,28 @@ def test_verify_mismatched_base_algebra_exits_1(capsys, tmp_path):
         (lambda m: m["suites"]["ar-full"].update({"members": 5}), "ar-full.members must be a list of strings"),
         (lambda m: m["suites"]["tau-syzygy"].update({"witnesses": 5}), "tau-syzygy.witnesses must be a list of strings"),
         (lambda m: m.pop("bound"), "lacks a 'bound' entry, which suite indec-pool reads"),
-        (lambda m: m.update({"bound": [2, 2]}), "'bound' must hold a non-negative integer per vertex of the algebra (1)"),
-        (lambda m: m.update({"bound": [-1]}), "'bound' must hold a non-negative integer per vertex"),
-        (lambda m: m.update({"bound": [1.5]}), "'bound' must be a list of integers"),
+        (lambda m: m.update({"bound": [2, 2]}), ": bound must hold a non-negative integer per vertex of the algebra (1)"),
+        (lambda m: m.update({"bound": [-1]}), ": bound must hold a non-negative integer per vertex"),
+        (lambda m: m.update({"bound": [1.5]}), ": bound must be a list of integers"),
         (lambda m: m["suites"]["tau-syzygy"].update({"bound": [True]}), "tau-syzygy.bound must be a list of integers"),
         (lambda m: m["suites"]["gp-census"].update({"bound": [2]}),
          "gp-census.bound must hold a non-negative integer per vertex of the triangular algebra of the base (2)"),
         (lambda m: m["suites"]["tau-syzygy"].update({"bound": [2, 2, 2]}),
          "tau-syzygy.bound must hold a non-negative integer per vertex of the algebra (1)"),
-        (lambda m: m.update({"algebra": 5}), "'algebra' must be a string"),
-        (lambda m: m.update({"algebra": ["kx2.json"]}), "'algebra' must be a string"),
-        (lambda m: m.update({"base_algebra": 5}), "'base_algebra' must be a string"),
-        (lambda m: m.update({"base_algebra": ["kx2.json"]}), "'base_algebra' must be a string"),
+        (lambda m: m.update({"algebra": 5}), ": algebra must be a string"),
+        (lambda m: m.update({"algebra": ["kx2.json"]}), ": algebra must be a string"),
+        (lambda m: m.update({"base_algebra": 5}), ": base_algebra must be a string"),
+        (lambda m: m.update({"base_algebra": ["kx2.json"]}), ": base_algebra must be a string"),
         (lambda m: m["suites"]["ar-full"].update({"all_equal": "no"}), "ar-full.all_equal must be a boolean"),
         (lambda m: m["expected"]["gorenstein"].update({"selfinjective": "false"}),
          "expected.gorenstein.selfinjective must be a boolean"),
         (lambda m: m["suites"]["tau-syzygy"].update({"holds": 0}), "tau-syzygy.holds must be a boolean"),
         (lambda m: m["expected"]["gorenstein"].update({"d": "0"}), "expected.gorenstein.d must be an integer"),
-        (lambda m: m["suites"]["ar-full"].update({"all_equals": False}), "suite ar-full: unknown key 'all_equals'"),
-        (lambda m: m["suites"]["gp-census"]["counts"].update({"d": 0}), "gp-census.counts: unknown key 'd'"),
-        (lambda m: m["expected"].update({"indec_counts": 2}), "'expected': unknown key 'indec_counts'"),
+        (lambda m: m["suites"]["ar-full"].update({"all_equals": False}), "unknown key 'suites.ar-full.all_equals'"),
+        (lambda m: m["suites"]["gp-census"]["counts"].update({"d": 0}), "unknown key 'suites.gp-census.counts.d'"),
+        (lambda m: m["expected"].update({"indec_counts": 2}), "unknown key 'expected.indec_counts'"),
         (lambda m: m["expected"]["gorenstein"].update({"self_injective": True}),
-         "expected.gorenstein: unknown key 'self_injective'"),
+         "unknown key 'expected.gorenstein.self_injective'"),
     ],
     ids=["suite-list", "bound-string", "expected-list", "modules-list", "module-path", "census-bound", "census-counts",
          "indec-count-string", "gorenstein-list", "pairs-string", "pairs-numeral", "indec-count-float",
@@ -575,6 +678,79 @@ def test_usage_errors_exit_1_and_name_the_value(argv, phrase, capsys):
 def test_help_exits_0(capsys):
     code, out, _ = run(["verify", "--help"], capsys)
     assert code == 0 and "--manifest" in out
+
+
+# ---------------------------------------------------------------------------
+# mutated input files
+
+
+# packaged files of each kind, each with a command that reads it and writes
+# its result to out.json; the file names are read from a copy of the fixtures
+_READERS = {
+    "kx2.json": ["compute", "--algebra", "kx2.json", "--module", "kx2_L.json", "--op", "syzygy"],
+    "t2_kx2.json": ["compute", "--algebra", "t2_kx2.json", "--module", "t2_kx2_LtoS.json", "--op", "syzygy"],
+    "kx2_L.json": ["compute", "--algebra", "kx2.json", "--module", "kx2_L.json", "--op", "tau"],
+    "t2_kx2_P1.json": ["compute", "--algebra", "t2_kx2.json", "--module", "t2_kx2_P1.json", "--op", "syzygy"],
+    "kx2_S_to_zero.json": ["compute", "--algebra", "kx2.json", "--module", "kx2_S_to_zero.json", "--op", "mimo"],
+    "manifest_kx2.json": ["verify", "--manifest", "manifest_kx2.json", "--suite", "all"],
+    "manifest_t2_kx2.json": ["verify", "--manifest", "manifest_t2_kx2.json", "--suite", "ar-gprj"],
+}
+
+
+def _paths(value, path=()):
+    """(path, value) for value and everything inside it, containers first."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, x in items:
+        yield from _paths(x, path + (key,))
+
+
+@st.composite
+def _mutated_files(draw):
+    """(file name, its JSON with one key renamed or one leaf changed, whether
+    a key was renamed).  A leaf takes a value of another JSON type, or, for a
+    matrix entry or relation coefficient over GF(5), one congruent to it."""
+    name = draw(st.sampled_from(sorted(_READERS)))
+    data = json.loads((FIX / name).read_text())
+    found = list(_paths(data))
+    # the keys of a manifest's modules are names its author chooses, and those
+    # of an algebra's vertex_correspondence are vertex numbers that no reader reads
+    objects = [v for path, v in found if isinstance(v, dict) and v and path not in (("modules",), ("vertex_correspondence",))]
+    leaves = [path for path, v in found if not isinstance(v, (dict, list))]
+    if draw(st.booleans()):
+        obj = draw(st.sampled_from(objects))
+        key = draw(st.sampled_from(sorted(obj)))
+        _rename(obj, key, key + "_")
+        return name, data, True
+    path = draw(st.sampled_from(leaves))
+    parent = dict(found)[path[:-1]]
+    old = parent[path[-1]]
+    if type(old) is int:
+        values = [str(old), old + 0.5, bool(old), [old]]
+        if {"arrow_maps", "vertex_maps", "coeff"} & set(path):
+            values += [old + 5 * 10**20, old - 5]
+    else:
+        values = [1, [old], {"x": old}] if type(old) is str else [int(old), str(old).lower()]
+    parent[path[-1]] = draw(st.sampled_from(values))
+    return name, data, False
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_files())
+def test_mutated_input_file_exits_1_or_answers_unchanged(capsys, tmp_path_factory, mutation):
+    name, data, renamed = mutation
+    fx = tmp_path_factory.mktemp("fx")
+    shutil.copytree(FIX, fx, dirs_exist_ok=True)
+    argv = [str(fx / a) if a.endswith(".json") else a for a in _READERS[name]]
+    argv += ["--out" if argv[0] == "compute" else "--json", str(fx / "out.json")]
+    want = run(argv, capsys)[:2], (fx / "out.json").read_bytes()
+    (fx / "out.json").unlink()
+    (fx / name).write_text(json.dumps(data))
+    code, out, err = run(argv, capsys)
+    assert code != 3, err
+    if code != 1:
+        assert not renamed, out
+        assert ((code, out), (fx / "out.json").read_bytes()) == want
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,15 @@ def test_morph_json_round_trip():
         )
 
 
+def test_morph_json_vertex_maps_are_keyed_by_strings():
+    # JSON object keys are always strings, so an integer key names no vertex
+    alg, objs = kx2_objects()
+    data = morph_to_json_dict(objs["G3"], "kx2")
+    data["f"]["vertex_maps"] = {0: data["f"]["vertex_maps"]["0"]}
+    with pytest.raises(TypeError, match="unknown key 'f.vertex_maps.0'"):
+        morph_from_json_dict(alg, data)
+
+
 def test_morph_json_rejects_non_intertwiner():
     alg, objs = kx2_objects()
     data = morph_to_json_dict(objs["G3"], "kx2")

@@ -140,6 +140,16 @@ def test_json_round_trip():
     assert back.dimension == alg.dimension
 
 
+def test_relation_coefficients_are_read_mod_p():
+    # a coefficient past int64 or below 0 is an element of GF(p) like any other
+    data = json.loads((fixtures_dir() / "t2_kx2.json").read_text())
+    want = algebra_from_json_dict(data)
+    assert data["relations"][2][1]["coeff"] == 4
+    for coeff in (4 + 5**40, -1):
+        data["relations"][2][1]["coeff"] = coeff
+        assert algebra_from_json_dict(data) == want
+
+
 def test_semisimple_quiver():
     alg = build_algebra(Quiver(3, []), [], F5)
     assert alg.dimension == 3
