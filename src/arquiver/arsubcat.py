@@ -40,15 +40,10 @@ from .homalg import (
     syzygy,
     transpose,
 )
-from .morphcat import (
-    MorphObject,
-    from_t2_module,
-    imin,
-    is_gp_in_h,
-    mimo,
-)
+from .morphcat import from_t2_module, imin, is_gp_in_h, mimo
 from .quivalg import BoundQuiverAlgebra, opposite, t2_base_of, t2_of
 from .repmod import (
+    ModuleMap,
     Representation,
     cokernel,
     compose,
@@ -203,19 +198,19 @@ def _tau_p_core(m: Representation) -> Representation:
     if t.is_zero():
         return t
     pres = minimal_presentation(t)
-    obj = MorphObject(pres.p1, pres.p0, pres.d)
-    mono_obj, canon = mimo(obj)
-    cok_mono, pm = cokernel(mono_obj.f)
+    mono, canon = mimo(pres.d)
+    cok_mono, pm = cokernel(mono)
     cok_orig, pf = cokernel(pres.d)
     h = solve_hom_equation(cok_mono, cok_orig, compose(pf, canon.sigma2), pre=pm)
     minimized, _, _ = right_minimalize(h)
     return minimized
 
 
-def tr_p_lambda(obj: MorphObject) -> MorphObject:
-    """Transpose of a morphism f: A -> B between projective modules over a
-    self-injective algebra: IMin(Coker f*) in the morphism category over the
-    opposite algebra, for f* = Hom(f, alg).
+def tr_p_lambda(f: ModuleMap) -> ModuleMap:
+    """Transpose of the object f: A -> B of the morphism category, for a
+    map f between projective modules over a self-injective algebra:
+    IMin(Coker f*) = (I0 -> I1) over the opposite algebra, for
+    f* = Hom(f, alg), returned as that map I0 -> I1.
 
     The covers of A and B are isomorphisms, as both are projective, and
     carry f onto a map between layout-carrying projectives, which
@@ -223,15 +218,14 @@ def tr_p_lambda(obj: MorphObject) -> MorphObject:
     (A2 -> 0) (+) (0 -> B2) with d a minimal presentation of Coker f gives
     Coker f* = Tr(Coker f) (+) A2*: (Q = Q)* is an isomorphism and
     (0 -> B2)* has target 0."""
-    alg = obj.algebra
-    if gorenstein_profile(alg) != 0:
+    if gorenstein_profile(f.source.algebra) != 0:
         raise NotSelfInjective("tr_p_lambda needs a self-injective algebra")
-    if not (is_projective(obj.a) and is_projective(obj.b)):
+    if not (is_projective(f.source) and is_projective(f.target)):
         raise NotLocallyProjective("tr_p_lambda needs projective source and target")
-    cover_a, cover_b = projective_cover(obj.a), projective_cover(obj.b)
+    cover_a, cover_b = projective_cover(f.source), projective_cover(f.target)
     # f lifts through the cover of B, which is onto, as P(A) is projective
-    f = solve_hom_equation(cover_a.source, cover_b.source, compose(obj.f, cover_a), post=cover_b)
-    return imin(cokernel(dual_of_projective_map(f))[0])
+    lift = solve_hom_equation(cover_a.source, cover_b.source, compose(f, cover_a), post=cover_b)
+    return imin(cokernel(dual_of_projective_map(lift))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +433,15 @@ class GpCensus:
     counts: dict[str, int]
 
 
-def _census_tag(obj: MorphObject) -> tuple[str, str]:
+def _census_tag(f: ModuleMap) -> tuple[str, str]:
     """Classification shape of an indecomposable Gorenstein-projective
-    object and its key in GpCensus.counts.  Tested in order: (c) the kernel
-    inclusion of a projective cover of an indecomposable non-projective
-    module, (a) an isomorphism, (b) a zero source; anything else is OTHER.
+    object f: A -> B and its key in GpCensus.counts.  Tested in order: (c)
+    the kernel inclusion of a projective cover of an indecomposable
+    non-projective module, (a) an isomorphism, (b) a zero source; anything
+    else is OTHER.
 
     Shape (c) needs no comparison with the template (Omega g -> P(g)).  Let
-    f: A -> B be mono with B projective and g = coker f nonzero and not
+    f be mono with B projective and g = coker f nonzero and not
     projective.  The epimorphism B -> g from a projective splits as
     B = P(g) (+) B2 with P(g) -> g a projective cover and B2 -> 0, so its
     kernel is A = Omega g (+) B2 and the object is
@@ -454,14 +449,13 @@ def _census_tag(obj: MorphObject) -> tuple[str, str]:
     indecomposable object has B2 = 0 and is the template; g is then
     indecomposable too, as a splitting of g splits the template.
     """
-    f = obj.f
-    if is_projective(obj.b) and is_mono(f):
+    if is_projective(f.target) and is_mono(f):
         g, _ = cokernel(f)
         if not g.is_zero() and not is_projective(g):
             return "C_SYZYGY", "c"
     if is_mono(f) and is_epi(f):
         return "A_IDENTITY", "a"
-    if obj.a.is_zero():
+    if f.source.is_zero():
         return "B_COSOCLE", "b"
     return "OTHER", "other"
 

@@ -73,12 +73,10 @@ from .repmod import (
 
 @dataclass(frozen=True)
 class MinimalPresentation:
-    p1: Representation
-    p0: Representation
-    d: ModuleMap  # p1 -> p0
-    eps: ModuleMap  # p0 -> m
-    # (u, column) per generator of p1: its vertex u and its image under d
-    # over p0's basis at u
+    d: ModuleMap  # P1 -> P0
+    eps: ModuleMap  # P0 -> m
+    # (u, column) per generator of P1: its vertex u and its image under d
+    # over P0's basis at u
     relations: tuple
 
 
@@ -108,7 +106,7 @@ def minimal_presentation(m: Representation) -> MinimalPresentation:
         invariant(all(killed), "the presentation is not a complex: eps does not kill a relation")
         for v in range(m.algebra.quiver.vertices):
             invariant(exactlin.rank(d.vertex_maps[v]) == omega.dims[v], "presentation is not exact at P0")
-        memo["presentation"] = MinimalPresentation(pi.source, eps.source, d, eps, relations)
+        memo["presentation"] = MinimalPresentation(d, eps, relations)
     return memo["presentation"]
 
 
@@ -185,9 +183,9 @@ def transpose_of_map(q: ModuleMap) -> ModuleMap:
     """
     mpb = minimal_presentation(q.source)
     mpc = minimal_presentation(q.target)
-    q0 = solve_hom_equation(mpb.p0, mpc.p0, compose(q, mpb.eps), post=mpc.eps)
+    q0 = solve_hom_equation(mpb.d.target, mpc.d.target, compose(q, mpb.eps), post=mpc.eps)
     # q0 exists because P0 of the source is projective and eps is epi
-    q1 = solve_hom_equation(mpb.p1, mpc.p1, compose(q0, mpb.d), post=mpc.d)
+    q1 = solve_hom_equation(mpb.d.source, mpc.d.source, compose(q0, mpb.d), post=mpc.d)
     # q1 exists because q0 ∘ d lands in ker(eps) = im(d) of the target
     dstar_b = dual_of_projective_map(mpb.d)
     dstar_c = dual_of_projective_map(mpc.d)
@@ -237,7 +235,7 @@ def _relation_system(pres: MinimalPresentation, x: Representation, acts: dict) -
     for the presentation P1 --d--> P0, d read at its relation columns: one
     block row per generator h of P1, sum_r c_r X(path_r) y_{k_r} where
     d(h) = sum_r c_r g_{k_r}.path_r.  Its kernel is Hom(coker d, X)."""
-    gen_verts, coords = pres.p0._layout
+    gen_verts, coords = pres.d.target._layout
     p = x.algebra.field.p
     offsets = _image_offsets(x, gen_verts)
     system = np.zeros((sum(x.dims[u] for u, _ in pres.relations), offsets[-1]), dtype=np.int64)
@@ -360,7 +358,7 @@ def almost_split_sequence(m: Representation, n: Representation | None = None) ->
     if rad is None:
         raise BudgetExhausted(f"End(N) for N of dims {list(n.dims)} has a residue field larger than GF({p})")
     q = exactlin.kernel_basis(Matrix(field, bound.T)).a.T  # q w = 0 iff w is in B
-    verts, starts = pres.p1._layout[0], np.cumsum((0,) + n.dims)
+    verts, starts = pres.d.source._layout[0], np.cumsum((0,) + n.dims)
     offsets = _image_offsets(n, verts)
     blocks = [(slice(starts[v], starts[v + 1]), slice(o, o + n.dims[v])) for v, o in zip(verts, offsets)]
     rad_y = np.concatenate([_matmul_stacks(rad[:, at, at], y[rows], p) for at, rows in blocks], axis=1)
@@ -368,9 +366,9 @@ def almost_split_sequence(m: Representation, n: Representation | None = None) ->
     invariant(socle.shape[1] == 1, f"the socle of Ext^1(M, N) over End(N) has dimension {socle.shape[1]}, not 1")
     xi = _matmul_stacks(y, socle, p)
     invariant(_matmul_stacks(q, xi, p).any(), "the almost split class is a coboundary")
-    phis = _maps_on_paths(pres.p1, n, acts, xi)
+    phis = _maps_on_paths(pres.d.source, n, acts, xi)
     g = [Matrix(field, np.vstack([phi[:, :, 0].T, -d.a])) for phi, d in zip(phis, pres.d.vertex_maps)]
-    e, proj = cokernel(ModuleMap(pres.p1, direct_sum([n, pres.p0])[0], g, validate=False))
+    e, proj = cokernel(ModuleMap(pres.d.source, direct_sum([n, pres.d.target])[0], g, validate=False))
     invariant(e.total_dim == m.total_dim + n.total_dim, "the almost split sequence has the wrong dimension")
     return e, ModuleMap(n, e, [Matrix(field, pv.a[:, :nv]) for pv, nv in zip(proj.vertex_maps, n.dims)], validate=False)
 

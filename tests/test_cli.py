@@ -650,6 +650,28 @@ def test_unwritable_output_exits_1(argv, capsys, tmp_path):
     assert f"input error: cannot write {out}" in err
 
 
+def test_output_path_that_is_a_directory_exits_1(capsys, tmp_path):
+    code, _, err = run(
+        ["compute", "--algebra", str(FIX / "kx2.json"), "--module", str(FIX / "kx2_S.json"),
+         "--op", "syzygy", "--out", str(tmp_path)], capsys)
+    assert code == 1 and tmp_path.is_dir()
+    assert f"input error: cannot write {tmp_path}" in err
+
+
+def test_report_over_a_longer_file_through_a_symlink_is_cut_to_its_bytes(capsys, tmp_path):
+    # the report is written over the old bytes and then cut to length
+    golden = (GOLDEN / "manifest_kx2.json").read_bytes()
+    old = tmp_path / "old.json"
+    old.write_bytes(b"x" * (2 * len(golden)))
+    link = tmp_path / "report.json"
+    link.symlink_to(old)
+    argv = ["verify", "--manifest", str(FIX / "manifest_kx2.json"), "--suite", "all", "--seed", "0",
+            "--json", str(link)]
+    for _ in range(2):
+        code, _, _ = run(argv, capsys)
+        assert code == 0 and link.is_symlink() and old.read_bytes() == golden
+
+
 def test_verify_negative_seed_exits_1(capsys, monkeypatch):
     # rejected before the manifest is read or any suite runs
     monkeypatch.setattr(cli, "load_manifest", lambda path: pytest.fail("the manifest was read"))

@@ -95,7 +95,7 @@ def projective_resolution(m, length):
     for _ in range(length):
         pres = minimal_presentation(omega)
         ds.append(pres.d)
-        ps.append(pres.p1)
+        ps.append(pres.d.source)
         omega = syzygy(omega)
     return ps, ds, eps
 
@@ -107,7 +107,7 @@ def ext_cocycles(m, n, i):
     for _ in range(i - 1):
         m = syzygy(m)
     acts, _, y = homalg._ext_coordinates(m, n)
-    p_i = minimal_presentation(m).p1
+    p_i = minimal_presentation(m).d.source
     phis = repmod._maps_on_paths(p_i, n, acts, y)
     return [
         ModuleMap(p_i, n, [Matrix(n.algebra.field, phi[:, :, j].T) for phi in phis], validate=False)
@@ -234,18 +234,18 @@ def test_cosyzygy_matches_the_envelope_reference_on_random_modules(p):
 def test_minimal_presentation_shapes():
     a2 = a2_algebra()
     pres = minimal_presentation(simple(a2, 0))
-    assert pres.p0.dims == (1, 1)
-    assert pres.p1.dims == (0, 1)
+    assert pres.d.target.dims == (1, 1)
+    assert pres.d.source.dims == (0, 1)
 
     alg3 = loop_algebra(3)
     pres = minimal_presentation(simple(alg3, 0))
-    assert pres.p0.dims == (3,)
-    assert pres.p1.dims == (3,)
+    assert pres.d.target.dims == (3,)
+    assert pres.d.source.dims == (3,)
     # presentations ignore projective summands up to adding them to p0
     both = direct_sum([simple(alg3, 0), regular_module(alg3)])[0]
     pres2 = minimal_presentation(both)
-    assert pres2.p0.dims == (6,)
-    assert pres2.p1.dims == (3,)
+    assert pres2.d.target.dims == (6,)
+    assert pres2.d.source.dims == (3,)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,29 @@ def test_resolution_layers_hold_no_module_level_state():
     assert {"_KNIT_DIM_CAP", "_knit", "_gp_members"} <= defined["arsubcat.py"]
 
 
+def _maps_beside_a_module(source: str) -> list[str]:
+    """Classes with a field annotated `ModuleMap` beside one annotated
+    `Representation`.  Every such class the package had held the map's own
+    source or target a second time (a morphism object (a, b, f), a
+    presentation (p1, p0, d: p1 -> p0)), which the map already carries."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            kinds = {ast.unparse(field.annotation) for field in node.body if isinstance(field, ast.AnnAssign)}
+            if {"ModuleMap", "Representation"} <= kinds:
+                found.append(f"{node.lineno}: {node.name}")
+    return found
+
+
+def test_no_class_holds_a_module_map_beside_its_source_or_target():
+    wrapper = "@dataclass\nclass Obj:\n    a: Representation\n    b: Representation\n    f: ModuleMap\n"
+    assert _maps_beside_a_module(wrapper) == ["2: Obj"]
+    assert _maps_beside_a_module("class Square:\n    source: ModuleMap\n    sigma1: ModuleMap\n") == []
+    paths = sorted(Path(arquiver.__file__).parent.glob("*.py"))
+    assert {"morphcat.py", "homalg.py"} <= {path.name for path in paths}
+    assert [f"{path.name}:{x}" for path in paths for x in _maps_beside_a_module(path.read_text())] == []
+
+
 def _random_generator_uses(source: str) -> list[str]:
     """Lines that make a random generator: `default_rng`, any `np.random` /
     `numpy.random` attribute, or an import of `random` or `numpy.random`."""

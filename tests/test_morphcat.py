@@ -19,7 +19,6 @@ from arquiver.exactlin import Matrix, PrimeField
 from arquiver.homalg import ext_dim, minimal_presentation
 from arquiver.morphcat import (
     MorphMap,
-    MorphObject,
     factor_morph_map_through,
     from_t2_module,
     identity_morph_map,
@@ -79,20 +78,20 @@ def kx2_objects():
     z = zero_module(alg)
     n2 = Matrix(F5, [[0, 0], [1, 0]])
     objs = {
-        "G1": MorphObject.of_map(identity_map(s)),
-        "G2": MorphObject.of_map(zero_map(z, s)),
-        "G3": MorphObject.of_map(ModuleMap(s, lam, [Matrix(F5, [[0], [1]])])),
-        "S0": MorphObject.of_map(zero_map(s, z)),
-        "P0": MorphObject.of_map(identity_map(lam)),
-        "P1": MorphObject.of_map(zero_map(z, lam)),
-        "I0": MorphObject.of_map(zero_map(lam, z)),
-        "LxL": MorphObject.of_map(ModuleMap(lam, lam, [n2])),
-        "LtoS": MorphObject.of_map(ModuleMap(lam, s, [Matrix(F5, [[1, 0]])])),
+        "G1": identity_map(s),
+        "G2": zero_map(z, s),
+        "G3": ModuleMap(s, lam, [Matrix(F5, [[0], [1]])]),
+        "S0": zero_map(s, z),
+        "P0": identity_map(lam),
+        "P1": zero_map(z, lam),
+        "I0": zero_map(lam, z),
+        "LxL": ModuleMap(lam, lam, [n2]),
+        "LtoS": ModuleMap(lam, s, [Matrix(F5, [[1, 0]])]),
     }
     return alg, objs
 
 
-def same_object(x: MorphObject, y: MorphObject) -> bool:
+def same_object(x: ModuleMap, y: ModuleMap) -> bool:
     return is_isomorphic(to_t2_module(x), to_t2_module(y))
 
 
@@ -102,10 +101,8 @@ def same_object(x: MorphObject, y: MorphObject) -> bool:
 
 def test_morph_object_and_map_validate():
     alg, objs = kx2_objects()
-    s = objs["G1"].a
-    lam = objs["P0"].a
-    with pytest.raises(ValueError):
-        MorphObject(lam, s, identity_map(s))  # f does not run a -> b
+    s = objs["G1"].source
+    lam = objs["P0"].source
     # a non-commuting square: G3 -> G1 with sigma2 the cover L ->> S and a
     # sigma1 that fails sigma2∘f = f'∘sigma1
     cover = ModuleMap(lam, s, [Matrix(F5, [[1, 0]])])
@@ -144,12 +141,9 @@ def test_round_trip_on_fixture_and_random_objects():
                 if basis
                 else zero_map(a, b)
             )
-            obj = MorphObject.of_map(f)
-            back = from_t2_module(to_t2_module(obj))
-            assert back.a == obj.a and back.b == obj.b
-            assert all(
-                back.f.vertex_maps[i] == obj.f.vertex_maps[i] for i in range(len(obj.f.vertex_maps))
-            )
+            back = from_t2_module(to_t2_module(f))
+            assert back.source == f.source and back.target == f.target
+            assert all(back.vertex_maps[i] == f.vertex_maps[i] for i in range(len(f.vertex_maps)))
             done += 1
 
 
@@ -176,14 +170,14 @@ def test_morph_hom_dims_match_t2_homs():
 def test_mimo_frozen_values():
     _, objs = kx2_objects()
     m, canon = mimo(objs["S0"])  # (S -> 0) => (S into L)
-    assert (m.a.dims, m.b.dims) == ((1,), (2,))
+    assert (m.source.dims, m.target.dims) == ((1,), (2,))
     assert same_object(m, objs["G3"])
     m, _ = mimo(objs["I0"])  # (L -> 0) => (L = L) up to iso
     assert same_object(m, objs["P0"])
     # mono input returns the object unchanged with the identity as canonical
     m, canon = mimo(objs["G3"])
     assert m is objs["G3"]
-    assert canon.sigma1 == identity_map(objs["G3"].a)
+    assert canon.sigma1 == identity_map(objs["G3"].source)
     # the radical multiplication splits into both projectives
     m, _ = mimo(objs["LxL"])
     parts = decompose(to_t2_module(m)).summands
@@ -194,14 +188,14 @@ def test_mimo_output_is_mono_everywhere():
     _, objs = kx2_objects()
     for name, obj in objs.items():
         m, canon = mimo(obj)
-        assert is_mono(m.f), name
+        assert is_mono(m), name
         assert canon.source is m and canon.target is obj
 
 
 def test_mimo_minimal_approximation_property():
     """Every morphism from a mono object factors through the canonical map."""
     _, objs = kx2_objects()
-    monos = [o for o in objs.values() if is_mono(o.f)]
+    monos = [o for o in objs.values() if is_mono(o)]
     checked = 0
     for target in objs.values():
         mono_version, canon = mimo(target)
@@ -219,8 +213,8 @@ def a2_identity_objects():
     """x = (S0 = S0) and y = (S1 = S1) over A2 = (0 -> 1)."""
     alg = a2_algebra()
     return (
-        MorphObject.of_map(identity_map(simple(alg, 0))),
-        MorphObject.of_map(identity_map(simple(alg, 1))),
+        identity_map(simple(alg, 0)),
+        identity_map(simple(alg, 1)),
     )
 
 
@@ -228,16 +222,16 @@ def test_factor_zero_map_with_no_maps_to_lift_into():
     # Hom(x, y) = 0 with x nonzero: the zero map m: x -> y still factors
     # through c = id_y, as the zero map
     x, y = a2_identity_objects()
-    m = MorphMap(x, y, zero_map(x.a, y.a), zero_map(x.b, y.b))
+    m = MorphMap(x, y, zero_map(x.source, y.source), zero_map(x.target, y.target))
     h = factor_morph_map_through(m, identity_morph_map(y))
     assert h is not None and h.source == x and h.target == y and h.is_zero()
 
 
 def test_factor_from_the_zero_object_lands_in_the_source_of_c():
     _, y = a2_identity_objects()
-    z = zero_module(y.algebra)
-    x = MorphObject(z, z, zero_map(z, z))
-    m = MorphMap(x, y, zero_map(x.a, y.a), zero_map(x.b, y.b))
+    z = zero_module(y.source.algebra)
+    x = zero_map(z, z)
+    m = MorphMap(x, y, zero_map(x.source, y.source), zero_map(x.target, y.target))
     h = factor_morph_map_through(m, identity_morph_map(y))
     assert h is not None and h.source == x and h.target == y
 
@@ -247,8 +241,8 @@ def test_mimo_cokernel_projects_onto_cokernel():
     for name in ("S0", "I0", "LxL", "LtoS"):
         obj = objs[name]
         mono_version, canon = mimo(obj)
-        cok_m, pm = cokernel(mono_version.f)
-        cok_f, pf = cokernel(obj.f)
+        cok_m, pm = cokernel(mono_version)
+        cok_f, pf = cokernel(obj)
         induced = solve_hom_equation(cok_m, cok_f, compose(pf, canon.sigma2), pre=pm)
         assert induced is not None and is_epi(induced), name
 
@@ -259,15 +253,15 @@ def test_mimo_cokernel_projects_onto_cokernel():
 
 def test_imin_pmin_frozen():
     alg, objs = kx2_objects()
-    s = objs["G1"].a
+    s = objs["G1"].source
     got = imin(s)
-    assert (got.a.dims, got.b.dims) == ((2,), (2,))
+    assert (got.source.dims, got.target.dims) == ((2,), (2,))
     assert same_object(got, objs["LxL"])  # (L -x-> L)
-    pres = minimal_presentation(s)
-    got = MorphObject(pres.p1, pres.p0, pres.d)
-    assert (got.a.dims, got.b.dims) == ((2,), (2,))
+    got = minimal_presentation(s).d
+    assert (got.source.dims, got.target.dims) == ((2,), (2,))
     assert same_object(got, objs["LxL"])
-    assert imin(zero_module(alg)).is_zero()
+    zero = imin(zero_module(alg))
+    assert zero.source.is_zero() and zero.target.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +275,7 @@ def test_is_gp_in_h_examples():
     assert not is_gp_in_h(objs["S0"], everything_gp)  # not mono
     assert is_gp_in_h(objs["G3"], everything_gp)
     # a discriminating oracle: reject anything isomorphic to the simple
-    s = objs["G1"].a
+    s = objs["G1"].source
     no_simple = lambda m: not is_isomorphic(m, s)
     assert not is_gp_in_h(objs["G1"], no_simple)
     assert is_gp_in_h(objs["P0"], no_simple)
@@ -293,8 +287,9 @@ def test_is_gp_in_h_examples():
 
 def test_tau_s_lambda_kills_projectives():
     _, objs = kx2_objects()
-    assert tau_s_lambda(objs["P0"]).is_zero()
-    assert tau_s_lambda(objs["P1"]).is_zero()
+    for name in ("P0", "P1"):
+        t = tau_s_lambda(objs[name])
+        assert t.source.is_zero() and t.target.is_zero(), name
 
 
 def test_tau_s_lambda_three_cycle():
@@ -324,7 +319,7 @@ def test_tau_s_lambda_preconditions():
     with pytest.raises(NotMono):
         tau_s_lambda(objs["S0"])
     a2 = a2_algebra()
-    po = MorphObject.of_map(identity_map(simple(a2, 0)))
+    po = identity_map(simple(a2, 0))
     with pytest.raises(NotSelfInjective):
         tau_s_lambda(po)
 
@@ -340,10 +335,8 @@ def test_morph_json_round_trip():
         data = morph_to_json_dict(obj, "kx2")
         assert set(data) == {"A", "B", "f"}
         back = morph_from_json_dict(alg, data)
-        assert back.a == obj.a and back.b == obj.b
-        assert all(
-            back.f.vertex_maps[i] == obj.f.vertex_maps[i] for i in range(len(obj.f.vertex_maps))
-        )
+        assert back.source == obj.source and back.target == obj.target
+        assert all(back.vertex_maps[i] == obj.vertex_maps[i] for i in range(len(obj.vertex_maps)))
 
 
 def test_morph_json_vertex_maps_are_keyed_by_strings():
