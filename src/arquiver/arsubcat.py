@@ -198,10 +198,10 @@ def _tau_p_core(m: Representation) -> Representation:
     if t.is_zero():
         return t
     pres = minimal_presentation(t)
-    mono, canon = mimo(pres.d)
+    mono, sigma2 = mimo(pres.d)
     cok_mono, pm = cokernel(mono)
     cok_orig, pf = cokernel(pres.d)
-    h = solve_hom_equation(cok_mono, cok_orig, compose(pf, canon.sigma2), pre=pm)
+    h = solve_hom_equation(cok_mono, cok_orig, compose(pf, sigma2), pre=pm)
     minimized, _, _ = right_minimalize(h)
     return minimized
 

@@ -1,14 +1,16 @@
 """The morphism category of a bound quiver algebra.
 
 An object is a module map f: A -> B between right modules over one algebra,
-and is held as that `ModuleMap`: A and B are f.source and f.target.  A
-morphism is a commuting square (sigma1, sigma2), a `MorphMap`.  The whole
-category is equivalent to right modules over the triangular matrix algebra
-t2_of(Lambda): vertex i carries A_i, its primed copy carries B_i, and the
-connecting arrow eps<i> acts by f_i.  to_t2_module / from_t2_module realize
-that equivalence on the nose, so every module-level operator (hom, ext,
-decompose, translate, and factorization through solve_hom_equation) applies
-to morphism objects by transport.
+and is held as that `ModuleMap`: A and B are f.source and f.target.  The
+whole category is equivalent to right modules over the triangular matrix
+algebra t2_of(Lambda): vertex i carries A_i, its primed copy carries B_i,
+and the connecting arrow eps<i> acts by f_i.  to_t2_module / from_t2_module
+realize that equivalence on the nose, so a morphism f -> g, a commuting
+square (sigma1, sigma2), is the `ModuleMap` to_t2_module(f) ->
+to_t2_module(g) with sigma1 at the plain vertices and sigma2 at the primed
+ones; its intertwining check on the eps<i> arrows is the square.  Every
+module-level operator (hom, ext, decompose, translate, and factorization
+through solve_hom_equation) applies to morphism objects by transport.
 
 On top of the identification this module provides:
 
@@ -24,8 +26,6 @@ On top of the identification this module provides:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import NotMono, NotSelfInjective, invariant
 from .exactlin import Matrix
@@ -54,32 +54,6 @@ from .repmod import (
 from . import exactlin
 
 import numpy as np
-
-
-# ---------------------------------------------------------------------------
-# morphisms
-
-
-@dataclass(frozen=True)
-class MorphMap:
-    """A morphism (sigma1, sigma2): source -> target between two objects,
-    each a module map; the square target∘sigma1 = sigma2∘source commutes."""
-
-    source: ModuleMap
-    target: ModuleMap
-    sigma1: ModuleMap
-    sigma2: ModuleMap
-
-    def __post_init__(self):
-        if compose(self.target, self.sigma1) != compose(self.sigma2, self.source):
-            raise ValueError("MorphMap: square does not commute")
-
-    def is_zero(self) -> bool:
-        return self.sigma1.is_zero() and self.sigma2.is_zero()
-
-
-def identity_morph_map(f: ModuleMap) -> MorphMap:
-    return MorphMap(f, f, identity_map(f.source), identity_map(f.target))
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +109,13 @@ def from_t2_module(rep: Representation) -> ModuleMap:
 #
 # A morphism x -> y is a pair (s1, s2) with y∘s1 = s2∘x; the space is cut out
 # of Hom(x.source, y.source) x Hom(x.target, y.target) by one linear
-# condition.  Kept separate from the t2 route so the two can cross-check
-# each other.
+# condition.  Kept separate from hom_basis over t2_of(algebra) so the two
+# can cross-check each other.
 
 
-def morph_hom_basis(x: ModuleMap, y: ModuleMap) -> list[MorphMap]:
+def morph_hom_basis(x: ModuleMap, y: ModuleMap) -> list[ModuleMap]:
+    """A basis of the morphisms x -> y, each the map to_t2_module(x) ->
+    to_t2_module(y) with s1 at the plain vertices and s2 at the primed ones."""
     h1 = hom_basis(x.source, y.source)
     h2 = hom_basis(x.target, y.target)
     if not h1 and not h2:
@@ -152,54 +128,34 @@ def morph_hom_basis(x: ModuleMap, y: ModuleMap) -> list[MorphMap]:
         cols.append((-flatten_map(compose(s2, x))) % field.p)
     system = Matrix(field, np.stack(cols, axis=1))
     null = exactlin.kernel_basis(system)
+    tx, ty = to_t2_module(x), to_t2_module(y)
     out = []
     for c in range(null.cols):
         v = [int(t) for t in null.a[:, c]]
         s1 = map_from_coefficients(h1, v[: len(h1)]) if h1 else zero_map(x.source, y.source)
         s2 = map_from_coefficients(h2, v[len(h1) :]) if h2 else zero_map(x.target, y.target)
-        out.append(MorphMap(x, y, s1, s2))
+        out.append(ModuleMap(tx, ty, s1.vertex_maps + s2.vertex_maps))
     return out
-
-
-def factor_morph_map_through(m: MorphMap, c: MorphMap) -> MorphMap | None:
-    """Some h: m.source -> c.source with c∘h = m, or None.
-
-    A lifting problem over t2_of(algebra), solved by transport: m and c become
-    module maps with sigma1 at the plain vertices and sigma2 at the primed
-    ones, and the solution splits back the same way.
-    """
-    x, y, z = m.source, c.source, c.target
-    tx, ty, tz = to_t2_module(x), to_t2_module(y), to_t2_module(z)
-    target = ModuleMap(tx, tz, m.sigma1.vertex_maps + m.sigma2.vertex_maps, validate=False)
-    post = ModuleMap(ty, tz, c.sigma1.vertex_maps + c.sigma2.vertex_maps, validate=False)
-    h = solve_hom_equation(tx, ty, target, post=post)
-    if h is None:
-        return None
-    n = x.source.algebra.quiver.vertices
-    return MorphMap(
-        x,
-        y,
-        ModuleMap(x.source, y.source, h.vertex_maps[:n], validate=False),
-        ModuleMap(x.target, y.target, h.vertex_maps[n:], validate=False),
-    )
 
 
 # ---------------------------------------------------------------------------
 # Mimo: minimal monomorphism approximation
 
 
-def mimo(f: ModuleMap) -> tuple[ModuleMap, MorphMap]:
-    """([f, e]: A -> B (+) I(ker f), canonical (1_A, [1_B, 0])).
+def mimo(f: ModuleMap) -> tuple[ModuleMap, ModuleMap]:
+    """([f, e]: A -> B (+) I(ker f), [1_B, 0]: B (+) I(ker f) -> B).
 
     e extends the injective envelope of ker(f) along ker(f) -> A; any
     solution of that extension system yields the same object up to
-    isomorphism.  The returned structure map is a monomorphism and the
-    canonical morphism is a minimal right approximation of f by objects
-    with monomorphic structure map.
+    isomorphism.  The returned structure map is a monomorphism, and the
+    canonical morphism (1_A, [1_B, 0]) to f is a minimal right approximation
+    of f by objects with monomorphic structure map; only its B-part, the
+    second map returned, carries information.  A mono f comes back as
+    (f, 1_B).
     """
     k, kappa = kernel(f)
     if k.is_zero():
-        return f, identity_morph_map(f)
+        return f, identity_map(f.target)
     env = injective_envelope(k)
     env_target = env.target
     e = solve_hom_equation(f.source, env_target, env, pre=kappa)
@@ -207,8 +163,7 @@ def mimo(f: ModuleMap) -> tuple[ModuleMap, MorphMap]:
     _, incls, projs = direct_sum([f.target, env_target])
     fe = add_maps(compose(incls[0], f), compose(incls[1], e))
     invariant(is_mono(fe), "mimo output must be mono")
-    canonical = MorphMap(fe, f, identity_map(f.source), projs[0])
-    return fe, canonical
+    return fe, projs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -655,10 +655,13 @@ def is_projective(m: Representation) -> bool:
 
 @dataclass(frozen=True)
 class DecompositionCertificate:
-    summands: tuple[Representation, ...]
-    inclusions: tuple[ModuleMap, ...]  # they fix the order of the summands
+    inclusions: tuple[ModuleMap, ...]
     indecomposability_evidence: tuple[str, ...]
     certified: bool
+
+    @property
+    def summands(self) -> tuple[Representation, ...]:
+        return tuple(i.source for i in self.inclusions)
 
 
 # Combinations of an End basis are enumerated only while p^t stays within
@@ -843,7 +846,7 @@ def decompose(m: Representation) -> DecompositionCertificate:
     piece may still decompose.
     """
     if m.is_zero():
-        return DecompositionCertificate((), (), (), True)
+        return DecompositionCertificate((), (), True)
     work = [(m, identity_map(m))]
     final = []
     certified = True
@@ -857,11 +860,11 @@ def decompose(m: Representation) -> DecompositionCertificate:
             continue
         evidence, ok = verdict
         certified = certified and ok
-        final.append((cur, incl, evidence))
+        final.append((incl, evidence))
     # deterministic order: sort by dims, then by the entries of the inclusion
-    final.sort(key=lambda x: (tuple(x[0].dims), [vm.tolist() for vm in x[1].vertex_maps]))
-    summands, inclusions, evidence = zip(*final)
-    return DecompositionCertificate(summands, inclusions, evidence, certified)
+    final.sort(key=lambda x: (tuple(x[0].source.dims), [vm.tolist() for vm in x[0].vertex_maps]))
+    inclusions, evidence = zip(*final)
+    return DecompositionCertificate(inclusions, evidence, certified)
 
 
 def require_certified(cert: DecompositionCertificate) -> DecompositionCertificate:

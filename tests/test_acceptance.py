@@ -20,12 +20,7 @@ from arquiver.arsubcat import (
 )
 from arquiver.exactlin import Matrix, PrimeField
 from arquiver.homalg import ext_dim, is_stably_isomorphic, stable_hom_proj, syzygy, transpose
-from arquiver.morphcat import (
-    factor_morph_map_through,
-    mimo,
-    morph_hom_basis,
-    to_t2_module,
-)
+from arquiver.morphcat import mimo, morph_hom_basis, to_t2_module
 from arquiver.quivalg import Quiver, RelationTerm, build_algebra, t2_of
 from arquiver.repmod import (
     ModuleMap,
@@ -38,6 +33,7 @@ from arquiver.repmod import (
     random_module,
     regular_module,
     simple_module,
+    solve_hom_equation,
     zero_map,
     zero_module,
 )
@@ -255,11 +251,17 @@ def test_criterion_6_mimo_minimal_approximation():
         monos = [o for o in objs.values() if is_mono(o)]
         checked = 0
         for target in objs.values():
-            mono_version, canon = mimo(target)
+            mono_version, sigma2 = mimo(target)
             assert is_mono(mono_version)
+            # the canonical morphism (1_A, sigma2): mono_version -> target over T2
+            canon = ModuleMap(
+                to_t2_module(mono_version),
+                to_t2_module(target),
+                identity_map(target.source).vertex_maps + sigma2.vertex_maps,
+            )
             for g in monos:
                 for mm in morph_hom_basis(g, target):
-                    assert factor_morph_map_through(mm, canon) is not None
+                    assert solve_hom_equation(mm.source, canon.source, mm, post=canon) is not None
                     checked += 1
         totals[label] = checked
     elapsed = time.perf_counter() - start
