@@ -7,10 +7,10 @@ and for modules of finite projective dimension, the relative translations on
 those two subcategories, a transpose for morphisms between projectives over
 a self-injective algebra, duality verification by exact dimension counting
 over explicit lists of indecomposables, and complete lists of
-indecomposables, certified by knitting with almost split sequences: all of
-ind alg (`indec_pool`), and the Gorenstein projectives of the morphism
-category (`classify_gp_census`, tagged by classification shape), knitted
-inside Gprj with its relative translate tau_G.
+indecomposables, certified by knitting with almost split sequences and kept
+on the algebra whose modules they list: all of ind alg (`indec_pool`), and
+its Gorenstein projectives with tau_G (`_gprj_members`), over the triangular
+algebra the GP objects of the morphism category that `classify_gp_census` tags.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .homalg import (
     syzygy,
     transpose,
 )
-from .morphcat import from_t2_module, imin, is_gp_in_h, mimo
+from .morphcat import from_t2_module, imin, mimo
 from .quivalg import BoundQuiverAlgebra, opposite, t2_base_of, t2_of
 from .repmod import (
     ModuleMap,
@@ -180,8 +180,8 @@ def tau_pfin(m: Representation) -> Representation:
     """Translation on modules of finite projective dimension over a
     1-Gorenstein algebra: present the ordinary translate minimally, push the
     presentation map to a monomorphism with the same cokernel behaviour, and
-    return the right-minimized induced map's source between the cokernels
-    (`_tau_p_core`).  Projective summands go to zero."""
+    return the source of the right-minimized induced map from its cokernel
+    to the translate (`_tau_p_core`).  Projective summands go to zero."""
     _require_one_gorenstein(m.algebra)
     if has_finite_projdim(m) is None:
         raise InfiniteProjectiveDimension("tau_pfin input must have finite projective dimension")
@@ -200,8 +200,8 @@ def _tau_p_core(m: Representation) -> Representation:
     pres = minimal_presentation(t)
     mono, sigma2 = mimo(pres.d)
     cok_mono, pm = cokernel(mono)
-    cok_orig, pf = cokernel(pres.d)
-    h = solve_hom_equation(cok_mono, cok_orig, compose(pf, sigma2), pre=pm)
+    # h: Coker mono -> t with h.pm = eps.sigma2, unique as pm is epi
+    h = solve_hom_equation(cok_mono, t, compose(pres.eps, sigma2), pre=pm)
     minimized, _, _ = right_minimalize(h)
     return minimized
 
@@ -353,9 +353,13 @@ def indec_pool(alg: BoundQuiverAlgebra, bound) -> tuple[Representation, ...]:
     return tuple(m for m, _ in _pool_members(alg, bound))
 
 
-def _knitted(alg: BoundQuiverAlgebra, key: str, knit, caps) -> list[tuple[Representation, Representation | None]]:
+def _knitted(alg: BoundQuiverAlgebra, key: str, knit, bound) -> list[tuple[Representation, Representation | None]]:
     """The (module, translate) pairs of the list knit() returns, knitted once
-    per algebra (alg._cache[key]), with dims under caps, sorted by dimension."""
+    per algebra (alg._cache[key]), with dims under bound (a cap per vertex of
+    alg), sorted by dimension."""
+    caps = tuple(int(b) for b in bound)
+    if len(caps) != alg.quiver.vertices:
+        raise ValueError("bound must give a cap per vertex")
     found = alg._cache.get(key)
     if found is None:
         alg._cache[key] = found = knit()
@@ -365,59 +369,52 @@ def _knitted(alg: BoundQuiverAlgebra, key: str, knit, caps) -> list[tuple[Repres
 
 def _pool_members(alg: BoundQuiverAlgebra, bound) -> list[tuple[Representation, Representation | None]]:
     """The members of `indec_pool` with their tau (None for a projective)."""
-    caps = tuple(int(b) for b in bound)
-    if len(caps) != alg.quiver.vertices:
-        raise ValueError("bound must give a cap per vertex")
     # distinct vertices give distinct socles, so the injective seeds are not isomorphic
     knit = lambda: _knit([indecomposable_injective(alg, v) for v in range(alg.quiver.vertices)], ar_translate)
-    return _knitted(alg, "indec_pool", knit, caps)
+    return _knitted(alg, "indec_pool", knit, bound)
 
 
-def _knit_gprj_t2(base: BoundQuiverAlgebra) -> tuple[tuple[Representation, Representation | None], ...]:
-    """Every indecomposable Gorenstein-projective module over T2 = t2_of(base),
-    with its tau_G (None for a projective), in the order knitted.
+def _gprj_members(alg: BoundQuiverAlgebra, bound) -> list[tuple[Representation, Representation | None]]:
+    """Every indecomposable Gorenstein-projective alg-module with dims under
+    bound, with its tau_G (None for a projective), sorted by dimension, from
+    the list knitted once per algebra (alg._cache, key "gprj").
 
-    Over a self-injective base, Gprj T2 is the submodule category S(base) of
-    monomorphisms (Ringel and Schmidmeier, Trans. AMS 360, 2008), and T2 is
-    1-Gorenstein.  Gprj is functorially finite and extension-closed, so it
-    has relative almost split sequences (Auslander and Smalo, J. Algebra
-    1981) with tau_G as the translate.  `_knit` starts from the
-    indecomposable projective T2-modules; a projective X adds the summands of
-    rad X, any other X those of E in 0 -> tau_G X -> E -> X -> 0.  Both end
-    in a sink map of X in Gprj.  A non-isomorphism Y -> X from an
+    Over T2 = t2_of(base) of a self-injective base, Gprj T2 is the submodule
+    category S(base) of monomorphisms (Ringel and Schmidmeier, Trans. AMS
+    360, 2008), and T2 is 1-Gorenstein.  Gprj is functorially finite and
+    extension-closed, so it has relative almost split sequences (Auslander
+    and Smalo, J. Algebra 1981) with tau_G as the translate.  `_knit` starts
+    from the indecomposable projective T2-modules; a projective X adds the
+    summands of rad X, any other X those of E in 0 -> tau_G X -> E -> X -> 0.
+    Both end in a sink map of X in Gprj.  A non-isomorphism Y -> X from an
     indecomposable Y lands in rad X, and rad X is in S(base), which is closed
     under submodules, so Mimo(rad X), the minimal right S(base)-approximation
-    of rad X, is rad X itself.  E -> X is right almost split in Gprj.  A list C
-    closed this way is all of ind Gprj: an indecomposable GP module Y not in
-    C embeds in a projective, so it maps nonzero, not isomorphically, into a
-    member of C, and the Harada-Sai argument of `indec_pool` applies inside
+    of rad X, is rad X itself.  E -> X is right almost split in Gprj.  A list
+    C closed this way is all of ind Gprj: an indecomposable GP module Y not
+    in C embeds in a projective, so it maps nonzero, not isomorphically, into
+    a member of C, and the Harada-Sai argument of `indec_pool` applies inside
     Gprj.  No tau_G^-1 step and no connectivity check are needed.  Members
     are GP, indecomposable and non-projective by construction, so tau_G is
     `_tau_g_core` with d = 1.
 
-    Over any other base, Gprj T2 is smaller than the monomorphisms and rad X
-    need not lie in it: the list is `indec_pool` of T2, certified by the
-    absolute knitting, cut down by `is_gp_in_h`.  Either way a
-    representation-infinite Gprj, or T2, raises BudgetExhausted.
+    Over a self-injective alg, Gprj is all of mod alg and tau_G is tau: the
+    list is `_pool_members`.  Over any other alg, Gprj need not hold rad X:
+    the list is `indec_pool`, certified by the absolute knitting, cut down by
+    `is_gorenstein_projective`, and needs alg Gorenstein within the caps
+    (NotGorensteinWithinCap).  Either way a representation-infinite Gprj, or
+    alg, raises BudgetExhausted.
     """
-    t2, _ = t2_of(base)
-    if gorenstein_profile(base) == 0:
-        projectives = [indecomposable_projective(t2, v) for v in range(t2.quiver.vertices)]
-        return _knit(projectives, lambda x: _tau_g_core(x, 1))
-    everything = indec_pool(t2, (_KNIT_DIM_CAP,) * t2.quiver.vertices)
-    gps = [x for x in everything if is_gp_in_h(from_t2_module(x), is_gorenstein_projective)]
-    d = gorenstein_profile(t2)
-    return tuple((x, None if is_projective(x) else _tau_g_core(x, d)) for x in gps)
-
-
-def _gp_members(base: BoundQuiverAlgebra, bound) -> list[tuple[Representation, Representation | None]]:
-    """The (module, tau_G) pairs of `_knit_gprj_t2` whose dims fit under bound
-    (a cap per vertex of T2), sorted by dimension; the list is knitted once
-    per base (base._cache, key "gp_census")."""
-    caps = tuple(int(b) for b in bound)
-    if len(caps) != 2 * base.quiver.vertices:
-        raise ValueError("bound must cap each vertex of the triangular algebra")
-    return _knitted(base, "gp_census", lambda: _knit_gprj_t2(base), caps)
+    n = alg.quiver.vertices
+    base = t2_base_of(alg)
+    if base is not None and gorenstein_profile(base[0]) == 0:
+        knit = lambda: _knit([indecomposable_projective(alg, v) for v in range(n)], lambda x: _tau_g_core(x, 1))
+        return _knitted(alg, "gprj", knit, bound)
+    d = _gorenstein_d(alg, "knitting the Gorenstein projectives")
+    if d == 0:
+        return _pool_members(alg, bound)
+    knit = lambda: tuple((x, None if t is None else _tau_g_core(x, d))
+                         for x, t in _pool_members(alg, (_KNIT_DIM_CAP,) * n) if is_gorenstein_projective(x))
+    return _knitted(alg, "gprj", knit, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +461,10 @@ def classify_gp_census(alg: BoundQuiverAlgebra, bound) -> GpCensus:
     """Census of the indecomposable Gorenstein-projective objects of the
     morphism category of alg with dimension vectors under bound (first half
     of bound caps sources, second half targets), read from the knitted list
-    of `_knit_gprj_t2`."""
+    of Gprj t2_of(alg) (`_gprj_members`)."""
     objects = []
     counts = {"a": 0, "b": 0, "c": 0, "other": 0}
-    for i, (t2m, _) in enumerate(_gp_members(alg, bound)):
+    for i, (t2m, _) in enumerate(_gprj_members(t2_of(alg)[0], bound)):
         tag, count_key = _census_tag(from_t2_module(t2m))
         counts[count_key] += 1
         objects.append((f"g{i}:" + "x".join(str(d) for d in t2m.dims), tag))
@@ -482,28 +479,19 @@ def check_tau_is_syzygy(alg: BoundQuiverAlgebra, bound):
     """Compare tau_gprj against the minimal syzygy on every indecomposable
     non-projective Gorenstein projective with dims under bound.
 
-    Over a triangular matrix algebra the Gorenstein projectives and their
-    translates are read from the knitted list of its base (bound caps the
-    triangular dims).  That needs an algebra returned by t2_of, which links
-    it to its base; an equal algebra read from JSON has no such link.  Over a
-    self-injective algebra every module qualifies, d = 0 makes tau_gprj the
-    ordinary tau, and both are read from the knitted list of `indec_pool`.
-    Either way each translate is tau_G of an indecomposable non-projective
-    GP module, itself indecomposable, so `is_isomorphic` is exact.  Returns
-    (verdict, witnesses) with one witness (module, translate, syzygy) per
-    failing module.
+    alg must be self-injective, where every module qualifies and d = 0 makes
+    tau_gprj the ordinary tau, or a triangular matrix algebra returned by
+    t2_of, which links it to its base; an equal algebra read from JSON has no
+    such link.  The Gorenstein projectives and their translates are read
+    from alg's own knitted list (`_gprj_members`).  Each translate is tau_G
+    of an indecomposable non-projective GP module, itself indecomposable, so
+    `is_isomorphic` is exact.  Returns (verdict, witnesses) with one witness
+    (module, translate, syzygy) per failing module.
     """
-    base_pair = t2_base_of(alg)
-    if base_pair is not None:
-        members = _gp_members(base_pair[0], bound)
-    elif gorenstein_profile(alg) == 0:
-        members = _pool_members(alg, bound)
-    else:
-        raise NotSelfInjective(
-            "comparison needs a self-injective algebra or a triangular algebra over one"
-        )
+    if t2_base_of(alg) is None and gorenstein_profile(alg) != 0:
+        raise NotSelfInjective("comparison needs a self-injective algebra or a triangular algebra over one")
     witnesses = []
-    for g, t in members:
+    for g, t in _gprj_members(alg, bound):
         if t is None:
             continue
         om = syzygy(g)

@@ -34,10 +34,11 @@ class BudgetExhausted(PreconditionError):
     met a piece it could neither split nor show local, with End too large to
     search; `homalg.almost_split_sequence` met End(N)/rad larger than GF(p);
     or a knitting passed its cap, so its list is not certified complete: the
-    list of all indecomposables of `arsubcat.indec_pool`, or the GP census
-    (`arsubcat.classify_gp_census`, and `check_tau_is_syzygy` over a
-    triangular algebra), which knits Gprj of the triangular algebra, or the
-    whole of it over a base that is not self-injective."""
+    list of all indecomposables of `arsubcat.indec_pool`, or that of the
+    Gorenstein projectives (`arsubcat._gprj_members`, read by
+    `classify_gp_census` and `check_tau_is_syzygy`), which knits Gprj of a
+    triangular algebra over a self-injective base, and otherwise all of the
+    algebra's indecomposables."""
 
 
 class NotProjective(PreconditionError):

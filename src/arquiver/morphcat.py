@@ -18,8 +18,10 @@ On top of the identification this module provides:
   A -> B (+) I(ker f), a minimal right approximation of f by mono objects;
 - imin: the two-step minimal injective resolution of a module, viewed as
   an object here;
-- is_gp_in_h: the Gorenstein-projectivity test for objects (source, target
-  and cokernel Gorenstein projective over the base, and f mono);
+- is_gp_in_h: the Gorenstein-projectivity criterion for objects (source,
+  target and cokernel Gorenstein projective over the base, and f mono), the
+  reference the tests compare with `arsubcat.is_gorenstein_projective` over
+  the triangular algebra, which is the one test the package decides with;
 - tau_s_lambda: the translation of the submodule category over a
   self-injective algebra, computed as mimo of the functorial translate of
   the cokernel projection B ->> coker(f).

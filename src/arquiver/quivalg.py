@@ -100,12 +100,12 @@ class BoundQuiverAlgebra:
 
     # _cache holds the links that opposite, t2_of and t2_base_of memoize on
     # this object, its Gorenstein dimension d (arsubcat.gorenstein_profile),
-    # the knitted lists of all indecomposables (arsubcat.indec_pool, key
-    # "indec_pool") and of the GP modules over its T2 with their tau_G
-    # (arsubcat._gp_members, key "gp_census"), the projectives by vertex
-    # list (repmod.projective_module, key "projectives") and one memo per
-    # module value (repmod._memo_of, key "modules"); not part of equality or
-    # hash.
+    # the knitted lists of its own modules: all indecomposables
+    # (arsubcat.indec_pool, key "indec_pool") and, unless it is
+    # self-injective, where that list serves, the GP ones with their tau_G
+    # (arsubcat._gprj_members, key "gprj"), the projectives by vertex list
+    # (repmod.projective_module, key "projectives") and one memo per module
+    # value (repmod._memo_of, key "modules"); not part of equality or hash.
     __slots__ = (
         "field",
         "quiver",
@@ -254,41 +254,26 @@ def build_algebra(quiver: Quiver, relations, field: PrimeField, degree_cap: int 
                 f"path space exceeds {_PATH_SPACE_LIMIT} coordinates at degree {d}"
             )
         index = {pa: i for i, pa in enumerate(paths)}
-        spans = []
-        # ideal degree d = A1 * I_{d-1} + I_{d-1} * A1 + (relations of degree d)
-        for row in prev_red:
-            for a in arrows:
-                right = np.zeros(len(paths), dtype=np.int64)
-                left = np.zeros(len(paths), dtype=np.int64)
-                any_r = any_l = False
-                for j, c in enumerate(row):
-                    if not c:
-                        continue
-                    pa = prev_all_paths[j]
-                    if quiver.arrow(pa[-1]).target == a.source:
-                        right[index[pa + (a.id,)]] = c
-                        any_r = True
-                    if a.target == quiver.arrow(pa[0]).source:
-                        left[index[(a.id,) + pa]] = c
-                        any_l = True
-                if any_r:
-                    spans.append(right)
-                if any_l:
-                    spans.append(left)
+        # ideal degree d = A1 * I_{d-1} + I_{d-1} * A1 + (relations of degree d),
+        # one block per arrow and side; the rref does not depend on the row order.
+        # A length-(d-1) path times an arrow is in index exactly when it composes.
+        spans = [np.zeros((0, len(paths)), dtype=np.int64)]
+        for a in arrows:
+            for grown in ([pa + (a.id,) for pa in prev_all_paths], [(a.id,) + pa for pa in prev_all_paths]):
+                hits = [j for j, q in enumerate(grown) if q in index]
+                block = np.zeros((len(prev_red), len(paths)), dtype=np.int64)
+                block[:, [index[grown[j]] for j in hits]] = prev_red[:, hits]
+                spans.append(block[block.any(axis=1)])
         for rel in by_degree.get(d, []):
-            vec = np.zeros(len(paths), dtype=np.int64)
+            vec = np.zeros((1, len(paths)), dtype=np.int64)
             for term in rel:
-                vec[index[term.path]] = (vec[index[term.path]] + term.coefficient) % p
+                vec[0, index[term.path]] = (vec[0, index[term.path]] + term.coefficient) % p
             spans.append(vec)
-        if spans:
-            red, pivots = _rref(np.stack(spans), p)
-            red = red[: len(pivots)]
-        else:
-            red, pivots = np.zeros((0, len(paths)), dtype=np.int64), []
+        red, pivots = _rref(np.concatenate(spans), p)
+        red = red[: len(pivots)]
         deg_tables.append(_DegreeTable(paths, index, red, pivots))
         nf_positions = [i for i in range(len(paths)) if i not in deg_tables[-1].pivot_rows]
-        src_of = {pa: quiver.arrow(pa[0]).source for pa in paths}
-        basis.extend((src_of[paths[i]], paths[i]) for i in nf_positions)
+        basis.extend((quiver.arrow(paths[i][0]).source, paths[i]) for i in nf_positions)
         if not nf_positions:
             max_degree = d  # degree d is already all-zero; higher degrees vanish too
             break

@@ -213,8 +213,9 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
     for i in range(nv):
         offsets.append(offsets[-1] + n.dims[i] * m.dims[i])
     # One zero block per arrow, stacked at the end: filling a single array of
-    # the whole system instead raised the peak RSS of a homalg-large pass by
-    # up to 16 MB, from allocator layout alone (numpy's own peak was equal).
+    # the whole system instead raised peak RSS by up to 16 MB on large systems
+    # (measured when the homalg-large benchmark pass still built them), from
+    # allocator layout alone (numpy's own peak was equal).
     rows = []
     for a in alg.quiver.arrows:
         i, j = a.source, a.target

@@ -51,7 +51,7 @@ from arquiver.arsubcat import (
     tau_pfin,
     tr_p_lambda,
     verify_ar_duality,
-    _gp_members,
+    _gprj_members,
 )
 from arquiver import arsubcat, morphcat
 from arquiver.morphcat import from_t2_module, imin, is_gp_in_h, to_t2_module
@@ -323,6 +323,18 @@ def test_tau_pfin_hereditary_matches_translation():
     assert is_isomorphic(out, ar_translate(s_source))
 
 
+def test_tau_pfin_takes_one_cokernel(monkeypatch, t2_modules):
+    # the induced map is solved against tau M itself, so tau_P builds the
+    # cokernel of the Mimo monomorphism and no second copy of tau M
+    _, t2m, _ = t2_modules
+    calls = []
+    monkeypatch.setattr(arsubcat, "cokernel", lambda f: calls.append(f) or cokernel(f))
+    for name, want in (("LxL", "LxL"), ("I0", "P1")):
+        calls.clear()
+        assert is_isomorphic(arsubcat._tau_p_core(t2m[name]), t2m[want])
+        assert len(calls) == 1
+
+
 def test_tau_pfin_preconditions(t2_modules):
     a3 = a3_zero_relation()
     assert gorenstein_profile(a3) == 2
@@ -340,7 +352,7 @@ def test_translates_drop_a_projective_summand(n, p, t2_modules):
     # every non-projective GP member of S(n), and the PFIN members of the
     # t2_kx2 manifest, against the same member plus each P(v)
     cases = []
-    members = _gp_members(loop_algebra(n, p), (arsubcat._KNIT_DIM_CAP,) * 2)
+    members = _gprj_members(t2_of(loop_algebra(n, p))[0], (arsubcat._KNIT_DIM_CAP,) * 2)
     cases += [(tau_gprj, x) for x, t in members if t is not None]
     if p == 5:
         _, t2m, _ = t2_modules
@@ -585,18 +597,32 @@ def test_census_empty_bound(kx2):
 
 def test_census_cap():
     # S(6) is representation-infinite: its knitting passes the cap, and
-    # nothing is kept for the base
+    # nothing is kept for the base or its triangular algebra
     base = loop_algebra(6, 2)
     with pytest.raises(BudgetExhausted, match="not certified complete"):
         classify_gp_census(base, (1, 1))
     assert "gp_census" not in base._cache
+    assert "gprj" not in t2_of(base)[0]._cache
+
+
+def test_census_over_a_t2_past_the_profile_caps_is_not_gorenstein(monkeypatch):
+    # over a base that is not self-injective the census filters with T2's own
+    # GP test, which needs T2 Gorenstein within the caps: with the dimension
+    # cap between dim A3 = 5 and dim T2(A3) = 15, the base has a profile and
+    # T2 has none
+    monkeypatch.setattr(arsubcat, "_PROFILE_DIM_CAP", 10)
+    base = a3_zero_relation(2)
+    assert gorenstein_profile(base) == 2
+    with pytest.raises(NotGorensteinWithinCap):
+        classify_gp_census(base, (1,) * 6)
+    assert "gprj" not in t2_of(base)[0]._cache
 
 
 @pytest.mark.parametrize("n, count", [(2, 5), (3, 10)])
 def test_census_counts_the_submodule_categories(n, count):
     # Ringel and Schmidmeier's counts of indecomposables in S(n), the
     # submodule category of k[x]/(x^n); S(4) is in the next test
-    members = _gp_members(loop_algebra(n, 2), (arsubcat._KNIT_DIM_CAP,) * 2)
+    members = _gprj_members(t2_of(loop_algebra(n, 2))[0], (arsubcat._KNIT_DIM_CAP,) * 2)
     assert len(members) == count
     assert all(is_gp_in_h(from_t2_module(x), lambda m: True) for x, _ in members)
 
@@ -638,7 +664,7 @@ def test_census_tags_match_the_template_reference(name):
     # the whole knitted census of S(n) (submodule category of k[x]/(x^n))
     # or of T2(base), tagged with and without the shape (c) template
     base = _TAG_CASES[name]()
-    members = _gp_members(base, (arsubcat._KNIT_DIM_CAP,) * 2 * base.quiver.vertices)
+    members = _gprj_members(t2_of(base)[0], (arsubcat._KNIT_DIM_CAP,) * 2 * base.quiver.vertices)
     objects = [from_t2_module(x) for x, _ in members]
     assert [arsubcat._census_tag(o) for o in objects] == [_template_census_tag(o) for o in objects]
 
@@ -657,8 +683,9 @@ def test_census_over_a_semisimple_base_is_its_two_projectives(monkeypatch):
     # Gorenstein projectives are 0 -> k and k = k; a self-injective base
     # needs no membership test
     semisimple = build_algebra(Quiver(1, []), [], PrimeField(5))
-    monkeypatch.setattr(arsubcat, "is_gp_in_h", lambda obj, test: pytest.fail("is_gp_in_h called"))
-    assert [s.dims for s, _ in _gp_members(semisimple, (3, 2))] == [(0, 1), (1, 1)]
+    assert not hasattr(arsubcat, "is_gp_in_h")
+    monkeypatch.setattr(arsubcat, "is_gorenstein_projective", lambda m: pytest.fail("is_gorenstein_projective called"))
+    assert [s.dims for s, _ in _gprj_members(t2_of(semisimple)[0], (3, 2))] == [(0, 1), (1, 1)]
 
 
 def _all_modules_with_dims(alg, dims, batch=_ENUM_BATCH):
@@ -762,7 +789,7 @@ def test_census_matches_the_full_enumeration_reference(make, bound):
     # knitted representatives differ from the enumerated ones, so the lists
     # agree up to isomorphism, in the same order of dimensions
     base = make()
-    found = tuple(s for s, _ in _gp_members(base, bound))
+    found = tuple(s for s, _ in _gprj_members(t2_of(base)[0], bound))
     reference = tuple(_reference_gp_morph_modules(base, bound))
     assert [s.dims for s in found] == [s.dims for s in reference]
     assert same_classes(found, reference)
@@ -775,12 +802,30 @@ def test_census_matches_the_full_enumeration_reference(make, bound):
 )
 def test_census_members_are_gp_indecomposable_and_pairwise_non_isomorphic(make, bound):
     base = make()
-    members = [s for s, _ in _gp_members(base, bound)]
+    members = [s for s, _ in _gprj_members(t2_of(base)[0], bound)]
     assert members
     for k, s in enumerate(members):
         assert is_gp_in_h(from_t2_module(s), is_gorenstein_projective)
         assert len(require_certified(decompose(s)).summands) == 1
         assert not any(is_isomorphic(s, t) for t in members[:k])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize(
+    "make, size, gps",
+    [(a2_algebra, 11, 4), (a3_zero_relation, 20, 6), (lambda p: loop_algebra(2, p), 9, 5),
+     (lambda p: loop_algebra(3, p), 27, 10)],
+    ids=["a2", "a3-zero-relation", "kx2", "kx3"],
+)
+def test_census_gp_test_is_the_object_criterion(make, size, gps, p):
+    # the census cuts T2's list down with T2's own test, Ext^{1..d}(X, T2) = 0;
+    # on every indecomposable T2-module, GP or not, it agrees with the object
+    # criterion: f mono, and A, B and Coker f GP over the base
+    t2, _ = t2_of(make(p))
+    pool = indec_pool(t2, (arsubcat._KNIT_DIM_CAP,) * t2.quiver.vertices)
+    verdicts = [is_gorenstein_projective(x) for x in pool]
+    assert verdicts == [is_gp_in_h(from_t2_module(x), is_gorenstein_projective) for x in pool]
+    assert (len(pool), sum(verdicts)) == (size, gps)
 
 
 @pytest.mark.parametrize(
@@ -864,11 +909,14 @@ def test_enumeration_validates_no_candidate(monkeypatch):
 
 
 def test_census_is_knitted_once_per_base_algebra(monkeypatch):
+    # the list lives on the triangular algebra, which t2_of keeps one of per
+    # base; the base holds none
     base = loop_algebra(2)
     t2, _ = t2_of(base)
     census = classify_gp_census(base, (1, 1))
-    knitted = base._cache["gp_census"]
-    assert [k for k in base._cache if "census" in str(k)] == ["gp_census"]
+    knitted = t2._cache["gprj"]
+    assert [k for k in t2._cache if "gprj" in str(k) or "census" in str(k)] == ["gprj"]
+    assert not [k for k in base._cache if "gprj" in str(k) or "census" in str(k)]
 
     def no_knitting(*args):
         raise RuntimeError("knitted again")
@@ -881,7 +929,7 @@ def test_census_is_knitted_once_per_base_algebra(monkeypatch):
     assert len(classify_gp_census(base, (2, 2)).objects) == 5
     ok, witnesses = check_tau_is_syzygy(t2, (1, 1))
     assert not ok and [g.dims for g, _, _ in witnesses] == [(0, 1), (1, 1)]
-    assert base._cache["gp_census"] is knitted
+    assert t2._cache["gprj"] is knitted
     # an equal algebra read from JSON has a memo of its own
     twin = algebra_from_json_dict(algebra_to_json_dict(base))
     assert twin == base and twin is not base
@@ -892,7 +940,7 @@ def test_census_is_knitted_once_per_base_algebra(monkeypatch):
 @pytest.mark.parametrize("make", [lambda: loop_algebra(2), lambda: loop_algebra(3)], ids=["kx2-p5", "kx3-p5"])
 def test_census_memoizes_each_tau_g_as_tau_gprj(make):
     base = make()
-    members = _gp_members(base, (arsubcat._KNIT_DIM_CAP,) * 2 * base.quiver.vertices)
+    members = _gprj_members(t2_of(base)[0], (arsubcat._KNIT_DIM_CAP,) * 2 * base.quiver.vertices)
     assert any(t is not None for _, t in members)
     for x, t in members:
         if is_projective(x):
@@ -905,7 +953,7 @@ def test_census_memoizes_each_tau_g_as_tau_gprj(make):
 @pytest.mark.parametrize("make", [lambda: loop_algebra(2), lambda: loop_algebra(3, 2)], ids=["kx2-p5", "kx3-p2"])
 def test_relative_almost_split_sequences_do_not_split_and_their_dims_add_up(make):
     base = make()
-    members = _gp_members(base, (arsubcat._KNIT_DIM_CAP,) * 2)
+    members = _gprj_members(t2_of(base)[0], (arsubcat._KNIT_DIM_CAP,) * 2)
     for x, t in members:
         if t is None:
             continue
@@ -925,7 +973,7 @@ def test_to_t2_module_satisfies_the_t2_relations(p):
     built = []
     if p == 5:
         for base in (loop_algebra(2), loop_algebra(3)):
-            for x, _ in _gp_members(base, (2, 2)):
+            for x, _ in _gprj_members(t2_of(base)[0], (2, 2)):
                 obj = from_t2_module(x)
                 template = _census_template(obj)
                 built.extend(to_t2_module(o) for o in (obj, template) if o is not None)
@@ -1130,6 +1178,18 @@ def test_tau_is_not_syzygy_over_triangular(t2_modules):
         name = next(k for k in ("G1", "G2", "G3") if is_isomorphic(g, t2m[k]))
         assert is_isomorphic(t, t2m[cycle[name]])
         assert is_isomorphic(om, t2m[name])
+
+
+def test_tau_syzygy_over_t2_of_a2_reads_the_census_list(monkeypatch):
+    # gl.dim T2(A2) = 2, so its GP modules are its projectives and none is
+    # compared; tau-syzygy reads the list that the census kept on T2
+    a2 = a2_algebra()
+    t2, _ = t2_of(a2)
+    census = classify_gp_census(a2, (1,) * 4)
+    assert census.objects and "gprj" in t2._cache
+    monkeypatch.setattr(arsubcat, "_knit", lambda *args: pytest.fail("knitted again"))
+    monkeypatch.setattr(arsubcat, "is_gorenstein_projective", lambda m: pytest.fail("filtered again"))
+    assert check_tau_is_syzygy(t2, (1,) * 4) == (True, [])
 
 
 def test_tau_is_syzygy_requires_selfinjective_base():

@@ -134,7 +134,7 @@ def test_module_state_check_tells_constants_from_caches():
 
 def test_resolution_layers_hold_no_module_level_state():
     # memos live on the objects they describe (BoundQuiverAlgebra._cache, which
-    # holds the module memos, the projectives and the knitted GP list), so quivalg,
+    # holds the module memos, the projectives and the knitted lists), so quivalg,
     # repmod, homalg, morphcat and arsubcat may bind only immutable literals
     # at module level
     found, defined = [], {}
@@ -150,7 +150,7 @@ def test_resolution_layers_hold_no_module_level_state():
     assert {"_EXACT_ENUM_LIMIT", "decompose"} <= defined["repmod.py"]
     assert {"right_minimalize", "ext"} <= defined["homalg.py"]
     assert {"is_gp_in_h", "to_t2_module"} <= defined["morphcat.py"]
-    assert {"_KNIT_DIM_CAP", "_knit", "_gp_members"} <= defined["arsubcat.py"]
+    assert {"_KNIT_DIM_CAP", "_knit", "_gprj_members"} <= defined["arsubcat.py"]
 
 
 def _maps_beside_a_module(source: str) -> list[str]:
