@@ -212,16 +212,6 @@ def solve(m: Matrix, b: Matrix) -> Matrix | None:
     return Matrix._reduced(m.field, x)
 
 
-def image_membership(span: Matrix, v: Matrix) -> bool:
-    """True when every column of v lies in the column space of span: no
-    pivot of [span | v] lands in v's block."""
-    _check_same_field(span, v)
-    if v.rows != span.rows:
-        raise ValueError(f"dimension mismatch for image_membership: {span.shape} vs {v.shape}")
-    piv = _gfkernel.pivots(np.hstack([span.a, v.a]), span.field.p)
-    return not piv or piv[-1] < span.cols
-
-
 def inverse(m: Matrix) -> Matrix | None:
     """Two-sided inverse, or None when m is not invertible."""
     if m.rows != m.cols:

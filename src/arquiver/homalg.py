@@ -234,17 +234,22 @@ def _relation_system(pres: MinimalPresentation, x: Representation, acts: dict) -
     """f -> f.d from Hom(P0, X) to Hom(P1, X) in generator-image coordinates,
     for the presentation P1 --d--> P0, d read at its relation columns: one
     block row per generator h of P1, sum_r c_r X(path_r) y_{k_r} where
-    d(h) = sum_r c_r g_{k_r}.path_r.  Its kernel is Hom(coker d, X)."""
+    d(h) = sum_r c_r g_{k_r}.path_r.  Its kernel is Hom(coker d, X).
+    Blocks with no rows (dim X_u = 0) or no columns (dim X_{v_k} = 0) are
+    empty slices and are skipped."""
     gen_verts, coords = pres.d.target._layout
     p = x.algebra.field.p
     offsets = _image_offsets(x, gen_verts)
     system = np.zeros((sum(x.dims[u] for u, _ in pres.relations), offsets[-1]), dtype=np.int64)
     row = 0
     for u, col in pres.relations:
+        if not x.dims[u]:
+            continue
         for i in np.flatnonzero(col):
             k, bp = coords[u][i]
-            part = system[row : row + x.dims[u], offsets[k] : offsets[k + 1]]
-            part[...] = (part + int(col[i]) * acts[bp]) % p
+            if offsets[k] < offsets[k + 1]:
+                part = system[row : row + x.dims[u], offsets[k] : offsets[k + 1]]
+                part[...] = (part + int(col[i]) * acts[bp]) % p
         row += x.dims[u]
     return system
 
@@ -253,12 +258,17 @@ def _hom_dim(a: Representation, n: Representation) -> int:
     """dim Hom(a, n): columns less rank of the relation system of a's
     presentation for n.  Memoized in a's memo under the token ("key") of
     n's memo, which lives as long as a memo holds it: an id() of a collected
-    memo could be reused and alias another module's answer."""
-    homs = _memo_of(a).setdefault("homs", {})
-    key = _memo_of(n).setdefault("key", object())
+    memo could be reused and alias another module's answer.  A hit
+    allocates nothing, and an empty system has rank 0 without a reduction."""
+    a_memo, n_memo = _memo_of(a), _memo_of(n)
+    if "homs" not in a_memo:
+        a_memo["homs"] = {}
+    if "key" not in n_memo:
+        n_memo["key"] = object()
+    homs, key = a_memo["homs"], n_memo["key"]
     if key not in homs:
         system = _relation_system(minimal_presentation(a), n, _path_actions(n))
-        homs[key] = system.shape[1] - exactlin.rank(Matrix._reduced(n.algebra.field, system))
+        homs[key] = system.shape[1] - (exactlin.rank(Matrix._reduced(n.algebra.field, system)) if system.size else 0)
     return homs[key]
 
 

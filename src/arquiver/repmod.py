@@ -467,12 +467,16 @@ def regular_module(algebra: BoundQuiverAlgebra) -> Representation:
 
 
 def k_dual(m: Representation) -> Representation:
-    """D(m): the dual module over the opposite algebra (transposed actions)."""
-    op = opposite(m.algebra)
-    maps = {}
-    for a in op.quiver.arrows:
-        maps[a.id] = exactlin.transpose(m.arrow_maps[a.id])
-    return Representation(op, m.dims, maps, validate=False)
+    """D(m): the dual module over the opposite algebra (transposed actions).
+    Built once per module value (`_memo_of`, key "dual") and linked both
+    ways, so D D M is the first M that asked."""
+    memo = _memo_of(m)
+    if "dual" not in memo:
+        op = opposite(m.algebra)
+        maps = {a.id: exactlin.transpose(m.arrow_maps[a.id]) for a in op.quiver.arrows}
+        memo["dual"] = Representation(op, m.dims, maps, validate=False)
+        _memo_of(memo["dual"])["dual"] = m
+    return memo["dual"]
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
@@ -512,7 +516,7 @@ def _memo_of(m: Representation) -> dict:
     kept in m.algebra._cache["modules"] under the first equal module that
     asked, so it lives and dies with the algebra.  projective_cover
     ("cover", and "syzygy" for syzygy_step, built with it from the same
-    kernel bases), _path_actions ("path_actions"),
+    kernel bases), k_dual ("dual"), _path_actions ("path_actions"),
     homalg.transpose ("transpose"), homalg.minimal_presentation
     ("presentation") and homalg._hom_dim ("homs": dim Hom(m, n) keyed by
     the object under "key" in n's memo) fill it on first use.  Each reads
@@ -529,9 +533,11 @@ def projective_cover(m: Representation) -> ModuleMap:
     Computed once per module value, on the first call for any module equal
     to m, and shared: later calls return the same ModuleMap, whose target
     is that first module.  Omega M is built with it, from the same kernel
-    bases, and memoized beside it (`syzygy_step`).  Internal checks: the map
-    is onto (its nullity at each vertex is dim P_v - dim M_v) and its kernel
-    is superfluous (contained in rad P).
+    bases, and memoized beside it (`syzygy_step`).  A module with a
+    projective layout (`projective_module`) is projective by construction,
+    so it is its own cover: the identity, with Omega M = 0, and no
+    elimination runs.  Any other cover is checked to be onto and to have a
+    superfluous kernel (contained in rad P) when it is built.
     """
     memo = _memo_of(m)
     if "cover" not in memo:
@@ -548,9 +554,21 @@ def syzygy_step(m: Representation) -> tuple[ModuleMap, Representation, ModuleMap
 
 
 def _build_projective_cover(m: Representation) -> tuple[ModuleMap, tuple[Representation, ModuleMap]]:
-    """(cover P(M) -> M, (Omega M, inclusion)): one kernel basis per vertex
-    map serves the onto check, the superfluous-kernel check and Omega M."""
+    """(cover P(M) -> M, (Omega M, inclusion)).  A layout projective is its
+    own cover: the identity, with Omega M = 0.  Otherwise one kernel basis
+    per vertex map serves the onto check (the nullity at v is
+    dim P_v - dim M_v), the superfluous-kernel check and Omega M.
+
+    The kernel is superfluous when it lies in rad P, and that is read off
+    the generator rows: I is admissible, so I lies in J^2 and the basis
+    paths of length >= 1 are a basis of J/I.  Hence rad P_v = (P J)_v is
+    spanned by every basis path (k, path) at v except the generators
+    (k, (v, ())), and a kernel vector lies in it iff it is zero at the
+    generator rows (`projective_generators`)."""
     alg = m.algebra
+    if m._layout is not None:
+        zero = zero_module(alg)
+        return identity_map(m), (zero, zero_map(zero, m))
     spans = radical_spans(m)
     verts: list[int] = []
     lifts: list[np.ndarray] = []  # chosen preimages of the top basis vectors, one after another
@@ -563,10 +581,10 @@ def _build_projective_cover(m: Representation) -> tuple[ModuleMap, tuple[Represe
     cover = ModuleMap(cover_src, m, [Matrix._reduced(alg.field, phi[:, :, 0].T) for phi in phis], validate=True)
     # onto (a nonzero module with zero top fails here), with superfluous kernel
     kbs = [exactlin.kernel_basis(vm) for vm in cover.vertex_maps]
-    for kb, rad, p_dim, m_dim in zip(kbs, radical_spans(cover_src), cover_src.dims, m.dims):
+    for kb, p_dim, m_dim in zip(kbs, cover_src.dims, m.dims):
         invariant(p_dim - kb.cols == m_dim, "projective cover is not onto")
-        if kb.cols:
-            invariant(exactlin.image_membership(rad, kb), "cover kernel is not superfluous")
+    for v, pos in projective_generators(cover_src):
+        invariant(not kbs[v].a[pos].any(), "cover kernel is not superfluous")
     return cover, _restrict(cover_src, kbs)
 
 

@@ -889,6 +889,7 @@ def test_shared_memos_match_a_recompute_over_a_fresh_algebra(name, p, seed):
             transpose(x),
             ar_translate(x),
             ar_translate_inverse(x),
+            cosyzygy(x),
             ext_dim(x, y, 1),
             ext_dim(x, y, 2),
             ext_dim(y, x, 1),
@@ -902,9 +903,19 @@ def test_shared_memos_match_a_recompute_over_a_fresh_algebra(name, p, seed):
     copies = (_copy(m), _copy(n))
     assert profile(*copies) == first
     assert copies[0]._memo is m._memo and copies[1]._memo is n._memo
+    # tau, tau^-1 and Omega^-1 of the copies went through the duals built for
+    # m and n, and D D of each is the first equal module that asked
+    for x, c in zip((m, n), copies):
+        dual = repmod.k_dual(x)
+        assert repmod.k_dual(c) is dual and repmod.k_dual(dual) == x
+        assert repmod.k_dual(repmod.k_dual(c)) is repmod.k_dual(dual)
+        assert ar_translate(c) is repmod.k_dual(transpose(x))
     # over an equal algebra built again, everything is computed afresh
     fresh = _fresh_algebra(alg)
-    assert profile(_copy(m, fresh), _copy(n, fresh)) == first
+    fresh_copies = (_copy(m, fresh), _copy(n, fresh))
+    assert profile(*fresh_copies) == first
+    assert repmod.k_dual(fresh_copies[0]) == repmod.k_dual(m)
+    assert repmod.k_dual(fresh_copies[0]) is not repmod.k_dual(m)
 
 
 # ---------------------------------------------------------------------------
@@ -986,6 +997,21 @@ def _hom_dim_on_one_system(m, x):
     of x, unmemoized."""
     system = homalg._relation_system(minimal_presentation(m), x, repmod._path_actions(x))
     return system.shape[1] - exactlin.rank(Matrix(x.algebra.field, system))
+
+
+@pytest.mark.python_O
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_HOMALG_SMALL)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_hom_dim_is_the_size_of_the_hom_basis_on_random_modules_and_simples(name, p, seed):
+    # a simple is zero at every vertex but one, so the relation systems into
+    # and out of it have blocks with no rows or no columns, which are skipped
+    alg = _HOMALG_SMALL[name](p)
+    rng = np.random.default_rng(seed)
+    mods = [random_module(alg, rng, max_mult=2, max_gens=2) for _ in range(2)]
+    mods += [repmod.simple_module(alg, v) for v in range(alg.quiver.vertices)]
+    for x in mods:
+        for y in mods:
+            assert homalg._hom_dim(x, y) == len(hom_basis(x, y))
 
 
 def _check_factoring_on_one_system(m, n):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import arquiver
-from arquiver import cli, exactlin
+from arquiver import cli, exactlin, repmod
 from arquiver.errors import InternalInvariantError, PreconditionError
 from arquiver.exactlin import PrimeField
 from arquiver.quivalg import Quiver, build_algebra
@@ -29,8 +29,10 @@ def test_package_has_no_assert_statements():
 
 def test_broken_invariant_raises_and_exits_3(capsys, monkeypatch):
     assert not issubclass(InternalInvariantError, PreconditionError)
-    # with rad P never superfluous, every projective cover of a non-projective fails its check
-    monkeypatch.setattr(exactlin, "image_membership", lambda span, vecs: False)
+    # with every basis row of P read as a generator row, rad P seems to be 0,
+    # so every projective cover of a non-projective fails its check
+    every_row = lambda proj: [(v, pos) for v, d in enumerate(proj.dims) for pos in range(d)]
+    monkeypatch.setattr(repmod, "projective_generators", every_row)
     alg = build_algebra(Quiver(1, [("x", 0, 0)]), [[(1, ("x", "x"))]], PrimeField(5))
     with pytest.raises(InternalInvariantError, match="cover kernel is not superfluous"):
         projective_cover(simple_module(alg, 0))

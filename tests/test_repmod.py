@@ -780,19 +780,39 @@ def test_a_sum_of_projectives_reduces_no_path(monkeypatch):
 @pytest.mark.parametrize("p", [2, 3])
 def test_a_cover_build_reduces_each_vertex_map_once(p, monkeypatch):
     # one kernel basis per vertex map serves the onto check, the
-    # superfluous-kernel check and Omega M; kernel() is not called
+    # superfluous-kernel check and Omega M; kernel() is not called.  A
+    # module with a projective layout is its own cover and reduces nothing.
     alg = _PROJECTIVE_ALGEBRAS["square"](p)
     mods = [random_module(alg, np.random.default_rng([p, k]), max_mult=2, max_gens=2) for k in range(4)]
-    mods += [repmod.simple_module(alg, 0), zero_module(alg)]
+    mods += [repmod.simple_module(alg, 0)]
+    layouts = [zero_module(alg), repmod.projective_module(alg, (3, 0, 0))]
     calls = []
     # the names imported here, kernel_basis and kernel, stay the originals
     monkeypatch.setattr(exactlin, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
     monkeypatch.setattr(repmod, "kernel", lambda f: pytest.fail("kernel ran"))
-    for m in mods:
+    for m in mods + layouts:
         calls.clear()
         cover, omega, incl = repmod.syzygy_step(m)
-        assert len(calls) == alg.quiver.vertices
+        assert len(calls) == (0 if m._layout else alg.quiver.vertices)
         assert (omega, incl) == kernel(cover)
+
+
+@pytest.mark.python_O
+@pytest.mark.parametrize("name", sorted(_PROJECTIVE_ALGEBRAS))
+def test_a_layout_projective_is_its_own_cover(name, monkeypatch):
+    # unsorted and repeated vertex lists included: the cover is the identity
+    # of the first equal module that asked (two lists can give one value),
+    # Omega is the zero module, and no kernel basis is computed
+    alg = _PROJECTIVE_ALGEBRAS[name](3)
+    monkeypatch.setattr(exactlin, "kernel_basis", lambda m: pytest.fail("kernel_basis ran"))
+    firsts = {}
+    for verts in _vertex_lists(alg.quiver.vertices, np.random.default_rng(1)):
+        proj = repmod.projective_module(alg, verts)
+        first = firsts.setdefault(proj, proj)
+        cover, omega, incl = repmod.syzygy_step(proj)
+        assert cover == identity_map(first) and cover.source is first and first._layout is not None
+        assert omega is zero_module(alg) and incl == repmod.zero_map(omega, first)
+        assert repmod.is_projective(proj)
 
 
 def test_projective_cover_and_envelope_frozen():
@@ -817,12 +837,20 @@ def test_top_of_projective():
     assert ker.is_zero()
 
 
+@pytest.mark.python_O
 def test_dual_is_involutive_on_the_nose():
+    # D is memoized per module value, both ways: D D M is the first equal M
+    # that asked, and an equal copy of M gets the same D M
     rng = np.random.default_rng(9)
-    for alg in (loop_algebra(2), a2_algebra()):
+    for alg in (loop_algebra(2), a2_algebra(), t2_of(loop_algebra(2))[0]):
+        firsts = {}
         for _ in range(5):
             m = random_module(alg, rng)
-            assert k_dual(k_dual(m)) == m
+            first = firsts.setdefault(m, m)
+            dm = k_dual(m)
+            assert k_dual(dm) is first and k_dual(Representation(alg, m.dims, dict(m.arrow_maps))) is dm
+            assert dm.algebra is opposite(alg) and dm.dims == m.dims
+            assert all(dm.arrow_maps[aid] == exactlin.transpose(f) for aid, f in m.arrow_maps.items())
 
 
 def test_zero_module_flows():
