@@ -65,7 +65,6 @@ from .repmod import (
     _maps_on_paths,
     _memo_of,
     _path_actions,
-    _product_span,
     _scalar_parts,
     _total_stack,
 )
@@ -386,58 +385,33 @@ def almost_split_sequence(m: Representation, n: Representation | None = None) ->
 # ---------------------------------------------------------------------------
 # right minimal version
 
-# V = {u in End(M) : h.u = 0} is a right ideal of End(M), so its power chain
-# V >= V^2 >= ... stabilizes at some W with W.W = W.  h is right minimal iff
-# W = 0: the projection onto a summand of M inside ker h lies in every power.
-# Conversely, a nonzero W is not nilpotent, so W/rad W is a nonzero product of
-# matrix algebras M_n(GF(q)) (Wedderburn).  A nilpotent element has trace 0 in
-# every factor, and the trace on one factor is a nonzero GF(p)-linear map, so
-# the nilpotent elements of W span a proper subspace: every basis of W holds a
-# non-nilpotent u.  Its stable Fitting image (Fitting's lemma) is a nonzero
-# summand of M inside ker h, since h.u = 0.  Both the verdict and the split
-# are deterministic.
-
-
-def _stable_ideal_power(h: ModuleMap) -> np.ndarray:
-    """Basis of the stable term of V >= V^2 >= ... for V = {u : h.u = 0}, as
-    a stack of total matrices of endomorphisms of h.source."""
-    m = h.source
-    field = m.algebra.field
-    endos = hom_basis(m, m)
-    if not endos:
-        return np.zeros((0, 0, 0), dtype=np.int64)
-    totals = _total_stack(endos)
-    t = len(totals)
-    hu = _matmul_stacks(_total_stack([h])[0], totals, field.p)
-    coeffs = exactlin.kernel_basis(Matrix(field, hu.reshape(t, -1).T))
-    v = w = _matmul_stacks(coeffs.a.T, totals.reshape(t, -1), field.p).reshape(-1, *totals.shape[1:])
-    # V^{k+1} lies in V^k; stop when it is as large, that is, equal
-    while len(w) and len(w2 := _product_span(v, w, field)) < len(w):
-        w = w2
-    return w
-
 
 def right_minimalize(h: ModuleMap) -> tuple[Representation, ModuleMap, Representation]:
     """Split h: M -> N as h1 (+) (M2 -> 0) with h1: M1 -> N right minimal.
 
-    Returns (M1, h1, M2).  Each step splits off, by Fitting's lemma, the
-    summand that the first non-nilpotent basis element u of the stable ideal
-    power carries into ker h (see above); no search is involved.  u is the
-    first basis element whose Fitting power u^q (`repmod._fitting_powers`)
-    is nonzero, and the split is read off that power.
+    Returns (M1, h1, M2).  V = {u in End(M) : h.u = 0} is closed under
+    products, and h is right minimal iff V holds no nonzero idempotent: the
+    projection onto a summand of M inside ker h lies in V.  Each step takes
+    the first basis element u of V whose Fitting power u^q
+    (`repmod._fitting_powers`) is nonzero and splits off im u^q, a nonzero
+    summand of M (Fitting's lemma) inside ker h, since h.u = 0.  When every
+    basis element is nilpotent, V is nilpotent (the theorem is in
+    `repmod._local_radical`), so it holds no idempotent and h is right
+    minimal.  No search is involved, and the split is deterministic.
     """
     m = h.source
-    p = m.algebra.field.p
+    field = m.algebra.field
     stripped: list[Representation] = []
-    while True:
-        w = _stable_ideal_power(h)
-        if not len(w):
-            break  # h is right minimal now
-        powers = _fitting_powers(w, p)
+    while endos := hom_basis(m, m):
+        totals = _total_stack(endos)
+        t = len(totals)
+        hu = _matmul_stacks(_total_stack([h])[0], totals, field.p)
+        coeffs = exactlin.kernel_basis(Matrix(field, hu.reshape(t, -1).T))
+        v = _matmul_stacks(coeffs.a.T, totals.reshape(t, -1), field.p).reshape(-1, *totals.shape[1:])
+        powers = _fitting_powers(v, field.p)
         hits = np.flatnonzero(powers.any(axis=(1, 2)))
-        invariant(hits.size > 0, "stable ideal power has a nilpotent basis")
-        # the image part of the Fitting split lies inside ker h because the
-        # witness does
+        if not hits.size:
+            break  # V is nilpotent: h is right minimal now
         (ker_part, ker_incl), (im_part, im_incl) = _fitting_split(m, powers[hits[0]])
         invariant(not im_part.is_zero(), "witness was nilpotent after all")
         invariant(compose(h, im_incl).is_zero(), "stripped part does not die under h")

@@ -19,7 +19,7 @@ from . import exactlin
 from ._gfcore_py import matmul as _matmul_stacks
 from .errors import BudgetExhausted, invariant
 from .exactlin import Matrix
-from .quivalg import BoundQuiverAlgebra, _Required, _check_shape, _json_matrix, _per_vertex, opposite
+from .quivalg import BoundQuiverAlgebra, _Required, _check_shape, _json_matrix, _per_vertex, opposite, path_target
 
 
 class Representation:
@@ -769,24 +769,6 @@ def _span_basis(stack: np.ndarray, field) -> np.ndarray:
     return stack[exactlin.pivots(Matrix(field, flat.T))]
 
 
-def _product_span(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
-    """`_span_basis` of all products x @ y, x from the stack a (outer loop), y from b."""
-    pairs = _matmul_stacks(np.repeat(a, len(b), axis=0), np.tile(b, (len(a), 1, 1)), field.p)
-    return _span_basis(pairs, field)
-
-
-def _nilpotent_span(nil: np.ndarray, field) -> bool:
-    """Whether the span N of a stack of D x D matrices has N^D = 0, that is,
-    whether N generates a nilpotent algebra (a nilpotent algebra of D x D
-    matrices is strictly triangular in some basis, so its D-th power is 0)."""
-    basis = prods = _span_basis(nil, field)
-    for _ in range(nil.shape[1] - 1):
-        if not len(prods):
-            return True
-        prods = _product_span(basis, prods, field)
-    return not len(prods)
-
-
 def _fitting_powers(totals: np.ndarray, p: int) -> np.ndarray:
     """f^q for a stack of D x D matrices f, q the least power of p >= D: f^q
     has Fitting's kernel and image, so it is nonzero exactly when f is not
@@ -804,10 +786,24 @@ def _scalar_parts(powers: np.ndarray) -> np.ndarray:
 
 def _local_radical(totals: np.ndarray, powers: np.ndarray, scalars: np.ndarray, field) -> np.ndarray | None:
     """`decompose`'s step 2: the stack of the f - c_f 1 when every f^q is its
-    scalar part c_f 1 (`_scalar_parts`) and they span an N with N^D = 0, so
-    End = k 1 + N is local with N = rad End."""
+    scalar part c_f 1 (`_scalar_parts`) and their span N has N.N <= N, so
+    End = k 1 + N is local with N = rad End; else None.
+
+    Each f - c_f is nilpotent: (f - c_f)^q = f^q - c_f.  Over GF(p), the
+    nilpotent elements of a finite-dimensional algebra that is not nilpotent
+    span a proper subspace: modulo its radical it is a nonzero product of
+    matrix algebras (Wedderburn), and the trace on one factor is a nonzero
+    linear map that kills every nilpotent.  So a closed N is nilpotent.
+    Conversely, if End is local, N lies in rad End, which misses 1, so
+    N = rad End.  The stack must span End: E12 and E23 span an N with
+    N^3 = 0 that is not closed."""
+    if not (powers == scalars).all():
+        return None
     nil = (totals - scalars) % field.p
-    return nil if (powers == scalars).all() and _nilpotent_span(nil, field) else None
+    n = _span_basis(nil, field)
+    nn = _matmul_stacks(np.repeat(n, len(n), axis=0), np.tile(n, (len(n), 1, 1)), field.p)
+    both = np.concatenate([n, nn])
+    return nil if exactlin.rank(Matrix(field, both.reshape(len(both), nil[0].size).T)) == len(n) else None
 
 
 def _decompose_indec_evidence(m, endos):
@@ -853,8 +849,9 @@ def decompose(m: Representation) -> DecompositionCertificate:
        the piece as ker f^e (+) im f^e, e >= D, read at e = q, the power
        that tested it.
     2. Locality certificate: every basis element has f^q = c_f 1, and the
-       span N of the f - c_f 1 has N^D = 0.  Then End = k 1 (+) (nilpotent
-       ideal) is local and the piece is indecomposable.
+       span N of the f - c_f 1 is closed under products, N.N <= N.  Then N
+       is a nilpotent ideal (`_local_radical`), End = k 1 (+) N is local and
+       the piece is indecomposable.
     3. Fallback, when neither step settles the piece: an exhaustive search of
        End for a nontrivial idempotent e, which splits the piece as
        ker e (+) im e or certifies it, while p^t <= `_EXACT_ENUM_LIMIT`
@@ -972,22 +969,13 @@ def random_module(algebra: BoundQuiverAlgebra, rng, max_mult: int = 2, max_gens:
 
 
 def _arrow_closure(m: Representation, gens: list[Matrix]) -> list[Matrix]:
-    """Close vertexwise column spans under all arrow actions; returns a
-    basis of each closed span."""
-    spans = [exactlin.column_space_basis(g) for g in gens]
-    changed = True
-    while changed:
-        changed = False
-        for a in m.algebra.quiver.arrows:
-            i, j = a.source, a.target
-            if spans[i].cols == 0:
-                continue
-            moved = exactlin.multiply(m.arrow_maps[a.id], spans[i])
-            combined = exactlin.column_space_basis(exactlin.hstack([spans[j], moved]))
-            if combined.cols != spans[j].cols:
-                spans[j] = combined
-                changed = True
-    return spans
+    """A basis of each vertex's part of the submodule that the columns of
+    `gens` generate: the span of X(path) gens over the basis paths, trivial
+    ones included, as every path acts as its normal form."""
+    moved = [[] for _ in m.dims]
+    for bp, act in _path_actions(m).items():
+        moved[path_target(m.algebra.quiver, bp)].append(_matmul_stacks(act, gens[bp[0]].a, m.algebra.field.p))
+    return [exactlin.column_space_basis(Matrix._reduced(m.algebra.field, np.hstack(ms))) for ms in moved]
 
 
 # ---------------------------------------------------------------------------

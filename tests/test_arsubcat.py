@@ -335,6 +335,34 @@ def test_tau_pfin_takes_one_cokernel(monkeypatch, t2_modules):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_tau_pfin_strips_a_summand_of_the_mimo_cokernel(p, monkeypatch):
+    # 0 -a-> 1 with a loop x at 1, x^2 = 0: 1-Gorenstein (profile 1, so not
+    # self-injective), 7 indecomposables, 5 of finite projective dimension.  For the M of dims
+    # (1, 2) with pd 1, tau M has dims (0, 1) and Cok Mimo of its
+    # presentation dims (2, 2), of which right_minimalize strips a (1, 0)
+    alg = build_algebra(Quiver(2, [("a", 0, 1), ("x", 1, 1)]), [[(1, ("x", "x"))]], PrimeField(p))
+    assert gorenstein_profile(alg) == 1
+    pool = indec_pool(alg, (2, 2))
+    assert len(pool) == 7
+    pfin = [x for x in pool if has_finite_projdim(x) is not None]
+    assert len(pfin) == 5
+    (m,) = [x for x in pfin if x.dims == (1, 2) and has_finite_projdim(x) == 1]
+    assert ar_translate(m).dims == (0, 1)
+    calls = []
+
+    def minimalize(h):
+        out = right_minimalize(h)
+        calls.append((h.source.dims, out[0].dims, out[2].dims))
+        return out
+
+    monkeypatch.setattr(arsubcat, "right_minimalize", minimalize)
+    assert tau_pfin(m).dims == (1, 2)
+    assert calls == [((2, 2), (1, 2), (1, 0))]
+    report = verify_ar_duality(alg, "PFIN", [(str(k), x) for k, x in enumerate(pfin)])
+    assert len(report.pairs) == 25 and report.all_equal
+
+
 def test_tau_pfin_preconditions(t2_modules):
     a3 = a3_zero_relation()
     assert gorenstein_profile(a3) == 2

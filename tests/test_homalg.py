@@ -477,8 +477,10 @@ def test_ar_formula_on_random_modules():
 
 
 def is_right_minimal(h):
-    """The stable power of {u : h.u = 0} vanishes (see `homalg`)."""
-    return not len(homalg._stable_ideal_power(h))
+    """The stable power W of V = {u : h.u = 0} vanishes: the projection onto
+    a summand of M inside ker h lies in every power of V, and a nonzero W is
+    not nilpotent, so it holds a nonzero idempotent (Fitting's lemma)."""
+    return not _reference_stable_ideal_power(h)
 
 
 def test_right_minimalize_strips_dead_summand():
@@ -526,9 +528,9 @@ def test_right_minimalize_over_a_large_prime():
     m = Representation(alg, [5], {"x": exactlin.multiply(exactlin.multiply(g, Matrix(alg.field, nil)), g_inv)})
     j2 = jordan2(alg)
     h = ModuleMap(m, j2, [exactlin.multiply(Matrix(alg.field, np.eye(2, 5, dtype=np.int64)), g_inv)])
-    w = homalg._stable_ideal_power(h)
+    w = _reference_stable_ideal_power(h)
     assert len(w) == 8
-    assert all((u > p // 2).sum() >= 3 for u in w)
+    assert all((u.vertex_maps[0].a > p // 2).sum() >= 3 for u in w)
     m1, h1, m2 = right_minimalize(h)
     assert is_isomorphic(m1, j2) and is_right_minimal(h1)
     assert isomorphic_by_summands(m2, direct_sum([j2, simple(alg, 0)])[0])
@@ -573,14 +575,18 @@ def test_right_minimalize_splits_off_a_summand_and_keeps_the_image(name, p, seed
     assert isomorphic_by_summands(m, direct_sum(parts)[0] if parts else m1)
 
 
-def _reference_stable_ideal_power(h):
-    """The power chain V >= V^2 >= ... on ModuleMaps, one compose per product."""
+def _annihilator(h):
+    """Basis of V = {u in End(M) : h.u = 0}, as ModuleMaps."""
     m = h.source
     endos = hom_basis(m, m)
-    if not endos:
-        return []
-    vbasis = _annihilated(endos, [compose(h, e) for e in endos])
-    w = vbasis
+    return _annihilated(endos, [compose(h, e) for e in endos]) if endos else []
+
+
+def _reference_stable_ideal_power(h):
+    """The stable term W of the power chain V >= V^2 >= ... on ModuleMaps,
+    one compose per product."""
+    m = h.source
+    vbasis = w = _annihilator(h)
     while w:
         w2 = list(_quotient_data(m.algebra.field, [], [compose(u, x) for u in vbasis for x in w]))
         if len(w2) == len(w):
@@ -591,20 +597,20 @@ def _reference_stable_ideal_power(h):
 
 def _reference_right_minimalize(h):
     """right_minimalize on ModuleMaps: Fitting split along the first basis
-    element of the stable ideal power whose 2^k-th power (2^k >= dim M) is
-    nonzero, with the power formed by repeated compose."""
+    element of V = {u : h.u = 0} whose 2^k-th power (2^k >= dim M) is
+    nonzero, with the power formed by repeated compose, until every basis
+    element of V is nilpotent."""
     m = h.source
     stripped = []
     while True:
-        w = _reference_stable_ideal_power(h)
-        if not w:
-            break
-        for u in w:
+        for u in _annihilator(h):
             power, e = u, 1
             while e < m.total_dim:
                 power, e = compose(power, power), 2 * e
             if not power.is_zero():
                 break
+        else:
+            break
         parts = repmod.kernel(power), repmod.image(power)
         (m, ker_incl), (im_part, _) = repmod._complementary_split(*parts, "not a direct sum")
         stripped.append(im_part)

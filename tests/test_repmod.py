@@ -45,8 +45,6 @@ from arquiver.repmod import (
     zero_module,
 )
 
-F5 = PrimeField(5)
-
 
 def loop_algebra(power, p=5):
     return build_algebra(Quiver(1, [("x", 0, 0)]), [[(1, ("x",) * power)]], PrimeField(p))
@@ -376,10 +374,54 @@ def test_decompose_splits_by_fitting_and_certifies_locality(monkeypatch):
     cert = decompose(cyclic)
     assert cert.certified
     assert cert.indecomposability_evidence == (LOCAL,)
+
+
+def _reference_nilpotent_span(nil, field):
+    """Whether the span N of a stack of D x D matrices has N^D = 0, that is,
+    whether N generates a nilpotent algebra (a nilpotent algebra of D x D
+    matrices is strictly triangular in some basis): N, N^2, ..., one product
+    span per power."""
+    basis = prods = repmod._span_basis(nil, field)
+    for _ in range(nil.shape[1] - 1):
+        if not len(prods):
+            return True
+        prods = repmod._span_basis(np.stack([x @ y % field.p for x in basis for y in prods]), field)
+    return not len(prods)
+
+
+def _locality(totals, field):
+    powers = repmod._fitting_powers(totals, field.p)
+    scalars = repmod._scalar_parts(powers)
+    return (powers == scalars).all(), repmod._local_radical(totals, powers, scalars, field)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_locality_is_closure_on_an_end_basis_only(p):
+    field = PrimeField(p)
+
+    def e(i, j, d):  # the matrix unit E_{i+1, j+1} of size d
+        out = np.zeros((d, d), dtype=np.int64)
+        out[i, j] = 1
+        return out
+
     # nilpotent E12 and E21 span an N whose powers never vanish (E12 E21 = E11)
-    e12, e21 = np.eye(2, k=1, dtype=np.int64), np.eye(2, k=-1, dtype=np.int64)
-    assert not repmod._nilpotent_span(np.stack([e12, e21]), F5)
-    assert repmod._nilpotent_span(np.stack([e12, 2 * e12]), F5)
+    assert not _reference_nilpotent_span(np.stack([e(0, 1, 2), e(1, 0, 2)]), field)
+    assert _reference_nilpotent_span(np.stack([e(0, 1, 2), 2 * e(0, 1, 2)]), field)
+    # an End basis of M_2(GF(p)) that is scalar plus nilpotent throughout:
+    # N = sl_2 is not closed (E12 E21 = E11) and M_2 is not local
+    one, e12, e21 = np.eye(2, dtype=np.int64), e(0, 1, 2), e(1, 0, 2)
+    m2 = np.stack([one, e12, e21, (e(0, 0, 2) - e(1, 1, 2) + e12 - e21) % p])
+    scalar, rad = _locality(m2, field)
+    assert scalar and rad is None
+    assert not _reference_nilpotent_span(m2[1:], field)
+    # E12 and E23 span an N with N^3 = 0 that is not closed (E12 E23 = E13):
+    # not an End basis, so the closure test and N^D = 0 differ there
+    n = np.stack([e(0, 1, 3), e(1, 2, 3)])
+    scalar, rad = _locality(n, field)
+    assert scalar and rad is None and _reference_nilpotent_span(n, field)
+    # with E13 added the span is an algebra, the radical of the triangular one
+    scalar, rad = _locality(np.concatenate([n, e(0, 2, 3)[None]]), field)
+    assert scalar and rad is not None
 
 
 def _kronecker_algebra(p):
@@ -433,6 +475,23 @@ def test_decompose_is_a_direct_sum_and_locality_agrees_with_search(name, p, seed
             endos = hom_basis(x, x)
             assert p ** len(endos) <= repmod._EXACT_ENUM_LIMIT
             assert repmod.first_combination(repmod._total_stack(endos), p) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_PROPERTY_ALGEBRAS)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_locality_closure_agrees_with_the_nilpotent_power_test(name, p, seed):
+    # on an End basis whose Fitting powers are all scalar, N.N <= N holds
+    # exactly when N^D = 0, and both return the stack of the f - c_f 1
+    m = random_module(_PROPERTY_ALGEBRAS[name](p), np.random.default_rng(seed))
+    for x in (m,) + decompose(m).summands:
+        totals = repmod._total_stack(hom_basis(x, x))
+        scalar, rad = _locality(totals, x.algebra.field)
+        if not scalar:
+            assert rad is None
+            continue
+        nil = (totals - repmod._scalar_parts(repmod._fitting_powers(totals, p))) % p
+        assert (rad is not None) == _reference_nilpotent_span(nil, x.algebra.field)
+        assert rad is None or (rad == nil).all()
 
 
 _VERDICT_ALGEBRAS = {
