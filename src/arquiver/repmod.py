@@ -334,11 +334,11 @@ def _complement_data(span: Matrix) -> tuple[Matrix, Matrix]:
     block are span's pivot columns, B say; the other pivots give the unit
     vectors E.  The pivot columns of R are the unit vectors in order, so
     T [B | E] = I, and T is the I block of R: its rows past B project onto
-    E.  Both depend on the column span of span alone.
+    E.  Both depend on the column span of span alone.  [span | I] contains
+    I, so R has a pivot in every row.
     """
     field = span.field
     red, pivots = exactlin.rref(exactlin.hstack([span, Matrix.identity(field, span.rows)]))
-    invariant(len(pivots) == span.rows, "span and complement are not a basis")
     nb = sum(c < span.cols for c in pivots)
     e = Matrix(field, np.eye(span.rows, dtype=np.int64)[:, [c - span.cols for c in pivots[nb:]]])
     return e, Matrix._reduced(field, red.a[nb:, span.cols :].copy())
@@ -589,10 +589,11 @@ def _build_projective_cover(m: Representation) -> tuple[ModuleMap, tuple[Represe
 
 
 def injective_envelope(m: Representation) -> ModuleMap:
-    """The injective envelope M -> I(M), built as the dual of a projective cover."""
-    cover = projective_cover(k_dual(m))
-    env = dual_map(cover)  # D(D(m)) -> D(P); source is data-identical to m
-    invariant(env.source == m, "envelope source differs from the module")
+    """The injective envelope M -> I(M), built as the dual of a projective
+    cover.  The dual's source D(cover target) equals m: the cover's target
+    equals D(m), and D D X = X for every X, since `k_dual` links its memo
+    both ways and opposite(opposite(A)) is A."""
+    env = dual_map(projective_cover(k_dual(m)))
     return ModuleMap(m, env.target, env.vertex_maps, validate=False)
 
 
@@ -705,23 +706,18 @@ def _block_map(m: Representation, total: np.ndarray) -> ModuleMap:
     return ModuleMap(m, m, blocks, validate=False)
 
 
-def _complementary_split(part1, part2, failure: str):
-    """Check that the inclusions of part1 = (m1, i1) and part2 = (m2, i2) make
-    M = m1 (+) m2, and return them; raise InternalInvariantError(failure) if
-    they do not."""
-    for i1, i2 in zip(part1[1].vertex_maps, part2[1].vertex_maps):
-        invariant(exactlin.inverse(exactlin.hstack([i1, i2])) is not None, failure)
-    return part1, part2
-
-
 def _fitting_split(m: Representation, power: np.ndarray):
     """Fitting's lemma: M = ker f^q (+) im f^q for an endomorphism f and
     q >= dim M, when kernels and images of the powers of f have stabilized;
     `power` is the total matrix of f^q, as `_fitting_powers` gives it, or an
-    idempotent, which is its own power.  Returns (ker part, im part) as
-    `_complementary_split` does; either part may be zero."""
+    idempotent, which is its own power.  Returns ((ker f^q, inclusion),
+    (im f^q, inclusion)), checked to make M their direct sum; either part
+    may be zero."""
     power = _block_map(m, power)
-    return _complementary_split(kernel(power), image(power), "Fitting split is not a direct sum")
+    (ker_part, ker_incl), (im_part, im_incl) = kernel(power), image(power)
+    for i1, i2 in zip(ker_incl.vertex_maps, im_incl.vertex_maps):
+        invariant(exactlin.inverse(exactlin.hstack([i1, i2])) is not None, "Fitting split is not a direct sum")
+    return (ker_part, ker_incl), (im_part, im_incl)
 
 
 def first_combination(totals: np.ndarray, p: int) -> list[int] | None:

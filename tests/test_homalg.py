@@ -599,7 +599,8 @@ def _reference_right_minimalize(h):
     """right_minimalize on ModuleMaps: Fitting split along the first basis
     element of V = {u : h.u = 0} whose 2^k-th power (2^k >= dim M) is
     nonzero, with the power formed by repeated compose, until every basis
-    element of V is nilpotent."""
+    element of V is nilpotent.  Each split is checked here to be direct: at
+    each vertex, the two inclusions side by side are invertible."""
     m = h.source
     stripped = []
     while True:
@@ -611,8 +612,9 @@ def _reference_right_minimalize(h):
                 break
         else:
             break
-        parts = repmod.kernel(power), repmod.image(power)
-        (m, ker_incl), (im_part, _) = repmod._complementary_split(*parts, "not a direct sum")
+        (m, ker_incl), (im_part, im_incl) = repmod.kernel(power), repmod.image(power)
+        for i1, i2 in zip(ker_incl.vertex_maps, im_incl.vertex_maps):
+            assert exactlin.inverse(exactlin.hstack([i1, i2])) is not None
         stripped.append(im_part)
         h = compose(h, ker_incl)
     if not stripped:

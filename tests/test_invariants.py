@@ -5,14 +5,23 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import arquiver
-from arquiver import cli, exactlin, repmod
+from arquiver import cli, exactlin, homalg, morphcat, quivalg, repmod
 from arquiver.errors import InternalInvariantError, PreconditionError
 from arquiver.exactlin import PrimeField
 from arquiver.quivalg import Quiver, build_algebra
-from arquiver.repmod import projective_cover, simple_module
+from arquiver.repmod import (
+    indecomposable_injective,
+    indecomposable_projective,
+    projective_cover,
+    projective_generators,
+    simple_module,
+    zero_map,
+    zero_module,
+)
 
 FIX = cli.fixtures_dir()
 # the whole file runs in the CI step under python -O
@@ -52,6 +61,158 @@ def test_a_dropped_kernel_column_breaks_the_onto_check(monkeypatch):
     alg = build_algebra(Quiver(1, [("x", 0, 0)]), [[(1, ("x", "x"))]], PrimeField(5))
     with pytest.raises(InternalInvariantError, match="projective cover is not onto"):
         projective_cover(simple_module(alg, 0))
+
+
+def _truncated_polynomials(n: int, p: int):
+    """k[x]/(x^n) over GF(p)."""
+    return build_algebra(Quiver(1, [("x", 0, 0)]), [[(1, ("x",) * n)]], PrimeField(p))
+
+
+def test_an_almost_split_sequence_needs_a_nonzero_ext():
+    # P is projective and I injective, so Ext^1(P, tau P) and Ext^1(S, I) are zero
+    alg = _truncated_polynomials(2, 5)
+    with pytest.raises(InternalInvariantError, match=r"Ext\^1\(M, N\) is zero"):
+        homalg.almost_split_sequence(indecomposable_projective(alg, 0))
+    with pytest.raises(InternalInvariantError, match=r"Ext\^1\(M, N\) is zero"):
+        homalg.almost_split_sequence(simple_module(alg, 0), indecomposable_injective(alg, 0))
+
+
+def test_mimo_needs_the_extension_into_the_envelope(monkeypatch):
+    # S -> 0 has kernel S, whose envelope the extension system must reach
+    monkeypatch.setattr(morphcat, "solve_hom_equation", lambda *args, **kwargs: None)
+    alg = _truncated_polynomials(2, 5)
+    s = simple_module(alg, 0)
+    with pytest.raises(InternalInvariantError, match="extension along a monomorphism into an injective must exist"):
+        morphcat.mimo(zero_map(s, zero_module(alg)))
+
+
+def test_a_zero_extension_breaks_mimo_and_exits_3(capsys, monkeypatch):
+    # with e = 0, [f, e] = 0 on S, which is not mono
+    monkeypatch.setattr(morphcat, "solve_hom_equation", lambda source, target, *rest, **kw: zero_map(source, target))
+    alg = _truncated_polynomials(2, 5)
+    s = simple_module(alg, 0)
+    with pytest.raises(InternalInvariantError, match="mimo output must be mono"):
+        morphcat.mimo(zero_map(s, zero_module(alg)))
+    code = cli.main(
+        ["compute", "--algebra", str(FIX / "kx2.json"),
+         "--module", str(FIX / "kx2_S_to_zero.json"), "--op", "mimo"])
+    assert code == 3
+    assert "internal error (InternalInvariantError): mimo output must be mono" in capsys.readouterr().err
+
+
+def test_t2_without_its_commutativity_relations_has_the_wrong_dimension(monkeypatch):
+    # without x.a eps = eps x.b, those two paths stay independent and
+    # x.a eps x.b survives: dim T2 = 8, not 3 * dim k[x]/(x^2)
+    alg = _truncated_polynomials(2, 3)
+    build = quivalg.build_algebra
+
+    def without_eps(quiver, relations, field, **kwargs):
+        kept = [rel for rel in relations if not any(a.startswith("eps") for t in rel for a in t.path)]
+        return build(quiver, kept, field, **kwargs)
+
+    monkeypatch.setattr(quivalg, "build_algebra", without_eps)
+    with pytest.raises(InternalInvariantError, match="triangular algebra dimension") as raised:
+        quivalg.t2_of(alg)
+    assert str(raised.value) == "triangular algebra dimension 8 != 3 * 2"
+
+
+def test_a_subspace_that_is_not_arrow_invariant_is_refused():
+    # the generator of P(0) over k[x]/(x^4) spans no submodule: x moves it
+    proj = indecomposable_projective(_truncated_polynomials(4, 5), 0)
+    [(_, pos)] = projective_generators(proj)
+    column = exactlin.Matrix(proj.algebra.field, np.eye(proj.dims[0], dtype=np.int64)[:, [pos]])
+    with pytest.raises(InternalInvariantError, match="subspace is not arrow-invariant"):
+        repmod._restrict(proj, [column])
+
+
+def test_generators_need_a_projective_layout():
+    with pytest.raises(InternalInvariantError, match="module was not built with a projective layout"):
+        projective_generators(simple_module(_truncated_polynomials(2, 5), 0))
+
+
+def test_a_nilpotent_map_that_is_not_its_fitting_power_gives_no_split():
+    # x on P(0) over k[x]/(x^4): ker x and im x share the socle
+    proj = indecomposable_projective(_truncated_polynomials(4, 5), 0)
+    with pytest.raises(InternalInvariantError, match="Fitting split is not a direct sum"):
+        repmod._fitting_split(proj, proj.arrow_maps["x"].a)
+
+
+def _invariant_messages(source: str) -> list[tuple[int, tuple[str, ...]]]:
+    """(line, constant parts of the message) for each `invariant(...)` call
+    in `source`: the message itself when it is a literal, its literal parts
+    when it is an f-string, and no parts when it is neither."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "invariant":
+            message = node.args[1] if len(node.args) > 1 else None
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            found.append((node.lineno, tuple(p.value for p in parts if isinstance(p, ast.Constant))))
+    return found
+
+
+def _invariant_patterns(source: str) -> list[str]:
+    """The literal `match=` patterns of `pytest.raises(InternalInvariantError, ...)`
+    calls in `source`."""
+    return [
+        kw.value.value
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and node.args and ast.unparse(node.args[0]).endswith("InternalInvariantError")
+        for kw in node.keywords
+        if kw.arg == "match" and isinstance(kw.value, ast.Constant)
+    ]
+
+
+def _unfired_invariants(sources: dict[str, str], patterns: list[str]) -> list[str]:
+    """"file:line: message" of each invariant whose message no pattern finds,
+    with the constant parts of the message joined by " ... ".  A pattern
+    finds a message when it matches inside one of its constant parts and in
+    no other invariant's message, so a vague pattern fires nothing."""
+    sites = [
+        (f"{name}:{line}: {' ... '.join(parts)}", parts)
+        for name, source in sources.items()
+        for line, parts in _invariant_messages(source)
+    ]
+    hits = [[site for site, parts in sites if any(re.search(pattern, x) for x in parts)] for pattern in patterns]
+    fired = {found[0] for found in hits if len(found) == 1}
+    return [site for site, _ in sites if site not in fired]
+
+
+def test_unfired_invariant_check_reads_every_form():
+    sources = {
+        "a.py": "def f(x):\n    invariant(x, 'x is gone')\n    errors.invariant(x > 0, f'{x} is not positive')\n",
+        "b.py": "def g(x, why):\n    invariant(x, why)\n    invariant(x, 'x is not a basis')\n",
+    }
+    assert _invariant_messages(sources["a.py"]) == [(2, ("x is gone",)), (3, (" is not positive",))]
+    tests = (
+        "def test_f():\n    with pytest.raises(InternalInvariantError, match='is gone'):\n        f(0)\n"
+        "    with pytest.raises(errors.InternalInvariantError, match=r'not posit'):\n        f(-1)\n"
+        "    with pytest.raises(ValueError, match='not a basis'):\n        g(0, '')\n"
+    )
+    assert _invariant_patterns(tests) == ["is gone", "not posit"]
+    # a message read from a variable can be found by no pattern, and a
+    # pattern that finds two messages fires neither
+    assert _unfired_invariants(sources, _invariant_patterns(tests)) == ["b.py:2: ", "b.py:3: x is not a basis"]
+    assert _unfired_invariants(sources, ["is gone", "not"]) == [
+        "a.py:3:  is not positive",
+        "b.py:2: ",
+        "b.py:3: x is not a basis",
+    ]
+
+
+# Messages of invariants that no test makes fire, each with the reason it
+# stays.  Empty: a check in src/ is either fired by a test or proved in a
+# docstring and removed.
+_INVARIANTS_FIRED_BY_NO_TEST: dict[str, str] = {}
+
+
+def test_every_invariant_is_fired_by_a_test():
+    sources = {path.name: path.read_text() for path in sorted(Path(arquiver.__file__).parent.glob("*.py"))}
+    tests = sorted(Path(__file__).parent.glob("test_*.py"))
+    patterns = [pattern for path in tests for pattern in _invariant_patterns(path.read_text())]
+    # the package's checks were read
+    assert {"homalg.py", "repmod.py"} <= {name for name, source in sources.items() if _invariant_messages(source)}
+    unfired = _unfired_invariants(sources, patterns)
+    assert [site for site in unfired if site.split(": ", 1)[1] not in _INVARIANTS_FIRED_BY_NO_TEST] == []
 
 
 _CONSTANT_NODES = (ast.Constant, ast.UnaryOp, ast.BinOp, ast.Tuple, ast.unaryop, ast.operator, ast.expr_context)
