@@ -137,7 +137,8 @@ def dual_of_projective_map(g: ModuleMap) -> ModuleMap:
     the projective over the opposite algebra on the same summand vertex list.
     Generator l of Q* goes to the element of P* read off the row of g at
     Q's summand l; raises NotProjective unless both ends were built by
-    `repmod.projective_module`.
+    `repmod.projective_module`.  g* is a module map with no check, by Yoneda
+    (`repmod._maps_on_paths`): its target P* is a projective module.
     """
     if g.source._layout is None or g.target._layout is None:
         raise NotProjective("dual_of_projective_map needs projective modules with their layout")
@@ -158,7 +159,7 @@ def dual_of_projective_map(g: ModuleMap) -> ModuleMap:
             for nf, c in op.reduce_path(vk, tuple(reversed(bp[1]))).items():
                 y[offsets[l] + coords_p[tgt_verts[l]].index((k, nf))] += int(col[row]) * c
     phis = _maps_on_paths(qstar, pstar, _path_actions(pstar), y % op.field.p)
-    return ModuleMap(qstar, pstar, [Matrix._reduced(op.field, phi[:, :, 0].T) for phi in phis], validate=True)
+    return ModuleMap(qstar, pstar, [Matrix._reduced(op.field, phi[:, :, 0].T) for phi in phis])
 
 
 def transpose(m: Representation) -> Representation:
@@ -180,6 +181,12 @@ def transpose_of_map(q: ModuleMap) -> ModuleMap:
     Lift q through both minimal presentations, dualize the presentation-level
     square, and descend to the transpose cokernels.  The representative
     depends on the (deterministic) lift; its stable class does not.
+
+    The result h is a module map with no check, by the cokernel's universal
+    property.  `induced` is one, from X = P1(q.target)* to Tr_b, and kills
+    im(dstar_c) = ker(proj_c) (dualize q0∘d_b = d_c∘q1), so induced = h∘proj_c
+    for one linear h, which any linear section of proj_c computes; then
+    h Tr_c(a) proj_c = induced X(a) = Tr_b(a) h proj_c, and proj_c is onto.
     """
     mpb = minimal_presentation(q.source)
     mpc = minimal_presentation(q.target)
@@ -192,14 +199,9 @@ def transpose_of_map(q: ModuleMap) -> ModuleMap:
     tr_b, proj_b = cokernel(dstar_b)
     tr_c, proj_c = cokernel(dstar_c)
     induced = compose(proj_b, dual_of_projective_map(q1))
-    # induced kills im(dstar_c) (dualize q0∘d_b = d_c∘q1), so it factors
-    # uniquely through proj_c; any linear section of proj_c computes the factor
     field = tr_c.algebra.field
-    vms = []
-    for v in range(tr_c.algebra.quiver.vertices):
-        section = exactlin.solve(proj_c.vertex_maps[v], Matrix.identity(field, tr_c.dims[v]))
-        vms.append(exactlin.multiply(induced.vertex_maps[v], section))
-    return ModuleMap(tr_c, tr_b, vms, validate=True)
+    sections = [exactlin.solve(pv, Matrix.identity(field, d)) for pv, d in zip(proj_c.vertex_maps, tr_c.dims)]
+    return ModuleMap(tr_c, tr_b, [exactlin.multiply(iv, s) for iv, s in zip(induced.vertex_maps, sections)])
 
 
 def ar_translate_of_map(q: ModuleMap) -> ModuleMap:
@@ -380,9 +382,9 @@ def almost_split_sequence(m: Representation, n: Representation | None = None) ->
     xi = _matmul_stacks(y, socle, p)
     phis = _maps_on_paths(pres.d.source, n, acts, xi)
     g = [Matrix(field, np.vstack([phi[:, :, 0].T, -d.a])) for phi, d in zip(phis, pres.d.vertex_maps)]
-    e, proj = cokernel(ModuleMap(pres.d.source, direct_sum([n, pres.d.target])[0], g, validate=False))
+    e, proj = cokernel(ModuleMap(pres.d.source, direct_sum([n, pres.d.target])[0], g))
     invariant(e.total_dim == m.total_dim + n.total_dim, "the almost split sequence has the wrong dimension")
-    return e, ModuleMap(n, e, [Matrix(field, pv.a[:, :nv]) for pv, nv in zip(proj.vertex_maps, n.dims)], validate=False)
+    return e, ModuleMap(n, e, [Matrix(field, pv.a[:, :nv]) for pv, nv in zip(proj.vertex_maps, n.dims)])
 
 
 # ---------------------------------------------------------------------------

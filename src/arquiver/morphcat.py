@@ -8,7 +8,7 @@ and the connecting arrow eps<i> acts by f_i.  to_t2_module / from_t2_module
 realize that equivalence on the nose, so a morphism f -> g, a commuting
 square (sigma1, sigma2), is the `ModuleMap` to_t2_module(f) ->
 to_t2_module(g) with sigma1 at the plain vertices and sigma2 at the primed
-ones; its intertwining check on the eps<i> arrows is the square.  Every
+ones; it intertwines the eps<i> arrows iff the square commutes.  Every
 module-level operator (hom, ext, decompose, translate, and factorization
 through solve_hom_equation) applies to morphism objects by transport.
 
@@ -37,6 +37,7 @@ from .repmod import (
     ModuleMap,
     Representation,
     add_maps,
+    check_intertwines,
     compose,
     cokernel,
     direct_sum,
@@ -70,40 +71,28 @@ def to_t2_module(f: ModuleMap) -> Representation:
     since the base relations hold on source and target, and the
     commutativity relations say exactly that f is a module map."""
     a, b = f.source, f.target
-    alg = a.algebra
-    t2, _ = t2_of(alg)
-    n = alg.quiver.vertices
-    dims = tuple(a.dims) + tuple(b.dims)
-    maps = {}
-    for arr in alg.quiver.arrows:
-        maps[f"{arr.id}.a"] = a.arrow_maps[arr.id]
-        maps[f"{arr.id}.b"] = b.arrow_maps[arr.id]
-    for i in range(n):
-        maps[f"eps{i}"] = f.vertex_maps[i]
-    return Representation(t2, dims, maps, validate=False)
+    t2, _ = t2_of(a.algebra)
+    arrows = a.algebra.quiver.arrows
+    maps = {f"{arr.id}.{side}": x.arrow_maps[arr.id] for arr in arrows for side, x in (("a", a), ("b", b))}
+    maps.update((f"eps{i}", vm) for i, vm in enumerate(f.vertex_maps))
+    return Representation(t2, a.dims + b.dims, maps)
 
 
 def from_t2_module(rep: Representation) -> ModuleMap:
     """Inverse of to_t2_module; rep.algebra must be an algebra returned by
-    t2_of (an equal algebra built another way has no link to its base)."""
+    t2_of (an equal algebra built another way has no link to its base).
+
+    Nothing is re-checked: t2_of's relations are the base relations on each
+    copy, and a.eps = eps.b for every base arrow a: i -> j, which acts as
+    eps_j A(a) = B(a) eps_i, so eps intertwines."""
     based = t2_base_of(rep.algebra)
     if based is None:
         raise ValueError("from_t2_module: algebra was not produced by t2_of")
     base, _ = based
     n = base.quiver.vertices
-    a = Representation(
-        base,
-        rep.dims[:n],
-        {arr.id: rep.arrow_maps[f"{arr.id}.a"] for arr in base.quiver.arrows},
-        validate=False,
-    )
-    b = Representation(
-        base,
-        rep.dims[n:],
-        {arr.id: rep.arrow_maps[f"{arr.id}.b"] for arr in base.quiver.arrows},
-        validate=False,
-    )
-    return ModuleMap(a, b, [rep.arrow_maps[f"eps{i}"] for i in range(n)], validate=True)
+    a = Representation(base, rep.dims[:n], {arr.id: rep.arrow_maps[f"{arr.id}.a"] for arr in base.quiver.arrows})
+    b = Representation(base, rep.dims[n:], {arr.id: rep.arrow_maps[f"{arr.id}.b"] for arr in base.quiver.arrows})
+    return ModuleMap(a, b, [rep.arrow_maps[f"eps{i}"] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +106,9 @@ def from_t2_module(rep: Representation) -> ModuleMap:
 
 def morph_hom_basis(x: ModuleMap, y: ModuleMap) -> list[ModuleMap]:
     """A basis of the morphisms x -> y, each the map to_t2_module(x) ->
-    to_t2_module(y) with s1 at the plain vertices and s2 at the primed ones."""
+    to_t2_module(y) with s1 at the plain vertices and s2 at the primed ones.
+    Each intertwines unchecked: s1 and s2 are module maps, and the kernel
+    vector that picks them solves y∘s1 = s2∘x, the square on the eps arrows."""
     h1 = hom_basis(x.source, y.source)
     h2 = hom_basis(x.target, y.target)
     if not h1 and not h2:
@@ -242,4 +233,4 @@ def morph_from_json_dict(alg: BoundQuiverAlgebra, data: dict) -> ModuleMap:
         _json_matrix(alg.field, data["f"]["vertex_maps"][str(i)], (b.dims[i], a.dims[i]), f"f.vertex_maps.{i}")
         for i in range(alg.quiver.vertices)
     ]
-    return ModuleMap(a, b, vms, validate=True)
+    return check_intertwines(ModuleMap(a, b, vms))

@@ -23,6 +23,10 @@ from .quivalg import BoundQuiverAlgebra, _Required, _check_shape, _json_matrix, 
 
 
 class Representation:
+    """A module.  The constructor checks shapes only: `_module_of` checks the
+    relations on modules read from files (`check_relations`), and every
+    module the package builds from checked ones satisfies them."""
+
     # _layout is (summand vertices, path-basis coordinates) on a module built
     # by projective_module and None on any other; _memo is None until the
     # first `_memo_of`, then the memo dict of this module's value (cover,
@@ -30,7 +34,7 @@ class Representation:
     # over the same algebra object.  Neither is part of equality or the hash.
     __slots__ = ("algebra", "dims", "arrow_maps", "_layout", "_memo")
 
-    def __init__(self, algebra: BoundQuiverAlgebra, dims, arrow_maps, validate: bool = True):
+    def __init__(self, algebra: BoundQuiverAlgebra, dims, arrow_maps):
         dims = tuple(int(d) for d in dims)
         if len(dims) != algebra.quiver.vertices or any(d < 0 for d in dims):
             raise ValueError(f"bad dims {dims} for quiver with {algebra.quiver.vertices} vertices")
@@ -50,14 +54,6 @@ class Representation:
         object.__setattr__(self, "arrow_maps", maps)
         object.__setattr__(self, "_layout", None)
         object.__setattr__(self, "_memo", None)
-        if validate:
-            self._check_relations()
-
-    def _check_relations(self):
-        stacks = {aid: m.a[None] for aid, m in self.arrow_maps.items()}
-        for rel, broken in zip(self.algebra.relations, broken_relations(self.algebra, stacks)):
-            if broken[0]:
-                raise ValueError(f"relation {rel!r} does not vanish on this representation")
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
@@ -85,9 +81,13 @@ class Representation:
 
 
 class ModuleMap:
+    """A module map.  The constructor checks shapes only: `check_intertwines`
+    checks maps read from files, and each map the package builds intertwines
+    by its construction, proved where it is built."""
+
     __slots__ = ("source", "target", "vertex_maps")
 
-    def __init__(self, source: Representation, target: Representation, vertex_maps, validate: bool = True):
+    def __init__(self, source: Representation, target: Representation, vertex_maps):
         if source.algebra != target.algebra:
             raise ValueError("module map between different algebras")
         vms = []
@@ -104,12 +104,6 @@ class ModuleMap:
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "vertex_maps", tuple(vms))
-        if validate:
-            for a in source.algebra.quiver.arrows:
-                lhs = exactlin.multiply(target.arrow_maps[a.id], vms[a.source])
-                rhs = exactlin.multiply(vms[a.target], source.arrow_maps[a.id])
-                if lhs != rhs:
-                    raise ValueError(f"map does not intertwine arrow {a.id!r}")
 
     def __setattr__(self, name, value):
         raise AttributeError("ModuleMap is immutable")
@@ -138,7 +132,7 @@ def broken_relations(algebra: BoundQuiverAlgebra, stacks: dict) -> list[np.ndarr
     a, shape (N, rows, cols), with entries in [0, p); the result is one
     boolean mask over the N candidates per relation, in the algebra's order.
 
-    This is the one relation check: a `Representation` validates itself as a
+    This is the one relation check: `check_relations` reads one module as a
     stack of one, and the exhaustive enumeration that the tests use as a
     reference screens its candidates in batches.  Every path has two or more
     arrows, and each product and each term is reduced mod p, so nothing
@@ -157,38 +151,42 @@ def broken_relations(algebra: BoundQuiverAlgebra, stacks: dict) -> list[np.ndarr
     return out
 
 
+def check_relations(m: Representation) -> Representation:
+    """m, once every relation vanishes on it; else ValueError names the first."""
+    stacks = {aid: mat.a[None] for aid, mat in m.arrow_maps.items()}
+    for rel, broken in zip(m.algebra.relations, broken_relations(m.algebra, stacks)):
+        if broken[0]:
+            raise ValueError(f"relation {rel!r} does not vanish on this representation")
+    return m
+
+
+def check_intertwines(f: ModuleMap) -> ModuleMap:
+    """f, once f.a = a.f for every arrow a; else ValueError names the first."""
+    for a in f.source.algebra.quiver.arrows:
+        lhs = exactlin.multiply(f.target.arrow_maps[a.id], f.vertex_maps[a.source])
+        if lhs != exactlin.multiply(f.vertex_maps[a.target], f.source.arrow_maps[a.id]):
+            raise ValueError(f"map does not intertwine arrow {a.id!r}")
+    return f
+
+
 def compose(g: ModuleMap, f: ModuleMap) -> ModuleMap:
     """g after f."""
     if f.target != g.source:
         raise ValueError("compose: middle objects differ")
-    return ModuleMap(
-        f.source,
-        g.target,
-        [exactlin.multiply(g.vertex_maps[i], f.vertex_maps[i]) for i in range(len(f.vertex_maps))],
-        validate=False,
-    )
+    return ModuleMap(f.source, g.target, [exactlin.multiply(gv, fv) for gv, fv in zip(g.vertex_maps, f.vertex_maps)])
 
 
 def identity_map(m: Representation) -> ModuleMap:
-    return ModuleMap(m, m, [Matrix.identity(m.algebra.field, d) for d in m.dims], validate=False)
+    return ModuleMap(m, m, [Matrix.identity(m.algebra.field, d) for d in m.dims])
 
 
 def zero_map(source: Representation, target: Representation) -> ModuleMap:
-    return ModuleMap(
-        source,
-        target,
-        [Matrix.zeros(source.algebra.field, target.dims[i], source.dims[i]) for i in range(len(source.dims))],
-        validate=False,
-    )
+    field = source.algebra.field
+    return ModuleMap(source, target, [Matrix.zeros(field, t, s) for s, t in zip(source.dims, target.dims)])
 
 
 def add_maps(f: ModuleMap, g: ModuleMap) -> ModuleMap:
-    return ModuleMap(
-        f.source,
-        f.target,
-        [exactlin.add(a, b) for a, b in zip(f.vertex_maps, g.vertex_maps)],
-        validate=False,
-    )
+    return ModuleMap(f.source, f.target, [exactlin.add(a, b) for a, b in zip(f.vertex_maps, g.vertex_maps)])
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +240,7 @@ def hom_basis(m: Representation, n: Representation) -> list[ModuleMap]:
         for ni, mi in zip(n.dims, m.dims):
             vms.append(Matrix(alg.field, v[start : start + ni * mi].reshape((ni, mi), order="F")))
             start += ni * mi
-        out.append(ModuleMap(m, n, vms, validate=False))
+        out.append(ModuleMap(m, n, vms))
     return out
 
 
@@ -256,7 +254,7 @@ def map_from_coefficients(basis: list[ModuleMap], coeffs) -> ModuleMap:
     for v, (rows, cols) in enumerate(zip(f.target.dims, f.source.dims)):
         stack = np.stack([g.vertex_maps[v].a.reshape(-1) for g in basis])
         vms.append(Matrix._reduced(field, _matmul_stacks(c, stack, field.p).reshape(rows, cols)))
-    return ModuleMap(f.source, f.target, vms, validate=False)
+    return ModuleMap(f.source, f.target, vms)
 
 
 def is_mono(f: ModuleMap) -> bool:
@@ -317,8 +315,8 @@ def _restrict(m: Representation, incls: list[Matrix]) -> tuple[Representation, M
         sol = exactlin.solve(incls[a.target], exactlin.multiply(m.arrow_maps[a.id], incls[a.source]))
         invariant(sol is not None, "subspace is not arrow-invariant")
         maps[a.id] = sol
-    sub = Representation(alg, [b.cols for b in incls], maps, validate=False)
-    return sub, ModuleMap(sub, m, incls, validate=False)
+    sub = Representation(alg, [b.cols for b in incls], maps)
+    return sub, ModuleMap(sub, m, incls)
 
 
 def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
@@ -358,8 +356,8 @@ def cokernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     for a in alg.quiver.arrows:
         i, j = a.source, a.target
         maps[a.id] = exactlin.multiply(projs[j], exactlin.multiply(n.arrow_maps[a.id], es[i]))
-    cok = Representation(alg, dims, maps, validate=False)
-    return cok, ModuleMap(n, cok, projs, validate=False)
+    cok = Representation(alg, dims, maps)
+    return cok, ModuleMap(n, cok, projs)
 
 
 def image(f: ModuleMap) -> tuple[Representation, ModuleMap]:
@@ -381,14 +379,14 @@ def direct_sum(summands: list[Representation]) -> tuple[Representation, list[Mod
         a.id: Matrix._reduced(field, _block_diagonal([s.arrow_maps[a.id].a for s in summands]))
         for a in alg.quiver.arrows
     }
-    total = Representation(alg, dims, maps, validate=False)
+    total = Representation(alg, dims, maps)
     # at each vertex, summand s sits in the columns end - d to end of the identity
     eyes = [np.eye(d, dtype=np.int64) for d in dims]
     incls, projs = [], []
     for s, ends in zip(summands, np.cumsum([s.dims for s in summands], axis=0)):
         cols = [eye[:, e - d : e] for eye, d, e in zip(eyes, s.dims, ends)]
-        incls.append(ModuleMap(s, total, [Matrix(field, c) for c in cols], validate=False))
-        projs.append(ModuleMap(total, s, [Matrix(field, c.T) for c in cols], validate=False))
+        incls.append(ModuleMap(s, total, [Matrix(field, c) for c in cols]))
+        projs.append(ModuleMap(total, s, [Matrix(field, c.T) for c in cols]))
     return total, incls, projs
 
 
@@ -404,7 +402,7 @@ def simple_module(algebra: BoundQuiverAlgebra, vertex: int) -> Representation:
         a.id: Matrix.zeros(algebra.field, dims[a.target], dims[a.source])
         for a in algebra.quiver.arrows
     }
-    return Representation(algebra, dims, maps, validate=False)
+    return Representation(algebra, dims, maps)
 
 
 def indecomposable_projective(algebra: BoundQuiverAlgebra, vertex: int) -> Representation:
@@ -443,7 +441,7 @@ def projective_module(algebra: BoundQuiverAlgebra, verts) -> Representation:
         mats = {a.id: _block_diagonal([part.arrow_maps[a.id].a for part in parts]) for a in algebra.quiver.arrows}
     dims = [len(coords[j]) for j in range(nv)]
     maps = {aid: Matrix(algebra.field, mat) for aid, mat in mats.items()}
-    rep = Representation(algebra, dims, maps, validate=False)
+    rep = Representation(algebra, dims, maps)
     object.__setattr__(rep, "_layout", (verts, coords))
     built[verts] = rep
     return rep
@@ -474,19 +472,14 @@ def k_dual(m: Representation) -> Representation:
     if "dual" not in memo:
         op = opposite(m.algebra)
         maps = {a.id: exactlin.transpose(m.arrow_maps[a.id]) for a in op.quiver.arrows}
-        memo["dual"] = Representation(op, m.dims, maps, validate=False)
+        memo["dual"] = Representation(op, m.dims, maps)
         _memo_of(memo["dual"])["dual"] = m
     return memo["dual"]
 
 
 def dual_map(f: ModuleMap) -> ModuleMap:
     """D(f): D(target) -> D(source) over the opposite algebra."""
-    return ModuleMap(
-        k_dual(f.target),
-        k_dual(f.source),
-        [exactlin.transpose(vm) for vm in f.vertex_maps],
-        validate=False,
-    )
+    return ModuleMap(k_dual(f.target), k_dual(f.source), [exactlin.transpose(vm) for vm in f.vertex_maps])
 
 
 def indecomposable_injective(algebra: BoundQuiverAlgebra, vertex: int) -> Representation:
@@ -564,7 +557,9 @@ def _build_projective_cover(m: Representation) -> tuple[ModuleMap, tuple[Represe
     paths of length >= 1 are a basis of J/I.  Hence rad P_v = (P J)_v is
     spanned by every basis path (k, path) at v except the generators
     (k, (v, ())), and a kernel vector lies in it iff it is zero at the
-    generator rows (`projective_generators`)."""
+    generator rows (`projective_generators`).  The cover is a module map
+    with no check, by Yoneda: `_maps_on_paths` builds it from generator
+    images, and M satisfies the relations."""
     alg = m.algebra
     if m._layout is not None:
         zero = zero_module(alg)
@@ -578,7 +573,7 @@ def _build_projective_cover(m: Representation) -> tuple[ModuleMap, tuple[Represe
         lifts.append(e.a.T.ravel())
     cover_src = projective_module(alg, verts)
     phis = _maps_on_paths(cover_src, m, _path_actions(m), np.concatenate(lifts)[:, None])
-    cover = ModuleMap(cover_src, m, [Matrix._reduced(alg.field, phi[:, :, 0].T) for phi in phis], validate=True)
+    cover = ModuleMap(cover_src, m, [Matrix._reduced(alg.field, phi[:, :, 0].T) for phi in phis])
     # onto (a nonzero module with zero top fails here), with superfluous kernel
     kbs = [exactlin.kernel_basis(vm) for vm in cover.vertex_maps]
     for kb, p_dim, m_dim in zip(kbs, cover_src.dims, m.dims):
@@ -594,7 +589,7 @@ def injective_envelope(m: Representation) -> ModuleMap:
     equals D(m), and D D X = X for every X, since `k_dual` links its memo
     both ways and opposite(opposite(A)) is A."""
     env = dual_map(projective_cover(k_dual(m)))
-    return ModuleMap(m, env.target, env.vertex_maps, validate=False)
+    return ModuleMap(m, env.target, env.vertex_maps)
 
 
 def projective_generators(proj: Representation) -> list[tuple[int, int]]:
@@ -646,7 +641,12 @@ def _maps_on_paths(src: Representation, x: Representation, acts: dict, y: np.nda
     One stacked product per pair of vertices.  This is the one builder of
     maps out of a projective (Yoneda: Hom(P(v), X) = X e_v): projective
     covers, homalg's D(d) in the transpose and the class of an almost split
-    sequence all come from it; Ext itself builds no map."""
+    sequence all come from it; Ext itself builds no map.
+
+    Each result is a module map, unchecked, when X satisfies the relations.
+    An arrow a: v -> w sends src's basis path c = (k, q) at v to the normal
+    form of q.a (`projective_module`), and q.a differs from it by an element
+    of I, which X kills; so phi_w(c.a) = X(a) X(q) y_k = X(a) phi_v(c)."""
     gen_verts, coords = src._layout
     p = x.algebra.field.p
     offsets = _image_offsets(x, gen_verts)
@@ -703,7 +703,7 @@ def _total_stack(maps: list[ModuleMap]) -> np.ndarray:
 def _block_map(m: Representation, total: np.ndarray) -> ModuleMap:
     """The endomorphism of m with the block-diagonal total matrix `total`."""
     blocks = [total[e - d : e, e - d : e] for d, e in zip(m.dims, np.cumsum(m.dims))]
-    return ModuleMap(m, m, blocks, validate=False)
+    return ModuleMap(m, m, blocks)
 
 
 def _fitting_split(m: Representation, power: np.ndarray):
@@ -996,14 +996,16 @@ def _module_shape(algebra: BoundQuiverAlgebra) -> dict:
 
 def _module_of(algebra: BoundQuiverAlgebra, data: dict, prefix: str = "") -> Representation:
     """The module of data, which has the shape of a module file; prefix
-    starts the paths that errors name ("A." for the A of a morphism object)."""
+    starts the paths that errors name ("A." for the A of a morphism object).
+    Module files, manifest modules and the ends of morphism files all enter
+    here, so this is where their relations are checked (`check_relations`)."""
     dims = _per_vertex(data["dims"], algebra.quiver.vertices, prefix + "dims")
     maps = {
         a.id: _json_matrix(algebra.field, data["arrow_maps"][a.id], (dims[a.target], dims[a.source]),
                            f"{prefix}arrow_maps.{a.id}")
         for a in algebra.quiver.arrows
     }
-    return Representation(algebra, dims, maps, validate=True)
+    return check_relations(Representation(algebra, dims, maps))
 
 
 def module_from_json_dict(algebra: BoundQuiverAlgebra, data: dict) -> Representation:

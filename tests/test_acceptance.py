@@ -25,6 +25,8 @@ from arquiver.quivalg import Quiver, RelationTerm, build_algebra, t2_of
 from arquiver.repmod import (
     ModuleMap,
     Representation,
+    check_intertwines,
+    check_relations,
     identity_map,
     indecomposable_projective,
     is_isomorphic,
@@ -52,7 +54,7 @@ def a2_algebra():
 
 def one_map(a, b, entries):
     mat = np.array(entries, dtype=np.int64).reshape(b.dims[0], a.dims[0])
-    return ModuleMap(a, b, [Matrix(F5, mat)])
+    return check_intertwines(ModuleMap(a, b, [Matrix(F5, mat)]))
 
 
 def kx2_morph_objects():
@@ -76,7 +78,7 @@ def kx2_morph_objects():
 def kx3_morph_objects():
     alg = loop_algebra(3)
     s = simple_module(alg, 0)
-    j2 = Representation(alg, (2,), {"x": Matrix(F5, np.array([[0, 0], [1, 0]], dtype=np.int64))})
+    j2 = check_relations(Representation(alg, (2,), {"x": Matrix(F5, np.array([[0, 0], [1, 0]], dtype=np.int64))}))
     j3 = regular_module(alg)
     z = zero_module(alg)
     return alg, {
@@ -101,7 +103,7 @@ def test_criterion_1_classical_ar_duality_three_fixtures():
     kx2 = loop_algebra(2)
     kx3 = loop_algebra(3)
     a2 = a2_algebra()
-    j2 = Representation(kx3, (2,), {"x": Matrix(F5, np.array([[0, 0], [1, 0]], dtype=np.int64))})
+    j2 = check_relations(Representation(kx3, (2,), {"x": Matrix(F5, np.array([[0, 0], [1, 0]], dtype=np.int64))}))
     fixtures = [
         ("kx2", kx2, [("L", regular_module(kx2)), ("S", simple_module(kx2, 0))]),
         ("kx3", kx3, [("J2", j2), ("J3", regular_module(kx3)), ("S", simple_module(kx3, 0))]),
@@ -254,11 +256,11 @@ def test_criterion_6_mimo_minimal_approximation():
             mono_version, sigma2 = mimo(target)
             assert is_mono(mono_version)
             # the canonical morphism (1_A, sigma2): mono_version -> target over T2
-            canon = ModuleMap(
+            canon = check_intertwines(ModuleMap(
                 to_t2_module(mono_version),
                 to_t2_module(target),
                 identity_map(target.source).vertex_maps + sigma2.vertex_maps,
-            )
+            ))
             for g in monos:
                 for mm in morph_hom_basis(g, target):
                     assert solve_hom_equation(mm.source, canon.source, mm, post=canon) is not None

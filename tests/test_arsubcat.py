@@ -53,7 +53,7 @@ from arquiver.arsubcat import (
     verify_ar_duality,
     _gprj_members,
 )
-from arquiver import arsubcat, morphcat
+from arquiver import arsubcat, morphcat, repmod
 from arquiver.morphcat import from_t2_module, imin, is_gp_in_h, to_t2_module
 from arquiver.quivalg import (
     Quiver,
@@ -69,6 +69,8 @@ from arquiver.repmod import (
     ModuleMap,
     Representation,
     broken_relations,
+    check_intertwines,
+    check_relations,
     cokernel,
     compose,
     decompose,
@@ -126,7 +128,7 @@ def a3_zero_relation(p: int = 5):
 
 def one_map(a, b, entries):
     mat = np.array(entries, dtype=np.int64).reshape(b.dims[0], a.dims[0])
-    return ModuleMap(a, b, [Matrix(F5, mat)])
+    return check_intertwines(ModuleMap(a, b, [Matrix(F5, mat)]))
 
 
 @pytest.fixture(scope="module")
@@ -740,7 +742,7 @@ def _all_modules_with_dims(alg, dims, batch=_ENUM_BATCH):
         for broken in broken_relations(alg, stacks):
             passed &= ~broken
         for k in np.flatnonzero(passed):
-            m = Representation(alg, dims, {aid: st[k] for aid, st in stacks.items()}, validate=False)
+            m = Representation(alg, dims, {aid: st[k] for aid, st in stacks.items()})
             summands = require_certified(decompose(m)).summands
             classes.setdefault(tuple(sorted(iso_class_index(indecs, x) for x in summands)), m)
     return list(classes.values())
@@ -873,8 +875,8 @@ def test_census_decomposes_no_triple(monkeypatch, make, bound):
 
 
 def _reference_modules_with_dims(alg, dims):
-    """The enumeration loop that builds every candidate as a validated
-    Representation, skips it on ValueError and decomposes the rest."""
+    """The enumeration loop that builds every candidate as a Representation,
+    skips it when `check_relations` raises ValueError and decomposes the rest."""
     arrows = alg.quiver.arrows
     shapes = [(dims[a.target], dims[a.source]) for a in arrows]
     classes, indecs = {}, []
@@ -884,7 +886,7 @@ def _reference_modules_with_dims(alg, dims):
             maps[a.id] = Matrix(alg.field, np.array(flat[pos : pos + r * c], dtype=np.int64).reshape(r, c))
             pos += r * c
         try:
-            m = Representation(alg, dims, maps)
+            m = check_relations(Representation(alg, dims, maps))
         except ValueError:
             continue
         summands = require_certified(decompose(m)).summands
@@ -924,13 +926,13 @@ def test_enumeration_matches_the_per_candidate_loop(make, dims_list, batch):
 
 
 def test_enumeration_validates_no_candidate(monkeypatch):
-    # the relations are checked on stacks, so no candidate is built as a
-    # validated Representation and rejected
-    def no_check(self):
+    # the relations are checked on stacks, so no candidate is built and then
+    # rejected by check_relations
+    def no_check(m):
         raise AssertionError("candidate validated one by one")
 
     alg = comm_square(3)
-    monkeypatch.setattr(Representation, "_check_relations", no_check)
+    monkeypatch.setattr(repmod, "check_relations", no_check)
     got = _all_modules_with_dims(alg, (1, 1, 1, 1))
     monkeypatch.undo()
     assert _same_modules(got, _reference_modules_with_dims(alg, (1, 1, 1, 1)))
@@ -1015,7 +1017,7 @@ def test_to_t2_module_satisfies_the_t2_relations(p):
             f = map_from_coefficients(basis, coeffs) if basis else zero_map(a, b)
             built.append(to_t2_module(f))
     for out in built:
-        Representation(out.algebra, out.dims, out.arrow_maps, validate=True)
+        check_relations(out)
 
 
 def isomorphic_by_summands(m, n):
@@ -1041,7 +1043,7 @@ def _reference_iso_classes(alg, caps):
                 for a, (r, c) in zip(arrows, shapes)
             }
             try:
-                m = Representation(alg, dims, maps)
+                m = check_relations(Representation(alg, dims, maps))
             except ValueError:
                 continue
             if not any(isomorphic_by_summands(m, c) for c in classes):

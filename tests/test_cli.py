@@ -329,6 +329,35 @@ def test_module_incompatible_with_algebra_exits_1(capsys):
     assert "input error" in err
 
 
+def test_module_breaking_a_relation_exits_1(capsys, tmp_path):
+    # the reader checks the relations: x = [[1]] has x^2 != 0 over k[x]/(x^2)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"algebra": "kx2", "dims": [1], "arrow_maps": {"x": [[1]]}}))
+    code, out, err = run(["compute", "--algebra", str(FIX / "kx2.json"), "--module", str(bad), "--op", "syzygy"], capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"input error: {bad}: relation (RelationTerm(coefficient=1, path=('x', 'x')),) "
+                   "does not vanish on this representation\n")
+
+
+def test_manifest_module_breaking_a_relation_exits_1(capsys, tmp_path):
+    fx = tmp_path / "fx"
+    shutil.copytree(FIX, fx)
+    (fx / "kx2_S.json").write_text(json.dumps({"algebra": "kx2", "dims": [1], "arrow_maps": {"x": [[1]]}}))
+    code, _, err = run(["verify", "--manifest", str(fx / "manifest_kx2.json"), "--suite", "all"], capsys)
+    assert code == 1
+    assert "kx2_S.json: relation (RelationTerm(coefficient=1, path=('x', 'x')),) does not vanish" in err
+
+
+def test_morphism_that_does_not_intertwine_exits_1(capsys, tmp_path):
+    # the reader checks the square: f = [[0, 1]]: k[x]/(x^2) -> S has f.x != 0 = x.f
+    lam, s = (json.loads((FIX / f"kx2_{name}.json").read_text()) for name in ("L", "S"))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"A": lam, "B": s, "f": {"vertex_maps": {"0": [[0, 1]]}}}))
+    code, out, err = run(["compute", "--algebra", str(FIX / "kx2.json"), "--module", str(bad), "--op", "mimo"], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"input error: {bad}: map does not intertwine arrow 'x'\n"
+
+
 def test_module_op_on_morph_file_exits_2(capsys):
     code, _, err = run(
         ["compute", "--algebra", str(FIX / "kx2.json"),

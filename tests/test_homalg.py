@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arquiver import _gfkernel, cli, errors, exactlin, homalg, quivalg, repmod
+from arquiver import _gfkernel, cli, errors, exactlin, homalg, morphcat, quivalg, repmod
 from arquiver.errors import BudgetExhausted, InternalInvariantError, NotProjective
 from arquiver.exactlin import Matrix, PrimeField
 from arquiver.homalg import (
@@ -29,6 +29,8 @@ from arquiver.quivalg import Quiver, algebra_from_json_dict, algebra_to_json_dic
 from arquiver.repmod import (
     ModuleMap,
     Representation,
+    check_intertwines,
+    check_relations,
     cokernel,
     compose,
     decompose,
@@ -74,9 +76,9 @@ def simple(alg, v):
 
 def jordan2(alg):
     """The 2-dimensional indecomposable over k[x]/(x^n), n >= 2."""
-    return Representation(
+    return check_relations(Representation(
         alg, [2], {"x": Matrix(alg.field, np.array([[0, 0], [1, 0]], dtype=np.int64))}
-    )
+    ))
 
 
 def flat(f):
@@ -110,7 +112,7 @@ def ext_cocycles(m, n, i):
     p_i = minimal_presentation(m).d.source
     phis = repmod._maps_on_paths(p_i, n, acts, y)
     return [
-        ModuleMap(p_i, n, [Matrix(n.algebra.field, phi[:, :, j].T) for phi in phis], validate=False)
+        ModuleMap(p_i, n, [Matrix(n.algebra.field, phi[:, :, j].T) for phi in phis])
         for j in range(y.shape[1])
     ]
 
@@ -488,13 +490,7 @@ def test_right_minimalize_strips_dead_summand():
     s = simple(alg, 0)
     cover = projective_cover(s)
     big, _, _ = direct_sum([cover.source, s])
-    h = ModuleMap(
-        big,
-        s,
-        [
-            exactlin.hstack([cover.vertex_maps[0], Matrix.zeros(alg.field, 1, 1)]),
-        ],
-    )
+    h = check_intertwines(ModuleMap(big, s, [exactlin.hstack([cover.vertex_maps[0], Matrix.zeros(alg.field, 1, 1)])]))
     assert not is_right_minimal(h)
     m1, h1, m2 = right_minimalize(h)
     assert m1.dims == (2,) and is_isomorphic(m1, cover.source)
@@ -507,7 +503,7 @@ def test_right_minimalize_collapses_redundant_columns():
     alg = loop_algebra(2, p=2)
     s = simple(alg, 0)
     big, _, _ = direct_sum([s, s])
-    h = ModuleMap(big, s, [Matrix(alg.field, np.array([[1, 1]], dtype=np.int64))])
+    h = check_intertwines(ModuleMap(big, s, [Matrix(alg.field, np.array([[1, 1]], dtype=np.int64))]))
     m1, h1, m2 = right_minimalize(h)
     assert m1.dims == (1,)
     assert m2.dims == (1,)
@@ -525,9 +521,10 @@ def test_right_minimalize_over_a_large_prime():
     nil[1, 0] = nil[3, 2] = 1
     g = Matrix(alg.field, rng.integers(0, p, size=(5, 5)))
     g_inv = exactlin.inverse(g)
-    m = Representation(alg, [5], {"x": exactlin.multiply(exactlin.multiply(g, Matrix(alg.field, nil)), g_inv)})
+    x = exactlin.multiply(exactlin.multiply(g, Matrix(alg.field, nil)), g_inv)
+    m = check_relations(Representation(alg, [5], {"x": x}))
     j2 = jordan2(alg)
-    h = ModuleMap(m, j2, [exactlin.multiply(Matrix(alg.field, np.eye(2, 5, dtype=np.int64)), g_inv)])
+    h = check_intertwines(ModuleMap(m, j2, [exactlin.multiply(Matrix(alg.field, np.eye(2, 5, dtype=np.int64)), g_inv)]))
     w = _reference_stable_ideal_power(h)
     assert len(w) == 8
     assert all((u.vertex_maps[0].a > p // 2).sum() >= 3 for u in w)
@@ -1087,7 +1084,7 @@ def _check_ext(m, n, i):
     cocycles = ext_cocycles(m, n, i)
     assert got.dim == len(cocycles) == len(reps)
     for z in cocycles:
-        assert ModuleMap(z.source, z.target, z.vertex_maps, validate=True) == z
+        check_intertwines(z)
         assert compose(z, d_next).is_zero()
     if cocycles:
         field = m.algebra.field
@@ -1187,7 +1184,7 @@ def test_a_corrupted_relation_column_breaks_the_presentation_check(monkeypatch):
         ((u, pos),) = repmod.projective_generators(f.source)
         bumped = d.vertex_maps[u].a.copy()
         bumped[:, pos : pos + 1] += w
-        return ModuleMap(d.source, d.target, [Matrix(s.algebra.field, bumped)], validate=False)
+        return ModuleMap(d.source, d.target, [Matrix(s.algebra.field, bumped)])
 
     monkeypatch.setattr(homalg, "compose", corrupted)
     with pytest.raises(InternalInvariantError, match="not a complex"):
@@ -1206,7 +1203,7 @@ def test_a_corrupted_syzygy_inclusion_breaks_the_presentation_check(monkeypatch)
         eps, omega, incl = step(m)
         if m is not s:
             return eps, omega, incl
-        return eps, omega, ModuleMap(omega, eps.source, [Matrix(m.algebra.field, incl.vertex_maps[0].a + w)], validate=False)
+        return eps, omega, ModuleMap(omega, eps.source, [Matrix(m.algebra.field, incl.vertex_maps[0].a + w)])
 
     monkeypatch.setattr(homalg, "syzygy_step", corrupted)
     with pytest.raises(InternalInvariantError, match="not a complex"):
@@ -1288,7 +1285,7 @@ def test_every_array_wrapped_as_reduced_is_2d_int64_and_in_range(monkeypatch, tm
 
 def jordan(alg, d):
     """J_d, the d-dimensional indecomposable over k[x]/(x^n), n >= d."""
-    return Representation(alg, [d], {"x": Matrix(alg.field, np.eye(d, k=-1, dtype=np.int64))})
+    return check_relations(Representation(alg, [d], {"x": Matrix(alg.field, np.eye(d, k=-1, dtype=np.int64))}))
 
 
 @pytest.mark.python_O
@@ -1379,7 +1376,7 @@ def test_almost_split_sequence_matches_the_pushout_reference(name, alg, monkeypa
             patch.setattr(homalg, "_maps_on_paths", spy)
             got = almost_split_sequence(x, tx)
         (src, n, phis), = built
-        xi = ModuleMap(src, n, [Matrix(alg.field, phi[:, :, 0].T) for phi in phis], validate=True)
+        xi = check_intertwines(ModuleMap(src, n, [Matrix(alg.field, phi[:, :, 0].T) for phi in phis]))
         want = _reference_extension_from_cocycle(x, tx, xi)
         errors.invariant(got[0] == want[0], f"{name}: the middle term of {x} differs from the pushout's")
         errors.invariant(got[1] == want[1], f"{name}: the inclusion of tau {x} differs from the pushout's")
@@ -1502,3 +1499,28 @@ def test_cover_columns_are_paths_applied_to_generator_images():
                 for c, (g, path) in enumerate(coords[v]):
                     want = exactlin.multiply(apply_path(m, *path), gens[g])
                     assert (vm.a[:, c : c + 1] == want.a).all(), (k, v, c)
+
+
+# ---------------------------------------------------------------------------
+# maps built unchecked: the constructors check shapes only
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_MINIMALIZE_ALGEBRAS)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_maps_the_package_builds_intertwine_on_random_modules(name, p, seed):
+    # each map is a module map by the proof in the docstring of its builder,
+    # and nothing re-checks it there: the cover and Omega's inclusion, D(d)
+    # of the minimal presentation, the projection onto Tr M, Tr of a map,
+    # from_t2_module and the morphisms of morph_hom_basis
+    alg = _MINIMALIZE_ALGEBRAS[name](p)
+    rng = np.random.default_rng(seed)
+    m, n = (random_module(alg, rng) for _ in range(2))
+    cover, _, incl = syzygy_step(m)
+    dstar = homalg.dual_of_projective_map(minimal_presentation(m).d)
+    tr, proj = cokernel(dstar)
+    assert tr == transpose(m)
+    basis = hom_basis(m, n)
+    q = map_from_coefficients(basis, rng.integers(0, p, size=len(basis))) if basis else cover
+    x = morphcat.from_t2_module(random_module(quivalg.t2_of(alg)[0], rng, max_mult=1))
+    for f in [cover, incl, dstar, proj, homalg.transpose_of_map(q), x] + morphcat.morph_hom_basis(x, x):
+        check_intertwines(f)

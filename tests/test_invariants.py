@@ -424,6 +424,40 @@ def test_package_has_no_dead_private_helpers():
     assert _unreferenced_private_defs(sources) == []
 
 
+def _validate_options(source: str) -> list[str]:
+    """"line: name" of each `__init__` that takes a `validate` parameter and
+    each call that passes `validate=`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            args = node.args
+            if any(a.arg == "validate" for a in args.posonlyargs + args.args + args.kwonlyargs):
+                found.append(f"{node.lineno}: __init__")
+        elif isinstance(node, ast.Call) and any(kw.arg == "validate" for kw in node.keywords):
+            found.append(f"{node.lineno}: {ast.unparse(node.func)}")
+    return found
+
+
+def test_validate_option_check_finds_every_form():
+    source = (
+        "class A:\n    def __init__(self, x, validate=True):\n        pass\n\n"
+        "class B:\n    def __init__(self, *, validate: bool = False):\n        pass\n\n"
+        "a = A(1, validate=False)\nb = m.B(validate=True)\n"
+    )
+    assert sorted(_validate_options(source)) == ["10: m.B", "2: __init__", "6: __init__", "9: A"]
+    # a plain function may take a validate argument, and other keywords pass
+    assert _validate_options("def f(validate):\n    return g(validated=1)\n") == []
+
+
+def test_constructors_take_no_validate_option():
+    # Representation and ModuleMap check shapes only: the file readers call
+    # repmod.check_relations and check_intertwines, and every construction
+    # inside the package carries its proof instead of a re-check
+    paths = sorted(Path(arquiver.__file__).parent.glob("*.py"))
+    assert {"repmod.py", "homalg.py", "morphcat.py"} <= {path.name for path in paths}
+    assert [f"{path.name}:{x}" for path in paths for x in _validate_options(path.read_text())] == []
+
+
 def _unread_imports(source: str) -> list[str]:
     """"line:name" for each name that an import in `source` binds and that
     no expression reads: a name passed only as a string, or only assigned

@@ -33,6 +33,8 @@ from arquiver.quivalg import Quiver, build_algebra, t2_of
 from arquiver.repmod import (
     ModuleMap,
     Representation,
+    check_intertwines,
+    check_relations,
     compose,
     cokernel,
     decompose,
@@ -86,6 +88,8 @@ def kx2_objects():
         "LxL": ModuleMap(lam, lam, [n2]),
         "LtoS": ModuleMap(lam, s, [Matrix(F5, [[1, 0]])]),
     }
+    for f in objs.values():
+        check_intertwines(f)
     return alg, objs
 
 
@@ -93,10 +97,10 @@ def kx3_objects():
     """Objects over k[x]/(x^3), whose uniserials are S, J2 and L = J3."""
     alg = loop_algebra(3)
     s = simple(alg, 0)
-    j2 = Representation(alg, (2,), {"x": Matrix(F5, [[0, 0], [1, 0]])})
+    j2 = check_relations(Representation(alg, (2,), {"x": Matrix(F5, [[0, 0], [1, 0]])}))
     lam = regular_module(alg)
     z = zero_module(alg)
-    return alg, {
+    objs = {
         "idS": identity_map(s),
         "idJ2": identity_map(j2),
         "idL": identity_map(lam),
@@ -108,6 +112,9 @@ def kx3_objects():
         "LtoS": ModuleMap(lam, s, [Matrix(F5, [[1, 0, 0]])]),
         "LxL": ModuleMap(lam, lam, [Matrix(F5, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])]),
     }
+    for f in objs.values():
+        check_intertwines(f)
+    return alg, objs
 
 
 def same_object(x: ModuleMap, y: ModuleMap) -> bool:
@@ -127,8 +134,8 @@ def test_morph_object_and_map_validate():
     # intertwine the connecting arrow
     cover = ModuleMap(lam, s, [Matrix(F5, [[1, 0]])])
     t3, t1 = to_t2_module(objs["G3"]), to_t2_module(objs["G1"])
-    with pytest.raises(ValueError, match="eps0"):
-        ModuleMap(t3, t1, identity_map(s).vertex_maps + cover.vertex_maps)
+    with pytest.raises(ValueError, match="map does not intertwine arrow 'eps0'"):
+        check_intertwines(ModuleMap(t3, t1, identity_map(s).vertex_maps + cover.vertex_maps))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +231,7 @@ def test_mimo_minimal_approximation_property():
         # the canonical morphism (1_A, sigma2): mono_version -> target over T2
         mono_version, sigma2 = mimo(target)
         blocks = identity_map(target.source).vertex_maps + sigma2.vertex_maps
-        canon = ModuleMap(to_t2_module(mono_version), to_t2_module(target), blocks)
+        canon = check_intertwines(ModuleMap(to_t2_module(mono_version), to_t2_module(target), blocks))
         for g in monos:
             for mm in morph_hom_basis(g, target):
                 h = solve_hom_equation(mm.source, canon.source, mm, post=canon)

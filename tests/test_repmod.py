@@ -23,6 +23,8 @@ from arquiver.quivalg import Quiver, build_algebra, opposite, t2_of
 from arquiver.repmod import (
     ModuleMap,
     Representation,
+    check_intertwines,
+    check_relations,
     cokernel,
     compose,
     decompose,
@@ -170,7 +172,7 @@ def test_direct_sum_maps_match_the_entrywise_reference():
             assert [vm.tolist() for vm in f.vertex_maps] == [w.tolist() for w in want_f]
             assert [vm.tolist() for vm in g.vertex_maps] == [w.tolist() for w in want_g]
             # the sum acts on summand k by its arrow maps: the inclusion intertwines them
-            ModuleMap(s, total, f.vertex_maps, validate=True)
+            check_intertwines(f)
     with pytest.raises(ValueError, match="different algebras"):
         direct_sum([mods[1], repmod.simple_module(_a3_radical_square_zero(5), 1)])
 
@@ -188,7 +190,7 @@ def test_hom_basis_matches_kron_system(p):
             basis = hom_basis(m, n)
             assert len(basis) == null.cols
             for c, f in enumerate(basis):
-                ModuleMap(m, n, f.vertex_maps)  # checks the intertwining relations
+                check_intertwines(f)
                 for i, vm in enumerate(f.vertex_maps):
                     chunk = null.a[offsets[i] : offsets[i + 1], c]
                     want = chunk.reshape((n.dims[i], m.dims[i]), order="F")
@@ -260,7 +262,7 @@ def assert_inclusions_make_a_direct_sum(m, cert):
     by side, form an invertible matrix at each vertex: m is their direct sum."""
     for incl, x in zip(cert.inclusions, cert.summands):
         assert (incl.source, incl.target) == (x, m)
-        ModuleMap(x, m, incl.vertex_maps, validate=True)
+        check_intertwines(incl)
     for v in range(len(m.dims)):
         assert inverse(hstack([incl.vertex_maps[v] for incl in cert.inclusions])) is not None
 
@@ -269,7 +271,7 @@ def test_decompose_multiset_over_loop_cube():
     alg = loop_algebra(3)
     s = simple(alg, 0)
     j2_map = Matrix(alg.field, [[0, 0], [1, 0]])
-    j2 = Representation(alg, (2,), {"x": j2_map})
+    j2 = check_relations(Representation(alg, (2,), {"x": j2_map}))
     lam = indecomposable_projective(alg, 0)
     total, _, _ = direct_sum([j2, s, lam, j2])
     cert = decompose(total)
@@ -296,8 +298,8 @@ def test_first_combination_finds_the_first_nontrivial_idempotent(p, monkeypatch)
     ss, _, _ = direct_sum([s, s])
     lam = indecomposable_projective(alg, 0)
     # End(S+S) = M_2(k); E12 and E21 span no idempotent but 0
-    e12 = ModuleMap(ss, ss, [Matrix(alg.field, [[0, 1], [0, 0]])])
-    e21 = ModuleMap(ss, ss, [Matrix(alg.field, [[0, 0], [1, 0]])])
+    e12 = check_intertwines(ModuleMap(ss, ss, [Matrix(alg.field, [[0, 1], [0, 0]])]))
+    e21 = check_intertwines(ModuleMap(ss, ss, [Matrix(alg.field, [[0, 0], [1, 0]])]))
     nil_basis = repmod._total_stack([e12, e21])
     assert repmod.first_combination(nil_basis, p) is None
     # End(Lambda) is local: no nontrivial idempotent
@@ -364,12 +366,12 @@ def test_decompose_splits_by_fitting_and_certifies_locality(monkeypatch):
     # Lambda again, with x acting by X = [[1, 1], [4, 4]]: the End basis is
     # 1 + X and 1, and (1 + X)^q is scalar for q = 5 but not for q = 2
     alg = loop_algebra(2)
-    lam = Representation(alg, (2,), {"x": Matrix(alg.field, [[1, 1], [4, 4]])})
+    lam = check_relations(Representation(alg, (2,), {"x": Matrix(alg.field, [[1, 1], [4, 4]])}))
     assert [f.vertex_maps[0].tolist() for f in hom_basis(lam, lam)] == [[[2, 1], [4, 0]], [[1, 0], [0, 1]]]
     assert decompose(lam).indecomposability_evidence == (LOCAL,)
     # k[x]/(x^16) over GF(2)[x]/(x^20): t = 16, 2^16 combinations to search
     alg = loop_algebra(20, 2)
-    cyclic = Representation(alg, (16,), {"x": Matrix(alg.field, np.eye(16, k=-1, dtype=np.int64))})
+    cyclic = check_relations(Representation(alg, (16,), {"x": Matrix(alg.field, np.eye(16, k=-1, dtype=np.int64))}))
     assert len(hom_basis(cyclic, cyclic)) == 16
     cert = decompose(cyclic)
     assert cert.certified
@@ -636,7 +638,7 @@ def test_broken_relations_matches_an_apply_path_reference(p):
             for rel, broken in zip(alg.relations, got):
                 assert broken.shape == (6,) and not broken[0]
                 for k in range(6):
-                    cand = Representation(alg, m.dims, {aid: st[k] for aid, st in stacks.items()}, validate=False)
+                    cand = Representation(alg, m.dims, {aid: st[k] for aid, st in stacks.items()})
                     assert bool(broken[k]) == (not _reference_relation_values(cand, rel).is_zero())
                     seen.add(bool(broken[k]))
     assert seen == {True, False}
@@ -648,7 +650,7 @@ def test_a_broken_relation_is_named_in_the_error():
     alg = build_algebra(Quiver(1, [("x", 0, 0), ("y", 0, 0)]),
                         [[(1, ("x", "x"))], [(1, ("y", "y"))], [(1, ("x", "y"))]], PrimeField(3))
     with pytest.raises(ValueError) as info:
-        Representation(alg, (1,), {"x": Matrix(alg.field, [[0]]), "y": Matrix(alg.field, [[1]])})
+        check_relations(Representation(alg, (1,), {"x": Matrix(alg.field, [[0]]), "y": Matrix(alg.field, [[1]])}))
     assert str(info.value) == f"relation {alg.relations[1]!r} does not vanish on this representation"
 
 
@@ -690,7 +692,7 @@ def _conjugate(m, rng):
         a.id: multiply(multiply(gs[a.target], m.arrow_maps[a.id]), inverse(gs[a.source]))
         for a in m.algebra.quiver.arrows
     }
-    return Representation(m.algebra, m.dims, maps)
+    return check_relations(Representation(m.algebra, m.dims, maps))
 
 
 _ISO_ALGEBRAS = {
@@ -818,7 +820,7 @@ def test_projective_module_matches_the_path_reduction_reference(name, p):
             dims, layout, maps = _reference_projective_module(alg, verts)
             assert got.dims == tuple(dims) and got._layout == layout
             assert {aid: m.tolist() for aid, m in got.arrow_maps.items()} == {aid: m.tolist() for aid, m in maps.items()}
-            got._check_relations()
+            check_relations(got)
 
 
 @pytest.mark.python_O
@@ -940,19 +942,21 @@ def test_module_json_entries_are_read_mod_p():
 
 
 def test_representation_validates_relations():
+    # the constructor checks shapes; the relations are the reader's check
     alg = loop_algebra(2)
-    with pytest.raises(ValueError):
-        Representation(alg, (1,), {"x": Matrix(alg.field, [[1]])})  # x^2 != 0
-    with pytest.raises(ValueError):
+    broken = Representation(alg, (1,), {"x": Matrix(alg.field, [[1]])})
+    with pytest.raises(ValueError, match=r"relation \(.*\) does not vanish on this representation"):
+        check_relations(broken)  # x^2 != 0
+    with pytest.raises(ValueError, match="arrow 'x' map has shape"):
         Representation(alg, (1,), {"x": Matrix.zeros(alg.field, 1, 0)})  # bad shape
 
 
 def test_module_map_validates_intertwining():
     alg = loop_algebra(2)
     lam = indecomposable_projective(alg, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="map does not intertwine arrow 'x'"):
         # not an endomorphism of Lambda: does not commute with the loop action
-        ModuleMap(lam, lam, [Matrix(alg.field, [[0, 0], [0, 1]])])
+        check_intertwines(ModuleMap(lam, lam, [Matrix(alg.field, [[0, 0], [0, 1]])]))
 
 
 # ---------------------------------------------------------------------------
@@ -965,7 +969,7 @@ def test_solve_hom_equation_extension_and_lift():
     alg = loop_algebra(2)
     s = simple(alg, 0)
     lam = regular_module(alg)
-    incl = ModuleMap(s, lam, [Matrix(alg.field, [[0], [1]])])  # S = soc(L) into L
+    incl = check_intertwines(ModuleMap(s, lam, [Matrix(alg.field, [[0], [1]])]))  # S = soc(L) into L
     cover = projective_cover(s)
     # S is not a direct summand of L: the identity extends/lifts to nothing
     assert solve_hom_equation(lam, s, identity_map(s), pre=incl) is None
@@ -997,7 +1001,7 @@ def test_is_mono_is_epi():
     alg = loop_algebra(2)
     s = simple(alg, 0)
     lam = regular_module(alg)
-    incl = ModuleMap(s, lam, [Matrix(alg.field, [[0], [1]])])
+    incl = check_intertwines(ModuleMap(s, lam, [Matrix(alg.field, [[0], [1]])]))
     cover = projective_cover(s)
     assert is_mono(incl) and not is_epi(incl)
     assert is_epi(cover) and not is_mono(cover)
