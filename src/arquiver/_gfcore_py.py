@@ -86,7 +86,9 @@ def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     inner = a.shape[-1]
     step = max(1, _ACC_LIMIT // ((p - 1) ** 2 or 1))
     if inner <= step:
-        return (a @ b) % p
+        out = a @ b
+        out %= p  # in place: one product-sized array at a time
+        return out
     out = 0
     for s in range(0, inner, step):
         out = (out + a[..., s : s + step] @ b[..., s : s + step, :]) % p

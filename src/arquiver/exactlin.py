@@ -180,7 +180,11 @@ def kernel_basis(m: Matrix) -> Matrix:
     """Basis of the right kernel, as columns of an (m.cols x nullity) matrix.
 
     Canonical form: free variables are set to 1 one at a time, in increasing
-    column order.
+    column order.  So the basis is the identity at the free rows, and each
+    column's last nonzero entry is its free row f: its other entries sit at
+    the pivot rows c (row i of rref(m) has its pivot in column c), where
+    they are -red[i, f], and red[i, f] = 0 for f < c, as red is in echelon
+    form.  `free_rows` reads the free rows off this way.
     """
     red, pivots = rref(m)
     pivot_set = set(pivots)
@@ -193,6 +197,13 @@ def kernel_basis(m: Matrix) -> Matrix:
         if pivots:
             out[pivots] = -red.a[: len(pivots)][:, free]
     return Matrix(m.field, out)
+
+
+def free_rows(basis: Matrix) -> np.ndarray:
+    """The free row of each column of a `kernel_basis`: its last nonzero entry."""
+    if not basis.cols:
+        return np.zeros(0, dtype=np.intp)
+    return basis.rows - 1 - (basis.a[::-1] != 0).argmax(axis=0)
 
 
 def solve(m: Matrix, b: Matrix) -> Matrix | None:

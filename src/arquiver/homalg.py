@@ -20,12 +20,14 @@ generator-image coordinates along A's presentation: a map f out of a
 projective with generators g_k at vertices v_k is recorded by
 y(f) = (f(g_k))_k in (+)_k N_{v_k}, which determines it (Yoneda:
 Hom(P(v), N) = N e_v), so Hom(P0, N) needs no equations, and Hom(A, N) is
-the kernel of f -> f.d, the matrix `_relation_system` of d's relations.  No
-map is built for either.  The one class built as a map is the almost split
-class xi: P1 -> N of `almost_split_sequence`.  It and every other map out of
-a projective are built from their generator images by
-`repmod._maps_on_paths`: the projective cover, the dual D(d) in `transpose`
-and xi.
+the kernel of f -> f.d, the matrix `_relation_system` of d's relations,
+built one pair of vertices at a time from d's terms grouped by vertex
+(`_grouped_terms`, kept with the presentation).  No map is built for
+either.  The one class built as a map is the almost split class
+xi: P1 -> N of `almost_split_sequence`.  Maps out of a projective are
+built from their generator images: D(d) in `transpose` and xi by
+`repmod._maps_on_paths`, and the projective cover, whose generator images
+are unit vectors, by gathering columns of the path actions.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ class MinimalPresentation:
     # (u, column) per generator of P1: its vertex u and its image under d
     # over P0's basis at u
     relations: tuple
+    # d's terms c g_k.path in the d(h), for `_relation_system`, and whether
+    # it regroups its rows or columns (see `_grouped_terms`)
+    terms: dict
+    regrouped: bool
 
 
 def minimal_presentation(m: Representation) -> MinimalPresentation:
@@ -106,7 +112,7 @@ def minimal_presentation(m: Representation) -> MinimalPresentation:
         p = m.algebra.field.p
         killed = (not _matmul_stacks(eps.vertex_maps[u].a, col[:, None], p).any() for u, col in relations)
         invariant(all(killed), "the presentation is not a complex: eps does not kill a relation")
-        memo["presentation"] = MinimalPresentation(d, eps, relations)
+        memo["presentation"] = MinimalPresentation(d, eps, relations, *_grouped_terms(d, relations))
     return memo["presentation"]
 
 
@@ -232,27 +238,71 @@ class StableHomSpace:
     stable_dim: int
 
 
+def _grouped_terms(d: ModuleMap, relations: tuple) -> tuple[dict, bool]:
+    """d's terms for `_relation_system`, grouped by the vertex u of the
+    generator h of P1 and the vertex v of the generator k of P0: (u, v) ->
+    (the place of u's first h among P1's generators sorted by vertex, the
+    number of h at u, the same two for v among P0's, the basis paths
+    v -> u with a term, and the coefficients c[h, 0, k, b] of g_k.path_b in
+    d(h), h and k counted from the first at u and at v).  The flag says
+    whether P1's or P0's generators are out of vertex order: a cover lists
+    them in vertex order, but a module equal to a projective built from
+    another list shares that projective's memo and cover."""
+    gen_verts, coords = d.target._layout
+    rel_verts = [u for u, _ in relations]
+    # each generator's place among the generators at its vertex
+    hp, kp = ([verts[:i].count(w) for i, w in enumerate(verts)] for verts in (rel_verts, gen_verts))
+    paths: dict = {}
+    entries: dict = {}
+    for h, (u, col) in enumerate(relations):
+        for i in np.flatnonzero(col):
+            k, bp = coords[u][i]
+            at = paths.setdefault((u, bp[0]), {})
+            entries.setdefault((u, bp[0]), []).append((hp[h], kp[k], at.setdefault(bp, len(at)), col[i]))
+    terms = {}
+    for (u, v), at in paths.items():
+        nh, nk = rel_verts.count(u), gen_verts.count(v)
+        coeffs = np.zeros((nh, nk, len(at)), dtype=np.int64)
+        h, k, b, c = np.array(entries[u, v]).T
+        coeffs[h, k, b] = c
+        terms[u, v] = (sorted(rel_verts).index(u), nh, sorted(gen_verts).index(v), nk, tuple(at), coeffs[:, None])
+    return terms, rel_verts != sorted(rel_verts) or list(gen_verts) != sorted(gen_verts)
+
+
+def _ungrouped(x: Representation, verts) -> np.ndarray:
+    """Where each coordinate of (+)_k X_{v_k} lies in the same sum with the
+    k sorted by vertex (stably)."""
+    order = sorted(range(len(verts)), key=verts.__getitem__)
+    starts = dict(zip(order, _image_offsets(x, [verts[k] for k in order])))
+    return np.array([starts[k] + i for k, v in enumerate(verts) for i in range(x.dims[v])], dtype=np.intp)
+
+
 def _relation_system(pres: MinimalPresentation, x: Representation, acts: dict) -> np.ndarray:
     """f -> f.d from Hom(P0, X) to Hom(P1, X) in generator-image coordinates,
     for the presentation P1 --d--> P0, d read at its relation columns: one
     block row per generator h of P1, sum_r c_r X(path_r) y_{k_r} where
     d(h) = sum_r c_r g_{k_r}.path_r.  Its kernel is Hom(coker d, X).
-    Blocks with no rows (dim X_u = 0) or no columns (dim X_{v_k} = 0) are
-    empty slices and are skipped."""
-    gen_verts, coords = pres.d.target._layout
+
+    Built from d's terms grouped by vertices (`_grouped_terms`), with P1's
+    and P0's generators sorted by vertex: the blocks (h, k) for h at u and
+    k at v then fill one rectangle, whose entries are the products of the
+    coefficient table of (u, v) with the stack of the X(path), one product
+    mod p per pair of vertices, laid out in the rectangle's row order, so
+    the build holds one rectangle beside the system.  A pair with
+    dim X_u = 0 or dim X_v = 0 has an empty rectangle and is skipped.  When the generators were out of
+    vertex order, one gather puts the rows and columns back in their order."""
     p = x.algebra.field.p
-    offsets = _image_offsets(x, gen_verts)
-    system = np.zeros((sum(x.dims[u] for u, _ in pres.relations), offsets[-1]), dtype=np.int64)
-    row = 0
-    for u, col in pres.relations:
-        if not x.dims[u]:
-            continue
-        for i in np.flatnonzero(col):
-            k, bp = coords[u][i]
-            if offsets[k] < offsets[k + 1]:
-                part = system[row : row + x.dims[u], offsets[k] : offsets[k + 1]]
-                part[...] = (part + int(col[i]) * acts[bp]) % p
-        row += x.dims[u]
+    rel_verts, gen_verts = [u for u, _ in pres.relations], pres.d.target._layout[0]
+    rows, cols = _image_offsets(x, sorted(rel_verts)), _image_offsets(x, sorted(gen_verts))
+    system = np.zeros((rows[-1], cols[-1]), dtype=np.int64)
+    for (u, v), (h0, nh, k0, nk, paths, coeffs) in pres.terms.items():
+        du, dv = x.dims[u], x.dims[v]
+        if du and dv:
+            # block[h, i, k, j] = sum_b c[h, 0, k, b] X(path_b)[i, j]: row (h, i), column (k, j)
+            block = _matmul_stacks(coeffs, np.stack([acts[bp] for bp in paths], axis=1)[None], p)
+            system[rows[h0] : rows[h0 + nh], cols[k0] : cols[k0 + nk]] = block.reshape(nh * du, nk * dv)
+    if pres.regrouped:
+        system = system[np.ix_(_ungrouped(x, rel_verts), _ungrouped(x, gen_verts))]
     return system
 
 

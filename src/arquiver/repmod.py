@@ -306,13 +306,21 @@ def solve_hom_equation(
 # kernels, cokernels, images
 
 
-def _restrict(m: Representation, incls: list[Matrix]) -> tuple[Representation, ModuleMap]:
+def _restrict(m: Representation, incls: list[Matrix], kernels: bool = False) -> tuple[Representation, ModuleMap]:
     """(submodule, inclusion) for vertexwise basis columns `incls` of an
-    arrow-invariant subspace of m."""
+    arrow-invariant subspace of m.  The map of a: s -> t is the x with
+    K_t x = m(a) K_s.  When the K are `kernel_basis` outputs (kernels), K_t
+    is the identity at its free rows, so x is m(a) K_s at those rows, and
+    one product K_t x checks it in place of a solve."""
     alg = m.algebra
     maps = {}
     for a in alg.quiver.arrows:
-        sol = exactlin.solve(incls[a.target], exactlin.multiply(m.arrow_maps[a.id], incls[a.source]))
+        moved = exactlin.multiply(m.arrow_maps[a.id], incls[a.source])
+        if kernels:
+            sol = Matrix._reduced(alg.field, moved.a[exactlin.free_rows(incls[a.target])])
+            sol = sol if exactlin.multiply(incls[a.target], sol) == moved else None
+        else:
+            sol = exactlin.solve(incls[a.target], moved)
         invariant(sol is not None, "subspace is not arrow-invariant")
         maps[a.id] = sol
     sub = Representation(alg, [b.cols for b in incls], maps)
@@ -321,7 +329,7 @@ def _restrict(m: Representation, incls: list[Matrix]) -> tuple[Representation, M
 
 def kernel(f: ModuleMap) -> tuple[Representation, ModuleMap]:
     """(ker f, inclusion)."""
-    return _restrict(f.source, [exactlin.kernel_basis(vm) for vm in f.vertex_maps])
+    return _restrict(f.source, [exactlin.kernel_basis(vm) for vm in f.vertex_maps], kernels=True)
 
 
 def _complement_data(span: Matrix) -> tuple[Matrix, Matrix]:
@@ -557,30 +565,38 @@ def _build_projective_cover(m: Representation) -> tuple[ModuleMap, tuple[Represe
     paths of length >= 1 are a basis of J/I.  Hence rad P_v = (P J)_v is
     spanned by every basis path (k, path) at v except the generators
     (k, (v, ())), and a kernel vector lies in it iff it is zero at the
-    generator rows (`projective_generators`).  The cover is a module map
-    with no check, by Yoneda: `_maps_on_paths` builds it from generator
-    images, and M satisfies the relations."""
+    generator rows (`projective_generators`).
+
+    The top at v is spanned by the unit vectors e_t of M_v whose columns t
+    are the pivots of [span | I] past span (`exactlin.pivots`), and the
+    generator g_k at v_k goes to e_{t_k}.  The cover sends the basis path
+    (k, path) to M(path) e_{t_k}, column t_k of M(path), so each vertex map
+    gathers those columns.  It is a module map with no check, by Yoneda
+    (`_maps_on_paths` proves it for any generator images), as M satisfies
+    the relations."""
     alg = m.algebra
     if m._layout is not None:
         zero = zero_module(alg)
         return identity_map(m), (zero, zero_map(zero, m))
-    spans = radical_spans(m)
+    tops = []  # t_k of each generator, vertex by vertex
     verts: list[int] = []
-    lifts: list[np.ndarray] = []  # chosen preimages of the top basis vectors, one after another
-    for j, span in enumerate(spans):
-        e, _ = _complement_data(span)
-        verts += [j] * e.cols
-        lifts.append(e.a.T.ravel())
+    for j, span in enumerate(radical_spans(m)):
+        piv = exactlin.pivots(exactlin.hstack([span, Matrix.identity(alg.field, span.rows)]))
+        top = [c - span.cols for c in piv if c >= span.cols]
+        tops += top
+        verts += [j] * len(top)
     cover_src = projective_module(alg, verts)
-    phis = _maps_on_paths(cover_src, m, _path_actions(m), np.concatenate(lifts)[:, None])
-    cover = ModuleMap(cover_src, m, [Matrix._reduced(alg.field, phi[:, :, 0].T) for phi in phis])
+    acts, coords = _path_actions(m), cover_src._layout[1]
+    cols = [np.array([acts[bp][:, tops[k]] for k, bp in coords[v]], dtype=np.int64) for v in range(len(m.dims))]
+    vms = [Matrix._reduced(alg.field, c.reshape(n, d).T) for c, n, d in zip(cols, cover_src.dims, m.dims)]
+    cover = ModuleMap(cover_src, m, vms)
     # onto (a nonzero module with zero top fails here), with superfluous kernel
     kbs = [exactlin.kernel_basis(vm) for vm in cover.vertex_maps]
     for kb, p_dim, m_dim in zip(kbs, cover_src.dims, m.dims):
         invariant(p_dim - kb.cols == m_dim, "projective cover is not onto")
     for v, pos in projective_generators(cover_src):
         invariant(not kbs[v].a[pos].any(), "cover kernel is not superfluous")
-    return cover, _restrict(cover_src, kbs)
+    return cover, _restrict(cover_src, kbs, kernels=True)
 
 
 def injective_envelope(m: Representation) -> ModuleMap:
@@ -629,19 +645,20 @@ def _path_actions(x: Representation) -> dict:
     return memo["path_actions"]
 
 
-def _image_offsets(x: Representation, gen_verts) -> np.ndarray:
+def _image_offsets(x: Representation, gen_verts) -> list[int]:
     """Where the image of each generator starts in (+)_k X_{v_k}."""
-    return np.cumsum([0] + [x.dims[v] for v in gen_verts])
+    return list(itertools.accumulate([x.dims[v] for v in gen_verts], initial=0))
 
 
 def _maps_on_paths(src: Representation, x: Representation, acts: dict, y: np.ndarray) -> list[np.ndarray]:
     """The maps src -> X, for a layout-carrying projective src, with generator
     images the columns of y: per vertex v a stack phi with phi[c, :, j] =
     X(path) y_k, the image under map j of src's basis path c = (k, path) at v.
-    One stacked product per pair of vertices.  This is the one builder of
-    maps out of a projective (Yoneda: Hom(P(v), X) = X e_v): projective
-    covers, homalg's D(d) in the transpose and the class of an almost split
-    sequence all come from it; Ext itself builds no map.
+    One stacked product per pair of vertices.  It builds homalg's D(d) in
+    the transpose and the class of an almost split sequence (Yoneda:
+    Hom(P(v), X) = X e_v); a projective cover, whose generator images are
+    unit vectors, gathers the columns of the X(path) instead, and Ext
+    itself builds no map.
 
     Each result is a module map, unchecked, when X satisfies the relations.
     An arrow a: v -> w sends src's basis path c = (k, q) at v to the normal
@@ -649,7 +666,7 @@ def _maps_on_paths(src: Representation, x: Representation, acts: dict, y: np.nda
     of I, which X kills; so phi_w(c.a) = X(a) X(q) y_k = X(a) phi_v(c)."""
     gen_verts, coords = src._layout
     p = x.algebra.field.p
-    offsets = _image_offsets(x, gen_verts)
+    offsets = np.array(_image_offsets(x, gen_verts))
     out = []
     for v in range(len(x.dims)):
         phi = np.zeros((len(coords[v]), x.dims[v], y.shape[1]), dtype=np.int64)

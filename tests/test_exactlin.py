@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from arquiver.exactlin import (
     Matrix,
     PrimeField,
+    free_rows,
     inverse,
     kernel_basis,
     multiply,
@@ -272,6 +273,24 @@ def test_rref_and_kernel_match_reference_gauss_jordan(mat):
     k = kernel_basis(m)
     assert k.shape == (cols, cols - len(ref_pivots))
     assert k.tolist() == _reference_kernel(entries, cols, p)
+
+
+@pytest.mark.python_O
+@settings(max_examples=200, deadline=None)
+@given(_matrices())
+def test_kernel_basis_is_the_identity_at_free_rows_that_end_its_columns(mat):
+    # a kernel basis column is 1 at its free column, 0 at the other free
+    # columns, and nonzero nowhere below its free column; `free_rows` and
+    # the submodule maps of `repmod.kernel` read the basis that way
+    p, rows, cols, entries = mat
+    m = Matrix(PrimeField(p), np.array(entries, dtype=np.int64).reshape(rows, cols))
+    pivot_set = set(rref(m)[1])
+    free = [c for c in range(cols) if c not in pivot_set]
+    k = kernel_basis(m).a
+    assert (k[free] == np.eye(len(free), dtype=np.int64)).all()
+    for j, f in enumerate(free):
+        assert k[f, j] == 1 and not k[f + 1 :, j].any()
+    assert free_rows(kernel_basis(m)).tolist() == free
 
 
 @settings(max_examples=200, deadline=None)

@@ -1422,7 +1422,8 @@ def test_almost_split_sequence_needs_residue_field_gf_p():
 
 
 # ---------------------------------------------------------------------------
-# maps out of a projective: one builder for covers, D(d) and cocycles
+# maps out of a projective: one builder for D(d) and cocycles, a column
+# gather for covers
 
 
 def small_algebras():
@@ -1499,6 +1500,126 @@ def test_cover_columns_are_paths_applied_to_generator_images():
                 for c, (g, path) in enumerate(coords[v]):
                     want = exactlin.multiply(apply_path(m, *path), gens[g])
                     assert (vm.a[:, c : c + 1] == want.a).all(), (k, v, c)
+
+
+def _reference_relation_system(pres, x, acts):
+    """The per-entry route of `homalg._relation_system`: one block addition,
+    reduced mod p, for each nonzero entry of each relation column."""
+    gen_verts, coords = pres.d.target._layout
+    p = x.algebra.field.p
+    offsets = np.cumsum([0] + [x.dims[v] for v in gen_verts])
+    system = np.zeros((sum(x.dims[u] for u, _ in pres.relations), offsets[-1]), dtype=np.int64)
+    row = 0
+    for u, col in pres.relations:
+        for i in np.flatnonzero(col):
+            k, bp = coords[u][i]
+            part = system[row : row + x.dims[u], offsets[k] : offsets[k + 1]]
+            part[...] = (part + int(col[i]) * acts[bp]) % p
+        row += x.dims[u]
+    return system
+
+
+def _reference_cover(m):
+    """(generator vertices, vertex maps) of the cover of m by the earlier
+    route: the top from `repmod._complement_data`'s reduced form, the maps
+    from `repmod._maps_on_paths` with those unit vectors as generator images."""
+    verts, lifts = [], []
+    for j, span in enumerate(repmod.radical_spans(m)):
+        e, _ = repmod._complement_data(span)
+        verts += [j] * e.cols
+        lifts.append(e.a.T.ravel())
+    src = repmod.projective_module(m.algebra, verts)
+    phis = repmod._maps_on_paths(src, m, repmod._path_actions(m), np.concatenate(lifts)[:, None])
+    return tuple(verts), [Matrix(m.algebra.field, phi[:, :, 0].T) for phi in phis]
+
+
+def _solved_kernel(f):
+    """ker f with its arrow maps solved for, `repmod._restrict`'s route for
+    bases with no identity rows, instead of read off the free rows."""
+    return repmod._restrict(f.source, [exactlin.kernel_basis(vm) for vm in f.vertex_maps])[0]
+
+
+@pytest.mark.python_O
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_HOMALG_SMALL)), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+def test_covers_syzygies_and_relation_systems_match_the_per_entry_routes(name, p, seed):
+    alg = _HOMALG_SMALL[name](p)
+    rng = np.random.default_rng(seed)
+    m, n = (random_module(alg, rng, max_mult=2, max_gens=2) for _ in range(2))
+    for x in (m, n):
+        cover, omega, _ = syzygy_step(x)
+        verts, vms = _reference_cover(x)
+        assert cover.source._layout[0] == verts
+        assert list(cover.vertex_maps) == vms
+        assert omega.arrow_maps == _solved_kernel(cover).arrow_maps
+        for f in hom_basis(x, m)[:2]:
+            assert repmod.kernel(f)[0].arrow_maps == _solved_kernel(f).arrow_maps
+    for a, x in ((m, n), (n, m), (m, m)):
+        # Hom(a, x), and the coboundaries `bound` and cocycles `closed` of Ext^1(a, x)
+        acts = repmod._path_actions(x)
+        for pres in (minimal_presentation(a), minimal_presentation(syzygy(a))):
+            got = homalg._relation_system(pres, x, acts)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _reference_relation_system(pres, x, acts))
+        bound = homalg._ext_coordinates(a, x)[1]
+        assert np.array_equal(bound, _reference_relation_system(minimal_presentation(a), x, acts))
+
+
+def _reordered(d, order1, order0):
+    """d: P1 -> P0 between layout projectives, read between the projectives
+    that list the same summands in the orders order1 and order0: the
+    coordinate (k, path) of a new end is (order[k], path) of the old one."""
+    alg = d.source.algebra
+
+    def places(proj, order):
+        verts, coords = proj._layout
+        new = repmod.projective_module(alg, [verts[k] for k in order])
+        return new, [[coords[j].index((order[k], bp)) for k, bp in new._layout[1][j]] for j in range(len(proj.dims))]
+
+    (p1, cols), (p0, rows) = places(d.source, order1), places(d.target, order0)
+    return ModuleMap(p1, p0, [Matrix(alg.field, vm.a[np.ix_(r, c)]) for vm, r, c in zip(d.vertex_maps, rows, cols)])
+
+
+def _interleaved(n):
+    """Odd places first: [0, 0, 1, 1] read in this order is [0, 1, 0, 1]."""
+    return list(range(1, n, 2)) + list(range(0, n, 2))
+
+
+@pytest.mark.python_O
+@pytest.mark.parametrize("p", [2, 3])
+def test_relation_systems_with_generators_out_of_vertex_order_match_the_per_entry_route(p):
+    # a module equal to a projective listed out of vertex order shares its
+    # cover, so a presentation can list its generators that way
+    regrouped = 0
+    for _, mods in _reference_cases(p):
+        for m in mods:
+            pres = minimal_presentation(m)
+            d = _reordered(pres.d, _interleaved(len(pres.relations)), _interleaved(len(pres.d.target._layout[0])))
+            relations = tuple((u, d.vertex_maps[u].a[:, pos]) for u, pos in repmod.projective_generators(d.source))
+            moved = homalg.MinimalPresentation(d, None, relations, *homalg._grouped_terms(d, relations))
+            regrouped += moved.regrouped
+            for x in mods:
+                acts = repmod._path_actions(x)
+                got = homalg._relation_system(moved, x, acts)
+                assert np.array_equal(got, _reference_relation_system(moved, x, acts))
+    assert regrouped >= 3
+
+
+@pytest.mark.python_O
+def test_a_syzygy_equal_to_a_projective_listed_out_of_vertex_order_takes_its_order():
+    # over 0 -> 1 -> 2, Omega M of this M equals P(2) (+) P(1) listed as (2, 1);
+    # built first, that projective is Omega M's cover, so P1 lists P(2) first
+    alg = build_algebra(Quiver(3, [("a", 0, 1), ("b", 1, 2)]), [], PrimeField(2))
+    m = random_module(alg, np.random.default_rng(152), max_mult=2, max_gens=2)
+    listed = repmod.projective_module(alg, (2, 1))
+    projective_cover(listed)
+    assert syzygy(m) == listed
+    pres = minimal_presentation(m)
+    assert pres.d.source is listed and pres.regrouped
+    for x in (m, listed, simple(alg, 0), regular_module(alg)):
+        acts = repmod._path_actions(x)
+        assert np.array_equal(homalg._relation_system(pres, x, acts), _reference_relation_system(pres, x, acts))
+        assert homalg._hom_dim(m, x) == len(hom_basis(m, x))
 
 
 # ---------------------------------------------------------------------------
