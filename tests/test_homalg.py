@@ -1606,6 +1606,20 @@ def test_relation_systems_with_generators_out_of_vertex_order_match_the_per_entr
 
 
 @pytest.mark.python_O
+def test_the_kernel_of_a_map_that_does_not_intertwine_is_refused():
+    # reading the coordinate of x on P(0) over k[x]/(x^4) is no module map to
+    # S(0): its kernel holds the generator but not x, so the kernel's arrow
+    # map, read off the free rows of the kernel bases, fails the product check
+    alg = loop_algebra(4)
+    proj = indecomposable_projective(alg, 0)
+    row = np.zeros((1, proj.dims[0]), dtype=np.int64)
+    row[0, proj._layout[1][0].index((0, (0, ("x",))))] = 1
+    f = ModuleMap(proj, simple(alg, 0), [Matrix(alg.field, row)])
+    with pytest.raises(InternalInvariantError, match="subspace is not arrow-invariant"):
+        repmod.kernel(f)
+
+
+@pytest.mark.python_O
 def test_a_syzygy_equal_to_a_projective_listed_out_of_vertex_order_takes_its_order():
     # over 0 -> 1 -> 2, Omega M of this M equals P(2) (+) P(1) listed as (2, 1);
     # built first, that projective is Omega M's cover, so P1 lists P(2) first

@@ -127,19 +127,6 @@ def test_a_subspace_that_is_not_arrow_invariant_is_refused():
         repmod._restrict(proj, [column])
 
 
-def test_the_kernel_of_a_map_that_does_not_intertwine_is_refused():
-    # reading the coordinate of x on P(0) over k[x]/(x^4) is no module map to
-    # S(0): its kernel holds the generator but not x, so the kernel's arrow
-    # map, read off the free rows of the kernel bases, fails the product check
-    alg = _truncated_polynomials(4, 5)
-    proj = indecomposable_projective(alg, 0)
-    row = np.zeros((1, proj.dims[0]), dtype=np.int64)
-    row[0, proj._layout[1][0].index((0, (0, ("x",))))] = 1
-    f = repmod.ModuleMap(proj, simple_module(alg, 0), [exactlin.Matrix(alg.field, row)])
-    with pytest.raises(InternalInvariantError, match="subspace is not arrow-invariant"):
-        repmod.kernel(f)
-
-
 def test_generators_need_a_projective_layout():
     with pytest.raises(InternalInvariantError, match="module was not built with a projective layout"):
         projective_generators(simple_module(_truncated_polynomials(2, 5), 0))
